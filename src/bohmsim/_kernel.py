@@ -8,11 +8,24 @@ Every formula below is derived from the product-of-Gaussians branch
 
 with residuals u_+/- = X' -/+ (d' - beta t'), w = Y' - t',
 q_n^{+/-} = Z'_n - gamma_n^{+/-} t', packet speeds
-beta = xi_x/(r^2 xi_y), gamma_n = mu Xi_n R^2 / (r^2 xi_y), and spreading
-denominators D = 1 + (a t')^2 where ax = 2/(r^2 xi_y), ay = 2/xi_y,
-az = 2 mu R^2/(r^2 xi_y).
+beta = xi_x/(r^2 xi_y), gamma_n = p_z Xi_n with p_z = mu R^2/(r^2 xi_y),
+and spreading denominators D = 1 + (a t')^2 where ax = 2/(r^2 xi_y),
+ay = 2/xi_y, az = 2 p_z.  Write g = a t'/D for the phase-curvature factors.
 
-The guidance velocity of coordinate w with scale prefactor P_w is
+``branch_eval`` returns the two log-amplitudes and phases term by term;
+the finite-difference oracle is built on it alone.  ``velocity`` and
+``contrast`` never form the branches.  They use the branch contrast, in
+which the w-terms cancel and the pointer enters only through the single
+dot product dXi . Z' (dXi = Xi^+ - Xi^-):
+
+    log Omega = log R1/R2
+              = 4 X' c_x/Dx + [2 p_z t' (dXi . Z') - t'^2 dG]/Dz
+    delta_S   = S1 - S2
+              = dXi . Z' - 2 xi_x X' - 4 g_x X' c_x
+                - g_z [2 p_z t' (dXi . Z') - t'^2 dG]
+
+where c_x = d' - beta t' and dG = |gamma^+|^2 - |gamma^-|^2.  The guidance
+velocity of coordinate w with scale prefactor P_w is
 
     v_w = P_w [ grad_w S_bar
                 + ((w1 - w2)/2) grad_w delta_S
@@ -20,18 +33,30 @@ The guidance velocity of coordinate w with scale prefactor P_w is
 
 with S_bar = (S1+S2)/2, branch weights w1 = R1^2/rho, w2 = R2^2/rho,
 wc = R1 R2/rho, rho = R1^2 + R2^2 + 2 R1 R2 cos(delta_S), and prefactors
-P_x = 1/(r^2 xi_y), P_y = 1/xi_y, P_z = mu R^2/(r^2 xi_y).
+P_x = 1/(r^2 xi_y), P_y = 1/xi_y, P_z = p_z.  Carried out, with
+half_dw = (w1 - w2)/2 and wcs = wc sin(delta_S):
+
+    v_x = P_x [2 g_x X' - half_dw (2 xi_x + 4 g_x c_x) + wcs 4 c_x/Dx]
+    v_y = P_y [xi_y + 2 g_y w]
+    v_z = p_z [(c/2) SXi + a dXi + 2 g_z Z']
+
+with SXi = Xi^+ + Xi^-, c = 1 - 2 g_z p_z t' and
+a = c half_dw + wcs 2 p_z t'/Dz: three scalar-times-vector operations
+(two in single-pointer mode, where SXi = 0).
 
 Numerical care taken here:
 
+* log Omega comes from the closed form, free of the cancellation noise of
+  subtracting two large total log-amplitudes;
 * weights are computed after dividing by max(R1^2, R2^2), so nothing
   overflows no matter how lopsided the branches are;
 * when |log Omega| exceeds DOMINANT_LOG_CUTOFF the empty branch is dropped
   entirely (its weight is below e^-80, far under any integration
-  tolerance), which also avoids pointless trig on huge phases;
-* the expression trees for the two branches are exact mirror images, so
-  reflecting (X', Z') -> (-X', -Z') in single-pointer mode swaps the
-  branches bitwise.  Ensemble mirror symmetry in the tests relies on this.
+  tolerance): half_dw = +/-1/2, wcs = 0, and no trig is evaluated;
+* in single-pointer mode (Xi^- = -Xi^+, so dG = 0 and SXi = 0) every
+  term above is odd in (X', Z'), so reflecting (X', Z') -> (-X', -Z')
+  negates v_x and v_z bit for bit.  Ensemble mirror symmetry in the tests
+  relies on this.
 """
 
 from __future__ import annotations
@@ -55,6 +80,7 @@ class GuidanceKernel:
         "params", "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_p", "xi_m", "gam_p", "gam_m",
+        "dxi", "pz_dxi", "pz_sxi", "dgam2",
     )
 
     def __init__(self, params: ScenarioParams):
@@ -75,6 +101,14 @@ class GuidanceKernel:
         self.xi_m = np.array([v[1] for v in params.pointer_velocities], dtype=float)
         self.gam_p = self.pz * self.xi_p
         self.gam_m = self.pz * self.xi_m
+        self.dxi = self.xi_p - self.xi_m
+        self.pz_dxi = self.pz * self.dxi
+        if params.is_single_pointer:  # Xi^- = -Xi^+: SXi and dG vanish exactly
+            self.pz_sxi = None
+            self.dgam2 = 0.0
+        else:
+            self.pz_sxi = self.pz * (self.xi_p + self.xi_m)
+            self.dgam2 = float(self.gam_p @ self.gam_p - self.gam_m @ self.gam_m)
 
     # -- packet geometry -------------------------------------------------
 
@@ -90,7 +124,10 @@ class GuidanceKernel:
         """Pointer packet width growth sqrt(Dz); vectorizes over t."""
         return np.sqrt(1.0 + (self.az * t) ** 2)
 
-    def _residuals(self, t: float, x: float, y: float, z: np.ndarray):
+    # -- branch evaluation -----------------------------------------------
+
+    def branch_eval(self, t: float, x: float, y: float, z: np.ndarray):
+        """(log_r1, log_r2, s1, s2) with common normalization dropped."""
         Dx, Dy, Dz = self.denominators(t)
         cx = self.d - self.beta * t
         up = x - cx
@@ -98,13 +135,6 @@ class GuidanceKernel:
         w = y - t
         qp = z - self.gam_p * t
         qm = z - self.gam_m * t
-        return Dx, Dy, Dz, up, um, w, qp, qm
-
-    # -- branch evaluation -----------------------------------------------
-
-    def branch_eval(self, t: float, x: float, y: float, z: np.ndarray):
-        """(log_r1, log_r2, s1, s2) with common normalization dropped."""
-        Dx, Dy, Dz, up, um, w, qp, qm = self._residuals(t, x, y, z)
         upq = up * up
         umq = um * um
         wq = w * w
@@ -123,21 +153,35 @@ class GuidanceKernel:
         s2 = (sx + pw2) + pwy + gx * umq + gy * wq + gz * qmq
         return lr1, lr2, s1, s2
 
-    def log_omega_parts(self, t: float, x: float, z: np.ndarray):
-        """(test-particle part, pointer part) of log Omega = log R1/R2.
+    # -- branch contrast -------------------------------------------------
 
-        Closed forms 4 X'(d' - beta t')/Dx and
-        [2 t' sum_n (gamma_n^+ - gamma_n^-) Z'_n - t'^2 sum_n ((gamma_n^+)^2
-        - (gamma_n^-)^2)]/Dz, evaluated without the cancellation noise of
-        subtracting the two total log-amplitudes.
+    def _closed_form(self, t, x, zd):
+        """Closed-form contrast terms at t' given X' and zd = dXi . Z'.
+
+        Scalars or equal-shape arrays.  Returns
+        (Dx, Dz, gx, gz, cx, x_part, z_part, delta_s), where
+        x_part + z_part = log Omega.
         """
-        Dx, _, Dz = self.denominators(t)
+        Dx = 1.0 + (self.ax * t) ** 2
+        Dz = 1.0 + (self.az * t) ** 2
+        gx = self.ax * t / Dx
+        gz = self.az * t / Dz
         cx = self.d - self.beta * t
-        x_part = 4.0 * x * cx / Dx
-        z_lin = 2.0 * t * float((self.gam_p - self.gam_m) @ z)
-        z_quad = t * t * float(self.gam_p @ self.gam_p - self.gam_m @ self.gam_m)
-        z_part = (z_lin - z_quad) / Dz
-        return x_part, z_part
+        xc = x * cx
+        z_num = (2.0 * self.pz) * t * zd - (t * t) * self.dgam2
+        x_part = 4.0 * xc / Dx
+        z_part = z_num / Dz
+        delta_s = (zd - 2.0 * self.xi_x * x) - 4.0 * gx * xc - gz * z_num
+        return Dx, Dz, gx, gz, cx, x_part, z_part, delta_s
+
+    def contrast(self, t, x, z):
+        """(log Omega, delta S, pointer part of log Omega).
+
+        One configuration (scalars t, x and z of shape (N,)) or M samples
+        at once (t, x of shape (M,), z of shape (M, N)).
+        """
+        *_, x_part, z_part, delta_s = self._closed_form(t, x, z @ self.dxi)
+        return x_part + z_part, delta_s, z_part
 
     # -- guidance velocity -----------------------------------------------
 
@@ -147,64 +191,42 @@ class GuidanceKernel:
 
         Raises NodeError if the normalized density is below node_floor.
         """
-        Dx, Dy, Dz, up, um, w, qp, qm = self._residuals(t, x, y, z)
-        gx = self.ax * t / Dx
+        t = float(t)  # numpy scalars would slow every scalar operation below
+        x = float(x)
+        y = float(y)
+        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(t, x, float(z @ self.dxi))
+        l = x_part + z_part
+
+        Dy = 1.0 + (self.ay * t) ** 2
         gy = self.ay * t / Dy
-        gz = self.az * t / Dz
-
-        vy = self.py * (self.xi_y + 2.0 * gy * w)
-
-        # gradients of phases and log-amplitudes per branch
-        ds1x = -self.xi_x + 2.0 * gx * up
-        ds2x = self.xi_x + 2.0 * gx * um
-
-        upq = up * up
-        umq = um * um
-        qpq = float(qp @ qp)
-        qmq = float(qm @ qm)
-        l = -(upq / Dx + qpq / Dz) + (umq / Dx + qmq / Dz)  # log Omega (w-term cancels)
+        vy = self.py * (self.xi_y + 2.0 * gy * (y - t))
 
         if l > DOMINANT_LOG_CUTOFF:
-            vx = self.px * ds1x
-            vz = self.pz * (self.xi_p + (2.0 * gz) * qp)
-            return vx, vy, vz
-        if l < -DOMINANT_LOG_CUTOFF:
-            vx = self.px * ds2x
-            vz = self.pz * (self.xi_m + (2.0 * gz) * qm)
-            return vx, vy, vz
-
-        sx = self.xi_x * x
-        pw1 = float(self.xi_p @ z)
-        pw2 = float(self.xi_m @ z)
-        pwy = self.xi_y * y
-        wq = w * w
-        s1 = (-sx + pw1) + pwy + gx * upq + gy * wq + gz * qpq
-        s2 = (sx + pw2) + pwy + gx * umq + gy * wq + gz * qmq
-        d = s1 - s2
-
-        el = math.exp(-abs(l))
-        e2 = el * el
-        cosd = math.cos(d)
-        rho_hat = 1.0 + e2 + 2.0 * el * cosd
-        if rho_hat < node_floor:
-            raise NodeError(rho_hat)
-        if l >= 0:
-            w1 = 1.0 / rho_hat
-            w2 = e2 / rho_hat
+            half_dw = 0.5
+            wcs = 0.0
+        elif l < -DOMINANT_LOG_CUTOFF:
+            half_dw = -0.5
+            wcs = 0.0
         else:
-            w1 = e2 / rho_hat
-            w2 = 1.0 / rho_hat
-        wc = el / rho_hat
-        half_dw = 0.5 * (w1 - w2)
-        wcs = wc * math.sin(d)
+            el = math.exp(-abs(l))
+            e2 = el * el
+            rho_hat = 1.0 + e2 + 2.0 * el * math.cos(d)
+            if rho_hat < node_floor:
+                raise NodeError(rho_hat)
+            if l >= 0:
+                w1 = 1.0 / rho_hat
+                w2 = e2 / rho_hat
+            else:
+                w1 = e2 / rho_hat
+                w2 = 1.0 / rho_hat
+            half_dw = 0.5 * (w1 - w2)
+            wcs = el / rho_hat * math.sin(d)
 
-        dlr1x = -2.0 * up / Dx
-        dlr2x = -2.0 * um / Dx
-        vx = self.px * (0.5 * (ds1x + ds2x) + half_dw * (ds1x - ds2x) + wcs * (dlr1x - dlr2x))
-
-        ds1z = self.xi_p + (2.0 * gz) * qp
-        ds2z = self.xi_m + (2.0 * gz) * qm
-        dlr1z = (-2.0 / Dz) * qp
-        dlr2z = (-2.0 / Dz) * qm
-        vz = self.pz * (0.5 * (ds1z + ds2z) + half_dw * (ds1z - ds2z) + wcs * (dlr1z - dlr2z))
+        vx = self.px * (2.0 * gx * x - half_dw * (2.0 * self.xi_x + 4.0 * gx * cx)
+                        + wcs * (4.0 * cx / Dx))
+        c = 1.0 - 2.0 * gz * self.pz * t
+        a = c * half_dw + wcs * (2.0 * self.pz * t / Dz)
+        vz = a * self.pz_dxi + (2.0 * self.pz * gz) * z
+        if self.pz_sxi is not None:
+            vz += (0.5 * c) * self.pz_sxi
         return vx, vy, vz

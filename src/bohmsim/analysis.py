@@ -151,9 +151,7 @@ def empty_wave_ratio(traj: Trajectory, params: ScenarioParams) -> EmptyWaveRepor
 
     t = traj.t
     log_k_exact = -s_eff * traj.log_omega
-    z_part = np.empty(t.size)
-    for i in range(t.size):
-        _, z_part[i] = kern.log_omega_parts(float(t[i]), float(traj.x[i]), traj.z[i])
+    _, _, z_part = kern.contrast(t, traj.x, traj.z)
     log_k_pointer = -s_eff * z_part
 
     dz = 2.0 * gamma * t

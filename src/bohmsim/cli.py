@@ -81,52 +81,38 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_curves(run_dir: Path, manifest: dict, ycol: str, vcol: str) -> list[Curve]:
-    curves = []
-    for rec in manifest["trajectories"]:
-        cols = read_trajectory_csv(run_dir / rec["file"])
-        curves.append(Curve(cols[ycol], cols[vcol], rec["initial_slit"]))
-    return curves
-
-
 def _render_run(run_dir: Path) -> list[Path]:
     manifest = read_manifest(run_dir)
     if not manifest["trajectories"]:
         raise ValueError("run contains no trajectories")
     columns = manifest["columns"]
+    name = manifest["scenario"]["name"]
+    # each trajectory CSV is parsed once and feeds every panel
+    runs = [(read_trajectory_csv(run_dir / rec["file"]), rec["initial_slit"])
+            for rec in manifest["trajectories"]]
     written = []
 
-    def emit(name: str, vcol: str, title: str, ylabel: str):
-        curves = _trajectory_curves(run_dir, manifest, "Y", vcol)
-        path = run_dir / name
+    def emit(fname: str, vcol: str, title: str, ylabel: str):
+        curves = [Curve(cols["Y"], cols[vcol], slit) for cols, slit in runs]
+        path = run_dir / fname
         path.write_text(render_chart(curves, title, "Y'", ylabel), newline="\n")
         written.append(path)
 
-    emit("test_particle.svg", "X", f"{manifest['scenario']['name']}: test particle", "X'")
+    emit("test_particle.svg", "X", f"{name}: test particle", "X'")
     zcols = [c for c in columns if c.startswith("Z_")]
     single = manifest["scenario"]["params"]["pointer_velocities"]
     is_single = all(p == -m for p, m in single) if single else False
-    if "Sigma_hat" in columns:
-        emit("pointer.svg", "Sigma_hat",
-             f"{manifest['scenario']['name']}: pointer average", "Sigma_hat'")
-    elif len(zcols) == 1:
-        emit("pointer.svg", "Z_1", f"{manifest['scenario']['name']}: pointer", "Z'")
-    elif is_single:
+    if "Sigma_hat" not in columns and len(zcols) > 1 and is_single:
         # collective variable computed on the fly for a rigid multi-particle pointer
-        curves = []
-        for rec in manifest["trajectories"]:
-            cols = read_trajectory_csv(run_dir / rec["file"])
-            sig = sum(cols[c] for c in zcols) / np.sqrt(len(zcols))
-            curves.append(Curve(cols["Y"], sig, rec["initial_slit"]))
-        path = run_dir / "pointer.svg"
-        path.write_text(render_chart(
-            curves, f"{manifest['scenario']['name']}: pointer average", "Y'", "Sigma_hat'"),
-            newline="\n")
-        written.append(path)
+        for cols, _ in runs:
+            cols["Sigma_hat"] = sum(cols[c] for c in zcols) / np.sqrt(len(zcols))
+    if "Sigma_hat" in runs[0][0]:
+        emit("pointer.svg", "Sigma_hat", f"{name}: pointer average", "Sigma_hat'")
+    elif len(zcols) == 1:
+        emit("pointer.svg", "Z_1", f"{name}: pointer", "Z'")
     else:
         for j, zc in enumerate(zcols, start=1):
-            emit(f"pointer_{j}.svg", zc,
-                 f"{manifest['scenario']['name']}: pointer {j}", f"Z'_{j}")
+            emit(f"pointer_{j}.svg", zc, f"{name}: pointer {j}", f"Z'_{j}")
     return written
 
 

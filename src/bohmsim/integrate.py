@@ -192,17 +192,6 @@ def sample_initials(spec: EnsembleSpec, params: ScenarioParams) -> list[Configur
     return upper + lower
 
 
-def _diagnostics(kern: GuidanceKernel, t: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 z_rows) -> tuple[np.ndarray, np.ndarray]:
-    log_omega = np.empty(t.size)
-    delta_s = np.empty(t.size)
-    for i in range(t.size):
-        lr1, lr2, s1, s2 = kern.branch_eval(float(t[i]), float(x[i]), float(y[i]), z_rows(i))
-        log_omega[i] = lr1 - lr2
-        delta_s[i] = s1 - s2
-    return log_omega, delta_s
-
-
 def integrate_trajectory(init: Configuration, params: ScenarioParams,
                          opts: IntegratorOptions = IntegratorOptions(),
                          backend: str = "full-analytic") -> Trajectory:
@@ -227,52 +216,40 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
             raise ModeError("reduced backend requires single-pointer mode")
         if n == 0:
             raise ModeError("reduced backend requires at least one pointer particle")
+        # (X', Y', Sigma_hat') is the full state of the one-particle twin
         kern = GuidanceKernel(reduced_params(params))
-        zbuf = np.empty(1)
-
-        def rhs(t, state):
-            zbuf[0] = state[2]
-            vx, vy, vz = kern.velocity(t, state[0], state[1], zbuf, node_floor=node_floor)
-            return np.array([vx, vy, vz[0]])
-
-        sigma0 = float(np.asarray(init.z).sum()) / sqrt_n
-        res = solve(rhs, 0.0, np.array([init.x, init.y, sigma0]), t_end, samples,
-                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)
-        t, x, y = res.t, res.y[:, 0], res.y[:, 1]
-        sigma_hat = res.y[:, 2]
-        z = reconstruct_pointers(t, sigma_hat, np.asarray(init.z), params)
-        log_omega, delta_s = _diagnostics(kern, t, x, y, lambda i: sigma_hat[i:i + 1])
+        y0 = np.array([init.x, init.y, float(np.asarray(init.z).sum()) / sqrt_n])
     else:
         kern = GuidanceKernel(params)
-        if backend == "full-analytic":
-            def rhs(t, state):
-                vx, vy, vz = kern.velocity(t, state[0], state[1], state[2:],
-                                           node_floor=node_floor)
-                out = np.empty(state.size)
-                out[0] = vx
-                out[1] = vy
-                out[2:] = vz
-                return out
-        else:
-            def rhs(t, state):
-                vx, vy, vz = fd_velocity(kern, t, state[0], state[1], state[2:],
-                                         node_eps=node_floor)
-                out = np.empty(state.size)
-                out[0] = vx
-                out[1] = vy
-                out[2:] = vz
-                return out
-
         y0 = np.empty(2 + n)
         y0[0] = init.x
         y0[1] = init.y
         y0[2:] = init.z
-        res = solve(rhs, 0.0, y0, t_end, samples,
-                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)
-        t, x, y = res.t, res.y[:, 0], res.y[:, 1]
+
+    if backend == "full-numeric":
+        def velocity(t, x, y, z, node_floor):
+            return fd_velocity(kern, t, x, y, z, node_eps=node_floor)
+    else:
+        velocity = kern.velocity
+
+    def rhs(t, state):
+        vx, vy, vz = velocity(t, state[0], state[1], state[2:], node_floor)
+        out = np.empty(state.size)
+        out[0] = vx
+        out[1] = vy
+        out[2:] = vz
+        return out
+
+    res = solve(rhs, 0.0, y0, t_end, samples,
+                rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)
+    t, x, y = res.t, res.y[:, 0], res.y[:, 1]
+    log_omega, delta_s, _ = kern.contrast(t, x, res.y[:, 2:])
+    if backend == "reduced":
+        sigma_hat = res.y[:, 2]
+        z = reconstruct_pointers(t, sigma_hat, np.asarray(init.z), params)
+    else:
         z = res.y[:, 2:]
         sigma_hat = z.sum(axis=1) / sqrt_n if n else np.zeros(t.size)
-        log_omega, delta_s = _diagnostics(kern, t, x, y, lambda i: z[i])
 
     return Trajectory(params=params, backend=backend, initial=init,
                       t=t, x=x, y=y, z=z, sigma_hat=sigma_hat,
@@ -289,7 +266,10 @@ def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("BOHM_SIM_THREADS", "").strip()
     if not env:
         return 1
-    workers = int(env)
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"BOHM_SIM_THREADS must be an integer, got {env!r}") from None
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_jobs))

@@ -18,6 +18,7 @@ requested sample times are filled without constraining the step sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,8 @@ class SolverResult:
 
 
 def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    r = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
+    return math.sqrt(float(np.add.reduce(r * r)) / r.size)
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
@@ -154,10 +155,11 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
             k[0] = f
             for i in range(1, 7):
                 yi = y + h * (_A[i] @ k[:i])
-                if not np.all(np.isfinite(yi)):
+                if not np.isfinite(yi).all():
                     raise IntegrationAbort("non-finite stage state")
                 k[i] = rhs(t + _C[i] * h, yi)
-            err = _error_norm(h * (_E @ k), y, y + h * (_B @ k[:6]), rtol, atol)
+            y_new = y + h * (_B @ k[:6])
+            err = _error_norm(h * (_E @ k), y, y_new, rtol, atol)
         except NodeError:
             stats.n_node_backoffs += 1
             h *= 0.5
@@ -186,7 +188,6 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
         # accepted
         stats.n_steps += 1
-        y_new = y + h * (_B @ k[:6])
         t_new = t_end if last_step else t + h
 
         if si < sample_times.size and sample_times[si] <= t_new:

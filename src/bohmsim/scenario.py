@@ -28,9 +28,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
+from pathlib import Path, PurePath
 
-from .integrate import EnsembleSpec, IntegratorOptions, ZInit
+from .integrate import EnsembleSpec, IntegratorOptions, ZInit, crossing_time
 from .model import ScenarioParams, single_pointer_params, two_pointer_params
 
 __all__ = [
@@ -79,6 +79,17 @@ class Scenario:
     ensemble: EnsembleSpec
     integrator: IntegratorOptions = IntegratorOptions()
     outputs: OutputSpec = OutputSpec()
+
+    def __post_init__(self):
+        # the name becomes the run directory runs/<name>; it must stay inside runs/
+        path = PurePath(self.name)
+        if not path.parts or path.is_absolute() or ".." in path.parts:
+            raise ScenarioError(
+                f"scenario name {self.name!r} must be a relative path without '..'")
+        t_end, t_cross = self.integrator.t_end, crossing_time(self.params)
+        if t_end is not None and t_end < t_cross:
+            raise ScenarioError(f"integrator.t_end={t_end!r} is below t'_cross={t_cross!r}; "
+                                "trajectories could not be classified")
 
 
 def _require_keys(block: dict, allowed: set[str], required: set[str], where: str) -> None:

@@ -2,9 +2,11 @@
 
 import json
 
+from bohmsim import cli
 from bohmsim.cli import main
-from bohmsim.runio import read_manifest
+from bohmsim.runio import read_manifest, read_trajectory_csv
 from bohmsim.scenario import load_scenario, preset, scenario_to_dict
+from bohmsim.svgplot import Curve, render_chart
 from bohmsim.validate import check_backend_equivalence
 from bohmsim.velocity import velocity_analytic
 
@@ -70,6 +72,32 @@ class TestSimulate:
         both = trimmed_scenario(tmp_path)
         assert main(["simulate", "--preset", "fig2", "--scenario", str(both)]) == 2
 
+    def test_short_horizon_exits_2_before_integrating(self, tmp_path):
+        data = scenario_to_dict(preset("fig7"))
+        data["integrator"]["t_end"] = 1.0
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_name_outside_runs_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "elsewhere"
+        data = scenario_to_dict(preset("fig7"))
+        data["name"] = str(target)
+        path = tmp_path / "abs.json"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        assert not target.exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_bad_thread_count_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BOHM_SIM_THREADS", "abc")
+        assert main(["simulate", "--preset", "fig7", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "BOHM_SIM_THREADS" in err and "'abc'" in err
+
     def test_reproducible_csv_bytes(self, tmp_path):
         args = ["simulate", "--preset", "fig4", "--seed", "11"]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -92,6 +120,29 @@ class TestPlot:
         assert main(["plot", str(out)]) == 0
         assert (out / "test_particle.svg").is_file()
         assert (out / "pointer.svg").is_file()
+
+    def test_each_csv_read_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig4", "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return read_trajectory_csv(path)
+
+        monkeypatch.setattr(cli, "read_trajectory_csv", counting)
+        assert main(["plot", str(out)]) == 0
+        assert sorted(p.name for p in calls) == [r["file"] for r in manifest["trajectories"]]
+        # the panels are exactly what the CSVs give when charted one by one
+        runs = [(read_trajectory_csv(out / r["file"]), r["initial_slit"])
+                for r in manifest["trajectories"]]
+        for svg, col, title, ylabel in (
+                ("test_particle.svg", "X", "fig4: test particle", "X'"),
+                ("pointer.svg", "Z_1", "fig4: pointer", "Z'")):
+            curves = [Curve(cols["Y"], cols[col], slit) for cols, slit in runs]
+            expected = render_chart(curves, title, "Y'", ylabel).encode()
+            assert (out / svg).read_bytes() == expected
 
     def test_three_panels_for_two_pointers(self, tmp_path):
         out = tmp_path / "run"

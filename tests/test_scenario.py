@@ -1,5 +1,6 @@
 """Scenario schema strictness, round-trips and the canonical presets."""
 
+import json
 import math
 
 import pytest
@@ -69,6 +70,30 @@ class TestStrictness:
             mutate(data)
             with pytest.raises(ScenarioError):
                 scenario_from_dict(data)
+
+    def test_horizon_shorter_than_crossing_rejected_at_load(self, tmp_path):
+        data = scenario_to_dict(preset("fig7"))
+        data["integrator"]["t_end"] = 1.0          # t'_cross is 3
+        with pytest.raises(ScenarioError, match="t_end"):
+            scenario_from_dict(data)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="t_end"):
+            load_scenario(path)
+        data["integrator"]["t_end"] = 3.0
+        assert scenario_from_dict(data).integrator.t_end == 3.0
+
+    @pytest.mark.parametrize("name", ["/abs/dir", "../up", "a/../../b", "", "."])
+    def test_name_leaving_run_root_rejected(self, name):
+        data = scenario_to_dict(preset("fig4"))
+        data["name"] = name
+        with pytest.raises(ScenarioError, match="name"):
+            scenario_from_dict(data)
+
+    def test_relative_nested_name_accepted(self):
+        data = scenario_to_dict(preset("fig4"))
+        data["name"] = "sweeps/fig4-a"
+        assert scenario_from_dict(data).name == "sweeps/fig4-a"
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
