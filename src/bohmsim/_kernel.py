@@ -194,7 +194,7 @@ class GuidanceKernel:
         t = float(t)  # numpy scalars would slow every scalar operation below
         x = float(x)
         y = float(y)
-        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(t, x, float(z @ self.dxi))
+        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(t, x, float(z.dot(self.dxi)))
         l = x_part + z_part
 
         Dy = 1.0 + (self.ay * t) ** 2

@@ -10,15 +10,25 @@ Two non-standard behaviors are built in for Bohmian trajectories:
   accepted point and flagged degenerate (exact nodes are measure zero, so
   this is a flag, not a failure);
 * non-finite stages are handled the same way, except that hitting the
-  floor raises ``IntegrationAbort``.
+  floor raises ``IntegrationAbort``.  Every component of a stage state is
+  tested, by counting ``np.isfinite``, before ``rhs`` sees it: exact, and
+  free of floating-point warnings on +/-inf.
 
 Dense output uses the standard quartic interpolant for this pair, so
 requested sample times are filled without constraining the step sequence.
+Each accepted step that covers samples records (t, h, y, k^T P); all
+samples are evaluated in one pass when the run ends, one stacked
+matrix-vector product per recorded step.
+
+Every sample is its own matrix-vector product, with the powers theta^j
+taken as Python float powers, so that its bits do not depend on which
+other samples are requested.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +40,7 @@ __all__ = ["IntegrationAbort", "SolverStats", "SolverResult", "solve"]
 H_FLOOR = 1e-12
 MAX_STEPS = 1_000_000
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: t + c*h stays a float
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -40,7 +50,7 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = _A[6]  # 5th-order propagation weights (FSAL: stage 7 is the next step's k1)
+# _A[6] are the 5th-order weights: stage 7's state is the new y, its slope the next k1 (FSAL)
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # quartic dense-output coefficients for this pair (Shampine)
 _P = np.array([
@@ -69,6 +79,8 @@ class SolverStats:
     n_steps: int = 0
     n_rejected: int = 0
     n_node_backoffs: int = 0
+    n_rhs_evals: int = 0          # rhs calls, including ones that raised
+    n_capped: int = 0             # accepted steps taken at max_step
 
 
 @dataclass
@@ -80,8 +92,8 @@ class SolverResult:
     t_reached: float = 0.0
 
 
-def _error_norm(err, y0, y1, rtol, atol):
-    r = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
+def _error_norm(err, abs_y0, abs_y1, rtol, atol):
+    r = err / (atol + rtol * np.maximum(abs_y0, abs_y1))
     return math.sqrt(float(np.add.reduce(r * r)) / r.size)
 
 
@@ -104,47 +116,66 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, max_step, t_end - t0)
 
 
+def _dense_output(ts, steps, out) -> None:
+    """Fill out[lo:hi] from each recorded step (t, h, y, q = k^T P, lo, hi)."""
+    for t, h, y, q, lo, hi in steps:
+        thetas = [(s - t) / h for s in ts[lo:hi]]
+        tp = np.array([(th, th**2, th**3, th**4) for th in thetas])
+        out[lo:hi] = y + h * (q @ tp[:, :, None])[:, :, 0]
+
+
 def solve(rhs, t0: float, y0, t_end: float, sample_times,
           rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf,
           first_step: float | None = None) -> SolverResult:
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
-    ``sample_times`` must be ascending within [t0, t_end]; the first entry,
-    if equal to t0, is served from the initial state.  Returns the samples
-    reached (all of them unless the run degenerates at a node).
+    ``sample_times`` must be strictly ascending within [t0, t_end] (the last
+    may exceed t_end by 1e-12 and is then served from the last step); the
+    first entry, if equal to t0, is served from the initial state.  Returns
+    the samples reached (all of them unless the run degenerates at a node).
     """
     y0 = np.asarray(y0, dtype=float)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size and (sample_times[0] < t0 or sample_times[-1] > t_end + 1e-12):
+    ts = np.asarray(sample_times, dtype=float).tolist()
+    if ts and not (t0 <= ts[0] and ts[-1] <= t_end + 1e-12):
         raise ValueError("sample times must lie within [t0, t_end]")
+    if not all(a < b for a, b in zip(ts, ts[1:])):
+        raise ValueError("sample times must be strictly ascending")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
 
-    stats = SolverStats()
-    out_t: list[float] = []
-    out_y: list[np.ndarray] = []
-    si = 0
-    if sample_times.size and sample_times[0] == t0:
-        out_t.append(t0)
-        out_y.append(y0.copy())
+    dim = y0.size
+    n_out = len(ts)
+    out = np.empty((n_out, dim))
+    dense: list[tuple] = []       # accepted steps that cover samples
+    si = 0                        # next sample to serve
+    if ts and ts[0] == t0:
+        out[0] = y0
         si = 1
 
+    k = np.empty((7, dim))
+    stages = [k[:i] for i in range(7)]   # stage i combines the slopes k[:i]
+    k[0] = rhs(t0, y0)  # initial state is required non-node by the caller
+    n_rhs = 1
+    if first_step is None:
+        h = _initial_step(rhs, t0, y0, k[0], t_end, rtol, atol, max_step)
+        n_rhs += 1
+    else:
+        h = first_step
+    h = min(max(h, H_FLOOR), max_step)
     t = t0
     y = y0
-    f = rhs(t, y)  # initial state is required non-node by the caller
-    h = first_step if first_step is not None else _initial_step(
-        rhs, t0, y0, f, t_end, rtol, atol, max_step)
-    h = min(max(h, H_FLOOR), max_step)
+    abs_y = np.abs(y0)
     fac_old = 1e-4
     just_rejected = False
-    k = np.empty((7, y0.size))
+    n_steps = n_rejected = n_backoffs = n_capped = 0
 
     def finish(degenerate: bool) -> SolverResult:
-        return SolverResult(np.array(out_t), np.array(out_y).reshape(len(out_t), y0.size),
-                            stats, degenerate, t)
+        _dense_output(ts, dense, out)
+        stats = SolverStats(n_steps, n_rejected, n_backoffs, n_rhs, n_capped)
+        return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate, t)
 
     while t < t_end:
-        if stats.n_steps + stats.n_rejected > MAX_STEPS:
+        if n_steps + n_rejected > MAX_STEPS:
             raise IntegrationAbort(f"step budget exceeded at t={t!r}")
         h = min(h, max_step)
         last_step = t + h >= t_end
@@ -152,16 +183,14 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
             h = t_end - t
 
         try:
-            k[0] = f
             for i in range(1, 7):
-                yi = y + h * (_A[i] @ k[:i])
-                if not np.isfinite(yi).all():
+                yi = y + h * _A[i].dot(stages[i])
+                if np.count_nonzero(np.isfinite(yi)) != dim:
                     raise IntegrationAbort("non-finite stage state")
+                n_rhs += 1
                 k[i] = rhs(t + _C[i] * h, yi)
-            y_new = y + h * (_B @ k[:6])
-            err = _error_norm(h * (_E @ k), y, y_new, rtol, atol)
         except NodeError:
-            stats.n_node_backoffs += 1
+            n_backoffs += 1
             h *= 0.5
             if h < H_FLOOR:
                 return finish(degenerate=True)
@@ -172,14 +201,17 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
                 raise
             continue
 
-        if not np.isfinite(err):
+        # yi is now stage 7's state, the 5th-order solution
+        abs_y_new = np.abs(yi)
+        err = _error_norm(h * _E.dot(k), abs_y, abs_y_new, rtol, atol)
+        if not math.isfinite(err):
             h *= 0.5
             if h < H_FLOOR:
                 raise IntegrationAbort("non-finite error estimate")
             continue
 
         if err > 1.0:
-            stats.n_rejected += 1
+            n_rejected += 1
             just_rejected = True
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
             if h < H_FLOOR:
@@ -187,17 +219,15 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
             continue
 
         # accepted
-        stats.n_steps += 1
+        n_steps += 1
+        if h == max_step:
+            n_capped += 1
         t_new = t_end if last_step else t + h
 
-        if si < sample_times.size and sample_times[si] <= t_new:
-            q = k.T @ _P  # (dim, 4)
-            while si < sample_times.size and sample_times[si] <= t_new:
-                theta = (sample_times[si] - t) / h
-                tp = np.array([theta, theta**2, theta**3, theta**4])
-                out_t.append(float(sample_times[si]))
-                out_y.append(y + h * (q @ tp))
-                si += 1
+        if si < n_out and (last_step or ts[si] <= t_new):
+            hi = n_out if last_step else bisect_right(ts, t_new, si)
+            dense.append((t, h, y, k.T.dot(_P), si, hi))
+            si = hi
 
         # PI step-size controller; no growth straight after a rejection
         fac = _SAFETY * err ** -_EXPO * fac_old ** _BETA if err > 0 else _FAC_MAX
@@ -205,6 +235,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         h = h * min(cap, max(_FAC_MIN, fac))
         fac_old = max(err, 1e-4)
         just_rejected = False
-        t, y, f = t_new, y_new, k[6].copy()  # FSAL; copy: retries overwrite the stage rows
+        t, y, abs_y = t_new, yi, abs_y_new
+        k[0] = k[6]  # FSAL; retries only overwrite rows 1-6
 
     return finish(degenerate=False)

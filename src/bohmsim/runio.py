@@ -77,6 +77,8 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
             "steps": traj.stats.n_steps,
             "rejected": traj.stats.n_rejected,
             "node_backoffs": traj.stats.n_node_backoffs,
+            "rhs_evals": traj.stats.n_rhs_evals,
+            "capped_steps": traj.stats.n_capped,
             "crossed_plane": verdict.crossed_plane if not verdict.degenerate else None,
             "final_direction": verdict.final_direction if not verdict.degenerate else None,
         })

@@ -198,7 +198,11 @@ class TestEnsembles:
 class TestNodeHandling:
     def test_degenerate_truncation_flagged(self):
         # synthetic field that hits a node beyond t = 1
+        calls = 0
+
         def rhs(t, y):
+            nonlocal calls
+            calls += 1
             if t > 1.0:
                 raise NodeError(0.0)
             return np.ones_like(y)
@@ -207,6 +211,7 @@ class TestNodeHandling:
                     rtol=1e-8, atol=1e-10, max_step=0.1)
         assert res.degenerate
         assert res.stats.n_node_backoffs > 0
+        assert res.stats.n_rhs_evals == calls   # calls that raised count too
         assert res.t_reached <= 1.0 + 1e-9
         assert res.t[-1] <= 1.0 + 1e-9
 

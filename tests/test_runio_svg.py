@@ -63,6 +63,16 @@ class TestManifest:
         assert 0.0 <= cls["bounce_fraction"] <= 1.0
         assert cls["bounce_fraction"] + cls["crossing_fraction"] == pytest.approx(1.0)
 
+    def test_solver_health_per_trajectory(self, small_run):
+        _, trajs, out, _ = small_run
+        records = read_manifest(out)["trajectories"]
+        for rec, traj in zip(records, trajs, strict=True):
+            s = traj.stats
+            assert (rec["steps"], rec["rejected"], rec["node_backoffs"]) == \
+                   (s.n_steps, s.n_rejected, s.n_node_backoffs)
+            assert (rec["rhs_evals"], rec["capped_steps"]) == (s.n_rhs_evals, s.n_capped)
+            assert 0 < rec["capped_steps"] <= rec["steps"]
+
     def test_reproducible_bytes_excluding_timing(self, small_run, tmp_path):
         sc, _, out, _ = small_run
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
