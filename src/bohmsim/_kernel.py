@@ -12,9 +12,10 @@ beta = xi_x/(r^2 xi_y), gamma_n = p_z Xi_n with p_z = mu R^2/(r^2 xi_y),
 and spreading denominators D = 1 + (a t')^2 where ax = 2/(r^2 xi_y),
 ay = 2/xi_y, az = 2 p_z.  Write g = a t'/D for the phase-curvature factors.
 
-``branch_eval`` returns the two log-amplitudes and phases term by term;
-the finite-difference oracle is built on it alone.  ``velocity`` and
-``contrast`` never form the branches.  They use the branch contrast, in
+``branch_eval`` returns the two log-amplitudes and phases term by term,
+for one configuration or M at once; the finite-difference oracle is built
+on it alone and evaluates its stencil through it in row blocks.
+``velocity`` and ``contrast`` never form the branches.  They use the branch contrast, in
 which the w-terms cancel and the pointer enters only through the single
 dot product dXi . Z' (dXi = Xi^+ - Xi^-):
 
@@ -126,8 +127,16 @@ class GuidanceKernel:
 
     # -- branch evaluation -----------------------------------------------
 
-    def branch_eval(self, t: float, x: float, y: float, z: np.ndarray):
-        """(log_r1, log_r2, s1, s2) with common normalization dropped."""
+    def branch_eval(self, t: float, x: float | np.ndarray, y: float | np.ndarray,
+                    z: np.ndarray):
+        """(log_r1, log_r2, s1, s2) with common normalization dropped.
+
+        One configuration (scalars x, y and z of shape (N,)) or M at once
+        (x, y of shape (M,), z of shape (M, N)), all at the time t'.  The
+        pointer sums are one ``np.vecdot`` per row, the same dot product
+        for both shapes, so each row of a batched call equals the scalar
+        call on that row bit for bit.
+        """
         Dx, Dy, Dz = self.denominators(t)
         cx = self.d - self.beta * t
         up = x - cx
@@ -138,19 +147,21 @@ class GuidanceKernel:
         upq = up * up
         umq = um * um
         wq = w * w
-        qpq = float(qp @ qp)
-        qmq = float(qm @ qm)
-        lr1 = -(upq / Dx + wq / Dy + qpq / Dz)
-        lr2 = -(umq / Dx + wq / Dy + qmq / Dz)
+        qpq = np.vecdot(qp, qp)
+        qmq = np.vecdot(qm, qm)
+        # -(a + b + c) as ((-a) - b) - c: the same bits in fewer array operations
+        wy = wq / Dy
+        lr1 = (upq / -Dx - wy) - qpq / Dz
+        lr2 = (umq / -Dx - wy) - qmq / Dz
         sx = self.xi_x * x
         pwy = self.xi_y * y
-        pw1 = float(self.xi_p @ z)
-        pw2 = float(self.xi_m @ z)
+        pw1 = np.vecdot(z, self.xi_p)
+        pw2 = np.vecdot(z, self.xi_m)
         gx = self.ax * t / Dx
-        gy = self.ay * t / Dy
+        gyw = (self.ay * t / Dy) * wq
         gz = self.az * t / Dz
-        s1 = (-sx + pw1) + pwy + gx * upq + gy * wq + gz * qpq
-        s2 = (sx + pw2) + pwy + gx * umq + gy * wq + gz * qmq
+        s1 = (pw1 - sx) + pwy + gx * upq + gyw + gz * qpq
+        s2 = (pw2 + sx) + pwy + gx * umq + gyw + gz * qmq
         return lr1, lr2, s1, s2
 
     # -- branch contrast -------------------------------------------------

@@ -130,9 +130,16 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _parse_int(flag: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{flag} must hold integers, got {value!r}") from None
+
+
 def cmd_bench(args) -> int:
     try:
-        n_list = [int(v) for v in args.n_list.split(",") if v]
+        n_list = [_parse_int("--n-list", v) for v in args.n_list.split(",") if v]
         backends = [b.strip() for b in args.backends.split(",") if b.strip()]
         for b in backends:
             if b not in BACKENDS:

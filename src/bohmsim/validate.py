@@ -80,9 +80,16 @@ def random_configurations(params: ScenarioParams, count: int, rng: np.random.Gen
 def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
                               presets=("fig2", "fig3", "fig4"), seed: int = 20260808,
                               analytic_fn: Callable = velocity_analytic) -> tuple[bool, str]:
+    """Closed form against finite differences on random non-node configurations.
+
+    ``random_configurations`` keeps only draws with a normalized density of
+    at least 1e-6, far above any node floor, so a NodeError from either
+    backend is a failure, not a skip.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     where = ""
+    compared = node_errors = 0
     for name in presets:
         params = preset(name).params
         for cfg in random_configurations(params, count, rng):
@@ -90,12 +97,15 @@ def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
                 va = analytic_fn(cfg, params).as_array()
                 vn = velocity_numeric(cfg, params).as_array()
             except NodeError:
+                node_errors += 1
                 continue
+            compared += 1
             rel = float(np.max(np.abs(va - vn) / np.maximum(1.0, np.abs(va))))
             if rel > worst:
                 worst, where = rel, name
-    ok = worst <= tol
-    return ok, f"max rel deviation {worst:.3e} (worst preset: {where}, tol {tol:g})"
+    ok = compared > 0 and node_errors == 0 and worst <= tol
+    return ok, (f"max rel deviation {worst:.3e} over {compared} configurations, "
+                f"{node_errors} raised NodeError (worst preset: {where}, tol {tol:g})")
 
 
 def check_sqrtn_equivalence(n_values=(1, 4, 9, 16), tol: float = 1e-5,

@@ -7,11 +7,18 @@ applies the raw current formula Im(Psi* dPsi)/|Psi|^2 with central finite
 differences, which makes it an independent cross-check of every term in
 the analytic route.  The decoupled longitudinal motion has the closed form
 ``y_closed_form``, used as an integration oracle.
+
+The finite-difference stencil (the centre, then each coordinate moved by
++/-h and +/-h/2) is built as rows of configurations and evaluated a block
+of rows per batched ``GuidanceKernel.branch_eval`` call; a block holds at
+most ``FD_BLOCK_BYTES`` of coordinates, so memory stays bounded at any N.
+Every row is still a full branch evaluation: nothing is updated
+incrementally from the centre, and no gradient of the analytic route is
+reused.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,6 +28,13 @@ from ._kernel import GuidanceKernel
 from .model import NODE_EPS, Configuration, NodeError, ScenarioParams
 
 __all__ = ["VelocityVector", "velocity_analytic", "velocity_numeric", "fd_velocity", "y_closed_form"]
+
+# Bytes of stencil coordinates per batched ``branch_eval`` call: the whole
+# stencil up to N = 62, 16 rows a call at N = 1000.  This keeps the kernel's
+# pointer-sized temporaries under the C allocator's usual 128 KiB mmap
+# threshold.  At N = 1000 in a fresh process, 256 KiB blocks ran 1.9x slower
+# (a fresh mapping for every temporary) and 64 KiB blocks 1.6x (more calls).
+FD_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -60,37 +74,48 @@ def velocity_analytic(config: Configuration, params: ScenarioParams,
 def fd_velocity(kern: GuidanceKernel, t: float, x: float, y: float, z: np.ndarray,
                 h: float = 1e-5, richardson: bool = True,
                 node_eps: float = NODE_EPS) -> tuple[float, float, list[float]]:
-    """Finite-difference velocity on raw coordinates with a prebuilt kernel."""
-    lr1, lr2, s1, s2 = kern.branch_eval(t, x, y, z)
-    scale = max(lr1, lr2)
+    """Finite-difference velocity on raw coordinates with a prebuilt kernel.
 
-    def psi(xp: float, yp: float, zp: np.ndarray) -> complex:
-        a1, a2, p1, p2 = kern.branch_eval(t, xp, yp, zp)
-        return cmath.exp(complex(a1 - scale, p1)) + cmath.exp(complex(a2 - scale, p2))
+    Evaluates the 1 + 4(N+2) stencil rows (1 + 2(N+2) without
+    ``richardson``) in blocks of whole coordinates, one ``kern.branch_eval``
+    call per block, and takes the differences as array operations.
+    Raises NodeError if the normalized density at the centre is below
+    ``node_eps``.
+    """
+    steps = np.array((h, -h, h / 2.0, -h / 2.0) if richardson else (h, -h))
+    width = steps.size
+    dims = kern.n + 2
+    centre = np.concatenate(([x, y], z))
+    # stencil row 0 is the centre; row 1 + width*k + j has coordinate k moved by steps[j]
+    branches = np.empty((4, 1 + width * dims))
+    per_block = max(1, FD_BLOCK_BYTES // (8 * width * dims))
+    rows = np.empty((1 + width * min(per_block, dims), dims))
+    for lo in range(0, dims, per_block):
+        nc = min(per_block, dims - lo)  # coordinates lo .. lo + nc - 1
+        k = np.arange(nc)
+        rows[:] = centre
+        rows[1:1 + width * nc].reshape(nc, width, dims)[k, :, lo + k] += steps
+        start = 0 if lo == 0 else 1  # the centre row goes with the first block only
+        block = rows[start:1 + width * nc]
+        branches[:, start + width * lo:1 + width * (lo + nc)] = kern.branch_eval(
+            t, block[:, 0], block[:, 1], block[:, 2:])
 
-    psi_c = cmath.exp(complex(lr1 - scale, s1)) + cmath.exp(complex(lr2 - scale, s2))
+    lr1, lr2, s1, s2 = branches
+    scale = max(lr1[0], lr2[0])
+    psi = np.exp((lr1 - scale) + 1j * s1) + np.exp((lr2 - scale) + 1j * s2)
+    psi_c = complex(psi[0])
     rho_hat = abs(psi_c) ** 2
     if rho_hat < node_eps:
         raise NodeError(rho_hat)
 
-    def current(dpsi: complex) -> float:
-        return (psi_c.conjugate() * dpsi).imag / rho_hat
-
-    def fd(move):
-        d1 = (psi(*move(h)) - psi(*move(-h))) / (2.0 * h)
-        if not richardson:
-            return d1
-        d2 = (psi(*move(h / 2.0)) - psi(*move(-h / 2.0))) / h
-        return (4.0 * d2 - d1) / 3.0
-
-    dx = kern.px * current(fd(lambda s: (x + s, y, z)))
-    dy = kern.py * current(fd(lambda s: (x, y + s, z)))
-    dz = []
-    for n in range(kern.n):
-        e = np.zeros(kern.n)
-        e[n] = 1.0
-        dz.append(kern.pz * current(fd(lambda s: (x, y, z + s * e))))
-    return dx, dy, dz
+    moved = psi[1:].reshape(dims, width)
+    dpsi = (moved[:, 0] - moved[:, 1]) / (2.0 * h)
+    if richardson:
+        d2 = (moved[:, 2] - moved[:, 3]) / h
+        dpsi = (4.0 * d2 - dpsi) / 3.0
+    current = (psi_c.conjugate() * dpsi).imag / rho_hat
+    vz = kern.pz * current[2:]
+    return kern.px * float(current[0]), kern.py * float(current[1]), vz.tolist()
 
 
 def velocity_numeric(config: Configuration, params: ScenarioParams,

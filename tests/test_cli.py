@@ -199,6 +199,11 @@ class TestBench:
     def test_unknown_backend_exit_2(self):
         assert main(["bench", "--backends", "quantum-leap"]) == 2
 
+    def test_non_integer_n_list_names_the_flag(self, capsys):
+        assert main(["bench", "--n-list", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert "--n-list" in err and "'x'" in err
+
 
 class TestValidate:
     def test_single_suite(self, capsys):

@@ -96,3 +96,56 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
     assert mixed > 0
     if name == "fig3":
         assert dominant > 0
+
+
+# fig2, fig3, fig4 and fig7 as preset, and the fig4 base at N = 0, 7, 16 and 100
+BATCH_CASES = ([(name, None) for name in ("fig2", "fig3", "fig4", "fig7")]
+               + [("fig4", n) for n in (0, 7, 16, 100)])
+SINGLE_POINTER_CASES = [case for case in BATCH_CASES if case[0] != "fig7"]
+
+
+def batch_params(name, n):
+    return preset(name).params if n is None else fig4_n_particles(n)
+
+
+def batch_rows(params, seed):
+    """Five times and 40 random configurations as (x, y, z) rows."""
+    cfgs = random_configurations(params, 40, np.random.default_rng(seed))
+    x = np.array([c.x for c in cfgs])
+    y = np.array([c.y for c in cfgs])
+    z = np.array([c.z for c in cfgs]).reshape(len(cfgs), params.n_particles)
+    return [c.t_prime for c in cfgs[:5]], x, y, z
+
+
+@pytest.mark.parametrize("name,n", BATCH_CASES)
+def test_batched_branch_eval_rows_equal_scalar_calls(name, n):
+    params = batch_params(name, n)
+    kern = GuidanceKernel(params)
+    times, x, y, z = batch_rows(params, 21)
+    # contiguous arrays, and the strided column views the FD stencil passes
+    stacked = np.column_stack((x, y, z))
+    for bx, by, bz in ((x, y, z), (stacked[:, 0], stacked[:, 1], stacked[:, 2:])):
+        for t in times:
+            batch = kern.branch_eval(t, bx, by, bz)
+            assert all(v.shape == (x.size,) for v in batch)
+            for i in range(x.size):
+                one = kern.branch_eval(t, float(x[i]), float(y[i]), z[i])
+                assert [v[i] for v in batch] == list(one)
+
+
+@pytest.mark.parametrize("name,n", SINGLE_POINTER_CASES)
+def test_branch_eval_mirror_swaps_the_branches_exactly(name, n):
+    # single-pointer mode (and N = 0): (X', Z') -> (-X', -Z') swaps (lr1, s1) with (lr2, s2)
+    params = batch_params(name, n)
+    assert params.is_single_pointer or n == 0
+    kern = GuidanceKernel(params)
+    times, x, y, z = batch_rows(params, 22)
+    for t in times:
+        lr1, lr2, s1, s2 = kern.branch_eval(t, x, y, z)
+        m1, m2, ms1, ms2 = kern.branch_eval(t, -x, y, -z)
+        assert np.array_equal(m1, lr2) and np.array_equal(m2, lr1)
+        assert np.array_equal(ms1, s2) and np.array_equal(ms2, s1)
+        for i in range(x.size):
+            a1, a2, p1, p2 = kern.branch_eval(t, float(x[i]), float(y[i]), z[i])
+            b1, b2, q1, q2 = kern.branch_eval(t, -float(x[i]), float(y[i]), -z[i])
+            assert (b1, b2, q1, q2) == (a2, a1, p2, p1)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohmsim import velocity
+from bohmsim._kernel import GuidanceKernel
 from bohmsim.model import (NodeError, ScenarioParams, single_pointer_params,
                            two_pointer_params)
 from bohmsim.validate import random_configurations
-from bohmsim.velocity import velocity_analytic, velocity_numeric, y_closed_form
+from bohmsim.velocity import fd_velocity, velocity_analytic, velocity_numeric, y_closed_form
 
-from conftest import config
+from conftest import config, fig4_n_particles
 
 coords = st.floats(-4.0, 4.0)
 times = st.floats(0.0, 8.0)
@@ -57,6 +59,69 @@ class TestBackendAgreement:
 
         ratio = err(1e-4) / err(5e-5)
         assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
+        plain = velocity_numeric(cfg, fig4_params, richardson=False)
+        assert rel_dev(velocity_analytic(cfg, fig4_params), plain) <= 1e-6
+
+
+def rel_dev_raw(kern, t, x, y, z, fd) -> float:
+    vx, vy, vz = kern.velocity(t, x, y, z)
+    a = np.array([vx, vy, *vz])
+    return float(np.max(np.abs(a - np.array([fd[0], fd[1], *fd[2]]))
+                        / np.maximum(1.0, np.abs(a))))
+
+
+def count_branch_evals(monkeypatch) -> list:
+    calls = []
+    batched = GuidanceKernel.branch_eval
+
+    def counted(self, t, x, y, z):
+        calls.append(np.shape(x))
+        return batched(self, t, x, y, z)
+
+    monkeypatch.setattr(GuidanceKernel, "branch_eval", counted)
+    return calls
+
+
+class TestStencilBlocks:
+    def test_no_pointer_gives_empty_dz(self):
+        kern = GuidanceKernel(ScenarioParams(10, 10, 1, 1, 1, 3, ()))
+        assert kern.n == 0
+        fd = fd_velocity(kern, 1.2, 2.1, 1.0, np.zeros(0))
+        assert fd[2] == []
+        assert rel_dev_raw(kern, 1.2, 2.1, 1.0, np.zeros(0), fd) <= 1e-6
+
+    def test_small_stencil_is_one_call(self, monkeypatch):
+        params = fig4_n_particles(16)
+        kern = GuidanceKernel(params)
+        cfg = random_configurations(params, 1, np.random.default_rng(4))[0]
+        calls = count_branch_evals(monkeypatch)
+        fd_velocity(kern, cfg.t_prime, cfg.x, cfg.y, cfg.z_array())
+        assert calls == [(1 + 4 * 18,)]
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        params = fig4_n_particles(16)
+        kern = GuidanceKernel(params)
+        args = [(kern, c.t_prime, c.x, c.y, c.z_array())
+                for c in random_configurations(params, 5, np.random.default_rng(5))]
+        whole = [fd_velocity(*a) for a in args]
+        monkeypatch.setattr(velocity, "FD_BLOCK_BYTES", 1)  # one coordinate per block
+        assert [fd_velocity(*a) for a in args] == whole
+
+    def test_many_blocks_at_n_1000_match_the_closed_form(self, monkeypatch):
+        params = fig4_n_particles(1000)
+        kern = GuidanceKernel(params)
+        cfgs = random_configurations(params, 3, np.random.default_rng(6))
+        calls = count_branch_evals(monkeypatch)
+        for cfg in cfgs:
+            z = cfg.z_array()
+            calls.clear()
+            fd = fd_velocity(kern, cfg.t_prime, cfg.x, cfg.y, z)
+            assert len(fd[2]) == 1000
+            assert rel_dev_raw(kern, cfg.t_prime, cfg.x, cfg.y, z, fd) <= 1e-6
+            rows = [shape[0] for shape in calls]
+            assert len(rows) > 1 and sum(rows) == 1 + 4 * 1002
+            # bounded blocks: whole coordinates (4 rows each) within FD_BLOCK_BYTES
+            assert 4 * 1002 * 8 <= (max(rows) - 1) * 1002 * 8 <= velocity.FD_BLOCK_BYTES
 
 
 class TestUncoupledPointer:
@@ -169,6 +234,18 @@ class TestErrors:
             velocity_analytic(cfg, fig4_params)
         with pytest.raises(NodeError):
             velocity_numeric(cfg, fig4_params)
+
+    def test_node_raises_both_backends_at_n_16(self):
+        # as above, with the pointer sum shared by 16 equal coordinates
+        params = fig4_n_particles(16)
+        xi = params.single_pointer_xi
+        t = 1e-9
+        dz = 1.0 + (2.0 * params.mu * params.R**2 * t / (params.r**2 * params.xi_y)) ** 2
+        cfg = config(t, 0.0, 0.0, [math.pi * dz / (2.0 * xi * 16)] * 16)
+        with pytest.raises(NodeError):
+            velocity_analytic(cfg, params)
+        with pytest.raises(NodeError):
+            velocity_numeric(cfg, params)
 
     def test_wrong_pointer_count(self, fig4_params):
         with pytest.raises(ValueError):
