@@ -3,19 +3,16 @@ N-particle which-way pointer, with an exact sqrt(N) reduced backend."""
 
 from .model import (
     NODE_EPS,
-    BranchEval,
     Configuration,
     ModeError,
     NodeError,
     ScenarioParams,
-    eval_branches,
     fast_pointer_E,
-    mixing_weights,
     single_pointer_params,
     two_pointer_params,
 )
 from .velocity import VelocityVector, velocity_analytic, velocity_numeric, y_closed_form
-from .reduced import ReducedState, reconstruct_pointers, reduced_params, reduced_velocity
+from .reduced import reconstruct_pointers, reduced_params
 from .integrate import (
     BACKENDS,
     EnsembleSpec,

@@ -78,14 +78,13 @@ class GuidanceKernel:
     """Precomputed scales for one scenario; all methods are pure."""
 
     __slots__ = (
-        "params", "n", "xi_x", "xi_y", "d", "beta",
+        "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_p", "xi_m", "gam_p", "gam_m",
         "dxi", "pz_dxi", "pz_sxi", "dgam2",
     )
 
     def __init__(self, params: ScenarioParams):
-        self.params = params
         self.n = params.n_particles
         self.xi_x = params.xi_x
         self.xi_y = params.xi_y

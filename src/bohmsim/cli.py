@@ -20,7 +20,8 @@ from .integrate import BACKENDS, run_ensemble
 from .rk45 import IntegrationAbort
 from .runio import read_manifest, read_trajectory_csv, write_run
 from .scenario import (Scenario, ScenarioError, load_scenario, preset, preset_names,
-                       save_scenario, with_backend, with_n_particles, with_seed)
+                       save_scenario, scenario_from_dict, with_backend, with_n_particles,
+                       with_seed)
 from .svgplot import Curve, render_chart
 from .validate import run_validation
 
@@ -100,8 +101,7 @@ def _render_run(run_dir: Path) -> list[Path]:
 
     emit("test_particle.svg", "X", f"{name}: test particle", "X'")
     zcols = [c for c in columns if c.startswith("Z_")]
-    single = manifest["scenario"]["params"]["pointer_velocities"]
-    is_single = all(p == -m for p, m in single) if single else False
+    is_single = scenario_from_dict(manifest["scenario"]).params.is_single_pointer
     if "Sigma_hat" not in columns and len(zcols) > 1 and is_single:
         # collective variable computed on the fly for a rigid multi-particle pointer
         for cols, _ in runs:

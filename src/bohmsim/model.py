@@ -1,4 +1,4 @@
-"""Scenario parameters and the entangled two-branch wave function.
+"""Scenario parameters of the entangled two-branch wave function.
 
 The wave function is a sum of two branches ("upper slit" / "lower slit"),
 each a product of Gaussian packets: one transverse packet for the test
@@ -16,15 +16,16 @@ The dimensionless groups are
 
 Sign convention: the upper-slit packet starts at +d' and moves with
 transverse velocity -xi_x/(r^2 xi_y), while its pointer packets move with
-+Xi_n^+.  Branch amplitudes are kept as log R_i and phases S_i so that the
-ratio Omega = R_1/R_2 and the phase difference delta_S = S_1 - S_2 stay
-meaningful even when both amplitudes underflow any fixed-point scale.
++Xi_n^+.  The branches themselves are evaluated by ``GuidanceKernel``
+(``_kernel.py``), which keeps amplitudes as log R_i and phases S_i so that
+the ratio Omega = R_1/R_2 and the phase difference delta_S = S_1 - S_2
+stay meaningful even when both amplitudes underflow any fixed-point scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,12 +36,9 @@ __all__ = [
     "ModeError",
     "ScenarioParams",
     "Configuration",
-    "BranchEval",
     "single_pointer_params",
     "two_pointer_params",
     "fast_pointer_E",
-    "eval_branches",
-    "mixing_weights",
 ]
 
 # Normalized-density floor below which the guidance velocity is numerically
@@ -158,27 +156,6 @@ class Configuration:
         return np.asarray(self.z, dtype=float)
 
 
-@dataclass(frozen=True)
-class BranchEval:
-    """Log-amplitudes and phases of the two branches at one configuration.
-
-    log_omega = log_r1 - log_r2 and delta_s = s1 - s2 are stored because
-    every downstream quantity (guidance velocity, branch weights, empty-wave
-    ratio) consumes those differences, never the raw amplitudes.
-    """
-
-    log_r1: float
-    log_r2: float
-    s1: float
-    s2: float
-    log_omega: float = field(init=False)
-    delta_s: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_omega", self.log_r1 - self.log_r2)
-        object.__setattr__(self, "delta_s", self.s1 - self.s2)
-
-
 def fast_pointer_E(params: ScenarioParams) -> float:
     """Fast-pointer discriminant E = (Xi/xi_x) R^2 d' mu.
 
@@ -190,39 +167,3 @@ def fast_pointer_E(params: ScenarioParams) -> float:
     if xi is None:
         raise ModeError("fast_pointer_E requires single-pointer mode (common +/-Xi)")
     return (xi / params.xi_x) * params.R**2 * params.d_prime * params.mu
-
-
-def eval_branches(config: Configuration, params: ScenarioParams) -> BranchEval:
-    """Evaluate both branches at a configuration point, in log/phase form.
-
-    Normalization constants common to the two branches are dropped; only
-    amplitude ratios and phase differences feed the dynamics.
-    """
-    from ._kernel import GuidanceKernel
-
-    kern = GuidanceKernel(params)
-    if len(config.z) != params.n_particles:
-        raise ValueError(
-            f"configuration has {len(config.z)} pointer coordinates, scenario has {params.n_particles}"
-        )
-    lr1, lr2, s1, s2 = kern.branch_eval(config.t_prime, config.x, config.y, config.z_array())
-    return BranchEval(lr1, lr2, s1, s2)
-
-
-def mixing_weights(be: BranchEval, eps: float = NODE_EPS) -> tuple[float, float, float]:
-    """Branch weights (R1^2/rho, R2^2/rho, R1 R2/rho) from log Omega, delta S.
-
-    Numerator and denominator are both divided by max(R1^2, R2^2), so the
-    result is well defined for arbitrarily large |log Omega|.  Raises
-    NodeError when the normalized density rho/max(R1^2, R2^2) falls below
-    ``eps``.  Always satisfies w1 + w2 + 2*wc*cos(delta_s) = 1.
-    """
-    l, d = be.log_omega, be.delta_s
-    el = math.exp(-abs(l))
-    e2 = el * el
-    rho_hat = 1.0 + e2 + 2.0 * el * math.cos(d)
-    if rho_hat < eps:
-        raise NodeError(rho_hat)
-    if l >= 0:
-        return 1.0 / rho_hat, e2 / rho_hat, el / rho_hat
-    return e2 / rho_hat, 1.0 / rho_hat, el / rho_hat

@@ -3,10 +3,11 @@
 For a single rigid pointer the branch ratio and phase difference depend on
 the pointer coordinates only through their sum, so the coupled system
 closes in (X', Sigma_hat') with Sigma_hat' = (1/sqrt(N)) sum_n Z'_n and an
-effective packet velocity Xi_hat = Xi sqrt(N).  The reduction is
-implemented literally as that parameter substitution into the N = 1
-velocity code path; no formulas are re-derived, so the two backends cannot
-drift apart.
+effective packet velocity Xi_hat = Xi sqrt(N).  ``reduced_params`` states
+that parameter substitution; ``integrate_trajectory`` applies it, running
+the N = 1 ``GuidanceKernel`` on (X', Y', Sigma_hat') for the reduced
+backend.  No formulas are re-derived, so the two backends cannot drift
+apart.
 
 Individual pointer trajectories follow analytically: every dZ'_n/dt' is
 alpha(t') Z'_n + beta_n-independent terms, with alpha the logarithmic
@@ -21,33 +22,13 @@ with s(t') = sqrt(1 + 4 mu^2 R^4 t'^2 / (r^4 xi_y^2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernel import GuidanceKernel
-from .model import NODE_EPS, ModeError, ScenarioParams
+from .model import ModeError, ScenarioParams
 
-__all__ = [
-    "ReducedState",
-    "reduced_params",
-    "reduced_velocity",
-    "spreading_factor",
-    "reconstruct_pointers",
-]
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """The closed two-variable state (t', X', Sigma_hat')."""
-
-    t_prime: float
-    x: float
-    sigma_hat: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.t_prime, self.x, self.sigma_hat)):
-            raise ValueError("reduced state entries must be finite")
+__all__ = ["reduced_params", "reconstruct_pointers"]
 
 
 def reduced_params(params: ScenarioParams) -> ScenarioParams:
@@ -65,25 +46,6 @@ def reduced_params(params: ScenarioParams) -> ScenarioParams:
         mu=params.mu, d_prime=params.d_prime,
         pointer_velocities=((xi_hat, -xi_hat),),
     )
-
-
-def reduced_velocity(state: ReducedState, params: ScenarioParams,
-                     node_eps: float = NODE_EPS) -> tuple[float, float]:
-    """(dX'/dt', dSigma_hat'/dt') of the reduced system.
-
-    Evaluates the N = 1 velocity field at (X', Z'_1 = Sigma_hat') under
-    ``reduced_params``; the longitudinal coordinate never couples, so any
-    Y' gives the same answer.
-    """
-    kern = GuidanceKernel(reduced_params(params))
-    vx, _, vz = kern.velocity(state.t_prime, state.x, 0.0,
-                              np.array([state.sigma_hat]), node_floor=node_eps)
-    return vx, float(vz[0])
-
-
-def spreading_factor(t_prime, params: ScenarioParams):
-    """Pointer packet width growth s(t'); vectorizes over t_prime."""
-    return GuidanceKernel(params).spreading_factor(t_prime)
 
 
 def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
@@ -110,7 +72,7 @@ def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
             f"initial pointer sum {sigma0!r} does not match the reduced trajectory's "
             f"sigma_hat(0)={sigma_hat[0]!r}"
         )
-    s = np.asarray(spreading_factor(t, params), dtype=float)
+    s = GuidanceKernel(params).spreading_factor(t)
     mean = sigma_hat / sqrt_n
     dev0 = z0 - float(z0.mean())
     dev0 -= dev0.mean()  # re-center: keeps the scaled row sums exactly on sigma_hat

@@ -2,6 +2,9 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from bohmsim import cli
 from bohmsim.cli import main
 from bohmsim.runio import read_manifest, read_trajectory_csv
@@ -151,6 +154,21 @@ class TestPlot:
         for name in ("test_particle.svg", "pointer_1.svg", "pointer_2.svg"):
             assert (out / name).is_file()
 
+    def test_mixed_xi_pointer_gets_one_panel_per_particle(self, tmp_path):
+        # every pair is (+Xi_n, -Xi_n), but Xi differs between particles: not one
+        # rigid pointer, so there is no Sigma_hat' panel
+        data = scenario_to_dict(preset("fig4"))
+        data["params"]["n_particles"] = 2
+        data["params"]["pointer_velocities"] = [[10.0, -10.0], [5.0, -5.0]]
+        data["ensemble"]["count_per_slit"] = 1
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        assert main(["plot", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.svg")) == [
+            "pointer_1.svg", "pointer_2.svg", "test_particle.svg"]
+
     def test_sigma_panel_for_reduced(self, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--preset", "fig9", "--out", str(out)])
@@ -229,3 +247,52 @@ class TestValidate:
     def test_clean_backend_equivalence_passes(self):
         ok, detail = check_backend_equivalence(count=40, presets=("fig4",))
         assert ok, detail
+
+
+def fuzz_scenarios(count=30, seed=20261018):
+    """Scenario dicts drawn from one seeded generator.
+
+    Single-pointer runs at N = 1, 3 or 50 on full-analytic or reduced, and
+    two-pointer runs; one launch point per slit and a gaussian pointer draw.
+    Some horizons fall below t'_cross, which must be refused at load.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        data = scenario_to_dict(preset("fig4"))
+        data["name"] = f"fuzz{i}"
+        p = data["params"]
+        p.update(xi_x=rng.uniform(2.0, 20.0), xi_y=rng.uniform(2.0, 20.0),
+                 r=rng.uniform(0.5, 2.0), R=rng.uniform(0.1, 1.5),
+                 mu=rng.uniform(0.2, 2.0), d_prime=rng.uniform(1.0, 4.0))
+        xi = float(rng.uniform(0.0, 20.0))
+        if rng.random() < 0.25:
+            pairs, backend = [[xi, 0.0], [0.0, xi]], "full-analytic"
+        else:
+            n = int(rng.choice([1, 3, 50]))
+            pairs = [[xi, -xi]] * n
+            backend = str(rng.choice(["full-analytic", "reduced"]))
+        p["n_particles"] = len(pairs)
+        p["pointer_velocities"] = pairs
+        data["ensemble"].update(count_per_slit=1, extent=float(rng.uniform(0.0, 1.5)),
+                                z_init={"mode": "gaussian", "seed": int(rng.integers(1000))},
+                                backend=backend)
+        t_cross = p["d_prime"] * p["r"] ** 2 * p["xi_y"] / p["xi_x"]
+        data["integrator"]["t_end"] = float(rng.uniform(0.8, 3.0)) * t_cross
+        out.append(data)
+    return out
+
+
+@pytest.mark.parametrize("data", fuzz_scenarios(), ids=lambda d: d["name"])
+def test_fuzzed_scenario_runs_whole_or_writes_nothing(tmp_path, data, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    rc = main(["simulate", "--scenario", str(path), "--out", str(out)])
+    if rc == 0:
+        manifest = read_manifest(out)
+        assert manifest["n_trajectories"] == 2
+        assert all((out / r["file"]).is_file() for r in manifest["trajectories"])
+    else:
+        assert rc in (2, 3), capsys.readouterr().err
+        assert not out.exists()

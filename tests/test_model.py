@@ -1,9 +1,9 @@
-"""Branch evaluation, mixing weights and the fast-pointer discriminant.
+"""Scenario parameters, branch evaluation and the fast-pointer discriminant.
 
 The main oracle here is an independent transcription of the two branch
 exponents using complex arithmetic (complex width 1 + 2iT instead of the
 real/imaginary split the production kernel uses), evaluated per particle
-in a plain loop.
+in a plain loop, against ``GuidanceKernel.branch_eval``.
 """
 
 import math
@@ -12,11 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bohmsim.model import (BranchEval, Configuration, ModeError, NodeError, ScenarioParams,
-                           eval_branches, fast_pointer_E, mixing_weights,
+from bohmsim._kernel import GuidanceKernel
+from bohmsim.model import (Configuration, ModeError, ScenarioParams, fast_pointer_E,
                            single_pointer_params, two_pointer_params)
 
 from conftest import config
+
+
+def branch_eval(cfg: Configuration, params: ScenarioParams):
+    """(log_r1, log_r2, s1, s2) of the kernel at one configuration."""
+    return GuidanceKernel(params).branch_eval(cfg.t_prime, cfg.x, cfg.y, cfg.z_array())
 
 
 def oracle_branch_exponents(cfg: Configuration, params: ScenarioParams):
@@ -95,90 +100,50 @@ class TestFastPointerE:
 
 class TestEvalBranches:
     def test_symmetric_midpoint(self, fig3_params):
-        be = eval_branches(config(0.0, 0.0, 0.0, [0.0]), fig3_params)
-        assert be.log_omega == 0.0
-        assert be.delta_s == 0.0
+        lr1, lr2, s1, s2 = branch_eval(config(0.0, 0.0, 0.0, [0.0]), fig3_params)
+        assert lr1 - lr2 == 0.0
+        assert s1 - s2 == 0.0
 
     def test_initial_log_omega_is_pure_x(self, fig3_params):
         d = fig3_params.d_prime
-        be = eval_branches(config(0.0, d, 0.0, [0.0]), fig3_params)
-        assert be.log_omega == pytest.approx(4.0 * d * d, rel=1e-12)
+        lr1, lr2, _, _ = branch_eval(config(0.0, d, 0.0, [0.0]), fig3_params)
+        assert lr1 - lr2 == pytest.approx(4.0 * d * d, rel=1e-12)
         # pointer coordinates contribute nothing at t' = 0, packets coincide
         for z in (-1.3, 0.7, 2.0):
-            shifted = eval_branches(config(0.0, d, 0.0, [z]), fig3_params)
-            assert shifted.log_omega == pytest.approx(4.0 * d * d, rel=1e-12)
+            lr1, lr2, _, _ = branch_eval(config(0.0, d, 0.0, [z]), fig3_params)
+            assert lr1 - lr2 == pytest.approx(4.0 * d * d, rel=1e-12)
+
+    @staticmethod
+    def assert_matches_oracle(cfg, params):
+        lr1, lr2, s1, s2 = branch_eval(cfg, params)
+        (olr1, os1), (olr2, os2) = oracle_branch_exponents(cfg, params)
+        assert lr1 == pytest.approx(olr1, rel=1e-12, abs=1e-12)
+        assert lr2 == pytest.approx(olr2, rel=1e-12, abs=1e-12)
+        assert s1 == pytest.approx(os1, rel=1e-12, abs=1e-11)
+        assert s2 == pytest.approx(os2, rel=1e-12, abs=1e-11)
 
     @given(t=times, x=coords, y=coords, z=coords)
     def test_matches_complex_oracle_fig4(self, t, x, y, z):
         params = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=1)
-        be = eval_branches(config(t, x, y, [z]), params)
-        (lr1, s1), (lr2, s2) = oracle_branch_exponents(config(t, x, y, [z]), params)
-        assert be.log_r1 == pytest.approx(lr1, rel=1e-12, abs=1e-12)
-        assert be.log_r2 == pytest.approx(lr2, rel=1e-12, abs=1e-12)
-        assert be.s1 == pytest.approx(s1, rel=1e-12, abs=1e-11)
-        assert be.s2 == pytest.approx(s2, rel=1e-12, abs=1e-11)
+        self.assert_matches_oracle(config(t, x, y, [z]), params)
 
     @given(t=times, x=coords, y=coords,
            z=st.lists(coords, min_size=2, max_size=2))
     def test_matches_complex_oracle_two_pointers(self, t, x, y, z):
         params = two_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0)
-        be = eval_branches(config(t, x, y, z), params)
-        (lr1, s1), (lr2, s2) = oracle_branch_exponents(config(t, x, y, z), params)
-        assert be.log_r1 == pytest.approx(lr1, rel=1e-12, abs=1e-12)
-        assert be.log_r2 == pytest.approx(lr2, rel=1e-12, abs=1e-12)
-        assert be.s1 == pytest.approx(s1, rel=1e-12, abs=1e-11)
-        assert be.s2 == pytest.approx(s2, rel=1e-12, abs=1e-11)
+        self.assert_matches_oracle(config(t, x, y, z), params)
 
     @given(t=times, x=coords, y=coords, z=coords)
     def test_branch_swap_antisymmetry_exact(self, t, x, y, z, fig4_params):
-        be = eval_branches(config(t, x, y, [z]), fig4_params)
-        mirrored = eval_branches(config(t, -x, y, [-z]), fig4_params)
-        assert mirrored.log_r1 == be.log_r2
-        assert mirrored.log_r2 == be.log_r1
-        assert mirrored.s1 == be.s2
-        assert mirrored.s2 == be.s1
+        lr1, lr2, s1, s2 = branch_eval(config(t, x, y, [z]), fig4_params)
+        m1, m2, ms1, ms2 = branch_eval(config(t, -x, y, [-z]), fig4_params)
+        assert (m1, m2, ms1, ms2) == (lr2, lr1, s2, s1)
 
     @given(t=times, x=coords, y=coords)
     def test_no_pointer_reduces_to_two_slit(self, t, x, y):
         """N = 0 must give the bare two-slit wave function."""
-        params = ScenarioParams(10, 10, 1, 1, 1, 3, ())
-        be = eval_branches(config(t, x, y), params)
-        (lr1, s1), (lr2, s2) = oracle_branch_exponents(config(t, x, y), params)
-        assert be.log_r1 == pytest.approx(lr1, rel=1e-12, abs=1e-12)
-        assert be.s1 == pytest.approx(s1, rel=1e-12, abs=1e-11)
-        assert be.log_r2 == pytest.approx(lr2, rel=1e-12, abs=1e-12)
-        assert be.s2 == pytest.approx(s2, rel=1e-12, abs=1e-11)
+        self.assert_matches_oracle(config(t, x, y), ScenarioParams(10, 10, 1, 1, 1, 3, ()))
 
     def test_wrong_pointer_count_rejected(self, fig4_params):
         with pytest.raises(ValueError):
-            eval_branches(config(0.0, 0.0, 0.0, [0.0, 0.0]), fig4_params)
-
-
-class TestMixingWeights:
-    def test_equal_branches(self):
-        w1, w2, wc = mixing_weights(BranchEval(0.0, 0.0, 0.0, 0.0))
-        assert (w1, w2, wc) == (0.25, 0.25, 0.25)
-
-    def test_dominant_branch_limit(self):
-        w1, w2, wc = mixing_weights(BranchEval(100.0, 0.0, 1.2, 0.0))
-        assert abs(w1 - 1.0) < 1e-40
-        assert w2 < 1e-40
-        assert wc < 1e-40
-
-    def test_node_raises(self):
-        with pytest.raises(NodeError):
-            mixing_weights(BranchEval(0.0, 0.0, math.pi, 0.0))
-
-    @given(l=st.floats(-50, 50), d=st.floats(-20, 20))
-    def test_partition_identity(self, l, d):
-        be = BranchEval(l, 0.0, d, 0.0)
-        try:
-            w1, w2, wc = mixing_weights(be)
-        except NodeError:
-            return
-        assert w1 + w2 + 2.0 * wc * math.cos(d) == pytest.approx(1.0, abs=1e-12)
-
-    @given(l=st.floats(-300, 300))
-    def test_weights_never_overflow(self, l):
-        w1, w2, wc = mixing_weights(BranchEval(l, 0.0, 0.0, 0.0))
-        assert all(math.isfinite(w) for w in (w1, w2, wc))
+            branch_eval(config(0.0, 0.0, 0.0, [0.0, 0.0]), fig4_params)

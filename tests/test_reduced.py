@@ -9,31 +9,27 @@ import math
 import numpy as np
 import pytest
 
+from bohmsim._kernel import GuidanceKernel
 from bohmsim.integrate import IntegratorOptions, integrate_trajectory
 from bohmsim.model import Configuration, ModeError, single_pointer_params, two_pointer_params
-from bohmsim.reduced import (ReducedState, reconstruct_pointers, reduced_params,
-                             reduced_velocity, spreading_factor)
-from bohmsim.velocity import velocity_analytic
+from bohmsim.reduced import reconstruct_pointers, reduced_params
 
-from conftest import config, fig4_n_particles, spread_z0
+from conftest import fig4_n_particles, spread_z0
 
 OPTS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 
 
 class TestReducedVelocity:
     def test_identity_at_n1(self, fig4_params):
-        state = ReducedState(1.3, 0.8, 0.25)
-        vx, vs = reduced_velocity(state, fig4_params)
-        v = velocity_analytic(config(1.3, 0.8, 0.0, [0.25]), fig4_params)
-        assert vx == v.dx
-        assert vs == v.dz[0]
+        # the reduced backend runs the kernel of reduced_params, which is the
+        # scenario itself at N = 1
+        assert reduced_params(fig4_params) == fig4_params
 
     def test_sqrt_n_is_an_effective_velocity(self):
-        # N = 100 at Xi = 1 must equal N = 1 at Xi = 10, state for state
+        # N = 100 at Xi = 1 must map onto N = 1 at Xi = 10 exactly
         p100 = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=1.0, n_particles=100)
         p1 = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=1)
-        state = ReducedState(0.7, 2.1, 0.4)
-        assert reduced_velocity(state, p100) == reduced_velocity(state, p1)
+        assert reduced_params(p100) == p1
 
     def test_doubling_n_matches_parameter_map_bitwise(self):
         pn = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=1.0, n_particles=4)
@@ -49,7 +45,7 @@ class TestReducedVelocity:
     def test_two_pointer_mode_rejected(self):
         p = two_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0)
         with pytest.raises(ModeError):
-            reduced_velocity(ReducedState(0.1, 1.0, 0.0), p)
+            reduced_params(p)
         with pytest.raises(ModeError):
             integrate_trajectory(Configuration(0.0, 3.0, 0.0, (0.0, 0.0)), p,
                                  backend="reduced")
@@ -117,7 +113,7 @@ class TestReconstruction:
         z0 = (0.5, -0.2, 0.9)
         init = Configuration(0.0, 2.8, 0.0, z0)
         traj = integrate_trajectory(init, params, OPTS, backend="full-analytic")
-        s = np.asarray(spreading_factor(traj.t, params))
+        s = GuidanceKernel(params).spreading_factor(traj.t)
         expect = np.outer(s, np.array(z0))
         assert np.max(np.abs(traj.z - expect)) <= 1e-8
 
