@@ -2,8 +2,9 @@
 """Regenerate every canonical scenario and its SVG panels.
 
 Writes runs/<preset>/ directories (CSV + manifest + figures) for all
-presets and prints the classification summary per run.  Takes about a
-minute serially; set BOHM_SIM_THREADS to parallelize the ensembles.
+presets and prints the classification summary per run.  Takes about 8 s
+serially on a 2-CPU machine; set BOHM_SIM_THREADS to parallelize the
+ensembles.
 """
 
 import argparse

@@ -20,8 +20,7 @@ from .integrate import BACKENDS, run_ensemble
 from .rk45 import IntegrationAbort
 from .runio import read_manifest, read_trajectory_csv, write_run
 from .scenario import (Scenario, ScenarioError, load_scenario, preset, preset_names,
-                       save_scenario, scenario_from_dict, with_backend, with_n_particles,
-                       with_seed)
+                       save_scenario, with_backend, with_n_particles, with_seed)
 from .svgplot import Curve, render_chart
 from .validate import run_validation
 
@@ -66,7 +65,7 @@ def cmd_simulate(args) -> int:
     summary = classify_ensemble(trajs)
     manifest = write_run(out_dir, sc, trajs, summary, timing={"total_s": elapsed})
     save_scenario(sc, out_dir / "scenario.json")
-    if "svg" in sc.outputs.formats:
+    if sc.outputs.svg:
         _render_run(out_dir)
 
     if args.json:
@@ -101,7 +100,7 @@ def _render_run(run_dir: Path) -> list[Path]:
 
     emit("test_particle.svg", "X", f"{name}: test particle", "X'")
     zcols = [c for c in columns if c.startswith("Z_")]
-    is_single = scenario_from_dict(manifest["scenario"]).params.is_single_pointer
+    is_single = manifest["fast_pointer_E"] is not None    # E exists for one rigid pointer
     if "Sigma_hat" not in columns and len(zcols) > 1 and is_single:
         # collective variable computed on the fly for a rigid multi-particle pointer
         for cols, _ in runs:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 BACKENDS = ("full-analytic", "full-numeric", "reduced")
+_MODE_SETTING = {"common": "value", "explicit": "values", "gaussian": "seed"}
 
 
 def crossing_time(params: ScenarioParams) -> float:
@@ -64,16 +65,10 @@ class IntegratorOptions:
     node_eps: float = NODE_EPS
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step_frac <= 0:
-            raise ValueError("max_step_frac must be positive")
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.stride is not None and self.stride <= 0:
-            raise ValueError("stride must be positive")
-        if self.node_eps <= 0:
-            raise ValueError("node_eps must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not 0 < v < math.inf:   # NaN fails too
+                raise ValueError(f"{f.name} must be positive and finite, got {v!r}")
 
     def resolve(self, params: ScenarioParams) -> tuple[float, float, float]:
         """(t_end, stride, max_step) for a given scenario."""
@@ -101,11 +96,21 @@ class ZInit:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("common", "explicit", "gaussian"):
+        if self.mode not in _MODE_SETTING:
             raise ValueError(f"unknown z_init mode {self.mode!r}")
-        if self.mode == "gaussian" and self.seed is None:
-            raise ValueError("gaussian z_init requires a seed")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        for f in fields(self):
+            if f.name not in ("mode", self.setting) and getattr(self, f.name) != f.default:
+                raise ValueError(f"z_init mode {self.mode!r} takes no {f.name!r}")
+        if self.mode == "gaussian" and (self.seed is None or self.seed < 0):
+            raise ValueError(f"gaussian z_init requires a seed >= 0, got {self.seed!r}")
+        if not all(math.isfinite(v) for v in (self.value, *self.values)):
+            raise ValueError("z_init positions must be finite")
+
+    @property
+    def setting(self) -> str:
+        """The one field besides ``mode`` that this mode reads."""
+        return _MODE_SETTING[self.mode]
 
     @classmethod
     def common(cls, value: float = 0.0) -> "ZInit":
@@ -140,8 +145,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.count_per_slit < 1:
             raise ValueError("count_per_slit must be >= 1")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
@@ -268,8 +273,10 @@ def _worker_count(n_jobs: int) -> int:
         return 1
     try:
         workers = int(env)
+        if workers < 0:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"BOHM_SIM_THREADS must be an integer, got {env!r}") from None
+        raise ValueError(f"BOHM_SIM_THREADS must be an integer >= 0, got {env!r}") from None
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_jobs))

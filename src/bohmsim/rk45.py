@@ -142,6 +142,12 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         raise ValueError("sample times must be strictly ascending")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
+    # written so that NaN fails: a NaN h never drops below H_FLOOR, and the loop never ends
+    if not (0 < rtol < math.inf and 0 < atol < math.inf and 0 < max_step
+            and (first_step is None or 0 < first_step < math.inf)):
+        raise ValueError(f"rtol={rtol!r}, atol={atol!r}, max_step={max_step!r} and "
+                         f"first_step={first_step!r} must be positive, and all but "
+                         "max_step finite")
 
     dim = y0.size
     n_out = len(ts)

@@ -65,8 +65,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
     records = []
     for i, (traj, verdict) in enumerate(zip(trajs, summary.verdicts)):
         name = f"traj_{i:03d}.csv"
-        if "csv" in scenario.outputs.formats:
-            write_trajectory_csv(out / name, traj, scenario.outputs.stride)
+        write_trajectory_csv(out / name, traj, scenario.outputs.stride)
         records.append({
             "index": i,
             "file": name,

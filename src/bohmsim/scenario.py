@@ -6,6 +6,12 @@ strict (unknown keys are rejected at every level) because the shipped
 presets double as regression anchors: a file that parses is a file whose
 meaning is pinned.
 
+The dataclasses are the schema: each block's keys, defaults and JSON types
+come from the fields of ``ScenarioParams``, ``EnsembleSpec`` (with
+``ZInit``), ``IntegratorOptions`` and ``OutputSpec``, and their
+``__post_init__`` range checks serve files, presets and command-line
+overrides alike.
+
 Presets ``fig2`` .. ``fig12`` encode the canonical two-slit/pointer
 scenarios used throughout: a shared base (xi_x = xi_y = 10, r = mu = 1,
 d' = 3, Xi = 10) with
@@ -27,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path, PurePath
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .integrate import EnsembleSpec, IntegratorOptions, ZInit, crossing_time
 from .model import ScenarioParams, single_pointer_params, two_pointer_params
@@ -49,8 +57,7 @@ __all__ = [
     "with_seed",
 ]
 
-SCHEMA_VERSION = 1
-_FORMATS = ("csv", "json", "svg")
+SCHEMA_VERSION = 2
 
 
 class ScenarioError(ValueError):
@@ -59,17 +66,12 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class OutputSpec:
-    formats: tuple[str, ...] = ("csv", "json")
-    path: str | None = None        # default output directory; None = runs/<name>
-    stride: int = 1                # write every k-th sample
+    svg: bool = False              # render the SVG panels right after simulating
+    stride: int = 1                # write every k-th sample to the trajectory CSVs
 
     def __post_init__(self):
-        object.__setattr__(self, "formats", tuple(self.formats))
-        for f in self.formats:
-            if f not in _FORMATS:
-                raise ScenarioError(f"unknown output format {f!r}")
         if self.stride < 1:
-            raise ScenarioError("output stride must be >= 1")
+            raise ValueError("output stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,129 +92,91 @@ class Scenario:
         if t_end is not None and t_end < t_cross:
             raise ScenarioError(f"integrator.t_end={t_end!r} is below t'_cross={t_cross!r}; "
                                 "trajectories could not be classified")
+        z, n = self.ensemble.z_init, self.params.n_particles
+        if z.mode == "explicit" and len(z.values) != n:
+            raise ScenarioError(f"explicit z_init has {len(z.values)} entries, "
+                                f"the pointer has {n} particles")
 
 
-def _require_keys(block: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    missing = required - set(block)
-    if missing:
-        raise ScenarioError(f"missing key(s) in {where}: {sorted(missing)}")
+def _to_json(obj):
+    if isinstance(obj, ZInit):
+        return {"mode": obj.mode, obj.setting: _to_json(getattr(obj, obj.setting))}
+    if is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    return obj
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    z = s.ensemble.z_init
-    z_block: dict = {"mode": z.mode}
-    if z.mode == "common":
-        z_block["value"] = z.value
-    elif z.mode == "explicit":
-        z_block["values"] = list(z.values)
-    else:
-        z_block["seed"] = z.seed
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": s.name,
-        "params": {
-            "xi_x": s.params.xi_x,
-            "xi_y": s.params.xi_y,
-            "r": s.params.r,
-            "R": s.params.R,
-            "mu": s.params.mu,
-            "d_prime": s.params.d_prime,
-            "n_particles": s.params.n_particles,
-            "pointer_velocities": [list(v) for v in s.params.pointer_velocities],
-        },
-        "ensemble": {
-            "count_per_slit": s.ensemble.count_per_slit,
-            "extent": s.ensemble.extent,
-            "z_init": z_block,
-            "backend": s.ensemble.backend,
-        },
-        "integrator": {
-            "rel_tol": s.integrator.rel_tol,
-            "abs_tol": s.integrator.abs_tol,
-            "max_step_frac": s.integrator.max_step_frac,
-            "t_end": s.integrator.t_end,
-            "stride": s.integrator.stride,
-            "node_eps": s.integrator.node_eps,
-        },
-        "outputs": {
-            "formats": list(s.outputs.formats),
-            "path": s.outputs.path,
-            "stride": s.outputs.stride,
-        },
-    }
+    data = _to_json(s)
+    data["params"]["n_particles"] = s.params.n_particles
+    return {"schema_version": SCHEMA_VERSION, **data}
+
+
+def _from_json(value, hint, where: str):
+    """``value`` as the Python type ``hint``; ScenarioError if its JSON type differs."""
+    args = get_args(hint)
+    if get_origin(hint) is UnionType:                # X | None
+        return None if value is None else _from_json(value, args[0], where)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ScenarioError(f"{where} must hold {len(args)} entries, got {value!r}")
+        return tuple(_from_json(v, a, f"{where}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    accepted = {float: (int, float), int: int, str: str, bool: bool}[hint]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ScenarioError(f"{where} must be of type {hint.__name__}, got {value!r}")
+    try:
+        return hint(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _build(cls, block, where: str):
+    """One dataclass from a JSON object whose keys are exactly its fields."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {block!r}")
+    block = dict(block)
+    declared_n = None
+    if cls is ScenarioParams and "n_particles" in block:   # optional cross-check
+        declared_n = _from_json(block.pop("n_particles"), int, f"{where}.n_particles")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    missing = {name for name, f in known.items() if f.default is MISSING} - set(block)
+    if missing:
+        raise ScenarioError(f"missing key(s) in {where}: {sorted(missing)}")
+    hints = get_type_hints(cls)
+    kwargs = {k: _from_json(v, hints[k], f"{where}.{k}") for k, v in block.items()}
+    try:
+        obj = cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+    if declared_n is not None and declared_n != obj.n_particles:
+        raise ScenarioError(f"n_particles={declared_n} but pointer_velocities has "
+                            f"{obj.n_particles} entries")
+    return obj
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _require_keys(data, {"schema_version", "name", "params", "ensemble", "integrator", "outputs"},
-                  {"schema_version", "name", "params", "ensemble"}, "scenario")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema_version {data['schema_version']!r} "
-                            f"(this build reads {SCHEMA_VERSION})")
-
-    p = data["params"]
-    _require_keys(p, {"xi_x", "xi_y", "r", "R", "mu", "d_prime", "n_particles",
-                      "pointer_velocities"},
-                  {"xi_x", "xi_y", "r", "R", "mu", "d_prime", "pointer_velocities"}, "params")
-    try:
-        table = tuple((float(a), float(b)) for a, b in p["pointer_velocities"])
-        params = ScenarioParams(float(p["xi_x"]), float(p["xi_y"]), float(p["r"]),
-                                float(p["R"]), float(p["mu"]), float(p["d_prime"]), table)
-        n_declared = int(p["n_particles"]) if "n_particles" in p else len(table)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
-    if n_declared != len(table):
+    data = dict(data)
+    version = data.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
         raise ScenarioError(
-            f"n_particles={p['n_particles']} but pointer_velocities has {len(table)} entries")
-
-    e = data["ensemble"]
-    _require_keys(e, {"count_per_slit", "extent", "z_init", "backend"}, {"z_init"}, "ensemble")
-    zb = e["z_init"]
-    _require_keys(zb, {"mode", "value", "values", "seed"}, {"mode"}, "ensemble.z_init")
-    mode = zb["mode"]
-    try:
-        if mode == "common":
-            z_init = ZInit.common(zb.get("value", 0.0))
-        elif mode == "explicit":
-            z_init = ZInit.explicit(zb.get("values", ()))
-        elif mode == "gaussian":
-            z_init = ZInit.gaussian(zb["seed"]) if "seed" in zb else ZInit("gaussian")
-        else:
-            raise ScenarioError(f"unknown z_init mode {mode!r}")
-        ensemble = EnsembleSpec(
-            count_per_slit=int(e.get("count_per_slit", 9)),
-            extent=float(e.get("extent", 0.8)),
-            z_init=z_init,
-            backend=str(e.get("backend", "full-analytic")),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    i = data.get("integrator", {})
-    _require_keys(i, {"rel_tol", "abs_tol", "max_step_frac", "t_end", "stride", "node_eps"},
-                  set(), "integrator")
-    try:
-        integrator = IntegratorOptions(
-            rel_tol=float(i.get("rel_tol", 1e-8)),
-            abs_tol=float(i.get("abs_tol", 1e-10)),
-            max_step_frac=float(i.get("max_step_frac", 1e-2)),
-            t_end=None if i.get("t_end") is None else float(i["t_end"]),
-            stride=None if i.get("stride") is None else float(i["stride"]),
-            node_eps=float(i.get("node_eps", 1e-13)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    o = data.get("outputs", {})
-    _require_keys(o, {"formats", "path", "stride"}, set(), "outputs")
-    outputs = OutputSpec(formats=tuple(o.get("formats", ("csv", "json"))),
-                         path=o.get("path"), stride=int(o.get("stride", 1)))
-
-    return Scenario(str(data["name"]), params, ensemble, integrator, outputs)
+            f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION} "
+            "(version 2 replaced outputs.formats with the boolean outputs.svg "
+            "and dropped outputs.path)")
+    return _build(Scenario, data, "scenario")
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -233,17 +197,15 @@ _BASE = dict(xi_x=10.0, xi_y=10.0, r=1.0, mu=1.0, d_prime=3.0)
 _XI = 10.0
 
 
-def _single(name, R, Xi, n, z_init, backend="full-analytic", count=9):
+def _single(name, R, Xi, n, z_init, **ensemble):
     params = single_pointer_params(R=R, Xi=Xi, n_particles=n, **_BASE)
-    return Scenario(name, params,
-                    EnsembleSpec(count_per_slit=count, z_init=z_init, backend=backend))
+    return Scenario(name, params, EnsembleSpec(z_init=z_init, **ensemble))
 
 
 def _two(name, z_values):
     params = two_pointer_params(R=0.2, Xi=_XI, **_BASE)
     return Scenario(name, params,
-                    EnsembleSpec(count_per_slit=1, z_init=ZInit.explicit(z_values),
-                                 backend="full-analytic"))
+                    EnsembleSpec(count_per_slit=1, z_init=ZInit.explicit(z_values)))
 
 
 def _build_presets() -> dict[str, Scenario]:
@@ -305,8 +267,6 @@ def with_n_particles(s: Scenario, n: int) -> Scenario:
     if z.mode == "common":
         scale = math.sqrt(s.params.n_particles / n) if s.params.n_particles else 1.0
         z = ZInit.common(z.value * scale)
-    elif z.mode == "explicit" and len(z.values) != n:
-        raise ScenarioError(f"explicit z_init has {len(z.values)} entries; cannot set N={n}")
     return replace(s, params=params, ensemble=replace(s.ensemble, z_init=z))
 
 

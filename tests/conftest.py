@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import hypothesis
 import numpy as np
 import pytest
@@ -40,3 +43,21 @@ def spread_z0(n: int, sigma_hat0: float = 0.0) -> tuple[float, ...]:
 
 def config(t, x, y, z=()) -> Configuration:
     return Configuration(t, x, y, tuple(z))
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body once it has run ``seconds``, so a hang fails.
+
+    Uses SIGALRM: POSIX only, and pytest must run the test in the main thread.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

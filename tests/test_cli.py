@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, overrides, validation hooks."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from bohmsim import cli
 from bohmsim.cli import main
 from bohmsim.runio import read_manifest, read_trajectory_csv
-from bohmsim.scenario import load_scenario, preset, scenario_to_dict
+from bohmsim.scenario import load_scenario, preset, preset_names, scenario_to_dict
 from bohmsim.svgplot import Curve, render_chart
 from bohmsim.validate import check_backend_equivalence
 from bohmsim.velocity import velocity_analytic
+from conftest import deadline
 
 
 def trimmed_scenario(tmp_path, name="fig3", count=2, backend=None):
@@ -101,6 +103,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "BOHM_SIM_THREADS" in err and "'abc'" in err
 
+    def test_negative_thread_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BOHM_SIM_THREADS", "-3")
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "BOHM_SIM_THREADS" in err and "'-3'" in err
+        assert not out.exists()
+
     def test_reproducible_csv_bytes(self, tmp_path):
         args = ["simulate", "--preset", "fig4", "--seed", "11"]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -189,7 +199,7 @@ class TestPlot:
         sc = preset("fig4")
         data = scenario_to_dict(sc)
         data["ensemble"]["count_per_slit"] = 2
-        data["outputs"]["formats"] = ["csv", "json", "svg"]
+        data["outputs"] = {"svg": True}
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "run"
@@ -295,4 +305,106 @@ def test_fuzzed_scenario_runs_whole_or_writes_nothing(tmp_path, data, capsys):
         assert all((out / r["file"]).is_file() for r in manifest["trajectories"])
     else:
         assert rc in (2, 3), capsys.readouterr().err
+        assert not out.exists()
+
+
+_DROP = object()
+
+
+def _key_paths(block, prefix=()):
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _get(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _set(path, value):
+    """A mutation that sets the key at ``path`` to ``value``, or deletes it for _DROP."""
+    def mutate(data):
+        parent = _get(data, path[:-1])
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return mutate
+
+
+def _wrong_type(value):
+    if isinstance(value, (bool, int, float)) or value is None:
+        return str(value)
+    return [] if isinstance(value, dict) else 5
+
+
+def file_mutations(seed=20261018):
+    """(preset, mutation, must_refuse) for every key of the preset scenario files.
+
+    Each key is taken from one preset that has it, chosen by a seeded
+    generator. It is dropped, nulled and given a wrong JSON type; number
+    fields also get NaN and +/-Infinity. Wrong types and non-finite numbers
+    must be refused; a dropped or nulled key may fall back to its default.
+    """
+    rng = np.random.default_rng(seed)
+    owners: dict[tuple, list[str]] = {}
+    for name in preset_names():
+        for path in _key_paths(scenario_to_dict(preset(name))):
+            owners.setdefault(path, []).append(name)
+    cases = []
+    for path, names in owners.items():
+        name = str(rng.choice(names))
+        value = _get(scenario_to_dict(preset(name)), path)
+        label = f"{name}:{'.'.join(path)}"
+        cases += [pytest.param(name, _set(path, _DROP), False, id=f"{label}=drop"),
+                  pytest.param(name, _set(path, None), False, id=f"{label}=null"),
+                  pytest.param(name, _set(path, _wrong_type(value)), True,
+                               id=f"{label}=wrong-type")]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            cases += [pytest.param(name, _set(path, v), True, id=f"{label}={v}")
+                      for v in (math.nan, math.inf, -math.inf)]
+    return cases
+
+
+V1_OUTPUTS = {"formats": ["csv", "json"], "path": None, "stride": 1}
+# files that once gave a traceback, hung, or ran with a setting silently changed
+REPROS = [
+    ("ensemble-null", "fig4", _set(("ensemble",), None)),
+    ("outputs-list", "fig4", _set(("outputs",), [])),
+    ("formats-5", "fig4", _set(("outputs", "formats"), 5)),
+    ("formats-svg-only", "fig4", _set(("outputs", "formats"), ["svg"])),
+    ("rel_tol-nan", "fig4", _set(("integrator", "rel_tol"), math.nan)),
+    ("max_step_frac-nan", "fig4", _set(("integrator", "max_step_frac"), math.nan)),
+    ("node_eps-nan", "fig4", _set(("integrator", "node_eps"), math.nan)),
+    ("name-null", "fig4", _set(("name",), None)),
+    ("count_per_slit-2.7", "fig4", _set(("ensemble", "count_per_slit"), 2.7)),
+    ("seed-1.5", "fig4", _set(("ensemble", "z_init"), {"mode": "gaussian", "seed": 1.5})),
+    ("explicit-too-short", "fig7", _set(("ensemble", "z_init", "values"), [0.01])),
+    ("schema-1", "fig4", lambda d: d.update(schema_version=1, outputs=V1_OUTPUTS)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate, must_refuse",
+    [pytest.param(n, m, True, id=i) for i, n, m in REPROS] + file_mutations())
+def test_malformed_scenario_file_runs_whole_or_exits_2(tmp_path, capsys, name, mutate,
+                                                       must_refuse):
+    data = scenario_to_dict(preset(name))
+    data["ensemble"]["count_per_slit"] = 1      # keeps the runs that go through short
+    mutate(data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    with deadline(60):
+        rc = main(["simulate", "--scenario", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if rc == 0 and not must_refuse:
+        manifest = read_manifest(out)
+        assert all((out / r["file"]).is_file() for r in manifest["trajectories"])
+    else:
+        assert rc == 2, err
+        assert err.startswith("error: ")
         assert not out.exists()

@@ -46,7 +46,9 @@ class TestIntegratorOptions:
 
     def test_validation(self):
         for bad in (dict(rel_tol=0.0), dict(abs_tol=-1.0), dict(max_step_frac=0.0),
-                    dict(t_end=-1.0), dict(stride=0.0), dict(node_eps=0.0)):
+                    dict(t_end=-1.0), dict(stride=0.0), dict(node_eps=0.0),
+                    dict(rel_tol=math.nan), dict(abs_tol=math.inf), dict(max_step_frac=math.nan),
+                    dict(t_end=math.inf), dict(stride=math.nan), dict(node_eps=math.nan)):
             with pytest.raises(ValueError):
                 IntegratorOptions(**bad)
 
@@ -128,6 +130,19 @@ class TestSampleInitials:
     def test_gaussian_requires_seed(self):
         with pytest.raises(ValueError):
             ZInit("gaussian")
+
+    @pytest.mark.parametrize("bad", [
+        lambda: ZInit.gaussian(-1),
+        lambda: ZInit.common(math.nan),
+        lambda: ZInit.explicit((0.1, -math.inf)),
+        lambda: ZInit("common", values=(0.1,)),          # a setting its mode never reads
+        lambda: ZInit("explicit", values=(0.1,), seed=3),
+        lambda: EnsembleSpec(extent=math.nan),
+        lambda: EnsembleSpec(extent=math.inf),
+    ])
+    def test_out_of_range_starts_refused(self, bad):
+        with pytest.raises(ValueError):
+            bad()
 
     def test_shared_draw_and_determinism(self):
         params = fig4_n_particles(4)

@@ -1,5 +1,6 @@
 """The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from bohmsim.integrate import integrate_trajectory, run_ensemble
 from bohmsim.model import Configuration
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset
+from conftest import deadline
 
 # y' = cubic(t) per component; the quartic interpolant reproduces y exactly
 _COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0]])
@@ -63,6 +65,18 @@ class TestDenseOutput:
     def test_samples_outside_span_refused(self, samples):
         with pytest.raises(ValueError, match="within"):
             solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, samples)
+
+
+class TestSettingsRefused:
+    @pytest.mark.parametrize("bad", [dict(rtol=math.nan), dict(atol=math.nan),
+                                     dict(first_step=math.nan), dict(max_step=math.nan),
+                                     dict(rtol=0.0), dict(atol=math.inf),
+                                     dict(first_step=-0.1), dict(max_step=0.0)],
+                             ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+    def test_refused_at_entry(self, bad):
+        # a NaN step size never falls below H_FLOOR: without the entry check this hangs
+        with deadline(10), pytest.raises(ValueError, match="must be positive"):
+            solve(lambda t, y: -y, 0.0, [1.0], 1.0, [0.0, 1.0], **bad)
 
 
 class TestNonFiniteStages:

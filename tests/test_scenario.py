@@ -52,6 +52,10 @@ class TestStrictness:
         data["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ScenarioError, match="schema_version"):
             scenario_from_dict(data)
+        # a version-1 file is refused with a message that names what changed
+        data.update(schema_version=1, outputs={"formats": ["csv", "json"], "path": None})
+        with pytest.raises(ScenarioError, match="outputs.formats"):
+            scenario_from_dict(data)
 
     def test_bad_physics_rejected(self):
         data = scenario_to_dict(preset("fig4"))
@@ -65,6 +69,11 @@ class TestStrictness:
             lambda d: d["params"].__setitem__("pointer_velocities", [[1.0]]),
             lambda d: d["ensemble"]["z_init"].update(mode="gaussian", seed=None),
             lambda d: d["integrator"].__setitem__("rel_tol", "fast"),
+            lambda d: d["integrator"].__setitem__("rel_tol", float("nan")),
+            lambda d: d["ensemble"].__setitem__("count_per_slit", True),
+            lambda d: d["params"].__setitem__("pointer_velocities", [["10", -10.0]]),
+            lambda d: d["ensemble"].__setitem__("z_init", {"mode": "explicit",
+                                                          "values": [0.1, 0.2]}),
         ):
             data = scenario_to_dict(preset("fig4"))
             mutate(data)
