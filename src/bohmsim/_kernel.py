@@ -81,7 +81,7 @@ class GuidanceKernel:
         "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_p", "xi_m", "gam_p", "gam_m",
-        "dxi", "pz_dxi", "pz_sxi", "dgam2",
+        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2",
     )
 
     def __init__(self, params: ScenarioParams):
@@ -101,13 +101,15 @@ class GuidanceKernel:
         self.xi_m = np.array([v[1] for v in params.pointer_velocities], dtype=float)
         self.gam_p = self.pz * self.xi_p
         self.gam_m = self.pz * self.xi_m
-        self.dxi = self.xi_p - self.xi_m
-        self.pz_dxi = self.pz * self.dxi
+        # dXi padded to the state layout (X', Y', Z'): the leading zeros drop X' and Y'
+        self.dxi_pad = np.zeros(self.n + 2)
+        self.dxi = np.subtract(self.xi_p, self.xi_m, out=self.dxi_pad[2:])
+        self.pz_dxi_pad = self.pz * self.dxi_pad
         if params.is_single_pointer:  # Xi^- = -Xi^+: SXi and dG vanish exactly
-            self.pz_sxi = None
+            self.pz_sxi_pad = None
             self.dgam2 = 0.0
         else:
-            self.pz_sxi = self.pz * (self.xi_p + self.xi_m)
+            self.pz_sxi_pad = np.concatenate(([0.0, 0.0], self.pz * (self.xi_p + self.xi_m)))
             self.dgam2 = float(self.gam_p @ self.gam_p - self.gam_m @ self.gam_m)
 
     # -- packet geometry -------------------------------------------------
@@ -195,21 +197,20 @@ class GuidanceKernel:
 
     # -- guidance velocity -----------------------------------------------
 
-    def velocity(self, t: float, x: float, y: float, z: np.ndarray,
-                 node_floor: float = NODE_EPS):
-        """(vx, vy, vz_array) of the Bohmian flow at one configuration.
+    def velocity(self, t: float, state: np.ndarray,
+                 node_floor: float = NODE_EPS) -> np.ndarray:
+        """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
-        Raises NodeError if the normalized density is below node_floor.
+        The state is only read.  The pointer dot and v_z are taken on the
+        whole state, against dXi padded with two zeros; entries 0 and 1 are
+        then set to v_x and v_y.  Raises NodeError if the normalized density
+        is below node_floor.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
-        x = float(x)
-        y = float(y)
-        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(t, x, float(z.dot(self.dxi)))
+        x, y = state.item(0), state.item(1)
+        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(
+            t, x, float(state.dot(self.dxi_pad)))
         l = x_part + z_part
-
-        Dy = 1.0 + (self.ay * t) ** 2
-        gy = self.ay * t / Dy
-        vy = self.py * (self.xi_y + 2.0 * gy * (y - t))
 
         if l > DOMINANT_LOG_CUTOFF:
             half_dw = 0.5
@@ -232,11 +233,13 @@ class GuidanceKernel:
             half_dw = 0.5 * (w1 - w2)
             wcs = el / rho_hat * math.sin(d)
 
-        vx = self.px * (2.0 * gx * x - half_dw * (2.0 * self.xi_x + 4.0 * gx * cx)
-                        + wcs * (4.0 * cx / Dx))
         c = 1.0 - 2.0 * gz * self.pz * t
         a = c * half_dw + wcs * (2.0 * self.pz * t / Dz)
-        vz = a * self.pz_dxi + (2.0 * self.pz * gz) * z
-        if self.pz_sxi is not None:
-            vz += (0.5 * c) * self.pz_sxi
-        return vx, vy, vz
+        v = a * self.pz_dxi_pad + (2.0 * self.pz * gz) * state
+        if self.pz_sxi_pad is not None:
+            v += (0.5 * c) * self.pz_sxi_pad
+        Dy = 1.0 + (self.ay * t) ** 2
+        v[0] = self.px * (2.0 * gx * x - half_dw * (2.0 * self.xi_x + 4.0 * gx * cx)
+                          + wcs * (4.0 * cx / Dx))
+        v[1] = self.py * (self.xi_y + 2.0 * (self.ay * t / Dy) * (y - t))
+        return v

@@ -232,18 +232,13 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
         y0[2:] = init.z
 
     if backend == "full-numeric":
-        def velocity(t, x, y, z, node_floor):
-            return fd_velocity(kern, t, x, y, z, node_eps=node_floor)
+        def rhs(t, state):
+            vx, vy, vz = fd_velocity(kern, t, state[0], state[1], state[2:], node_eps=node_floor)
+            return np.array([vx, vy, *vz])
     else:
         velocity = kern.velocity
-
-    def rhs(t, state):
-        vx, vy, vz = velocity(t, state[0], state[1], state[2:], node_floor)
-        out = np.empty(state.size)
-        out[0] = vx
-        out[1] = vy
-        out[2:] = vz
-        return out
+        def rhs(t, state):
+            return velocity(t, state, node_floor)
 
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)

@@ -14,6 +14,13 @@ Two non-standard behaviors are built in for Bohmian trajectories:
   tested, by counting ``np.isfinite``, before ``rhs`` sees it: exact, and
   free of floating-point warnings on +/-inf.
 
+One buffer holds the rows (y, k1..k7), and a weight matrix [1 | h A], with
+[0 | h E] as its last row, is filled once per attempt: each stage state
+1*y + sum_j h a_ij k_j, and the error estimate, is one product of a weight
+row with the leading buffer rows (negation commutes with it, so mirrored
+starts stay mirrored bit for bit).  No view of the buffer or of an array
+returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output array.
+
 Dense output uses the standard quartic interpolant for this pair, so
 requested sample times are filled without constraining the step sequence.
 Each accepted step that covers samples records (t, h, y, k^T P); all
@@ -41,17 +48,17 @@ H_FLOOR = 1e-12
 MAX_STEPS = 1_000_000
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: t + c*h stays a float
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# _A[6] are the 5th-order weights: stage 7's state is the new y, its slope the next k1 (FSAL)
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# weights on (k1..k7): row i - 1 builds stage i + 1's state; the 5th-order row gives
+# the new y, whose slope is the next k1 (FSAL); the last row is E = b5 - b4
+_AE = np.array([
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
 # quartic dense-output coefficients for this pair (Shampine)
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -81,6 +88,8 @@ class SolverStats:
     n_node_backoffs: int = 0
     n_rhs_evals: int = 0          # rhs calls, including ones that raised
     n_capped: int = 0             # accepted steps taken at max_step
+    h_min: float = 0.0            # smallest and largest accepted step (0 if none)
+    h_max: float = 0.0
 
 
 @dataclass
@@ -94,7 +103,7 @@ class SolverResult:
 
 def _error_norm(err, abs_y0, abs_y1, rtol, atol):
     r = err / (atol + rtol * np.maximum(abs_y0, abs_y1))
-    return math.sqrt(float(np.add.reduce(r * r)) / r.size)
+    return math.sqrt(float(r.dot(r)) / r.size)
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
@@ -158,8 +167,14 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         out[0] = y0
         si = 1
 
-    k = np.empty((7, dim))
-    stages = [k[:i] for i in range(7)]   # stage i combines the slopes k[:i]
+    buf = np.empty((8, dim))      # rows (y, k1..k7)
+    k = buf[1:]
+    weights = np.zeros((7, 8))
+    weights[:6, 0] = 1.0
+    scaled = weights[:, 1:]
+    stages = [(i, _C[i], weights[i - 1, :i + 1], buf[:i + 1]) for i in range(1, 7)]
+    err_row = weights[6, 1:]
+    buf[0] = y0
     k[0] = rhs(t0, y0)  # initial state is required non-node by the caller
     n_rhs = 1
     if first_step is None:
@@ -174,10 +189,12 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     fac_old = 1e-4
     just_rejected = False
     n_steps = n_rejected = n_backoffs = n_capped = 0
+    h_min, h_max = math.inf, 0.0
 
     def finish(degenerate: bool) -> SolverResult:
         _dense_output(ts, dense, out)
-        stats = SolverStats(n_steps, n_rejected, n_backoffs, n_rhs, n_capped)
+        stats = SolverStats(n_steps, n_rejected, n_backoffs, n_rhs, n_capped,
+                            h_min if n_steps else 0.0, h_max)
         return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate, t)
 
     while t < t_end:
@@ -187,14 +204,15 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         last_step = t + h >= t_end
         if last_step:
             h = t_end - t
+        np.multiply(_AE, h, out=scaled)
 
         try:
-            for i in range(1, 7):
-                yi = y + h * _A[i].dot(stages[i])
+            for i, c, w, rows in stages:
+                yi = w.dot(rows)
                 if np.count_nonzero(np.isfinite(yi)) != dim:
                     raise IntegrationAbort("non-finite stage state")
                 n_rhs += 1
-                k[i] = rhs(t + _C[i] * h, yi)
+                k[i] = rhs(t + c * h, yi)
         except NodeError:
             n_backoffs += 1
             h *= 0.5
@@ -209,7 +227,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
         # yi is now stage 7's state, the 5th-order solution
         abs_y_new = np.abs(yi)
-        err = _error_norm(h * _E.dot(k), abs_y, abs_y_new, rtol, atol)
+        err = _error_norm(err_row.dot(k), abs_y, abs_y_new, rtol, atol)
         if not math.isfinite(err):
             h *= 0.5
             if h < H_FLOOR:
@@ -228,6 +246,8 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         n_steps += 1
         if h == max_step:
             n_capped += 1
+        h_min = min(h_min, h)
+        h_max = max(h_max, h)
         t_new = t_end if last_step else t + h
 
         if si < n_out and (last_step or ts[si] <= t_new):
@@ -242,6 +262,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         fac_old = max(err, 1e-4)
         just_rejected = False
         t, y, abs_y = t_new, yi, abs_y_new
+        buf[0] = yi
         k[0] = k[6]  # FSAL; retries only overwrite rows 1-6
 
     return finish(degenerate=False)

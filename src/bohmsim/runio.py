@@ -78,6 +78,8 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
             "node_backoffs": traj.stats.n_node_backoffs,
             "rhs_evals": traj.stats.n_rhs_evals,
             "capped_steps": traj.stats.n_capped,
+            "h_min": traj.stats.h_min,
+            "h_max": traj.stats.h_max,
             "crossed_plane": verdict.crossed_plane if not verdict.degenerate else None,
             "final_direction": verdict.final_direction if not verdict.degenerate else None,
         })

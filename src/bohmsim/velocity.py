@@ -65,10 +65,9 @@ def velocity_analytic(config: Configuration, params: ScenarioParams,
                       node_eps: float = NODE_EPS) -> VelocityVector:
     """Exact dimensionless guidance velocity at a non-node configuration."""
     _check_config(config, params)
-    kern = GuidanceKernel(params)
-    vx, vy, vz = kern.velocity(config.t_prime, config.x, config.y, config.z_array(),
-                               node_floor=node_eps)
-    return VelocityVector(vx, vy, tuple(float(v) for v in vz))
+    state = np.array([config.x, config.y, *config.z], dtype=float)
+    vx, vy, *vz = GuidanceKernel(params).velocity(config.t_prime, state, node_eps).tolist()
+    return VelocityVector(vx, vy, tuple(vz))
 
 
 def fd_velocity(kern: GuidanceKernel, t: float, x: float, y: float, z: np.ndarray,

@@ -13,6 +13,7 @@ from bohmsim._kernel import DOMINANT_LOG_CUTOFF, GuidanceKernel
 from bohmsim.integrate import integrate_trajectory
 from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import random_configurations
+from bohmsim.velocity import fd_velocity
 
 from conftest import config, fig4_n_particles, spread_z0
 
@@ -83,11 +84,11 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
     dominant = mixed = 0
     for cfg in random_configurations(params, 150, np.random.default_rng(11)):
         t, x, y, z = cfg.t_prime, cfg.x, cfg.y, cfg.z_array()
-        vx, vy, vz = kern.velocity(t, x, y, z)
-        mx, my, mz = kern.velocity(t, -x, y, -z)
-        assert mx == -vx
-        assert my == vy
-        assert np.array_equal(mz, -vz)
+        v = kern.velocity(t, np.concatenate(([x, y], z)))
+        m = kern.velocity(t, np.concatenate(([-x, y], -z)))
+        assert m[0] == -v[0]
+        assert m[1] == v[1]
+        assert np.array_equal(m[2:], -v[2:])
         log_omega, _, _ = kern.contrast(t, x, z)
         if abs(log_omega) > DOMINANT_LOG_CUTOFF:
             dominant += 1
@@ -96,6 +97,25 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
     assert mixed > 0
     if name == "fig3":
         assert dominant > 0
+
+
+@pytest.mark.parametrize("name,n", [("fig4", 0), ("fig3", 1), ("fig7", 2), ("fig4", 100)])
+def test_state_velocity_matches_finite_differences(name, n):
+    # dy/dt' over the whole state, as a fresh array, with the caller's state left alone
+    params = fig4_n_particles(n) if name == "fig4" else preset_params(name, n)
+    kern = GuidanceKernel(params)
+    for cfg in random_configurations(params, 20, np.random.default_rng(5)):
+        z = cfg.z_array()
+        state = np.concatenate(([cfg.x, cfg.y], z))
+        before = state.tobytes()
+        v = kern.velocity(cfg.t_prime, state)
+        assert state.tobytes() == before
+        assert v.shape == state.shape
+        assert not np.shares_memory(v, state)
+        assert not np.shares_memory(v, kern.velocity(cfg.t_prime, state))
+        fx, fy, fz = fd_velocity(kern, cfg.t_prime, cfg.x, cfg.y, z)
+        fd = np.array([fx, fy, *fz])
+        assert np.max(np.abs(v - fd) / np.maximum(1.0, np.abs(v))) <= 1e-6
 
 
 # fig2, fig3, fig4 and fig7 as preset, and the fig4 base at N = 0, 7, 16 and 100

@@ -10,7 +10,7 @@ import pytest
 from bohmsim import integrate
 from bohmsim.analysis import classify
 from bohmsim.integrate import integrate_trajectory, run_ensemble
-from bohmsim.model import Configuration
+from bohmsim.model import Configuration, NodeError
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset
 from conftest import deadline
@@ -125,10 +125,52 @@ class TestSolverCounts:
         init = Configuration(0.0, sc.params.d_prime, 0.0, (0.0,))
         stats = integrate_trajectory(init, sc.params, sc.integrator).stats
         assert (stats.n_capped, stats.n_steps) == (99, 102)
+        assert stats.h_max == sc.integrator.resolve(sc.params)[2]
+        assert 0 < stats.h_min < stats.h_max
 
     def test_no_cap_no_capped_steps(self):
         res = solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, [1.0])
         assert res.stats.n_capped == 0
+
+    def test_no_accepted_step_reads_zero(self):
+        def rhs(t, y):
+            if t > 0.0:
+                raise NodeError(0.0)
+            return -y
+
+        res = solve(rhs, 0.0, np.ones(2), 1.0, [0.0, 1.0], first_step=0.1)
+        assert res.degenerate and res.stats.n_steps == 0
+        assert (res.stats.h_min, res.stats.h_max) == (0.0, 0.0)
+
+
+class TestStageBuffer:
+    """Stage rows live in one reused buffer; nothing may alias it across steps."""
+
+    def test_exponential_at_every_sample(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        res = solve(lambda t, y: y, 0.0, [1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(res.t, grid)
+        assert np.max(np.abs(res.y[:, 0] - np.exp(grid))) <= 1e-9
+
+    def test_rhs_reusing_its_output_array(self):
+        def damped_pendulum(out):
+            def rhs(t, y):
+                out[0] = y[1]
+                out[1] = -math.sin(y[0]) - 0.3 * y[1] * math.cos(t)
+                return out
+            return rhs
+
+        shared = damped_pendulum(np.empty(2))
+        fresh = damped_pendulum(np.empty(2))
+        y0 = np.array([2.5, 0.0])
+        grid = np.linspace(0.0, 20.0, 97)
+        a = solve(shared, 0.0, y0, 20.0, grid, rtol=1e-6)
+        b = solve(lambda t, y: fresh(t, y).copy(), 0.0, y0, 20.0, grid, rtol=1e-6)
+        assert a.stats.n_rejected > 0
+        assert a.stats == b.stats
+        assert np.array_equal(a.t, b.t)
+        assert a.y.tobytes() == b.y.tobytes()
+        assert y0.tolist() == [2.5, 0.0]
 
 
 class TestStrideIndependence:

@@ -72,6 +72,8 @@ class TestManifest:
                    (s.n_steps, s.n_rejected, s.n_node_backoffs)
             assert (rec["rhs_evals"], rec["capped_steps"]) == (s.n_rhs_evals, s.n_capped)
             assert 0 < rec["capped_steps"] <= rec["steps"]
+            assert (rec["h_min"], rec["h_max"]) == (s.h_min, s.h_max)
+            assert 0 < rec["h_min"] <= rec["h_max"]
 
     def test_reproducible_bytes_excluding_timing(self, small_run, tmp_path):
         sc, _, out, _ = small_run
