@@ -30,7 +30,7 @@ import numpy as np
 from ._kernel import GuidanceKernel
 from .integrate import (EnsembleSpec, IntegratorOptions, Trajectory, ZInit,
                         crossing_time, integrate_trajectory, run_ensemble)
-from .model import Configuration, ModeError, ScenarioParams, fast_pointer_E, single_pointer_params
+from .model import Configuration, ScenarioParams, fast_pointer_E
 
 __all__ = [
     "ThresholdNotReached",
@@ -141,12 +141,9 @@ def _kexp(arg: np.ndarray) -> np.ndarray:
 
 def empty_wave_ratio(traj: Trajectory, params: ScenarioParams) -> EmptyWaveReport:
     """Exact and approximate K along a single-pointer trajectory."""
-    xi = params.single_pointer_xi
-    if xi is None:
-        raise ModeError("empty_wave_ratio requires single-pointer mode")
     n = params.n_particles
     kern = GuidanceKernel(params)
-    gamma = kern.pz * xi
+    gamma = kern.pz * params.rigid_xi()
     s_eff = 1.0 if traj.initial_slit == "upper" else -1.0
 
     t = traj.t
@@ -182,13 +179,9 @@ def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float,
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    xi = params.single_pointer_xi
-    if xi is None:
-        raise ModeError("tau scaling requires single-pointer mode")
     times = []
     for n in n_list:
-        pn = single_pointer_params(params.xi_x, params.xi_y, params.r, params.R,
-                                   params.mu, params.d_prime, Xi=xi, n_particles=int(n))
+        pn = params.with_rigid_pointer(int(n))
         traj = _reference_trajectory(pn, opts)
         report = empty_wave_ratio(traj, pn)
         logk = np.log(report.k_pointer)
@@ -232,16 +225,12 @@ def surreal_fraction_vs_N(params: ScenarioParams, n_list, sigma_hat0: float = 0.
     Requires a slow-pointer base scenario (E < 1), where bounces exist to
     be counted.
     """
-    xi = params.single_pointer_xi
-    if xi is None:
-        raise ModeError("surreal_fraction_vs_N requires single-pointer mode")
     if fast_pointer_E(params) >= 1.0:
         raise ValueError("base scenario must be slow-pointer (E < 1)")
     rows = []
     for n in n_list:
         n = int(n)
-        pn = single_pointer_params(params.xi_x, params.xi_y, params.r, params.R,
-                                   params.mu, params.d_prime, Xi=xi, n_particles=n)
+        pn = params.with_rigid_pointer(n)
         spec = EnsembleSpec(count_per_slit=count_per_slit, extent=extent,
                             z_init=ZInit.common(sigma_hat0 / math.sqrt(n)),
                             backend="reduced")

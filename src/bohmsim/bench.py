@@ -5,11 +5,13 @@ with N; the reduced backend always integrates 3 (X', Y', Sigma_hat'), so
 its core cost must not depend on N.  That is the headline check reported
 here.  Pointer reconstruction is O(N) per output sample and is timed
 separately on a thinned sample grid (and skipped above
-``max_reconstruct_n``, where the arrays alone would dominate).
+``MAX_RECONSTRUCT_N``, where the arrays alone would dominate).
 
-The canonical bench scenario is the fast-pointer base (R = 1, Xi = 10,
-E = 3): its reduced dynamics keep the same character at any N, so timing
-differences reflect backend cost, not a change of physics.
+The bench scenario is preset ``fig3`` with its rigid pointer resized to N:
+the fast-pointer base (R = 1, Xi = 10, E = 3), whose reduced dynamics keep
+the same character at any N, so timing differences reflect backend cost,
+not a change of physics.  Every trajectory starts at the upper slit centre
+with all Z'_n = 0 and runs under the preset's integrator options.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import IntegratorOptions, integrate_trajectory
-from .model import Configuration, single_pointer_params
+from .integrate import integrate_trajectory
+from .model import Configuration
 from .reduced import reconstruct_pointers
+from .scenario import preset
 
-__all__ = ["BenchRecord", "BenchReport", "run_bench", "BASE_PARAMS"]
+__all__ = ["BenchRecord", "BenchReport", "run_bench"]
 
-BASE_PARAMS = dict(xi_x=10.0, xi_y=10.0, r=1.0, R=1.0, mu=1.0, d_prime=3.0)
-BASE_XI = 10.0
+MAX_RECONSTRUCT_N = 100_000
+_SCENARIO = preset("fig3")
 
 
 @dataclass(frozen=True)
@@ -58,28 +61,27 @@ def _median_time(fn, repetitions: int) -> tuple[float, object]:
     return sorted(times)[len(times) // 2], result
 
 
-def _full_record(backend: str, n: int, repetitions: int, opts: IntegratorOptions,
-                 params_base: dict, xi: float) -> BenchRecord:
-    params = single_pointer_params(Xi=xi, n_particles=n, **params_base)
+def _full_record(backend: str, n: int, repetitions: int) -> BenchRecord:
+    params = _SCENARIO.params.with_rigid_pointer(n)
     init = Configuration(0.0, params.d_prime, 0.0, (0.0,) * n)
-    median, traj = _median_time(lambda: integrate_trajectory(init, params, opts, backend),
-                                repetitions)
+    median, traj = _median_time(
+        lambda: integrate_trajectory(init, params, _SCENARIO.integrator, backend), repetitions)
     return BenchRecord(backend, n, median, repetitions, traj.stats.n_steps)
 
 
-def _reduced_record(n: int, repetitions: int, opts: IntegratorOptions, params_base: dict,
-                    xi: float, max_reconstruct_n: int) -> BenchRecord:
+def _reduced_record(n: int, repetitions: int) -> BenchRecord:
     # core: the Xi*sqrt(N) one-particle twin, which is exactly what the
     # reduced backend integrates after its O(N) setup
-    twin = single_pointer_params(Xi=xi * math.sqrt(n), n_particles=1, **params_base)
+    base = _SCENARIO.params
+    twin = base.with_rigid_pointer(1, base.rigid_xi() * math.sqrt(n))
     init = Configuration(0.0, twin.d_prime, 0.0, (0.0,))
-    median, traj = _median_time(lambda: integrate_trajectory(init, twin, opts, "reduced"),
-                                repetitions)
+    median, traj = _median_time(
+        lambda: integrate_trajectory(init, twin, _SCENARIO.integrator, "reduced"), repetitions)
 
     reconstruct_s = None
-    if n <= max_reconstruct_n:
+    if n <= MAX_RECONSTRUCT_N:
         # the twin's pointer coordinate IS Sigma_hat' of the N-particle system
-        params_n = single_pointer_params(Xi=xi, n_particles=n, **params_base)
+        params_n = base.with_rigid_pointer(n)
         thin = slice(0, traj.n_samples, max(1, traj.n_samples // 8))
         t_thin = traj.t[thin]
         sig_thin = traj.sigma_hat[thin]
@@ -90,26 +92,24 @@ def _reduced_record(n: int, repetitions: int, opts: IntegratorOptions, params_ba
     return BenchRecord("reduced", n, median, repetitions, traj.stats.n_steps, reconstruct_s)
 
 
-def run_bench(n_list, backends=("reduced", "full-analytic"), repetitions: int = 3,
-              opts: IntegratorOptions = IntegratorOptions(),
-              params_base: dict | None = None, xi: float = BASE_XI,
-              max_reconstruct_n: int = 100_000) -> BenchReport:
+def run_bench(n_list, backends=("reduced", "full-analytic"),
+              repetitions: int = 3) -> BenchReport:
     """Median single-trajectory times per (backend, N) from the slit center."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     ns = [int(n) for n in n_list]
     if not ns or any(n < 1 for n in ns):
         raise ValueError("n_list must hold positive integers")
-    base = dict(params_base) if params_base is not None else dict(BASE_PARAMS)
+    if not backends:
+        raise ValueError("backends must name at least one backend")
 
     records = []
     for backend in backends:
         for n in ns:
             if backend == "reduced":
-                records.append(_reduced_record(n, repetitions, opts, base, xi,
-                                               max_reconstruct_n))
+                records.append(_reduced_record(n, repetitions))
             else:
-                records.append(_full_record(backend, n, repetitions, opts, base, xi))
+                records.append(_full_record(backend, n, repetitions))
 
     reduced_times = [r.median_core_s for r in records if r.backend == "reduced"]
     if len(reduced_times) >= 2:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernel import GuidanceKernel
-from .model import NODE_EPS, Configuration, ModeError, ScenarioParams
+from .model import NODE_EPS, Configuration, ScenarioParams
 from .reduced import reconstruct_pointers, reduced_params
 from .rk45 import SolverStats, solve
 from .velocity import fd_velocity
@@ -217,10 +217,6 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     sqrt_n = math.sqrt(n) if n else 1.0
 
     if backend == "reduced":
-        if not params.is_single_pointer:
-            raise ModeError("reduced backend requires single-pointer mode")
-        if n == 0:
-            raise ModeError("reduced backend requires at least one pointer particle")
         # (X', Y', Sigma_hat') is the full state of the one-particle twin
         kern = GuidanceKernel(reduced_params(params))
         y0 = np.array([init.x, init.y, float(np.asarray(init.z).sum()) / sqrt_n])

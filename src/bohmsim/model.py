@@ -25,7 +25,7 @@ stay meaningful even when both amplitudes underflow any fixed-point scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -103,7 +103,7 @@ class ScenarioParams:
     def single_pointer_xi(self) -> float | None:
         """Common Xi if every entry is exactly (+Xi, -Xi), else None.
 
-        Decidable gate for the reduced backend; uses exact float equality
+        Decidable mode test behind ``rigid_xi``; uses exact float equality
         on purpose (scenario files construct the pairs exactly).
         """
         if self.n_particles == 0:
@@ -117,6 +117,30 @@ class ScenarioParams:
     @property
     def is_single_pointer(self) -> bool:
         return self.single_pointer_xi is not None
+
+    def rigid_xi(self) -> float:
+        """Common Xi of a single rigid pointer; ModeError for any other pointer.
+
+        The one gate for every operation defined only on the rigid-pointer
+        family: the reduced backend, tau scaling, the surreal-fraction sweep
+        and the fast-pointer discriminant.
+        """
+        xi = self.single_pointer_xi
+        if xi is None:
+            raise ModeError("requires a single rigid pointer: N >= 1 particles, "
+                            "each with velocities (+Xi, -Xi)")
+        return xi
+
+    def with_rigid_pointer(self, n: int, xi: float | None = None) -> ScenarioParams:
+        """These parameters with a rigid pointer of n >= 1 particles at (+xi, -xi).
+
+        ``xi`` defaults to this scenario's own rigid-pointer Xi.
+        """
+        if n < 1:
+            raise ValueError(f"a rigid pointer needs n >= 1 particles, got n={n}")
+        if xi is None:
+            xi = self.rigid_xi()
+        return replace(self, pointer_velocities=((xi, -xi),) * n)
 
 
 def single_pointer_params(
@@ -163,7 +187,4 @@ def fast_pointer_E(params: ScenarioParams) -> float:
     cross (which-way information arrives in time, interference suppressed).
     Only defined for a single rigid pointer.
     """
-    xi = params.single_pointer_xi
-    if xi is None:
-        raise ModeError("fast_pointer_E requires single-pointer mode (common +/-Xi)")
-    return (xi / params.xi_x) * params.R**2 * params.d_prime * params.mu
+    return (params.rigid_xi() / params.xi_x) * params.R**2 * params.d_prime * params.mu

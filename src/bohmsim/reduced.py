@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from ._kernel import GuidanceKernel
-from .model import ModeError, ScenarioParams
+from .model import ScenarioParams
 
 __all__ = ["reduced_params", "reconstruct_pointers"]
 
@@ -36,16 +36,9 @@ def reduced_params(params: ScenarioParams) -> ScenarioParams:
 
     N and Xi enter the reduced dynamics only through Xi sqrt(N); the twin
     carries one particle with velocity pair (+Xi sqrt(N), -Xi sqrt(N)).
+    ModeError for a scenario that is not one rigid pointer of N >= 1.
     """
-    xi = params.single_pointer_xi
-    if xi is None:
-        raise ModeError("the reduction requires single-pointer mode (common +/-Xi)")
-    xi_hat = xi * math.sqrt(params.n_particles)
-    return ScenarioParams(
-        xi_x=params.xi_x, xi_y=params.xi_y, r=params.r, R=params.R,
-        mu=params.mu, d_prime=params.d_prime,
-        pointer_velocities=((xi_hat, -xi_hat),),
-    )
+    return params.with_rigid_pointer(1, params.rigid_xi() * math.sqrt(params.n_particles))
 
 
 def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,

@@ -256,13 +256,10 @@ def with_backend(s: Scenario, backend: str) -> Scenario:
 
 def with_n_particles(s: Scenario, n: int) -> Scenario:
     """Override N, preserving Sigma_hat'(0) for a common-value pointer start."""
-    xi = s.params.single_pointer_xi
-    if xi is None:
-        raise ScenarioError("--n requires a single-pointer scenario")
-    if n < 1:
-        raise ScenarioError("--n must be >= 1")
-    params = single_pointer_params(s.params.xi_x, s.params.xi_y, s.params.r, s.params.R,
-                                   s.params.mu, s.params.d_prime, Xi=xi, n_particles=n)
+    try:
+        params = s.params.with_rigid_pointer(n)
+    except ValueError as exc:
+        raise ScenarioError(f"--n: {exc}") from exc
     z = s.ensemble.z_init
     if z.mode == "common":
         scale = math.sqrt(s.params.n_particles / n) if s.params.n_particles else 1.0

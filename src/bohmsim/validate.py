@@ -26,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernel import GuidanceKernel
 from .analysis import tau_scaling_fit
-from .integrate import (IntegratorOptions, crossing_time, integrate_trajectory,
-                        run_ensemble)
+from .integrate import IntegratorOptions, integrate_trajectory, run_ensemble
 from .model import Configuration, NodeError, ScenarioParams
 from .scenario import preset, preset_names
 from .velocity import velocity_analytic, velocity_numeric, y_closed_form
@@ -46,18 +46,17 @@ class SuiteResult:
     elapsed_s: float
 
 
-def random_configurations(params: ScenarioParams, count: int, rng: np.random.Generator,
-                          t_max: float | None = None) -> list[Configuration]:
+def random_configurations(params: ScenarioParams, count: int,
+                          rng: np.random.Generator) -> list[Configuration]:
     """Non-node configurations drawn over the scenario's support.
 
-    Times are uniform over the horizon; positions are drawn around the
-    moving packet centers with the spread of the corresponding packet.
+    Times are uniform over the default integration horizon; positions are
+    drawn around the moving packet centers with the spread of the
+    corresponding packet.
     Node-adjacent draws (normalized density < 1e-6) are rejected.
     """
-    from ._kernel import GuidanceKernel
-
     kern = GuidanceKernel(params)
-    horizon = t_max if t_max is not None else 2.5 * crossing_time(params)
+    horizon, _, _ = IntegratorOptions().resolve(params)
     out: list[Configuration] = []
     while len(out) < count:
         t = float(rng.uniform(0.0, horizon))
@@ -110,14 +109,10 @@ def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
 
 def check_sqrtn_equivalence(n_values=(1, 4, 9, 16), tol: float = 1e-5,
                             opts: IntegratorOptions = IntegratorOptions()) -> tuple[bool, str]:
-    from .model import single_pointer_params
-
     base = preset("fig4").params
-    xi = base.single_pointer_xi
     worst = 0.0
     for n in n_values:
-        params = single_pointer_params(base.xi_x, base.xi_y, base.r, base.R, base.mu,
-                                       base.d_prime, Xi=xi, n_particles=n)
+        params = base.with_rigid_pointer(n)
         z0 = tuple(0.2 * np.linspace(-1.0, 1.0, n)) if n > 1 else (0.1,)
         init = Configuration(0.0, base.d_prime + 0.2, 0.0, z0)
         full = integrate_trajectory(init, params, opts, backend="full-analytic")

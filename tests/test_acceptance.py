@@ -130,8 +130,7 @@ def test_criterion_09_mirror_symmetry():
 
 def test_criterion_10_performance():
     t0 = time.perf_counter()
-    bench = run_bench([1, 10**4, 10**6], backends=("reduced",), repetitions=3,
-                      max_reconstruct_n=0)
+    bench = run_bench([1, 10**4, 10**6], backends=("reduced",), repetitions=3)
     ratio = bench.reduced_core_ratio
     params = fig4_n_particles(50)
     t1 = time.perf_counter()

@@ -11,6 +11,7 @@ from bohmsim.analysis import (DegenerateFit, ThresholdNotReached, classify, clas
 from bohmsim.integrate import EnsembleSpec, IntegratorOptions, Trajectory, ZInit, run_ensemble
 from bohmsim.model import Configuration, ModeError, two_pointer_params
 from bohmsim.rk45 import SolverStats
+from bohmsim.scenario import preset
 
 from conftest import fig4_n_particles
 
@@ -171,6 +172,17 @@ class TestTauScaling:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 threshold_crossing_times(fig3_params, [4], bad)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda p: surreal_fraction_vs_N(p, [0]),
+    lambda p: threshold_crossing_times(p, [0], 1e-3),
+], ids=["surreal_fraction_vs_N", "threshold_crossing_times"])
+def test_zero_particle_pointer_refused_naming_n(sweep):
+    # a rigid pointer needs n >= 1; fig4 is single-pointer, so not a ModeError
+    with pytest.raises(ValueError, match="n=0") as info:
+        sweep(preset("fig4").params)
+    assert not isinstance(info.value, ModeError)
 
 
 class TestSurrealFractions:

@@ -8,8 +8,11 @@ import pytest
 
 from bohmsim import cli
 from bohmsim.cli import main
+from bohmsim.integrate import integrate_trajectory
+from bohmsim.model import Configuration
 from bohmsim.runio import read_manifest, read_trajectory_csv
-from bohmsim.scenario import load_scenario, preset, preset_names, scenario_to_dict
+from bohmsim.scenario import (load_scenario, preset, preset_names, scenario_to_dict,
+                              with_n_particles)
 from bohmsim.svgplot import Curve, render_chart
 from bohmsim.validate import check_backend_equivalence
 from bohmsim.velocity import velocity_analytic
@@ -226,6 +229,25 @@ class TestBench:
 
     def test_unknown_backend_exit_2(self):
         assert main(["bench", "--backends", "quantum-leap"]) == 2
+
+    def test_empty_backend_list_exit_2(self, capsys):
+        assert main(["bench", "--backends", ",", "--n-list", "1"]) == 2
+        assert "backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend, n_list", [("full-analytic", (1, 4)),
+                                                 ("reduced", (4, 10_000))])
+    def test_steps_are_those_of_fig3_at_n(self, capsys, backend, n_list):
+        # the bench scenario is preset fig3 with its pointer resized to N,
+        # launched from the upper slit centre with every Z'_n = 0
+        assert main(["bench", "--json", "--backends", backend, "--repetitions", "1",
+                     "--n-list", ",".join(map(str, n_list))]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        for record, n in zip(records, n_list, strict=True):
+            sc = with_n_particles(preset("fig3"), n)
+            init = Configuration(0.0, sc.params.d_prime, 0.0, (0.0,) * n)
+            traj = integrate_trajectory(init, sc.params, sc.integrator, backend)
+            assert (record["backend"], record["n_particles"], record["steps"]) == \
+                (backend, n, traj.stats.n_steps)
 
     def test_non_integer_n_list_names_the_flag(self, capsys):
         assert main(["bench", "--n-list", "1,x"]) == 2

@@ -78,6 +78,22 @@ class TestScenarioParams:
         p = single_pointer_params(10, 10, 1, 1, 1, 3, Xi=0.0, n_particles=1)
         assert p.single_pointer_xi == 0.0
 
+    def test_rigid_pointer_family(self):
+        p = single_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0, n_particles=3)
+        assert p.rigid_xi() == 2.0
+        assert p.with_rigid_pointer(7) == single_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0,
+                                                                 n_particles=7)
+        assert p.with_rigid_pointer(1, 5.0).pointer_velocities == ((5.0, -5.0),)
+        for other in (two_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0),
+                      ScenarioParams(10, 10, 1, 1, 1, 3, ())):
+            with pytest.raises(ModeError):
+                other.rigid_xi()
+            with pytest.raises(ModeError):
+                other.with_rigid_pointer(4)
+            assert other.with_rigid_pointer(1, 2.0) == p.with_rigid_pointer(1)
+        with pytest.raises(ValueError, match="n=0"):
+            p.with_rigid_pointer(0)
+
 
 class TestFastPointerE:
     def test_fig3_value(self, fig3_params):
