@@ -31,6 +31,7 @@ from ._kernel import GuidanceKernel
 from .integrate import (EnsembleSpec, IntegratorOptions, Trajectory, ZInit,
                         crossing_time, integrate_trajectory, run_ensemble)
 from .model import Configuration, ScenarioParams, fast_pointer_E
+from .reduced import reduced_params
 
 __all__ = [
     "ThresholdNotReached",
@@ -140,51 +141,51 @@ def _kexp(arg: np.ndarray) -> np.ndarray:
 
 
 def empty_wave_ratio(traj: Trajectory, params: ScenarioParams) -> EmptyWaveReport:
-    """Exact and approximate K along a single-pointer trajectory."""
-    n = params.n_particles
-    kern = GuidanceKernel(params)
-    gamma = kern.pz * params.rigid_xi()
+    """Exact and approximate K along a single-pointer trajectory.
+
+    The pointer enters only through ``traj.sigma_hat``, read by the kernel of
+    the one-particle twin, so k_lin and k_gauss take their N = 1 forms.
+    """
+    twin = reduced_params(params)
+    kern = GuidanceKernel(twin)
+    gamma = kern.pz * twin.rigid_xi()
     s_eff = 1.0 if traj.initial_slit == "upper" else -1.0
 
     t = traj.t
+    sigma_hat = traj.sigma_hat
     log_k_exact = -s_eff * traj.log_omega
-    _, _, z_part = kern.contrast(t, traj.x, traj.z)
+    _, _, z_part = kern.contrast(t, traj.x, sigma_hat[:, None])
     log_k_pointer = -s_eff * z_part
 
     dz = 2.0 * gamma * t
-    zeta_mean = s_eff * traj.z.mean(axis=1) - gamma * t
-    log_k_lin = -n * (2.0 * zeta_mean * dz + dz * dz)
-    log_k_gauss = -n * dz * dz
-    tau = math.inf if gamma == 0.0 else 1.0 / (gamma * math.sqrt(n))
+    zeta = s_eff * sigma_hat - gamma * t
+    log_k_lin = -(2.0 * zeta * dz + dz * dz)
+    log_k_gauss = -dz * dz
+    tau = math.inf if gamma == 0.0 else 1.0 / gamma
 
     return EmptyWaveReport(t=t, k_exact=_kexp(log_k_exact), k_pointer=_kexp(log_k_pointer),
                            k_lin=_kexp(log_k_lin), k_gauss=_kexp(log_k_gauss),
-                           tau=tau, n_particles=n, initial_slit=traj.initial_slit)
-
-
-def _reference_trajectory(params: ScenarioParams, opts: IntegratorOptions) -> Trajectory:
-    """Upper-slit-center launch with a neutral pointer (all Z'_n = 0)."""
-    init = Configuration(0.0, params.d_prime, 0.0, (0.0,) * params.n_particles)
-    return integrate_trajectory(init, params, opts, backend="reduced")
+                           tau=tau, n_particles=params.n_particles, initial_slit=traj.initial_slit)
 
 
 def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float,
                              opts: IntegratorOptions = IntegratorOptions()) -> list[float]:
     """First t' with k_pointer < threshold along the reference trajectory, per N.
 
-    The pointer factor (not the full k_exact) is thresholded: the
-    test-particle factor is huge at launch and N-independent, so it would
-    mask the pointer's suppression clock.  Crossings are refined by
-    log-linear interpolation between samples.
+    The reference launch (upper slit centre, Sigma_hat'(0) = 0) runs on the
+    one-particle twin, at a cost independent of N.  The pointer factor (not
+    the full k_exact) is thresholded: the test-particle factor is huge at
+    launch and N-independent, so it would mask the pointer's suppression
+    clock.  Crossings are refined by log-linear interpolation.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     times = []
     for n in n_list:
-        pn = params.with_rigid_pointer(int(n))
-        traj = _reference_trajectory(pn, opts)
-        report = empty_wave_ratio(traj, pn)
-        logk = np.log(report.k_pointer)
+        twin = reduced_params(params.with_rigid_pointer(int(n)))
+        init = Configuration(0.0, twin.d_prime, 0.0, (0.0,))
+        traj = integrate_trajectory(init, twin, opts, backend="reduced")
+        logk = np.log(empty_wave_ratio(traj, twin).k_pointer)
         logt = math.log(threshold)
         below = np.nonzero(logk < logt)[0]
         if below.size == 0:
@@ -215,25 +216,21 @@ def tau_scaling_fit(params: ScenarioParams, n_list, threshold: float,
 
 
 def surreal_fraction_vs_N(params: ScenarioParams, n_list, sigma_hat0: float = 0.0,
-                          count_per_slit: int = 9, extent: float = 0.8,
                           opts: IntegratorOptions = IntegratorOptions(),
                           ) -> list[tuple[int, float]]:
     """Bounce fraction per pointer size N, at fixed Sigma_hat'(0).
 
-    Runs the standard launch grid with the reduced backend for each N; the
-    common initial pointer value sigma_hat0/sqrt(N) pins Sigma_hat'(0).
-    Requires a slow-pointer base scenario (E < 1), where bounces exist to
-    be counted.
+    Runs the standard launch grid for each N on the one-particle twin of
+    the N-particle pointer, started at Sigma_hat'(0) = sigma_hat0, at a cost
+    that does not depend on N.  Requires a slow-pointer base scenario
+    (E < 1), where bounces exist to be counted.
     """
     if fast_pointer_E(params) >= 1.0:
         raise ValueError("base scenario must be slow-pointer (E < 1)")
+    spec = EnsembleSpec(z_init=ZInit.common(sigma_hat0), backend="reduced")
     rows = []
     for n in n_list:
         n = int(n)
-        pn = params.with_rigid_pointer(n)
-        spec = EnsembleSpec(count_per_slit=count_per_slit, extent=extent,
-                            z_init=ZInit.common(sigma_hat0 / math.sqrt(n)),
-                            backend="reduced")
-        summary = classify_ensemble(run_ensemble(spec, pn, opts))
-        rows.append((n, summary.bounce_fraction))
+        twin = reduced_params(params.with_rigid_pointer(n))
+        rows.append((n, classify_ensemble(run_ensemble(spec, twin, opts)).bounce_fraction))
     return rows

@@ -51,6 +51,10 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out) if args.out else Path("runs") / sc.name
+    taken = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if taken is not None and not taken.is_dir():  # refused before integrating
+        print(f"error: --out {out_dir}: {taken} is not a directory", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         t0 = time.perf_counter()
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)

@@ -216,25 +216,14 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     n = params.n_particles
     sqrt_n = math.sqrt(n) if n else 1.0
 
-    if backend == "reduced":
-        # (X', Y', Sigma_hat') is the full state of the one-particle twin
-        kern = GuidanceKernel(reduced_params(params))
-        y0 = np.array([init.x, init.y, float(np.asarray(init.z).sum()) / sqrt_n])
-    else:
-        kern = GuidanceKernel(params)
-        y0 = np.empty(2 + n)
-        y0[0] = init.x
-        y0[1] = init.y
-        y0[2:] = init.z
+    y0 = init.state()
+    kern = GuidanceKernel(reduced_params(params) if backend == "reduced" else params)
+    if backend == "reduced":  # (X', Y', Sigma_hat') is the full state of the one-particle twin
+        y0 = np.append(y0[:2], y0[2:].sum() / sqrt_n)
+    route = fd_velocity if backend == "full-numeric" else GuidanceKernel.velocity
 
-    if backend == "full-numeric":
-        def rhs(t, state):
-            vx, vy, vz = fd_velocity(kern, t, state[0], state[1], state[2:], node_eps=node_floor)
-            return np.array([vx, vy, *vz])
-    else:
-        velocity = kern.velocity
-        def rhs(t, state):
-            return velocity(t, state, node_floor)
+    def rhs(t, state):
+        return route(kern, t, state, node_floor)
 
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)

@@ -176,8 +176,9 @@ class Configuration:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("configuration entries must be finite")
 
-    def z_array(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=float)
+    def state(self) -> np.ndarray:
+        """The state vector (X', Y', Z'_1..Z'_N) that every velocity route reads."""
+        return np.array([self.x, self.y, *self.z])
 
 
 def fast_pointer_E(params: ScenarioParams) -> float:

@@ -118,6 +118,8 @@ def read_manifest(run_dir) -> dict:
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     """Columns by name; inverse of write_trajectory_csv."""
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"trajectory CSV {path} is empty")
     header = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     if data.size == 0:

@@ -13,8 +13,8 @@ Five suites, each an independent oracle against the production code path:
                          time vs N against the predicted -1/2
 
 `run_validation` executes any subset and reports one pass/fail per suite.
-The ``analytic_fn`` hook exists so tests can inject a broken velocity
-backend and confirm the equivalence suite actually detects it.
+The ``analytic_fn`` hook takes a velocity route, so tests can inject a
+broken one and confirm the equivalence suite actually detects it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 from ._kernel import GuidanceKernel
 from .analysis import tau_scaling_fit
 from .integrate import IntegratorOptions, integrate_trajectory, run_ensemble
-from .model import Configuration, NodeError, ScenarioParams
+from .model import NODE_EPS, Configuration, NodeError, ScenarioParams
 from .scenario import preset, preset_names
-from .velocity import velocity_analytic, velocity_numeric, y_closed_form
+from .velocity import fd_velocity, y_closed_form
 
 __all__ = ["SuiteResult", "SUITES", "run_validation",
            "check_backend_equivalence", "check_sqrtn_equivalence", "check_y_oracle",
@@ -78,12 +78,13 @@ def random_configurations(params: ScenarioParams, count: int,
 
 def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
                               presets=("fig2", "fig3", "fig4"), seed: int = 20260808,
-                              analytic_fn: Callable = velocity_analytic) -> tuple[bool, str]:
+                              analytic_fn: Callable = GuidanceKernel.velocity) -> tuple[bool, str]:
     """Closed form against finite differences on random non-node configurations.
 
+    Both routes run on each configuration's state, one kernel per preset.
     ``random_configurations`` keeps only draws with a normalized density of
     at least 1e-6, far above any node floor, so a NodeError from either
-    backend is a failure, not a skip.
+    route is a failure, not a skip; so is a velocity that is not finite.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -91,15 +92,19 @@ def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
     compared = node_errors = 0
     for name in presets:
         params = preset(name).params
+        kern = GuidanceKernel(params)
         for cfg in random_configurations(params, count, rng):
+            state = cfg.state()
             try:
-                va = analytic_fn(cfg, params).as_array()
-                vn = velocity_numeric(cfg, params).as_array()
+                va = analytic_fn(kern, cfg.t_prime, state, NODE_EPS)
+                vn = fd_velocity(kern, cfg.t_prime, state)
             except NodeError:
                 node_errors += 1
                 continue
             compared += 1
             rel = float(np.max(np.abs(va - vn) / np.maximum(1.0, np.abs(va))))
+            if not math.isfinite(rel):
+                rel = math.inf
             if rel > worst:
                 worst, where = rel, name
     ok = compared > 0 and node_errors == 0 and worst <= tol
@@ -173,7 +178,7 @@ SUITES: dict[str, Callable[[], tuple[bool, str]]] = {
 }
 
 
-def run_validation(only: str | None = None, **suite_kwargs) -> list[SuiteResult]:
+def run_validation(only: str | None = None) -> list[SuiteResult]:
     names = list(SUITES)
     if only is not None:
         if only not in SUITES:
@@ -183,7 +188,7 @@ def run_validation(only: str | None = None, **suite_kwargs) -> list[SuiteResult]
     for name in names:
         t0 = time.perf_counter()
         try:
-            passed, detail = SUITES[name](**suite_kwargs.get(name, {}))
+            passed, detail = SUITES[name]()
         except Exception as exc:  # a crashed suite is a failed suite
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(SuiteResult(name, passed, detail, time.perf_counter() - t0))

@@ -8,6 +8,10 @@ differences, which makes it an independent cross-check of every term in
 the analytic route.  The decoupled longitudinal motion has the closed form
 ``y_closed_form``, used as an integration oracle.
 
+Both routes, ``GuidanceKernel.velocity`` and ``fd_velocity``, keep one
+contract: ``route(kern, t, state, node_floor)`` returns dy/dt' of the state
+(X', Y', Z'_1..Z'_N) as a fresh array.
+
 The finite-difference stencil (the centre, then each coordinate moved by
 +/-h and +/-h/2) is built as rows of configurations and evaluated a block
 of rows per batched ``GuidanceKernel.branch_eval`` call; a block holds at
@@ -54,28 +58,28 @@ class VelocityVector:
         return np.array([self.dx, self.dy, *self.dz])
 
 
-def _check_config(config: Configuration, params: ScenarioParams):
+def _at_config(route, config: Configuration, params: ScenarioParams, *args) -> VelocityVector:
+    """``route(kern, t, state, *args)`` on one configuration of ``params``."""
     if len(config.z) != params.n_particles:
-        raise ValueError(
-            f"configuration has {len(config.z)} pointer coordinates, scenario has {params.n_particles}"
-        )
+        raise ValueError(f"configuration has {len(config.z)} pointer coordinates, "
+                         f"scenario has {params.n_particles}")
+    vx, vy, *vz = route(GuidanceKernel(params), config.t_prime, config.state(), *args).tolist()
+    return VelocityVector(vx, vy, tuple(vz))
 
 
 def velocity_analytic(config: Configuration, params: ScenarioParams,
                       node_eps: float = NODE_EPS) -> VelocityVector:
     """Exact dimensionless guidance velocity at a non-node configuration."""
-    _check_config(config, params)
-    state = np.array([config.x, config.y, *config.z], dtype=float)
-    vx, vy, *vz = GuidanceKernel(params).velocity(config.t_prime, state, node_eps).tolist()
-    return VelocityVector(vx, vy, tuple(vz))
+    return _at_config(GuidanceKernel.velocity, config, params, node_eps)
 
 
-def fd_velocity(kern: GuidanceKernel, t: float, x: float, y: float, z: np.ndarray,
-                h: float = 1e-5, richardson: bool = True,
-                node_eps: float = NODE_EPS) -> tuple[float, float, list[float]]:
-    """Finite-difference velocity on raw coordinates with a prebuilt kernel.
+def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
+                node_eps: float = NODE_EPS, h: float = 1e-5,
+                richardson: bool = True) -> np.ndarray:
+    """Finite-difference dy/dt' at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
-    Evaluates the 1 + 4(N+2) stencil rows (1 + 2(N+2) without
+    The same contract as ``GuidanceKernel.velocity``; the state is only
+    read.  Evaluates the 1 + 4(N+2) stencil rows (1 + 2(N+2) without
     ``richardson``) in blocks of whole coordinates, one ``kern.branch_eval``
     call per block, and takes the differences as array operations.
     Raises NodeError if the normalized density at the centre is below
@@ -84,7 +88,6 @@ def fd_velocity(kern: GuidanceKernel, t: float, x: float, y: float, z: np.ndarra
     steps = np.array((h, -h, h / 2.0, -h / 2.0) if richardson else (h, -h))
     width = steps.size
     dims = kern.n + 2
-    centre = np.concatenate(([x, y], z))
     # stencil row 0 is the centre; row 1 + width*k + j has coordinate k moved by steps[j]
     branches = np.empty((4, 1 + width * dims))
     per_block = max(1, FD_BLOCK_BYTES // (8 * width * dims))
@@ -92,7 +95,7 @@ def fd_velocity(kern: GuidanceKernel, t: float, x: float, y: float, z: np.ndarra
     for lo in range(0, dims, per_block):
         nc = min(per_block, dims - lo)  # coordinates lo .. lo + nc - 1
         k = np.arange(nc)
-        rows[:] = centre
+        rows[:] = state
         rows[1:1 + width * nc].reshape(nc, width, dims)[k, :, lo + k] += steps
         start = 0 if lo == 0 else 1  # the centre row goes with the first block only
         block = rows[start:1 + width * nc]
@@ -112,9 +115,10 @@ def fd_velocity(kern: GuidanceKernel, t: float, x: float, y: float, z: np.ndarra
     if richardson:
         d2 = (moved[:, 2] - moved[:, 3]) / h
         dpsi = (4.0 * d2 - dpsi) / 3.0
-    current = (psi_c.conjugate() * dpsi).imag / rho_hat
-    vz = kern.pz * current[2:]
-    return kern.px * float(current[0]), kern.py * float(current[1]), vz.tolist()
+    v = (psi_c.conjugate() * dpsi).imag / rho_hat  # the probability current per coordinate
+    v[:2] *= (kern.px, kern.py)
+    v[2:] *= kern.pz
+    return v
 
 
 def velocity_numeric(config: Configuration, params: ScenarioParams,
@@ -130,11 +134,7 @@ def velocity_numeric(config: Configuration, params: ScenarioParams,
     """
     if not 0.0 < h <= 1e-4:
         raise ValueError(f"finite-difference step must be in (0, 1e-4], got {h!r}")
-    _check_config(config, params)
-    kern = GuidanceKernel(params)
-    dx, dy, dz = fd_velocity(kern, config.t_prime, config.x, config.y,
-                             config.z_array(), h, richardson, node_eps)
-    return VelocityVector(dx, dy, tuple(dz))
+    return _at_config(fd_velocity, config, params, node_eps, h, richardson)
 
 
 def y_closed_form(t_prime: float, y0_prime: float, xi_y: float) -> float:

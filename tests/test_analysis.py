@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bohmsim import integrate
 from bohmsim.analysis import (DegenerateFit, ThresholdNotReached, classify, classify_ensemble,
                               empty_wave_ratio, surreal_fraction_vs_N, tau_scaling_fit,
                               threshold_crossing_times)
@@ -183,6 +184,21 @@ def test_zero_particle_pointer_refused_naming_n(sweep):
     with pytest.raises(ValueError, match="n=0") as info:
         sweep(preset("fig4").params)
     assert not isinstance(info.value, ModeError)
+
+
+def test_n_sweeps_reconstruct_at_most_one_pointer(monkeypatch):
+    # both sweeps run the one-particle twin, so their cost does not grow with N
+    seen = []
+    reconstruct = integrate.reconstruct_pointers
+
+    def spy(t, sigma_hat, z0, params):
+        seen.append(np.size(z0))
+        return reconstruct(t, sigma_hat, z0, params)
+
+    monkeypatch.setattr(integrate, "reconstruct_pointers", spy)
+    threshold_crossing_times(preset("fig3").params, [4, 10**4], 1e-3)
+    surreal_fraction_vs_N(preset("fig4").params, [10**4])
+    assert seen and max(seen) <= 1
 
 
 class TestSurrealFractions:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bohmsim import cli
+from bohmsim._kernel import GuidanceKernel
 from bohmsim.cli import main
 from bohmsim.integrate import integrate_trajectory
 from bohmsim.model import Configuration
@@ -15,7 +16,6 @@ from bohmsim.scenario import (load_scenario, preset, preset_names, scenario_to_d
                               with_n_particles)
 from bohmsim.svgplot import Curve, render_chart
 from bohmsim.validate import check_backend_equivalence
-from bohmsim.velocity import velocity_analytic
 from conftest import deadline
 
 
@@ -99,6 +99,21 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path)]) == 2
         assert not target.exists()
         assert not (tmp_path / "runs").exists()
+
+    def test_out_below_a_regular_file_exits_2_before_integrating(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+
+        def never(*args):
+            raise AssertionError("integrated although the output path cannot be made")
+
+        monkeypatch.setattr(cli, "run_ensemble", never)
+        assert main(["simulate", "--preset", "fig2", "--out", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_bad_thread_count_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BOHM_SIM_THREADS", "abc")
@@ -198,6 +213,14 @@ class TestPlot:
                   ClassificationSummary((), 0.0, 0.0, 0.0, 0))
         assert main(["plot", str(tmp_path)]) == 2
 
+    def test_empty_trajectory_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0
+        (out / "traj_000.csv").write_text("")
+        assert main(["plot", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "traj_000.csv" in err
+
     def test_svg_format_in_scenario_renders_at_simulate_time(self, tmp_path):
         sc = preset("fig4")
         data = scenario_to_dict(sc)
@@ -264,13 +287,14 @@ class TestValidate:
     def test_unknown_suite_exit_2(self):
         assert main(["validate", "--only", "vibes"]) == 2
 
-    def test_injected_sign_error_detected(self, fig4_params):
+    def test_injected_sign_error_detected(self):
         # backend-equivalence must notice a corrupted analytic route
-        def flipped(cfg, params):
-            flipped_params = type(params)(
-                params.xi_x, params.xi_y, params.r, params.R, params.mu, params.d_prime,
-                tuple((-p, -m) for p, m in params.pointer_velocities))
-            return velocity_analytic(cfg, flipped_params)
+        params = preset("fig4").params
+        flipped_kern = GuidanceKernel(params.with_rigid_pointer(params.n_particles,
+                                                                -params.rigid_xi()))
+
+        def flipped(kern, t, state, node_floor):
+            return flipped_kern.velocity(t, state, node_floor)
 
         ok, detail = check_backend_equivalence(count=40, presets=("fig4",),
                                                analytic_fn=flipped)

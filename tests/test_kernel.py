@@ -32,7 +32,7 @@ def test_closed_form_matches_branch_difference(name, n):
     kern = GuidanceKernel(params)
     rng = np.random.default_rng(1000 + 10 * n + len(name))
     for cfg in random_configurations(params, 60, rng):
-        z = cfg.z_array()
+        z = cfg.state()[2:]
         lr1, lr2, s1, s2 = kern.branch_eval(cfg.t_prime, cfg.x, cfg.y, z)
         log_omega, delta_s, _ = kern.contrast(cfg.t_prime, cfg.x, z)
         assert abs(log_omega - (lr1 - lr2)) <= 1e-13 * max(1.0, abs(lr1), abs(lr2))
@@ -83,7 +83,7 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
     kern = GuidanceKernel(params)
     dominant = mixed = 0
     for cfg in random_configurations(params, 150, np.random.default_rng(11)):
-        t, x, y, z = cfg.t_prime, cfg.x, cfg.y, cfg.z_array()
+        t, x, y, z = cfg.t_prime, cfg.x, cfg.y, cfg.state()[2:]
         v = kern.velocity(t, np.concatenate(([x, y], z)))
         m = kern.velocity(t, np.concatenate(([-x, y], -z)))
         assert m[0] == -v[0]
@@ -99,22 +99,27 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
         assert dominant > 0
 
 
-@pytest.mark.parametrize("name,n", [("fig4", 0), ("fig3", 1), ("fig7", 2), ("fig4", 100)])
-def test_state_velocity_matches_finite_differences(name, n):
+# the closed-form route under the plain ids, the finite-difference route under "-fd"
+STATE_ROUTES = [pytest.param(name, n, route, other, id=f"{name}-{n}{suffix}")
+                for route, other, suffix in ((GuidanceKernel.velocity, fd_velocity, ""),
+                                             (fd_velocity, GuidanceKernel.velocity, "-fd"))
+                for name, n in (("fig4", 0), ("fig3", 1), ("fig7", 2), ("fig4", 100))]
+
+
+@pytest.mark.parametrize("name,n,route,other", STATE_ROUTES)
+def test_state_velocity_matches_finite_differences(name, n, route, other):
     # dy/dt' over the whole state, as a fresh array, with the caller's state left alone
     params = fig4_n_particles(n) if name == "fig4" else preset_params(name, n)
     kern = GuidanceKernel(params)
     for cfg in random_configurations(params, 20, np.random.default_rng(5)):
-        z = cfg.z_array()
-        state = np.concatenate(([cfg.x, cfg.y], z))
+        state = cfg.state()
         before = state.tobytes()
-        v = kern.velocity(cfg.t_prime, state)
+        v = route(kern, cfg.t_prime, state)
         assert state.tobytes() == before
         assert v.shape == state.shape
         assert not np.shares_memory(v, state)
-        assert not np.shares_memory(v, kern.velocity(cfg.t_prime, state))
-        fx, fy, fz = fd_velocity(kern, cfg.t_prime, cfg.x, cfg.y, z)
-        fd = np.array([fx, fy, *fz])
+        assert not np.shares_memory(v, route(kern, cfg.t_prime, state))
+        fd = other(kern, cfg.t_prime, state)
         assert np.max(np.abs(v - fd) / np.maximum(1.0, np.abs(v))) <= 1e-6
 
 

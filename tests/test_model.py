@@ -21,7 +21,7 @@ from conftest import config
 
 def branch_eval(cfg: Configuration, params: ScenarioParams):
     """(log_r1, log_r2, s1, s2) of the kernel at one configuration."""
-    return GuidanceKernel(params).branch_eval(cfg.t_prime, cfg.x, cfg.y, cfg.z_array())
+    return GuidanceKernel(params).branch_eval(cfg.t_prime, cfg.x, cfg.y, cfg.state()[2:])
 
 
 def oracle_branch_exponents(cfg: Configuration, params: ScenarioParams):

@@ -63,10 +63,9 @@ class TestBackendAgreement:
         assert rel_dev(velocity_analytic(cfg, fig4_params), plain) <= 1e-6
 
 
-def rel_dev_raw(kern, t, x, y, z, fd) -> float:
-    a = kern.velocity(t, np.concatenate(([x, y], z)))
-    return float(np.max(np.abs(a - np.array([fd[0], fd[1], *fd[2]]))
-                        / np.maximum(1.0, np.abs(a))))
+def rel_dev_raw(kern, t, state, fd) -> float:
+    a = kern.velocity(t, state)
+    return float(np.max(np.abs(a - fd) / np.maximum(1.0, np.abs(a))))
 
 
 def count_branch_evals(monkeypatch) -> list:
@@ -85,26 +84,27 @@ class TestStencilBlocks:
     def test_no_pointer_gives_empty_dz(self):
         kern = GuidanceKernel(ScenarioParams(10, 10, 1, 1, 1, 3, ()))
         assert kern.n == 0
-        fd = fd_velocity(kern, 1.2, 2.1, 1.0, np.zeros(0))
-        assert fd[2] == []
-        assert rel_dev_raw(kern, 1.2, 2.1, 1.0, np.zeros(0), fd) <= 1e-6
+        state = np.array([2.1, 1.0])
+        fd = fd_velocity(kern, 1.2, state)
+        assert fd[2:].tolist() == []
+        assert rel_dev_raw(kern, 1.2, state, fd) <= 1e-6
 
     def test_small_stencil_is_one_call(self, monkeypatch):
         params = fig4_n_particles(16)
         kern = GuidanceKernel(params)
         cfg = random_configurations(params, 1, np.random.default_rng(4))[0]
         calls = count_branch_evals(monkeypatch)
-        fd_velocity(kern, cfg.t_prime, cfg.x, cfg.y, cfg.z_array())
+        fd_velocity(kern, cfg.t_prime, cfg.state())
         assert calls == [(1 + 4 * 18,)]
 
     def test_block_size_does_not_change_the_result(self, monkeypatch):
         params = fig4_n_particles(16)
         kern = GuidanceKernel(params)
-        args = [(kern, c.t_prime, c.x, c.y, c.z_array())
+        args = [(kern, c.t_prime, c.state())
                 for c in random_configurations(params, 5, np.random.default_rng(5))]
-        whole = [fd_velocity(*a) for a in args]
+        whole = [fd_velocity(*a).tolist() for a in args]
         monkeypatch.setattr(velocity, "FD_BLOCK_BYTES", 1)  # one coordinate per block
-        assert [fd_velocity(*a) for a in args] == whole
+        assert [fd_velocity(*a).tolist() for a in args] == whole
 
     def test_many_blocks_at_n_1000_match_the_closed_form(self, monkeypatch):
         params = fig4_n_particles(1000)
@@ -112,11 +112,11 @@ class TestStencilBlocks:
         cfgs = random_configurations(params, 3, np.random.default_rng(6))
         calls = count_branch_evals(monkeypatch)
         for cfg in cfgs:
-            z = cfg.z_array()
+            state = cfg.state()
             calls.clear()
-            fd = fd_velocity(kern, cfg.t_prime, cfg.x, cfg.y, z)
-            assert len(fd[2]) == 1000
-            assert rel_dev_raw(kern, cfg.t_prime, cfg.x, cfg.y, z, fd) <= 1e-6
+            fd = fd_velocity(kern, cfg.t_prime, state)
+            assert len(fd[2:]) == 1000
+            assert rel_dev_raw(kern, cfg.t_prime, state, fd) <= 1e-6
             rows = [shape[0] for shape in calls]
             assert len(rows) > 1 and sum(rows) == 1 + 4 * 1002
             # bounded blocks: whole coordinates (4 rows each) within FD_BLOCK_BYTES
