@@ -2,7 +2,7 @@
 """Regenerate every canonical scenario and its SVG panels.
 
 Writes runs/<preset>/ directories (CSV + manifest + figures) for all
-presets and prints the classification summary per run.  Takes about 8 s
+presets and prints the classification summary per run.  Takes about 6 s
 serially on a 2-CPU machine; set BOHM_SIM_THREADS to parallelize the
 ensembles.
 """

@@ -1,14 +1,16 @@
 """Run directories: per-trajectory CSV files plus a JSON manifest.
 
 Numbers go to CSV at 17 significant digits so downstream comparisons are
-bit-stable.  The manifest carries everything needed to reproduce and
-audit a run; wall-clock numbers live under the single key "timing", which
-reproducibility checks strip before comparing.
+bit-stable: one format call per row, one numpy text-reader call per file.
+The manifest carries everything needed to reproduce and audit a run;
+wall-clock numbers, CSV writing (``write_s``) among them, live under the
+single key "timing", which reproducibility checks strip before comparing.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,28 +31,17 @@ def pointer_columns(backend: str, n_particles: int) -> list[str]:
     return [f"Z_{i + 1}" for i in range(n_particles)]
 
 
-def _csv_rows(traj: Trajectory, stride: int):
-    idx = list(range(0, traj.n_samples, stride))
-    if idx and idx[-1] != traj.n_samples - 1:
-        idx.append(traj.n_samples - 1)
-    reduced = traj.backend == "reduced"
-    for i in idx:
-        cells = [traj.t[i], traj.x[i], traj.y[i]]
-        if reduced:
-            cells.append(traj.sigma_hat[i])
-        else:
-            cells.extend(traj.z[i])
-        cells.extend((traj.log_omega[i], traj.delta_s[i]))
-        yield cells
-
-
 def write_trajectory_csv(path: Path, traj: Trajectory, stride: int = 1) -> None:
     header = ["t_prime", "X", "Y", *pointer_columns(traj.backend, traj.params.n_particles),
               "logOmega", "deltaS"]
-    lines = [",".join(header)]
-    for cells in _csv_rows(traj, stride):
-        lines.append(",".join(f"{float(v):.17g}" for v in cells))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    pointer = traj.sigma_hat if traj.backend == "reduced" else traj.z
+    data = np.column_stack((traj.t, traj.x, traj.y, pointer, traj.log_omega, traj.delta_s))
+    i = np.arange(traj.n_samples)
+    data = data[(i % stride == 0) | (i == traj.n_samples - 1)]
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with path.open("w", newline="\n") as f:   # row by row: one row's floats alive at a time
+        f.write(",".join(header) + "\n")
+        f.writelines(row % tuple(r.tolist()) for r in data)
 
 
 def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
@@ -63,6 +54,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
         summary = classify_ensemble(trajs)
 
     records = []
+    t0 = time.perf_counter()
     for i, (traj, verdict) in enumerate(zip(trajs, summary.verdicts)):
         name = f"traj_{i:03d}.csv"
         write_trajectory_csv(out / name, traj, scenario.outputs.stride)
@@ -83,6 +75,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
             "crossed_plane": verdict.crossed_plane if not verdict.degenerate else None,
             "final_direction": verdict.final_direction if not verdict.degenerate else None,
         })
+    write_s = time.perf_counter() - t0
 
     params = scenario.params
     manifest = {
@@ -101,7 +94,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
             "downward_fraction": summary.downward_fraction,
             "excluded": summary.excluded,
         },
-        "timing": timing or {},
+        "timing": {**(timing or {}), "write_s": write_s},
     }
     (out / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
@@ -116,12 +109,16 @@ def read_manifest(run_dir) -> dict:
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Columns by name; inverse of write_trajectory_csv."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"trajectory CSV {path} is empty")
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return {name: data[:, j] for j, name in enumerate(header)}
+    """Columns by name; inverse of write_trajectory_csv.  A malformed file is a ValueError."""
+    header, _, body = Path(path).read_text().strip().partition("\n")
+    if not body.strip():  # checked here: np.loadtxt only warns on no data
+        raise ValueError(f"trajectory CSV {path} holds no sample rows")
+    names = header.split(",")
+    try:
+        data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"trajectory CSV {path}: {exc}") from None
+    if data.shape[1] != len(names):
+        raise ValueError(f"trajectory CSV {path}: rows hold {data.shape[1]} cells, "
+                         f"the header names {len(names)}")
+    return {name: data[:, j] for j, name in enumerate(names)}

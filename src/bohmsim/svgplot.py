@@ -2,8 +2,8 @@
 
 No plotting library: output must be byte-stable across runs and machines
 so the figures can be diffed in CI.  Fixed canvas, fixed styles, fixed
-2-decimal pixel coordinates; trajectories from the upper slit are drawn as
-full blue lines, those from the lower slit as dashed red lines.
+2-decimal pixel coordinates, one format call per polyline; upper-slit
+trajectories are full blue lines, lower-slit ones dashed red lines.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ def render_chart(curves: list[Curve], title: str, xlabel: str, ylabel: str) -> s
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
-    def px(v: float) -> float:
+    def px(v):
         return _ML + (v - xlo) / (xhi - xlo) * pw
 
-    def py(v: float) -> float:
+    def py(v):
         return _MT + (yhi - v) / (yhi - ylo) * ph
 
     out = [
@@ -114,7 +114,8 @@ def render_chart(curves: list[Curve], title: str, xlabel: str, ylabel: str) -> s
 
     for c in curves:
         stroke, dash = _STYLES.get(c.style, _STYLES["gray"])
-        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(c.x, c.y))
+        xy = np.column_stack((px(c.x), py(c.y)))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         out.append(f'<polyline fill="none" {stroke} stroke-width="1.2"{dash} points="{pts}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

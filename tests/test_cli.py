@@ -221,6 +221,26 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "traj_000.csv" in err
 
+    @pytest.mark.parametrize("damage", ["header-only", "extra-cell", "short-row"])
+    def test_malformed_trajectory_csv_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                              damage):
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0
+        csv = out / "traj_000.csv"
+        header, *rows = csv.read_text().splitlines()
+        if damage == "header-only":
+            rows = []
+        elif damage == "extra-cell":       # every row one cell longer than the header
+            rows = [r + ",0" for r in rows]
+        else:                              # one row a cell short
+            rows[1] = rows[1].rsplit(",", 1)[0]
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["plot", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "traj_000.csv" in err
+        assert not list(out.glob("*.svg"))
+
     def test_svg_format_in_scenario_renders_at_simulate_time(self, tmp_path):
         sc = preset("fig4")
         data = scenario_to_dict(sc)
