@@ -5,7 +5,7 @@ One uniform ODE system per backend:
     full-analytic : (X', Y', Z'_1..Z'_N) with closed-form velocities
     full-numeric  : same system, velocities by finite differences of Psi
     reduced       : (X', Y', Sigma_hat') at effective velocity Xi sqrt(N),
-                    pointer trajectories reconstructed analytically
+                    pointer trajectories reconstructed analytically on read
 
 Y' is integrated alongside the rest even though it has a closed form; the
 closed form serves as an oracle in the tests instead of being wired in.
@@ -155,8 +155,11 @@ class EnsembleSpec:
 class Trajectory:
     """Sampled trajectory with per-sample branch diagnostics.
 
-    ``z`` holds the pointer coordinates at every sample, (n_samples, N);
-    for the reduced backend these are the analytically reconstructed ones.
+    ``z`` holds the pointer coordinates at every sample, (n_samples, N).
+    The full backends store it.  The reduced backend does not: each read
+    of ``z`` rebuilds it from ``t``, ``sigma_hat`` and ``initial.z`` with
+    ``reconstruct_pointers``, so a reduced trajectory holds O(n_samples + N)
+    floats and any ``z`` passed to its constructor is dropped.
     Times are strictly increasing with t[0] = 0.  A degenerate trajectory
     was truncated at a wave-function node and carries fewer samples.
     """
@@ -173,6 +176,16 @@ class Trajectory:
     delta_s: np.ndarray
     stats: SolverStats
     degenerate: bool
+
+    def __post_init__(self):
+        if self.backend == "reduced":
+            object.__delattr__(self, "z")
+
+    def __getattr__(self, name):
+        # reached only when the instance holds no such attribute
+        if name != "z" or self.__dict__.get("backend") != "reduced":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return reconstruct_pointers(self.t, self.sigma_hat, self.initial.z, self.params)
 
     @property
     def n_samples(self) -> int:
@@ -231,7 +244,8 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     log_omega, delta_s, _ = kern.contrast(t, x, res.y[:, 2:])
     if backend == "reduced":
         sigma_hat = res.y[:, 2]
-        z = reconstruct_pointers(t, sigma_hat, np.asarray(init.z), params)
+        z = None   # rebuilt on each read; here only its start is checked against the pointer sum
+        reconstruct_pointers(t[:1], sigma_hat[:1], init.z, params)
     else:
         z = res.y[:, 2:]
         sigma_hat = z.sum(axis=1) / sqrt_n if n else np.zeros(t.size)

@@ -16,7 +16,11 @@ spreading law
 
     Z'_n(t') = Sigma_hat'(t')/sqrt(N) + (Z'_n(0) - Sigma_hat'(0)/sqrt(N)) s(t')
 
-with s(t') = sqrt(1 + 4 mu^2 R^4 t'^2 / (r^4 xi_y^2)).
+with s(t') = sqrt(1 + 4 mu^2 R^4 t'^2 / (r^4 xi_y^2)).  ``reconstruct_pointers``
+builds that (n_times, N) block.  A reduced ``Trajectory`` does not store it:
+``integrate_trajectory`` calls it on the first sample only, to check the
+start against the pointer sum, and every read of ``Trajectory.z`` calls it
+on the whole run.
 """
 
 from __future__ import annotations

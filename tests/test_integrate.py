@@ -9,6 +9,7 @@ from bohmsim.integrate import (EnsembleSpec, IntegratorOptions, ZInit, crossing_
                                integrate_trajectory, run_ensemble, sample_initials)
 from bohmsim.model import Configuration, NodeError, single_pointer_params
 from bohmsim.rk45 import solve
+from bohmsim.scenario import preset
 from bohmsim.velocity import y_closed_form
 
 from conftest import fig4_n_particles
@@ -207,6 +208,20 @@ class TestEnsembles:
         parallel = run_ensemble(spec, fig4_params)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.z, b.z)
+
+    def test_process_parallelism_matches_serial_on_reduced(self, monkeypatch):
+        # workers send back the factors, t, Sigma_hat' and the start, not the pointer block
+        sc = preset("fig9")
+        spec = EnsembleSpec(count_per_slit=2, z_init=ZInit.gaussian(3), backend="reduced")
+        serial = run_ensemble(spec, sc.params, sc.integrator)
+        monkeypatch.setenv("BOHM_SIM_THREADS", "2")
+        parallel = run_ensemble(spec, sc.params, sc.integrator)
+        assert len(parallel) == len(serial) == 4
+        for a, b in zip(serial, parallel):
+            assert "z" not in vars(b)
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.sigma_hat, b.sigma_hat)
             assert np.array_equal(a.z, b.z)
 
 

@@ -4,15 +4,18 @@ The authoritative oracle for both is full N-body integration; the
 reconstruction formula additionally carries its own spreading-law check.
 """
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from bohmsim._kernel import GuidanceKernel
-from bohmsim.integrate import IntegratorOptions, integrate_trajectory
+from bohmsim.integrate import IntegratorOptions, ZInit, integrate_trajectory
 from bohmsim.model import Configuration, ModeError, single_pointer_params, two_pointer_params
 from bohmsim.reduced import reconstruct_pointers, reduced_params
+from bohmsim.scenario import preset
 
 from conftest import fig4_n_particles, spread_z0
 
@@ -128,3 +131,61 @@ class TestSqrtNEquivalence:
         tol = 10 * max(IntegratorOptions().rel_tol * 100.0, 1e-7)
         assert np.max(np.abs(full.x - red.x)) <= tol
         assert np.max(np.abs(full.sigma_hat - red.sigma_hat)) <= tol
+
+
+def slit_centre_launch(name: str, n: int | None = None):
+    """A preset's upper slit-centre launch on the reduced backend, at the
+    preset's own pointer or at ``n`` particles with a seeded pointer draw."""
+    sc = preset(name)
+    if n is None:
+        params, z0 = sc.params, sc.ensemble.z_init.draw(sc.params.n_particles)
+    else:
+        params, z0 = sc.params.with_rigid_pointer(n), ZInit.gaussian(5).draw(n)
+    init = Configuration(0.0, params.d_prime, 0.0, tuple(z0))
+    return integrate_trajectory(init, params, sc.integrator, backend="reduced")
+
+
+@pytest.fixture(scope="module")
+def wide_reduced():
+    return slit_centre_launch("fig4", 10**4)
+
+
+class TestPointersOnRead:
+    """A reduced trajectory stores no pointer block; ``z`` is rebuilt on each read."""
+
+    @pytest.mark.parametrize("name, n", [("fig9", None), ("fig12", None), ("fig4", 1000)])
+    def test_read_is_the_reconstruction_bit_for_bit(self, name, n):
+        traj = slit_centre_launch(name, n)
+        expect = reconstruct_pointers(traj.t, traj.sigma_hat, np.asarray(traj.initial.z),
+                                      traj.params)
+        first, second = traj.z, traj.z
+        assert first.shape == (traj.n_samples, traj.params.n_particles)
+        assert first.tobytes() == expect.tobytes()
+        assert second.tobytes() == first.tobytes()
+
+    def test_no_block_is_stored(self, wide_reduced):
+        held = vars(wide_reduced)
+        assert "z" not in held
+        sizes = [a.size for a in held.values() if isinstance(a, np.ndarray)]
+        assert max(sizes) <= wide_reduced.n_samples + 10**4
+
+    def test_full_backend_stores_z(self, fig4_params):
+        traj = integrate_trajectory(Configuration(0.0, 3.0, 0.0, (0.0,)), fig4_params)
+        assert vars(traj)["z"] is traj.z
+
+    def test_pickle_is_small_and_round_trips(self, wide_reduced):
+        blob = pickle.dumps(wide_reduced)
+        assert len(blob) < 2**20
+        back = pickle.loads(blob)
+        assert "z" not in vars(back)
+        assert back.z.tobytes() == wide_reduced.z.tobytes()
+
+    def test_replace_keeps_the_block_off(self, wide_reduced):
+        moved = dataclasses.replace(wide_reduced, x=-wide_reduced.x)
+        assert "z" not in vars(moved)
+        assert moved.z.tobytes() == wide_reduced.z.tobytes()
+
+    def test_unknown_names_stay_missing(self, wide_reduced):
+        assert not hasattr(wide_reduced, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            wide_reduced.no_such_name
