@@ -244,8 +244,7 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     log_omega, delta_s, _ = kern.contrast(t, x, res.y[:, 2:])
     if backend == "reduced":
         sigma_hat = res.y[:, 2]
-        z = None   # rebuilt on each read; here only its start is checked against the pointer sum
-        reconstruct_pointers(t[:1], sigma_hat[:1], init.z, params)
+        z = None   # rebuilt on each read
     else:
         z = res.y[:, 2:]
         sigma_hat = z.sum(axis=1) / sqrt_n if n else np.zeros(t.size)

@@ -18,9 +18,8 @@ spreading law
 
 with s(t') = sqrt(1 + 4 mu^2 R^4 t'^2 / (r^4 xi_y^2)).  ``reconstruct_pointers``
 builds that (n_times, N) block.  A reduced ``Trajectory`` does not store it:
-``integrate_trajectory`` calls it on the first sample only, to check the
-start against the pointer sum, and every read of ``Trajectory.z`` calls it
-on the whole run.
+every read of ``Trajectory.z`` calls it on the whole run, and that call
+checks the start against the pointer sum.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
     ``z0`` are the N initial pointer positions; their scaled sum must match
     sigma_hat[0] to ``atol``.  Returns an (n_times, N) array whose scaled
     row sums reproduce sigma_hat exactly (the deviations from the mean are
-    constructed sum-free).
+    constructed sum-free).  ModeError for a scenario that is not one rigid
+    pointer, as in ``reduced_params``.
     """
     t = np.asarray(t, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
@@ -69,7 +69,8 @@ def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
             f"initial pointer sum {sigma0!r} does not match the reduced trajectory's "
             f"sigma_hat(0)={sigma_hat[0]!r}"
         )
-    s = GuidanceKernel(params).spreading_factor(t)
+    # s(t') reads no pointer velocity, so the one-particle twin's kernel gives the same bits
+    s = GuidanceKernel(reduced_params(params)).spreading_factor(t)
     mean = sigma_hat / sqrt_n
     dev0 = z0 - float(z0.mean())
     dev0 -= dev0.mean()  # re-center: keeps the scaled row sums exactly on sigma_hat

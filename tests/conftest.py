@@ -1,11 +1,13 @@
 import contextlib
 import signal
+from dataclasses import replace
 
 import hypothesis
 import numpy as np
 import pytest
 
-from bohmsim.model import Configuration, ScenarioParams, single_pointer_params
+from bohmsim.model import Configuration, ScenarioParams
+from bohmsim.scenario import preset
 
 hypothesis.settings.register_profile(
     "suite", max_examples=50, deadline=None,
@@ -15,21 +17,23 @@ hypothesis.settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def fig2_params() -> ScenarioParams:
-    return single_pointer_params(10, 10, 1, 1, 1, 3, Xi=0.0, n_particles=1)
+    return preset("fig2").params
 
 
 @pytest.fixture(scope="session")
 def fig3_params() -> ScenarioParams:
-    return single_pointer_params(10, 10, 1, 1, 1, 3, Xi=10.0, n_particles=1)
+    return preset("fig3").params
 
 
 @pytest.fixture(scope="session")
 def fig4_params() -> ScenarioParams:
-    return single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=1)
+    return preset("fig4").params
 
 
 def fig4_n_particles(n: int) -> ScenarioParams:
-    return single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=n)
+    """The fig4 scenario with a rigid pointer of n particles; n = 0 has no pointer."""
+    params = preset("fig4").params
+    return params.with_rigid_pointer(n) if n else replace(params, pointer_velocities=())
 
 
 def spread_z0(n: int, sigma_hat0: float = 0.0) -> tuple[float, ...]:

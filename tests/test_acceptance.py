@@ -4,6 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  Budgets are wall-clock upper bounds on a
 desktop-class machine; tolerances are part of the contract and must not
 be loosened here.
+
+Criteria 1, 4, 8 and 9 are the ``bohmsim validate`` suites
+backend-equivalence, y-oracle, tau-scaling and mirror-symmetry, called at
+their defaults, so each of those contracts has one implementation and runs
+once per session.  ``tests/test_validate.py`` checks that ``SUITES`` maps
+each name to these same functions and pins the tolerances in their
+defaults.  Criterion 2 keeps its own launches rather than call the
+sqrtn-equivalence suite: its pointer starts come from ``spread_z0`` and
+sum to Sigma_hat'(0) = 0, so its N = 1 launch starts at Z' = 0.0, where
+the suite's starts at 0.1.
 """
 
 import math
@@ -11,12 +21,13 @@ import time
 
 import numpy as np
 
-from bohmsim.analysis import classify_ensemble, surreal_fraction_vs_N, tau_scaling_fit
+from bohmsim.analysis import classify_ensemble, surreal_fraction_vs_N
 from bohmsim.bench import run_bench
 from bohmsim.integrate import EnsembleSpec, ZInit, integrate_trajectory, run_ensemble
 from bohmsim.model import Configuration
 from bohmsim.scenario import preset
-from bohmsim.validate import check_backend_equivalence, check_y_oracle
+from bohmsim.validate import (check_backend_equivalence, check_mirror_symmetry,
+                              check_tau_scaling, check_y_oracle)
 
 from conftest import fig4_n_particles, spread_z0
 
@@ -29,8 +40,7 @@ def report(num: int, name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_01_backend_equivalence():
     t0 = time.perf_counter()
-    ok, detail = check_backend_equivalence(count=1000, tol=1e-6,
-                                           presets=("fig2", "fig3", "fig4"))
+    ok, detail = check_backend_equivalence()
     elapsed = time.perf_counter() - t0
     report(1, "backend equivalence", ok and elapsed < 10.0,
            f"{detail}; {elapsed:.1f}s (budget 10s)")
@@ -65,7 +75,7 @@ def test_criterion_03_pointer_reconstruction():
 
 
 def test_criterion_04_y_channel_oracle():
-    ok, detail = check_y_oracle(tol=1e-8)
+    ok, detail = check_y_oracle()
     report(4, "Y-channel closed form", ok, detail)
 
 
@@ -107,25 +117,14 @@ def test_criterion_07_predestination():
 
 def test_criterion_08_tau_scaling():
     t0 = time.perf_counter()
-    slope = tau_scaling_fit(preset("fig3").params, [4, 16, 64, 256], 1e-3)
+    ok, detail = check_tau_scaling()
     elapsed = time.perf_counter() - t0
-    report(8, "tau ~ N^(-1/2)", abs(slope + 0.5) <= 0.05 and elapsed < 60.0,
-           f"fitted exponent = {slope:.4f} (-0.5 +/- 0.05); {elapsed:.1f}s (budget 60s)")
+    report(8, "tau ~ N^(-1/2)", ok and elapsed < 60.0, f"{detail}; {elapsed:.1f}s (budget 60s)")
 
 
 def test_criterion_09_mirror_symmetry():
-    sc = preset("fig4")
-    opts = sc.integrator
-    tol = 10.0 * opts.rel_tol
-    trajs = run_ensemble(sc.ensemble, sc.params, opts)
-    worst = 0.0
-    for i in range(9):
-        up, lo = trajs[i], trajs[i + 9]
-        worst = max(worst,
-                    float(np.max(np.abs(up.x + lo.x))),
-                    float(np.max(np.abs(up.z + lo.z))))
-    report(9, "mirror symmetry", worst <= tol,
-           f"max reflection defect = {worst:.2e} over 9 pairs (tol {tol:.0e})")
+    ok, detail = check_mirror_symmetry()
+    report(9, "mirror symmetry", ok, detail)
 
 
 def test_criterion_10_performance():

@@ -15,7 +15,7 @@ from bohmsim.runio import read_manifest, read_trajectory_csv
 from bohmsim.scenario import (load_scenario, preset, preset_names, scenario_to_dict,
                               with_n_particles)
 from bohmsim.svgplot import Curve, render_chart
-from bohmsim.validate import check_backend_equivalence
+from bohmsim.validate import SUITES, check_backend_equivalence
 from conftest import deadline
 
 
@@ -299,10 +299,22 @@ class TestBench:
 
 
 class TestValidate:
-    def test_single_suite(self, capsys):
+    # the real suites run in the acceptance gate and tests/test_validate.py
+    def test_single_suite(self, capsys, monkeypatch):
+        monkeypatch.setitem(SUITES, "tau-scaling", lambda: (True, "fitted exponent stub"))
         assert main(["validate", "--only", "tau-scaling"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] tau-scaling" in out
+
+    def test_failing_suite_exit_1(self, capsys, monkeypatch):
+        for name in list(SUITES):
+            monkeypatch.setitem(SUITES, name, lambda: (True, "stub"))
+        monkeypatch.setitem(SUITES, "y-oracle", lambda: (False, "stub defect"))
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines].count("[PASS]") == len(SUITES) - 1
+        assert any(line.startswith("[FAIL] y-oracle") and "stub defect" in line
+                   for line in lines)
 
     def test_unknown_suite_exit_2(self):
         assert main(["validate", "--only", "vibes"]) == 2

@@ -159,13 +159,6 @@ class TestEnsembles:
         trajs = run_ensemble(EnsembleSpec(count_per_slit=1), fig4_params)
         assert len(trajs) == 2
 
-    def test_mirror_symmetric_pattern(self, fig4_params):
-        trajs = run_ensemble(EnsembleSpec(), fig4_params)
-        for i in range(9):
-            up, lo = trajs[i], trajs[i + 9]
-            assert np.max(np.abs(up.x + lo.x)) <= 1e-7
-            assert np.max(np.abs(up.z + lo.z)) <= 1e-7
-
     def test_backend_swap_matches(self):
         params = fig4_n_particles(10)
         spec_full = EnsembleSpec(count_per_slit=2, backend="full-analytic")

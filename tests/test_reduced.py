@@ -11,6 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
+from bohmsim import reduced
 from bohmsim._kernel import GuidanceKernel
 from bohmsim.integrate import IntegratorOptions, ZInit, integrate_trajectory
 from bohmsim.model import Configuration, ModeError, single_pointer_params, two_pointer_params
@@ -120,17 +121,22 @@ class TestReconstruction:
         expect = np.outer(s, np.array(z0))
         assert np.max(np.abs(traj.z - expect)) <= 1e-8
 
+    def test_builds_only_the_twin_kernel(self, monkeypatch):
+        # s(t') reads no pointer velocity: the twin's kernel gives the N-particle bits
+        seen = []
 
-class TestSqrtNEquivalence:
-    @pytest.mark.parametrize("n", [1, 4, 9, 16])
-    def test_full_vs_reduced(self, n):
-        params = fig4_n_particles(n)
-        init = Configuration(0.0, 3.2, 0.0, spread_z0(n))
-        full = integrate_trajectory(init, params, backend="full-analytic")
-        red = integrate_trajectory(init, params, backend="reduced")
-        tol = 10 * max(IntegratorOptions().rel_tol * 100.0, 1e-7)
-        assert np.max(np.abs(full.x - red.x)) <= tol
-        assert np.max(np.abs(full.sigma_hat - red.sigma_hat)) <= tol
+        def spy(params):
+            seen.append(params.n_particles)
+            return GuidanceKernel(params)
+
+        monkeypatch.setattr(reduced, "GuidanceKernel", spy)
+        params = fig4_n_particles(1000)
+        z0 = np.array(spread_z0(1000, sigma_hat0=0.3))
+        t = np.linspace(0.0, 7.5, 100)
+        reconstruct_pointers(t, np.full(t.size, z0.sum() / math.sqrt(1000)), z0, params)
+        assert seen and max(seen) <= 1
+        s = GuidanceKernel(params).spreading_factor(t)
+        assert s.tobytes() == GuidanceKernel(reduced_params(params)).spreading_factor(t).tobytes()
 
 
 def slit_centre_launch(name: str, n: int | None = None):

@@ -1,27 +1,77 @@
-"""The self-validation suites on a fresh build."""
+"""The self-validation suites: dispatch, failure reporting and the oracles' inputs.
+
+Each real suite runs once per session.  The acceptance gate runs
+backend-equivalence, y-oracle, tau-scaling and mirror-symmetry at their
+defaults (criteria 1, 4, 8 and 9); ``test_sqrtn_equivalence_suite_passes``
+runs the fifth.  Here ``run_validation`` runs on stub suites, after
+checking that ``SUITES`` names exactly those functions and that their
+defaults hold the contract tolerances.
+"""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
+from bohmsim.integrate import IntegratorOptions
 from bohmsim.model import NodeError
 from bohmsim.scenario import preset, with_n_particles
-from bohmsim.validate import (SUITES, check_backend_equivalence, random_configurations,
-                              run_validation)
+from bohmsim.validate import (SUITES, check_backend_equivalence, check_mirror_symmetry,
+                              check_sqrtn_equivalence, check_tau_scaling, check_y_oracle,
+                              random_configurations, run_validation)
+
+# each suite's function and the defaults it runs at under `bohmsim validate`
+CONTRACTS = {
+    "backend-equivalence": (check_backend_equivalence,
+                            {"count": 1000, "tol": 1e-6, "presets": ("fig2", "fig3", "fig4")}),
+    "sqrtn-equivalence": (check_sqrtn_equivalence,
+                          {"n_values": (1, 4, 9, 16), "tol": 1e-5, "opts": IntegratorOptions()}),
+    "y-oracle": (check_y_oracle, {"tol": 1e-8, "opts": IntegratorOptions()}),
+    "mirror-symmetry": (check_mirror_symmetry, {"tol_factor": 10.0, "opts": IntegratorOptions()}),
+    "tau-scaling": (check_tau_scaling, {"n_values": (4, 16, 64, 256), "threshold": 1e-3,
+                                        "expected": -0.5, "tol": 0.05}),
+}
 
 
-def test_all_suites_pass_on_fresh_build():
+def stub_suites(monkeypatch) -> list[str]:
+    """Replace every suite by one that passes at once; returns the names called, in order."""
+    calls = []
+
+    def stub(name):
+        def run():
+            calls.append(name)
+            return True, f"{name} stub"
+        return run
+
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, stub(name))
+    return calls
+
+
+def test_validation_dispatches_to_the_contract_checks(monkeypatch):
+    assert list(SUITES) == list(CONTRACTS)
+    for name, (check, contract) in CONTRACTS.items():
+        assert SUITES[name] is check, name
+        params = inspect.signature(check).parameters
+        assert {key: params[key].default for key in contract} == contract, name
+    calls = stub_suites(monkeypatch)
     results = run_validation()
-    for r in results:
-        assert r.passed, f"{r.name}: {r.detail}"
-    assert {r.name for r in results} == set(SUITES)
+    assert calls == list(CONTRACTS)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        (name, True, f"{name} stub") for name in CONTRACTS]
+    assert all(r.elapsed_s >= 0.0 for r in results)
 
 
-def test_only_filter():
+def test_sqrtn_equivalence_suite_passes():
+    ok, detail = check_sqrtn_equivalence()
+    assert ok, detail
+
+
+def test_only_filter(monkeypatch):
+    calls = stub_suites(monkeypatch)
     results = run_validation(only="mirror-symmetry")
-    assert len(results) == 1
-    assert results[0].name == "mirror-symmetry"
+    assert [r.name for r in results] == calls == ["mirror-symmetry"]
     with pytest.raises(ValueError):
         run_validation(only="nonexistent")
 
