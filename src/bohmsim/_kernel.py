@@ -13,8 +13,9 @@ and spreading denominators D = 1 + (a t')^2 where ax = 2/(r^2 xi_y),
 ay = 2/xi_y, az = 2 p_z.  Write g = a t'/D for the phase-curvature factors.
 
 ``branch_eval`` returns the two log-amplitudes and phases term by term,
-for one configuration or M at once; the finite-difference oracle is built
-on it alone and evaluates its stencil through it in row blocks.
+for one configuration or M at once, with the two branches evaluated
+stacked as one (2, ...) block; the finite-difference oracle is built on it
+alone and evaluates its stencil through it in row blocks.
 ``velocity`` and ``contrast`` never form the branches.  They use the branch contrast, in
 which the w-terms cancel and the pointer enters only through the single
 dot product dXi . Z' (dXi = Xi^+ - Xi^-):
@@ -80,9 +81,10 @@ class GuidanceKernel:
     __slots__ = (
         "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
-        "xi_p", "xi_m", "gam_p", "gam_m",
+        "xi_pm", "gam_pm", "gam_p", "gam_m",
         "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2",
     )
+    _SIGNS = np.array([[1.0], [-1.0]])  # (+1, -1) down the branch axis of a stacked block
 
     def __init__(self, params: ScenarioParams):
         self.n = params.n_particles
@@ -97,19 +99,20 @@ class GuidanceKernel:
         self.ax = 2.0 / r2xy
         self.ay = 2.0 / params.xi_y
         self.az = 2.0 * self.pz
-        self.xi_p = np.array([v[0] for v in params.pointer_velocities], dtype=float)
-        self.xi_m = np.array([v[1] for v in params.pointer_velocities], dtype=float)
-        self.gam_p = self.pz * self.xi_p
-        self.gam_m = self.pz * self.xi_m
+        # (Xi^+, Xi^-) and (gamma^+, gamma^-) as (2, 1, N): they broadcast against 1 or M rows
+        self.xi_pm = np.array(params.pointer_velocities, float).reshape(-1, 2).T.copy()[:, None]
+        self.gam_pm = self.pz * self.xi_pm
+        xi_p, xi_m = self.xi_pm[:, 0]
+        self.gam_p, self.gam_m = self.gam_pm[:, 0]
         # dXi padded to the state layout (X', Y', Z'): the leading zeros drop X' and Y'
         self.dxi_pad = np.zeros(self.n + 2)
-        self.dxi = np.subtract(self.xi_p, self.xi_m, out=self.dxi_pad[2:])
+        self.dxi = np.subtract(xi_p, xi_m, out=self.dxi_pad[2:])
         self.pz_dxi_pad = self.pz * self.dxi_pad
         if params.is_single_pointer:  # Xi^- = -Xi^+: SXi and dG vanish exactly
             self.pz_sxi_pad = None
             self.dgam2 = 0.0
         else:
-            self.pz_sxi_pad = np.concatenate(([0.0, 0.0], self.pz * (self.xi_p + self.xi_m)))
+            self.pz_sxi_pad = np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m)))
             self.dgam2 = float(self.gam_p @ self.gam_p - self.gam_m @ self.gam_m)
 
     # -- packet geometry -------------------------------------------------
@@ -129,41 +132,33 @@ class GuidanceKernel:
     # -- branch evaluation -----------------------------------------------
 
     def branch_eval(self, t: float, x: float | np.ndarray, y: float | np.ndarray,
-                    z: np.ndarray):
+                    z: np.ndarray) -> np.ndarray:
         """(log_r1, log_r2, s1, s2) with common normalization dropped.
 
-        One configuration (scalars x, y and z of shape (N,)) or M at once
-        (x, y of shape (M,), z of shape (M, N)), all at the time t'.  The
-        pointer sums are one ``np.vecdot`` per row, the same dot product
-        for both shapes, so each row of a batched call equals the scalar
-        call on that row bit for bit.
+        One (4,) array for one configuration (scalars x, y and z of shape
+        (N,)), one (4, M) array for M at once (x, y of shape (M,), z of shape
+        (M, N)), all at the time t'.  The two branches are evaluated stacked,
+        as (2, ...) blocks.  The pointer sums are one ``np.vecdot`` per row
+        and branch, the same dot product for both shapes, so each row of a
+        batched call equals the scalar call on that row bit for bit.
         """
         Dx, Dy, Dz = self.denominators(t)
-        cx = self.d - self.beta * t
-        up = x - cx
-        um = x + cx
+        # x - (-c) is x + c exactly, so the lower branch keeps the bits of X' + c_x
+        u = x - self._SIGNS * (self.d - self.beta * t)
         w = y - t
-        qp = z - self.gam_p * t
-        qm = z - self.gam_m * t
-        upq = up * up
-        umq = um * um
+        q = z - self.gam_pm * t
+        uq = u * u
         wq = w * w
-        qpq = np.vecdot(qp, qp)
-        qmq = np.vecdot(qm, qm)
+        qq = np.vecdot(q, q)
+        out = np.empty((4, *qq.shape[1:]))
         # -(a + b + c) as ((-a) - b) - c: the same bits in fewer array operations
-        wy = wq / Dy
-        lr1 = (upq / -Dx - wy) - qpq / Dz
-        lr2 = (umq / -Dx - wy) - qmq / Dz
-        sx = self.xi_x * x
-        pwy = self.xi_y * y
-        pw1 = np.vecdot(z, self.xi_p)
-        pw2 = np.vecdot(z, self.xi_m)
+        np.subtract(uq / -Dx - wq / Dy, qq / Dz, out=out[:2])
         gx = self.ax * t / Dx
         gyw = (self.ay * t / Dy) * wq
         gz = self.az * t / Dz
-        s1 = (pw1 - sx) + pwy + gx * upq + gyw + gz * qpq
-        s2 = (pw2 + sx) + pwy + gx * umq + gyw + gz * qmq
-        return lr1, lr2, s1, s2
+        s = (np.vecdot(z, self.xi_pm) - self._SIGNS * (self.xi_x * x)) + self.xi_y * y
+        np.add(s + gx * uq + gyw, gz * qq, out=out[2:])
+        return out if z.ndim == 2 else out[:, 0]
 
     # -- branch contrast -------------------------------------------------
 
@@ -235,7 +230,8 @@ class GuidanceKernel:
 
         c = 1.0 - 2.0 * gz * self.pz * t
         a = c * half_dw + wcs * (2.0 * self.pz * t / Dz)
-        v = a * self.pz_dxi_pad + (2.0 * self.pz * gz) * state
+        v = (2.0 * self.pz * gz) * state
+        v += a * self.pz_dxi_pad
         if self.pz_sxi_pad is not None:
             v += (0.5 * c) * self.pz_sxi_pad
         Dy = 1.0 + (self.ay * t) ** 2

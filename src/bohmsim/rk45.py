@@ -39,6 +39,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+# C function under np.count_nonzero's Python wrapper and dispatcher: the stage test runs often
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from .model import NodeError
 
@@ -101,8 +103,10 @@ class SolverResult:
     t_reached: float = 0.0
 
 
-def _error_norm(err, abs_y0, abs_y1, rtol, atol):
-    r = err / (atol + rtol * np.maximum(abs_y0, abs_y1))
+def _error_norm(err, abs_y0, abs_y1, rtol, atol, r):
+    # RMS of err / (atol + rtol * max(|y0|, |y1|)), computed in the scratch buffer r
+    np.multiply(np.maximum(abs_y0, abs_y1, out=r), rtol, out=r)
+    np.divide(err, np.add(r, atol, out=r), out=r)
     return math.sqrt(float(r.dot(r)) / r.size)
 
 
@@ -147,7 +151,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     ts = np.asarray(sample_times, dtype=float).tolist()
     if ts and not (t0 <= ts[0] and ts[-1] <= t_end + 1e-12):
         raise ValueError("sample times must lie within [t0, t_end]")
-    if not all(a < b for a, b in zip(ts, ts[1:])):
+    if not (np.diff(ts) > 0.0).all():  # NaN compares False, so it is refused too
         raise ValueError("sample times must be strictly ascending")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -174,6 +178,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     scaled = weights[:, 1:]
     stages = [(i, _C[i], weights[i - 1, :i + 1], buf[:i + 1]) for i in range(1, 7)]
     err_row = weights[6, 1:]
+    scratch = np.empty(dim)
     buf[0] = y0
     k[0] = rhs(t0, y0)  # initial state is required non-node by the caller
     n_rhs = 1
@@ -200,7 +205,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     while t < t_end:
         if n_steps + n_rejected > MAX_STEPS:
             raise IntegrationAbort(f"step budget exceeded at t={t!r}")
-        h = min(h, max_step)
+        h = max_step if max_step < h else h  # min and max as comparisons: no builtin calls
         last_step = t + h >= t_end
         if last_step:
             h = t_end - t
@@ -209,7 +214,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         try:
             for i, c, w, rows in stages:
                 yi = w.dot(rows)
-                if np.count_nonzero(np.isfinite(yi)) != dim:
+                if _count_nonzero(np.isfinite(yi)) != dim:
                     raise IntegrationAbort("non-finite stage state")
                 n_rhs += 1
                 k[i] = rhs(t + c * h, yi)
@@ -227,7 +232,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
         # yi is now stage 7's state, the 5th-order solution
         abs_y_new = np.abs(yi)
-        err = _error_norm(err_row.dot(k), abs_y, abs_y_new, rtol, atol)
+        err = _error_norm(err_row.dot(k), abs_y, abs_y_new, rtol, atol, scratch)
         if not math.isfinite(err):
             h *= 0.5
             if h < H_FLOOR:
@@ -244,10 +249,9 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
         # accepted
         n_steps += 1
-        if h == max_step:
-            n_capped += 1
-        h_min = min(h_min, h)
-        h_max = max(h_max, h)
+        n_capped += h == max_step
+        h_min = h if h < h_min else h_min
+        h_max = h if h > h_max else h_max
         t_new = t_end if last_step else t + h
 
         if si < n_out and (last_step or ts[si] <= t_new):
@@ -257,9 +261,10 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
         # PI step-size controller; no growth straight after a rejection
         fac = _SAFETY * err ** -_EXPO * fac_old ** _BETA if err > 0 else _FAC_MAX
+        fac = fac if fac > _FAC_MIN else _FAC_MIN
         cap = 1.0 if just_rejected else _FAC_MAX
-        h = h * min(cap, max(_FAC_MIN, fac))
-        fac_old = max(err, 1e-4)
+        h = h * (fac if fac < cap else cap)
+        fac_old = 1e-4 if err < 1e-4 else err
         just_rejected = False
         t, y, abs_y = t_new, yi, abs_y_new
         buf[0] = yi

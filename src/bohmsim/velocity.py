@@ -14,11 +14,11 @@ contract: ``route(kern, t, state, node_floor)`` returns dy/dt' of the state
 
 The finite-difference stencil (the centre, then each coordinate moved by
 +/-h and +/-h/2) is built as rows of configurations and evaluated a block
-of rows per batched ``GuidanceKernel.branch_eval`` call; a block holds at
-most ``FD_BLOCK_BYTES`` of coordinates, so memory stays bounded at any N.
-Every row is still a full branch evaluation: nothing is updated
-incrementally from the centre, and no gradient of the analytic route is
-reused.
+of rows per batched ``GuidanceKernel.branch_eval`` call, which stacks the
+two branches; a block holds at most ``FD_BLOCK_BYTES`` of coordinates, so
+memory stays bounded at any N.  Every row is still a full branch
+evaluation: nothing is updated incrementally from the centre, and no
+gradient of the analytic route is reused.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .model import NODE_EPS, Configuration, NodeError, ScenarioParams
 
 __all__ = ["VelocityVector", "velocity_analytic", "velocity_numeric", "fd_velocity", "y_closed_form"]
 
-# Bytes of stencil coordinates per batched ``branch_eval`` call: the whole
-# stencil up to N = 62, 16 rows a call at N = 1000.  This keeps the kernel's
-# pointer-sized temporaries under the C allocator's usual 128 KiB mmap
-# threshold.  At N = 1000 in a fresh process, 256 KiB blocks ran 1.9x slower
-# (a fresh mapping for every temporary) and 64 KiB blocks 1.6x (more calls).
-FD_BLOCK_BYTES = 128 * 1024
+# Bytes of stencil coordinates per batched ``branch_eval`` call: the whole stencil up
+# to N = 88, 32 rows a call at N = 1000; the stacked temporaries, (2, rows, N), are twice
+# that.  In fresh processes (fig4, median of 15 calls), 256 and 128 KiB blocks both read
+# 29 ms at N = 1000, and 184 against 261 ms at N = 3000, where 128 KiB holds one coordinate.
+FD_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -50,20 +49,29 @@ class VelocityVector:
     dz: tuple[float, ...]
 
     def __post_init__(self):
-        vals = (self.dx, self.dy, *self.dz)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, (self.dx, self.dy, *self.dz))):
             raise ValueError("velocity entries must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, *self.dz])
 
 
+# (params, kernel) of the last wrapper call, matched by identity: two params that
+# compare == can differ in the sign of a zero, and hashing params costs O(N)
+_last_kernel: tuple = (None, None)
+
+
 def _at_config(route, config: Configuration, params: ScenarioParams, *args) -> VelocityVector:
-    """``route(kern, t, state, *args)`` on one configuration of ``params``."""
+    """``route(kern, t, state, *args)`` on one configuration; one kernel per params object."""
+    global _last_kernel
     if len(config.z) != params.n_particles:
         raise ValueError(f"configuration has {len(config.z)} pointer coordinates, "
                          f"scenario has {params.n_particles}")
-    vx, vy, *vz = route(GuidanceKernel(params), config.t_prime, config.state(), *args).tolist()
+    held, kern = _last_kernel
+    if held is not params:
+        kern = GuidanceKernel(params)
+        _last_kernel = params, kern
+    vx, vy, *vz = route(kern, config.t_prime, config.state(), *args).tolist()
     return VelocityVector(vx, vy, tuple(vz))
 
 
@@ -91,32 +99,34 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
     # stencil row 0 is the centre; row 1 + width*k + j has coordinate k moved by steps[j]
     branches = np.empty((4, 1 + width * dims))
     per_block = max(1, FD_BLOCK_BYTES // (8 * width * dims))
-    rows = np.empty((1 + width * min(per_block, dims), dims))
+    # flattened, block row 1 + width*k + j, column lo + k is entry dims + k*span + lo + j*dims:
+    # a strided view of the rows read as (nc, span), which may run into the spare last row
+    span = width * dims + 1
+    rows = np.empty((2 + width * min(per_block, dims), dims))
     for lo in range(0, dims, per_block):
         nc = min(per_block, dims - lo)  # coordinates lo .. lo + nc - 1
-        k = np.arange(nc)
         rows[:] = state
-        rows[1:1 + width * nc].reshape(nc, width, dims)[k, :, lo + k] += steps
+        diagonal = rows.reshape(-1)[dims:dims + nc * span].reshape(nc, span)
+        diagonal[:, lo:lo + width * dims:dims] += steps
         start = 0 if lo == 0 else 1  # the centre row goes with the first block only
         block = rows[start:1 + width * nc]
         branches[:, start + width * lo:1 + width * (lo + nc)] = kern.branch_eval(
             t, block[:, 0], block[:, 1], block[:, 2:])
 
-    lr1, lr2, s1, s2 = branches
-    scale = max(lr1[0], lr2[0])
-    psi = np.exp((lr1 - scale) + 1j * s1) + np.exp((lr2 - scale) + 1j * s2)
+    scale = max(branches.item(0, 0), branches.item(1, 0))
+    psi = np.add(*np.exp((branches[:2] - scale) + 1j * branches[2:]))  # Psi_1 + Psi_2
     psi_c = complex(psi[0])
     rho_hat = abs(psi_c) ** 2
     if rho_hat < node_eps:
         raise NodeError(rho_hat)
 
     moved = psi[1:].reshape(dims, width)
-    dpsi = (moved[:, 0] - moved[:, 1]) / (2.0 * h)
+    diff = moved[:, 0::2] - moved[:, 1::2]  # Psi(+h) - Psi(-h), Psi(+h/2) - Psi(-h/2)
+    dpsi = diff[:, 0] / (2.0 * h)
     if richardson:
-        d2 = (moved[:, 2] - moved[:, 3]) / h
-        dpsi = (4.0 * d2 - dpsi) / 3.0
+        dpsi = (4.0 * (diff[:, 1] / h) - dpsi) / 3.0
     v = (psi_c.conjugate() * dpsi).imag / rho_hat  # the probability current per coordinate
-    v[:2] *= (kern.px, kern.py)
+    v[0], v[1] = v[0] * kern.px, v[1] * kern.py
     v[2:] *= kern.pz
     return v
 

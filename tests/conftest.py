@@ -1,11 +1,15 @@
 import contextlib
 import signal
+import time
 from dataclasses import replace
 
 import hypothesis
 import numpy as np
 import pytest
 
+from bohmsim import cli, validate
+from bohmsim.analysis import surreal_fraction_vs_N
+from bohmsim.integrate import IntegratorOptions, Trajectory, run_ensemble
 from bohmsim.model import Configuration, ScenarioParams
 from bohmsim.scenario import preset
 
@@ -28,6 +32,45 @@ def fig3_params() -> ScenarioParams:
 @pytest.fixture(scope="session")
 def fig4_params() -> ScenarioParams:
     return preset("fig4").params
+
+
+@pytest.fixture(scope="session")
+def fig4_ensemble() -> list[Trajectory]:
+    """The fig4 preset's ensemble at its own options, integrated once per session.
+
+    Its arrays are read-only, so a test that writes to them fails instead of
+    changing what later tests read.
+    """
+    sc = preset("fig4")
+    trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
+    for traj in trajs:
+        for value in vars(traj).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return trajs
+
+
+@pytest.fixture
+def serve_fig4_ensemble(fig4_ensemble, monkeypatch):
+    """``validate`` and ``cli`` get ``fig4_ensemble`` from ``run_ensemble`` on the
+    fig4 preset's own arguments, and integrate every other ensemble as usual."""
+    sc = preset("fig4")
+    for module in (validate, cli):
+        def served(spec, params, opts=IntegratorOptions(), integrate=module.run_ensemble):
+            if (spec, params, opts) == (sc.ensemble, sc.params, sc.integrator):
+                return fig4_ensemble
+            return integrate(spec, params, opts)
+
+        monkeypatch.setattr(module, "run_ensemble", served)
+
+
+@pytest.fixture(scope="session")
+def fig4_centred_sweep() -> tuple[list[tuple[int, float]], float]:
+    """``surreal_fraction_vs_N`` on the fig4 base at N = 1 and 10, Sigma_hat'(0) = 0,
+    with its wall seconds: run once per session."""
+    t0 = time.perf_counter()
+    rows = surreal_fraction_vs_N(preset("fig4").params, [1, 10], sigma_hat0=0.0)
+    return rows, time.perf_counter() - t0
 
 
 def fig4_n_particles(n: int) -> ScenarioParams:

@@ -9,7 +9,7 @@ from bohmsim import analysis, integrate
 from bohmsim.analysis import (DegenerateFit, ThresholdNotReached, classify, classify_ensemble,
                               empty_wave_ratio, surreal_fraction_vs_N, tau_scaling_fit,
                               threshold_crossing_times)
-from bohmsim.integrate import EnsembleSpec, IntegratorOptions, Trajectory, run_ensemble
+from bohmsim.integrate import IntegratorOptions, Trajectory
 from bohmsim.model import Configuration, ModeError, two_pointer_params
 from bohmsim.rk45 import SolverStats
 from bohmsim.scenario import preset
@@ -57,8 +57,8 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(traj)
 
-    def test_mirror_invariance_of_verdicts(self, fig4_params):
-        summary = classify_ensemble(run_ensemble(EnsembleSpec(), fig4_params))
+    def test_mirror_invariance_of_verdicts(self, fig4_ensemble):
+        summary = classify_ensemble(fig4_ensemble)
         ups = [v for v in summary.verdicts if v.initial_slit == "upper"]
         los = [v for v in summary.verdicts if v.initial_slit == "lower"]
         assert [v.bounced for v in ups] == [v.bounced for v in los]
@@ -198,8 +198,9 @@ class TestSurrealFractions:
         with pytest.raises(ValueError):
             surreal_fraction_vs_N(fig3_params, [1])
 
-    def test_fraction_decreases_with_n(self, fig4_params):
-        rows = surreal_fraction_vs_N(fig4_params, [1, 10, 200])
+    def test_fraction_decreases_with_n(self, fig4_params, fig4_centred_sweep):
+        # N = 1 and 10 are criterion 6's sweep, on the same inputs
+        rows = fig4_centred_sweep[0] + surreal_fraction_vs_N(fig4_params, [200])
         fractions = [f for _, f in rows]
         assert fractions[0] >= 0.7
         assert fractions[1] < fractions[0]

@@ -177,8 +177,8 @@ class TestEnsembles:
             assert np.array_equal(ta.z, tb.z)
             assert np.array_equal(ta.log_omega, tb.log_omega)
 
-    def test_no_crossing_in_configuration_space(self, fig4_params):
-        trajs = run_ensemble(EnsembleSpec(), fig4_params)
+    def test_no_crossing_in_configuration_space(self, fig4_ensemble):
+        trajs = fig4_ensemble
         n = len(trajs)
         for i in range(n):
             for j in range(i + 1, n):

@@ -1,6 +1,7 @@
 """Velocity backends against each other and against closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ class TestStencilBlocks:
             assert len(rows) > 1 and sum(rows) == 1 + 4 * 1002
             # bounded blocks: whole coordinates (4 rows each) within FD_BLOCK_BYTES
             assert 4 * 1002 * 8 <= (max(rows) - 1) * 1002 * 8 <= velocity.FD_BLOCK_BYTES
+
+
+class TestWrapperKernel:
+    def test_one_kernel_per_params_object(self, monkeypatch):
+        built = []
+
+        class Spy(GuidanceKernel):
+            def __init__(self, params):
+                built.append(params)
+                super().__init__(params)
+
+        monkeypatch.setattr(velocity, "GuidanceKernel", Spy)
+        first = fig4_n_particles(3)
+        twin = replace(first)  # equal, but another object: it gets its own kernel
+        assert twin == first and twin is not first
+        for params in (first, twin):
+            fresh = GuidanceKernel(params)
+            for cfg in random_configurations(params, 25, np.random.default_rng(8)):
+                state = cfg.state()
+                va = velocity_analytic(cfg, params).as_array()
+                vn = velocity_numeric(cfg, params).as_array()
+                assert va.tobytes() == fresh.velocity(cfg.t_prime, state).tobytes()
+                assert vn.tobytes() == fd_velocity(fresh, cfg.t_prime, state).tobytes()
+        assert len(built) == 2 and built[0] is first and built[1] is twin
 
 
 class TestUncoupledPointer:
