@@ -192,14 +192,13 @@ class GuidanceKernel:
 
     # -- guidance velocity -----------------------------------------------
 
-    def velocity(self, t: float, state: np.ndarray,
-                 node_floor: float = NODE_EPS) -> np.ndarray:
+    def velocity(self, t: float, state: np.ndarray) -> np.ndarray:
         """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
         The state is only read.  The pointer dot and v_z are taken on the
         whole state, against dXi padded with two zeros; entries 0 and 1 are
         then set to v_x and v_y.  Raises NodeError if the normalized density
-        is below node_floor.
+        is below NODE_EPS.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
         x, y = state.item(0), state.item(1)
@@ -217,7 +216,7 @@ class GuidanceKernel:
             el = math.exp(-abs(l))
             e2 = el * el
             rho_hat = 1.0 + e2 + 2.0 * el * math.cos(d)
-            if rho_hat < node_floor:
+            if rho_hat < NODE_EPS:
                 raise NodeError(rho_hat)
             if l >= 0:
                 w1 = 1.0 / rho_hat

@@ -22,12 +22,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from ._kernel import GuidanceKernel
-from .model import NODE_EPS, Configuration, ScenarioParams
+from .model import Configuration, ScenarioParams
 from .reduced import reconstruct_pointers, reduced_params
 from .rk45 import SolverStats, solve
 from .velocity import fd_velocity
@@ -62,7 +62,6 @@ class IntegratorOptions:
     max_step_frac: float = 1e-2      # ceiling on h as a fraction of the horizon
     t_end: float | None = None       # horizon; default 2.5 * t'_cross
     stride: float | None = None      # output sampling interval; default horizon/512
-    node_eps: float = NODE_EPS
 
     def __post_init__(self):
         for f in fields(self):
@@ -213,7 +212,7 @@ def sample_initials(spec: EnsembleSpec, params: ScenarioParams) -> list[Configur
 def integrate_trajectory(init: Configuration, params: ScenarioParams,
                          opts: IntegratorOptions = IntegratorOptions(),
                          backend: str = "full-analytic") -> Trajectory:
-    """Integrate one trajectory from a t' = 0, non-node configuration."""
+    """Integrate one trajectory from t' = 0; a start on a node is flagged degenerate."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if init.t_prime != 0.0:
@@ -225,7 +224,6 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
 
     t_end, _, max_step = opts.resolve(params)
     samples = opts.sample_grid(params)
-    node_floor = 10.0 * opts.node_eps
     n = params.n_particles
     sqrt_n = math.sqrt(n) if n else 1.0
 
@@ -233,11 +231,7 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     kern = GuidanceKernel(reduced_params(params) if backend == "reduced" else params)
     if backend == "reduced":  # (X', Y', Sigma_hat') is the full state of the one-particle twin
         y0 = np.append(y0[:2], y0[2:].sum() / sqrt_n)
-    route = fd_velocity if backend == "full-numeric" else GuidanceKernel.velocity
-
-    def rhs(t, state):
-        return route(kern, t, state, node_floor)
-
+    rhs = partial(fd_velocity, kern) if backend == "full-numeric" else kern.velocity
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)
     t, x, y = res.t, res.y[:, 0], res.y[:, 1]

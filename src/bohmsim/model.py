@@ -42,12 +42,12 @@ __all__ = [
 ]
 
 # Normalized-density floor below which the guidance velocity is numerically
-# meaningless (destructive-interference node).
-NODE_EPS = 1e-13
+# meaningless (destructive-interference node); both velocity routes test it.
+NODE_EPS = 1e-12
 
 
 class NodeError(ArithmeticError):
-    """Raised when the local density is below the node epsilon."""
+    """Raised when the local density is below ``NODE_EPS``."""
 
     def __init__(self, rho_hat: float):
         super().__init__(f"configuration too close to a wave-function node (rho_hat={rho_hat:.3e})")

@@ -33,6 +33,8 @@ from .model import ScenarioParams
 
 __all__ = ["reduced_params", "reconstruct_pointers"]
 
+SUM_ATOL = 1e-12  # how far the scaled sum of z0 may sit from sigma_hat[0]
+
 
 def reduced_params(params: ScenarioParams) -> ScenarioParams:
     """Map an N-particle single-pointer scenario to its 1-particle twin.
@@ -45,11 +47,11 @@ def reduced_params(params: ScenarioParams) -> ScenarioParams:
 
 
 def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
-                         params: ScenarioParams, atol: float = 1e-12) -> np.ndarray:
+                         params: ScenarioParams) -> np.ndarray:
     """Recover all N pointer trajectories from a reduced (t', Sigma_hat') run.
 
     ``z0`` are the N initial pointer positions; their scaled sum must match
-    sigma_hat[0] to ``atol``.  Returns an (n_times, N) array whose scaled
+    sigma_hat[0] to ``SUM_ATOL``.  Returns an (n_times, N) array whose scaled
     row sums reproduce sigma_hat exactly (the deviations from the mean are
     constructed sum-free).  ModeError for a scenario that is not one rigid
     pointer, as in ``reduced_params``.
@@ -64,7 +66,7 @@ def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
         return np.zeros((t.size, 0))
     sqrt_n = math.sqrt(n)
     sigma0 = float(z0.sum()) / sqrt_n
-    if abs(sigma0 - sigma_hat[0]) > atol:
+    if abs(sigma0 - sigma_hat[0]) > SUM_ATOL:
         raise ValueError(
             f"initial pointer sum {sigma0!r} does not match the reduced trajectory's "
             f"sigma_hat(0)={sigma_hat[0]!r}"

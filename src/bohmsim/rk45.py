@@ -8,7 +8,7 @@ Two non-standard behaviors are built in for Bohmian trajectories:
   is too small; the stepper then halves the step and retries, and if the
   step falls below ``H_FLOOR`` the trajectory is truncated at the last
   accepted point and flagged degenerate (exact nodes are measure zero, so
-  this is a flag, not a failure);
+  this is a flag, not a failure); a start on a node is degenerate at once;
 * non-finite stages are handled the same way, except that hitting the
   floor raises ``IntegrationAbort``.  Every component of a stage state is
   tested, by counting ``np.isfinite``, before ``rhs`` sees it: exact, and
@@ -145,7 +145,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
     first entry, if equal to t0, is served from the initial state.  Returns
-    the samples reached (all of them unless the run degenerates at a node).
+    the samples reached (all of them unless the run degenerates at a node, t0 included).
     """
     y0 = np.asarray(y0, dtype=float)
     ts = np.asarray(sample_times, dtype=float).tolist()
@@ -180,7 +180,10 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     err_row = weights[6, 1:]
     scratch = np.empty(dim)
     buf[0] = y0
-    k[0] = rhs(t0, y0)  # initial state is required non-node by the caller
+    try:
+        k[0] = rhs(t0, y0)
+    except NodeError:
+        return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True, t0)
     n_rhs = 1
     if first_step is None:
         h = _initial_step(rhs, t0, y0, k[0], t_end, rtol, atol, max_step)

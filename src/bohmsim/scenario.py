@@ -57,7 +57,7 @@ __all__ = [
     "with_seed",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ScenarioError(ValueError):
@@ -174,8 +174,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION} "
-            "(version 2 replaced outputs.formats with the boolean outputs.svg "
-            "and dropped outputs.path)")
+            "(version 2 replaced outputs.formats with the boolean outputs.svg and "
+            "dropped outputs.path; version 3 dropped integrator.node_eps)")
     return _build(Scenario, data, "scenario")
 
 

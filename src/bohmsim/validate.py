@@ -29,7 +29,7 @@ import numpy as np
 from ._kernel import GuidanceKernel
 from .analysis import tau_scaling_fit
 from .integrate import IntegratorOptions, integrate_trajectory, run_ensemble
-from .model import NODE_EPS, Configuration, NodeError, ScenarioParams
+from .model import Configuration, NodeError, ScenarioParams
 from .scenario import preset, preset_names
 from .velocity import fd_velocity, y_closed_form
 
@@ -83,7 +83,7 @@ def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
 
     Both routes run on each configuration's state, one kernel per preset.
     ``random_configurations`` keeps only draws with a normalized density of
-    at least 1e-6, far above any node floor, so a NodeError from either
+    at least 1e-6, far above the node floor, so a NodeError from either
     route is a failure, not a skip; so is a velocity that is not finite.
     """
     rng = np.random.default_rng(seed)
@@ -96,7 +96,7 @@ def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
         for cfg in random_configurations(params, count, rng):
             state = cfg.state()
             try:
-                va = analytic_fn(kern, cfg.t_prime, state, NODE_EPS)
+                va = analytic_fn(kern, cfg.t_prime, state)
                 vn = fd_velocity(kern, cfg.t_prime, state)
             except NodeError:
                 node_errors += 1

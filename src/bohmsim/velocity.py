@@ -9,8 +9,8 @@ the analytic route.  The decoupled longitudinal motion has the closed form
 ``y_closed_form``, used as an integration oracle.
 
 Both routes, ``GuidanceKernel.velocity`` and ``fd_velocity``, keep one
-contract: ``route(kern, t, state, node_floor)`` returns dy/dt' of the state
-(X', Y', Z'_1..Z'_N) as a fresh array.
+contract: ``route(kern, t, state)`` returns dy/dt' of the state (X', Y',
+Z'_1..Z'_N) as a fresh array, or raises NodeError below ``model.NODE_EPS``.
 
 The finite-difference stencil (the centre, then each coordinate moved by
 +/-h and +/-h/2) is built as rows of configurations and evaluated a block
@@ -75,15 +75,13 @@ def _at_config(route, config: Configuration, params: ScenarioParams, *args) -> V
     return VelocityVector(vx, vy, tuple(vz))
 
 
-def velocity_analytic(config: Configuration, params: ScenarioParams,
-                      node_eps: float = NODE_EPS) -> VelocityVector:
+def velocity_analytic(config: Configuration, params: ScenarioParams) -> VelocityVector:
     """Exact dimensionless guidance velocity at a non-node configuration."""
-    return _at_config(GuidanceKernel.velocity, config, params, node_eps)
+    return _at_config(GuidanceKernel.velocity, config, params)
 
 
 def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
-                node_eps: float = NODE_EPS, h: float = 1e-5,
-                richardson: bool = True) -> np.ndarray:
+                h: float = 1e-5, richardson: bool = True) -> np.ndarray:
     """Finite-difference dy/dt' at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
     The same contract as ``GuidanceKernel.velocity``; the state is only
@@ -91,7 +89,7 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
     ``richardson``) in blocks of whole coordinates, one ``kern.branch_eval``
     call per block, and takes the differences as array operations.
     Raises NodeError if the normalized density at the centre is below
-    ``node_eps``.
+    ``NODE_EPS``.
     """
     steps = np.array((h, -h, h / 2.0, -h / 2.0) if richardson else (h, -h))
     width = steps.size
@@ -117,7 +115,7 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
     psi = np.add(*np.exp((branches[:2] - scale) + 1j * branches[2:]))  # Psi_1 + Psi_2
     psi_c = complex(psi[0])
     rho_hat = abs(psi_c) ** 2
-    if rho_hat < node_eps:
+    if rho_hat < NODE_EPS:
         raise NodeError(rho_hat)
 
     moved = psi[1:].reshape(dims, width)
@@ -132,8 +130,7 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
 
 
 def velocity_numeric(config: Configuration, params: ScenarioParams,
-                     h: float = 1e-5, richardson: bool = True,
-                     node_eps: float = NODE_EPS) -> VelocityVector:
+                     h: float = 1e-5, richardson: bool = True) -> VelocityVector:
     """Finite-difference guidance velocity from the full complex Psi.
 
     Central differences are O(h^2); with ``richardson`` the h and h/2
@@ -144,7 +141,7 @@ def velocity_numeric(config: Configuration, params: ScenarioParams,
     """
     if not 0.0 < h <= 1e-4:
         raise ValueError(f"finite-difference step must be in (0, 1e-4], got {h!r}")
-    return _at_config(fd_velocity, config, params, node_eps, h, richardson)
+    return _at_config(fd_velocity, config, params, h, richardson)
 
 
 def y_closed_form(t_prime: float, y0_prime: float, xi_y: float) -> float:

@@ -61,6 +61,20 @@ class TestSimulate:
             assert ra["crossed_plane"] == rb["crossed_plane"]
             assert ra["final_direction"] == rb["final_direction"]
 
+    @pytest.mark.parametrize("backend", ["full-analytic", "full-numeric"])
+    def test_launch_on_a_node_is_excluded(self, tmp_path, backend):
+        # the X' = 0 launch of each slit starts on an exact node: equal branch
+        # amplitudes, and delta_S = (Xi+ - Xi-) Z' = pi at Z' = pi/20
+        data = scenario_to_dict(preset("fig4"))
+        data["ensemble"].update(count_per_slit=3, extent=3.0, backend=backend,
+                                z_init={"mode": "common", "value": math.pi / 20})
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        assert read_manifest(out)["classification"]["excluded"] == 2
+        assert main(["plot", str(out)]) == 0
+
     def test_seed_and_n_overrides(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--preset", "fig4", "--n", "10", "--seed", "5",
@@ -325,8 +339,8 @@ class TestValidate:
         flipped_kern = GuidanceKernel(params.with_rigid_pointer(params.n_particles,
                                                                 -params.rigid_xi()))
 
-        def flipped(kern, t, state, node_floor):
-            return flipped_kern.velocity(t, state, node_floor)
+        def flipped(kern, t, state):
+            return flipped_kern.velocity(t, state)
 
         ok, detail = check_backend_equivalence(count=40, presets=("fig4",),
                                                analytic_fn=flipped)
@@ -407,10 +421,18 @@ def _set(path, value):
     def mutate(data):
         parent = _get(data, path[:-1])
         if value is _DROP:
-            del parent[path[-1]]
+            parent.pop(path[-1], None)  # a retired key is not there to drop
         else:
             parent[path[-1]] = value
     return mutate
+
+
+def _walked(name):
+    """The preset's scenario dict with the retired ``integrator.node_eps`` back in
+    the place every version-2 file held it."""
+    data = scenario_to_dict(preset(name))
+    data["integrator"]["node_eps"] = 1e-13
+    return data
 
 
 def _wrong_type(value):
@@ -426,16 +448,19 @@ def file_mutations(seed=20261018):
     generator. It is dropped, nulled and given a wrong JSON type; number
     fields also get NaN and +/-Infinity. Wrong types and non-finite numbers
     must be refused; a dropped or nulled key may fall back to its default.
+    The walk also visits the retired ``integrator.node_eps`` in its old
+    place, so every other key keeps its preset: set to any value, it is
+    refused as an unknown key, and dropped, the file is a current one.
     """
     rng = np.random.default_rng(seed)
     owners: dict[tuple, list[str]] = {}
     for name in preset_names():
-        for path in _key_paths(scenario_to_dict(preset(name))):
+        for path in _key_paths(_walked(name)):
             owners.setdefault(path, []).append(name)
     cases = []
     for path, names in owners.items():
         name = str(rng.choice(names))
-        value = _get(scenario_to_dict(preset(name)), path)
+        value = _get(_walked(name), path)
         label = f"{name}:{'.'.join(path)}"
         cases += [pytest.param(name, _set(path, _DROP), False, id=f"{label}=drop"),
                   pytest.param(name, _set(path, None), False, id=f"{label}=null"),

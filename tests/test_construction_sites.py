@@ -1,9 +1,14 @@
-"""Scenario parameters are built in model.py; the rest of the package resizes them.
+"""Scenario parameters are built in model.py, and the node floor is read by the routes.
 
 Every other module derives a family member from existing parameters with
 ``ScenarioParams.with_rigid_pointer``, so "these parameters with a rigid
 pointer of n particles" is written once.  The one exception is the preset
 table, which declares each canonical scenario from its physical values.
+
+The node floor ``NODE_EPS`` is declared in model.py and tested by the two
+velocity routes alone, ``GuidanceKernel.velocity`` and ``fd_velocity``: they
+are the only places that raise ``NodeError``, and every caller, the stepper
+included, gets the floor through them.
 """
 
 import ast
@@ -13,32 +18,64 @@ import bohmsim
 
 CONSTRUCTORS = {"ScenarioParams", "single_pointer_params"}
 ALLOWED = {("scenario.py", "_single")}
+NODE_EPS_READERS = {"_kernel.py", "velocity.py"}
+NODE_RAISERS = {("_kernel.py", "velocity"), ("velocity.py", "fd_velocity")}
 PACKAGE = Path(bohmsim.__file__).parent
 
 
-def construction_sites(path: Path) -> list[tuple[str, str | None, int]]:
-    """(file, enclosing function, line) of every constructor call in one module."""
-    sites = []
+def _name(node) -> str | None:
+    """The name a Name, Attribute or import alias node spells."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+def _is_constructor_call(node) -> bool:
+    return isinstance(node, ast.Call) and _name(node.func) in CONSTRUCTORS
+
+
+def _is_node_raise(node) -> bool:
+    exc = getattr(node, "exc", None)
+    return isinstance(node, ast.Raise) and _name(getattr(exc, "func", exc)) == "NodeError"
+
+
+def _names_node_eps(node) -> bool:
+    return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and _name(node) == "NODE_EPS"
+
+
+def sites(path: Path, matches) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of every node of one module that ``matches``."""
+    found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in CONSTRUCTORS:
-                    sites.append((path.name, function, child.lineno))
+            if matches(child):
+                found.append((path.name, function, child.lineno))
             visit(child, function)
 
     visit(ast.parse(path.read_text()), None)
-    return sites
+    return found
+
+
+def package_sites(matches, skip=("model.py",)) -> list[tuple[str, str | None, int]]:
+    return [site for path in sorted(PACKAGE.glob("*.py")) if path.name not in skip
+            for site in sites(path, matches)]
 
 
 def test_parameters_are_built_only_in_model_and_the_preset_table():
-    sites = [site for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
-             for site in construction_sites(path)]
-    assert {site[:2] for site in sites} >= ALLOWED, "the guard no longer sees the preset table"
-    stray = [site for site in sites if site[:2] not in ALLOWED]
+    found = package_sites(_is_constructor_call)
+    assert {site[:2] for site in found} >= ALLOWED, "the guard no longer sees the preset table"
+    stray = [site for site in found if site[:2] not in ALLOWED]
     assert not stray, f"build these through ScenarioParams.with_rigid_pointer: {stray}"
+
+
+def test_node_floor_is_named_only_by_the_velocity_routes():
+    found = package_sites(_names_node_eps, skip=("model.py", "__init__.py"))
+    assert {site[0] for site in found} == NODE_EPS_READERS, \
+        f"NODE_EPS is for the velocity routes to test: {found}"
+
+
+def test_only_the_velocity_routes_raise_node_error():
+    found = package_sites(_is_node_raise)
+    assert {site[:2] for site in found} == NODE_RAISERS, found

@@ -142,6 +142,15 @@ class TestSolverCounts:
         assert res.degenerate and res.stats.n_steps == 0
         assert (res.stats.h_min, res.stats.h_max) == (0.0, 0.0)
 
+    def test_start_on_a_node_is_degenerate_at_once(self):
+        def rhs(t, y):
+            raise NodeError(0.0)
+
+        res = solve(rhs, 0.0, np.ones(2), 1.0, [0.0, 1.0])
+        assert res.degenerate
+        assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0, 1.0]]
+        assert res.stats.n_rhs_evals == 1
+
 
 class TestStageBuffer:
     """Stage rows live in one reused buffer; nothing may alias it across steps."""

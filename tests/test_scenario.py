@@ -56,6 +56,12 @@ class TestStrictness:
         data.update(schema_version=1, outputs={"formats": ["csv", "json"], "path": None})
         with pytest.raises(ScenarioError, match="outputs.formats"):
             scenario_from_dict(data)
+        # so is a version-2 file, every one of which holds integrator.node_eps
+        v2 = scenario_to_dict(preset("fig4"))
+        v2["schema_version"] = 2
+        v2["integrator"]["node_eps"] = 1e-13
+        with pytest.raises(ScenarioError, match=r"integrator\.node_eps"):
+            scenario_from_dict(v2)
 
     def test_bad_physics_rejected(self):
         data = scenario_to_dict(preset("fig4"))

@@ -88,7 +88,7 @@ def test_crashing_suite_reports_failure(monkeypatch):
 
 def test_backend_equivalence_fails_when_every_comparison_raises():
     # its configurations keep rho_hat >= 1e-6, so a NodeError is a failure, not a skip
-    def at_a_node(kern, t, state, node_floor):
+    def at_a_node(kern, t, state):
         raise NodeError(0.0)
 
     ok, detail = check_backend_equivalence(count=20, analytic_fn=at_a_node)
