@@ -5,32 +5,94 @@ Writes runs/<preset>/ directories (CSV + manifest + figures) for all
 presets and prints the classification summary per run.  Takes about 6 s
 serially on a 2-CPU machine; set BOHM_SIM_THREADS to parallelize the
 ensembles.
+
+With ``--golden PATH`` it then runs ``bohmsim validate`` and writes the
+golden record of the outputs to PATH as JSON: per preset the classification,
+each trajectory's verdict and solver counts, and a blake2b digest of every
+CSV and SVG; the five validate readings; and the environment key (numpy,
+BLAS, libc, machine) under which those bits were made.  The committed
+``tests/golden_presets.json`` is that file for all presets, and the tier-1
+tests compare the code against it.  Regenerate it when a change moves the
+bits on purpose, and explain the move:
+
+    python scripts/run_figures.py --out-root /tmp/runs --golden tests/golden_presets.json
 """
 
 import argparse
+import hashlib
+import json
+import platform
 import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 from bohmsim.cli import main as cli_main
+from bohmsim.runio import read_manifest
 from bohmsim.scenario import preset_names
+from bohmsim.validate import run_validation
+
+# the per-trajectory manifest fields the golden record keeps: verdict, then solver counts
+VERDICT_KEYS = ("crossed_plane", "final_direction")
+COUNT_KEYS = ("steps", "rejected", "rhs_evals")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out-root", default="runs", help="parent directory for run output")
-    parser.add_argument("--presets", default=",".join(preset_names()),
-                        help="comma-separated preset names (default: all)")
-    args = parser.parse_args()
-
+def run_presets(names, out_root) -> int:
+    """simulate + plot each preset into out_root/<name>; the number that failed."""
     failures = 0
-    for name in args.presets.split(","):
-        out = f"{args.out_root}/{name}"
+    for name in names:
+        out = f"{out_root}/{name}"
         t0 = time.perf_counter()
         rc = cli_main(["simulate", "--preset", name, "--out", out])
         rc |= cli_main(["plot", out])
         print(f"  ({time.perf_counter() - t0:.1f}s)\n")
         failures += rc != 0
-    return 1 if failures else 0
+    return failures
+
+
+def environment() -> dict:
+    """What the output bits depend on besides the code: where a golden file's bits hold."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}",
+            "libc": " ".join(platform.libc_ver()), "machine": platform.machine()}
+
+
+def preset_record(run_dir: Path) -> dict:
+    """The golden record of one run directory."""
+    manifest = read_manifest(run_dir)
+    return {
+        "classification": manifest["classification"],
+        "trajectories": [{key: rec[key] for key in VERDICT_KEYS + COUNT_KEYS}
+                         for rec in manifest["trajectories"]],
+        "digests": {path.name: hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+                    for path in sorted(run_dir.iterdir()) if path.suffix in (".csv", ".svg")},
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out-root", default="runs", help="parent directory for run output")
+    parser.add_argument("--presets", default=",".join(preset_names()),
+                        help="comma-separated preset names (default: all)")
+    parser.add_argument("--golden", metavar="PATH",
+                        help="also run the validate suites and write the golden record here")
+    args = parser.parse_args()
+
+    names = args.presets.split(",")
+    if run_presets(names, args.out_root):
+        return 1
+    if not args.golden:
+        return 0
+    results = run_validation()
+    golden = {
+        "environment": environment(),
+        "presets": {name: preset_record(Path(args.out_root, name)) for name in names},
+        "validate": {r.name: r.detail for r in results},
+    }
+    Path(args.golden).write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    return 0 if all(r.passed for r in results) else 1
 
 
 if __name__ == "__main__":

@@ -43,8 +43,12 @@ half_dw = (w1 - w2)/2 and wcs = wc sin(delta_S):
     v_z = p_z [(c/2) SXi + a dXi + 2 g_z Z']
 
 with SXi = Xi^+ + Xi^-, c = 1 - 2 g_z p_z t' and
-a = c half_dw + wcs 2 p_z t'/Dz: three scalar-times-vector operations
-(two in single-pointer mode, where SXi = 0).
+a = c half_dw + wcs 2 p_z t'/Dz.  For N >= 2 that is three
+scalar-times-vector operations over the state (two in single-pointer mode,
+where SXi = 0).  A state with one pointer coordinate (every reduced-backend
+state, every N = 1 scenario) is three floats, on which each numpy call costs
+more than its arithmetic, so ``velocity`` computes it in Python floats: the
+same products in the same order, hence the same bits.
 
 Numerical care taken here:
 
@@ -82,7 +86,7 @@ class GuidanceKernel:
         "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_pm", "gam_pm", "gam_p", "gam_m",
-        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2",
+        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2", "one_z",
     )
     _SIGNS = np.array([[1.0], [-1.0]])  # (+1, -1) down the branch axis of a stacked block
 
@@ -114,6 +118,11 @@ class GuidanceKernel:
         else:
             self.pz_sxi_pad = np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m)))
             self.dgam2 = float(self.gam_p @ self.gam_p - self.gam_m @ self.gam_m)
+        # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path
+        self.one_z = None
+        if self.n == 1:
+            self.one_z = (self.dxi.item(0), self.pz_dxi_pad.item(2),
+                                None if self.pz_sxi_pad is None else self.pz_sxi_pad.item(2))
 
     # -- packet geometry -------------------------------------------------
 
@@ -195,15 +204,21 @@ class GuidanceKernel:
     def velocity(self, t: float, state: np.ndarray) -> np.ndarray:
         """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
-        The state is only read.  The pointer dot and v_z are taken on the
-        whole state, against dXi padded with two zeros; entries 0 and 1 are
-        then set to v_x and v_y.  Raises NodeError if the normalized density
-        is below NODE_EPS.
+        The state is only read.  For N >= 2 the pointer dot and v_z are taken
+        on the whole state, against dXi padded with two zeros; entries 0 and 1
+        are then set to v_x and v_y.  For N = 1 all three are Python floats,
+        the same products in the same order, so both paths give the same bits.
+        Raises NodeError if the normalized density is below NODE_EPS.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
-        x, y = state.item(0), state.item(1)
-        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(
-            t, x, float(state.dot(self.dxi_pad)))
+        if self.n == 1:
+            x, y, z = state.tolist()
+            dxi, pz_dxi, pz_sxi = self.one_z
+            zd = dxi * z
+        else:
+            x, y = state.item(0), state.item(1)
+            zd = float(state.dot(self.dxi_pad))
+        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(t, x, zd)
         l = x_part + z_part
 
         if l > DOMINANT_LOG_CUTOFF:
@@ -229,12 +244,19 @@ class GuidanceKernel:
 
         c = 1.0 - 2.0 * gz * self.pz * t
         a = c * half_dw + wcs * (2.0 * self.pz * t / Dz)
+        Dy = 1.0 + (self.ay * t) ** 2
+        vx = self.px * (2.0 * gx * x - half_dw * (2.0 * self.xi_x + 4.0 * gx * cx)
+                        + wcs * (4.0 * cx / Dx))
+        vy = self.py * (self.xi_y + 2.0 * (self.ay * t / Dy) * (y - t))
+        if self.n == 1:  # the array path's v_z at its one pointer entry, in its order
+            vz = (2.0 * self.pz * gz) * z + a * pz_dxi
+            if pz_sxi is not None:
+                vz += (0.5 * c) * pz_sxi
+            return np.array((vx, vy, vz))
         v = (2.0 * self.pz * gz) * state
         v += a * self.pz_dxi_pad
         if self.pz_sxi_pad is not None:
             v += (0.5 * c) * self.pz_sxi_pad
-        Dy = 1.0 + (self.ay * t) ** 2
-        v[0] = self.px * (2.0 * gx * x - half_dw * (2.0 * self.xi_x + 4.0 * gx * cx)
-                          + wcs * (4.0 * cx / Dx))
-        v[1] = self.py * (self.xi_y + 2.0 * (self.ay * t / Dy) * (y - t))
+        v[0] = vx
+        v[1] = vy
         return v

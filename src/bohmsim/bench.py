@@ -24,7 +24,7 @@ import numpy as np
 
 from .integrate import integrate_trajectory
 from .model import Configuration
-from .reduced import reconstruct_pointers
+from .reduced import reconstruct_pointers, reduced_params
 from .scenario import preset
 
 __all__ = ["BenchRecord", "BenchReport", "run_bench"]
@@ -70,10 +70,10 @@ def _full_record(backend: str, n: int, repetitions: int) -> BenchRecord:
 
 
 def _reduced_record(n: int, repetitions: int) -> BenchRecord:
-    # core: the Xi*sqrt(N) one-particle twin, which is exactly what the
-    # reduced backend integrates after its O(N) setup
-    base = _SCENARIO.params
-    twin = base.with_rigid_pointer(1, base.rigid_xi() * math.sqrt(n))
+    # core: the one-particle twin, which is exactly what the reduced backend
+    # integrates after its O(N) setup
+    params_n = _SCENARIO.params.with_rigid_pointer(n)
+    twin = reduced_params(params_n)
     init = Configuration(0.0, twin.d_prime, 0.0, (0.0,))
     median, traj = _median_time(
         lambda: integrate_trajectory(init, twin, _SCENARIO.integrator, "reduced"), repetitions)
@@ -81,7 +81,6 @@ def _reduced_record(n: int, repetitions: int) -> BenchRecord:
     reconstruct_s = None
     if n <= MAX_RECONSTRUCT_N:
         # the twin's pointer coordinate IS Sigma_hat' of the N-particle system
-        params_n = base.with_rigid_pointer(n)
         thin = slice(0, traj.n_samples, max(1, traj.n_samples // 8))
         t_thin = traj.t[thin]
         sig_thin = traj.sigma_hat[thin]

@@ -66,6 +66,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
             "degenerate": traj.degenerate,
             "n_samples": traj.n_samples,
             "steps": traj.stats.n_steps,
+            "x_margin": float(np.min(np.abs(traj.x))),
             "rejected": traj.stats.n_rejected,
             "node_backoffs": traj.stats.n_node_backoffs,
             "rhs_evals": traj.stats.n_rhs_evals,

@@ -1,7 +1,11 @@
 import contextlib
+import functools
+import importlib.util
+import json
 import signal
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -11,7 +15,21 @@ from bohmsim import cli, validate
 from bohmsim.analysis import surreal_fraction_vs_N
 from bohmsim.integrate import IntegratorOptions, Trajectory, run_ensemble
 from bohmsim.model import Configuration, ScenarioParams
-from bohmsim.scenario import preset
+from bohmsim.scenario import preset, preset_names
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden_presets.json"
+
+
+def _load_run_figures():
+    spec = importlib.util.spec_from_file_location("run_figures",
+                                                  ROOT / "scripts" / "run_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run_figures = _load_run_figures()
 
 hypothesis.settings.register_profile(
     "suite", max_examples=50, deadline=None,
@@ -34,6 +52,14 @@ def fig4_params() -> ScenarioParams:
     return preset("fig4").params
 
 
+def _read_only(trajs: list[Trajectory]) -> list[Trajectory]:
+    for traj in trajs:
+        for value in vars(traj).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return trajs
+
+
 @pytest.fixture(scope="session")
 def fig4_ensemble() -> list[Trajectory]:
     """The fig4 preset's ensemble at its own options, integrated once per session.
@@ -42,26 +68,68 @@ def fig4_ensemble() -> list[Trajectory]:
     changing what later tests read.
     """
     sc = preset("fig4")
-    trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
-    for traj in trajs:
-        for value in vars(traj).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-    return trajs
+    return _read_only(run_ensemble(sc.ensemble, sc.params, sc.integrator))
+
+
+# each preset's own run_ensemble arguments: (spec, params, opts)
+PRESET_ARGS = frozenset((sc.ensemble, sc.params, sc.integrator)
+                        for sc in map(preset, preset_names()))
+
+
+@pytest.fixture(scope="session")
+def preset_ensembles(fig4_ensemble) -> dict:
+    """Preset ensembles by their ``run_ensemble`` arguments, read-only, each made once
+    per session: fig4's is ``fig4_ensemble``, the others are added on first use."""
+    sc = preset("fig4")
+    return {(sc.ensemble, sc.params, sc.integrator): fig4_ensemble}
+
+
+def _serve(monkeypatch, ensembles: dict) -> None:
+    for module in (validate, cli):
+        def served(spec, params, opts=IntegratorOptions(), integrate=module.run_ensemble):
+            key = (spec, params, opts)
+            if key not in PRESET_ARGS:
+                return integrate(spec, params, opts)
+            if key not in ensembles:
+                ensembles[key] = _read_only(integrate(spec, params, opts))
+            return ensembles[key]
+
+        monkeypatch.setattr(module, "run_ensemble", served)
 
 
 @pytest.fixture
-def serve_fig4_ensemble(fig4_ensemble, monkeypatch):
-    """``validate`` and ``cli`` get ``fig4_ensemble`` from ``run_ensemble`` on the
-    fig4 preset's own arguments, and integrate every other ensemble as usual."""
-    sc = preset("fig4")
-    for module in (validate, cli):
-        def served(spec, params, opts=IntegratorOptions(), integrate=module.run_ensemble):
-            if (spec, params, opts) == (sc.ensemble, sc.params, sc.integrator):
-                return fig4_ensemble
-            return integrate(spec, params, opts)
+def serve_preset_ensembles(preset_ensembles, monkeypatch):
+    """``validate`` and ``cli`` get a preset's ensemble from ``preset_ensembles`` when
+    they call ``run_ensemble`` on that preset's own arguments, and integrate every
+    other ensemble as usual."""
+    _serve(monkeypatch, preset_ensembles)
 
-        monkeypatch.setattr(module, "run_ensemble", served)
+
+@pytest.fixture(scope="session")
+def preset_runs(tmp_path_factory, preset_ensembles) -> Path:
+    """Every preset simulated and plotted, as ``scripts/run_figures.py`` does, once
+    per session; the root that holds one run directory per preset."""
+    root = tmp_path_factory.mktemp("presets")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _serve(monkeypatch, preset_ensembles)
+        assert run_figures.run_presets(preset_names(), root) == 0
+    return root
+
+
+@functools.cache
+def golden() -> tuple[dict, bool]:
+    """``tests/golden_presets.json``, and whether this environment is the one it was made in."""
+    want = json.loads(GOLDEN.read_text())
+    return want, want["environment"] == run_figures.environment()
+
+
+def check_golden_reading(suite: str, detail: str) -> None:
+    """A validate suite's reading is the golden one, where the golden bits hold."""
+    want, exact = golden()
+    if exact:
+        assert detail == want["validate"][suite], suite
+    else:
+        print(f"{suite}: not compared with {GOLDEN.name}, made in another environment")
 
 
 @pytest.fixture(scope="session")

@@ -8,16 +8,18 @@ be loosened here.
 Criteria 1, 4, 8 and 9 are the ``bohmsim validate`` suites
 backend-equivalence, y-oracle, tau-scaling and mirror-symmetry, called at
 their defaults, so each of those contracts has one implementation and runs
-once per session.  ``tests/test_validate.py`` checks that ``SUITES`` maps
-each name to these same functions and pins the tolerances in their
-defaults.  Criterion 2 keeps its own launches rather than call the
+once per session.  Where ``tests/golden_presets.json`` was made in this
+environment, each of their readings must also equal the golden one.
+``tests/test_validate.py`` checks that ``SUITES`` maps each name to these
+same functions and pins the tolerances in their defaults.  Criterion 2 keeps its own launches rather than call the
 sqrtn-equivalence suite: its pointer starts come from ``spread_z0`` and
 sum to Sigma_hat'(0) = 0, so its N = 1 launch starts at Z' = 0.0, where
 the suite's starts at 0.1.
 
-The fig4 preset ensemble is integrated once per session, by the
-``fig4_ensemble`` fixture, and criteria 4 and 9 get it from there
-(``serve_fig4_ensemble``).  Criterion 6's N = 1 and 10 sweep is the
+Each preset ensemble is integrated once per session (``preset_ensembles``,
+whose fig4 entry is the ``fig4_ensemble`` fixture): criteria 4 and 9 get
+them from there (``serve_preset_ensembles``), and so do the golden-record
+runs of ``tests/test_golden.py``.  Criterion 6's N = 1 and 10 sweep is the
 ``fig4_centred_sweep`` fixture, which ``test_analysis`` also reads; its
 wall time counts against the criterion's budget.
 """
@@ -35,7 +37,7 @@ from bohmsim.scenario import preset
 from bohmsim.validate import (check_backend_equivalence, check_mirror_symmetry,
                               check_tau_scaling, check_y_oracle)
 
-from conftest import fig4_n_particles, spread_z0
+from conftest import check_golden_reading, fig4_n_particles, spread_z0
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -50,6 +52,7 @@ def test_criterion_01_backend_equivalence():
     elapsed = time.perf_counter() - t0
     report(1, "backend equivalence", ok and elapsed < 10.0,
            f"{detail}; {elapsed:.1f}s (budget 10s)")
+    check_golden_reading("backend-equivalence", detail)
 
 
 def test_criterion_02_sqrt_n_reduction():
@@ -80,9 +83,10 @@ def test_criterion_03_pointer_reconstruction():
            f"closure = {closure:.2e} (tol 1e-12)")
 
 
-def test_criterion_04_y_channel_oracle(serve_fig4_ensemble):
+def test_criterion_04_y_channel_oracle(serve_preset_ensembles):
     ok, detail = check_y_oracle()
     report(4, "Y-channel closed form", ok, detail)
+    check_golden_reading("y-oracle", detail)
 
 
 def test_criterion_05_no_crossing_and_fast_crossing():
@@ -126,11 +130,13 @@ def test_criterion_08_tau_scaling():
     ok, detail = check_tau_scaling()
     elapsed = time.perf_counter() - t0
     report(8, "tau ~ N^(-1/2)", ok and elapsed < 60.0, f"{detail}; {elapsed:.1f}s (budget 60s)")
+    check_golden_reading("tau-scaling", detail)
 
 
-def test_criterion_09_mirror_symmetry(serve_fig4_ensemble):
+def test_criterion_09_mirror_symmetry(serve_preset_ensembles):
     ok, detail = check_mirror_symmetry()
     report(9, "mirror symmetry", ok, detail)
+    check_golden_reading("mirror-symmetry", detail)
 
 
 def test_criterion_10_performance():

@@ -156,7 +156,7 @@ class TestSimulate:
 
 
 class TestPlot:
-    def test_two_panels_for_single_pointer(self, tmp_path, serve_fig4_ensemble):
+    def test_two_panels_for_single_pointer(self, tmp_path, serve_preset_ensembles):
         out = tmp_path / "run"
         main(["simulate", "--preset", "fig4", "--out", str(out)])
         manifest = read_manifest(out)
@@ -166,7 +166,7 @@ class TestPlot:
         assert (out / "test_particle.svg").is_file()
         assert (out / "pointer.svg").is_file()
 
-    def test_each_csv_read_once(self, tmp_path, monkeypatch, serve_fig4_ensemble):
+    def test_each_csv_read_once(self, tmp_path, monkeypatch, serve_preset_ensembles):
         out = tmp_path / "run"
         assert main(["simulate", "--preset", "fig4", "--out", str(out)]) == 0
         manifest = read_manifest(out)

@@ -6,11 +6,15 @@ closed forms of log Omega and delta S instead.  These tests hold the two
 routes together and pin the properties the integrator relies on.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bohmsim._kernel import DOMINANT_LOG_CUTOFF, GuidanceKernel
 from bohmsim.integrate import integrate_trajectory
+from bohmsim.model import NodeError
+from bohmsim.reduced import reduced_params
 from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import random_configurations
 from bohmsim.velocity import fd_velocity
@@ -97,6 +101,75 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
     assert mixed > 0
     if name == "fig3":
         assert dominant > 0
+
+
+# one-coordinate kernels: the reduced twins of fig2, fig3, fig4 and of fig4 at N = 1000
+# (born-vs-N's widest), and one non-rigid particle (Xi, 0), which has SXi != 0 and dG != 0
+ONE_POINTER_CASES = {
+    **{name: reduced_params(preset(name).params) for name in ("fig2", "fig3", "fig4")},
+    "fig4-N1000": reduced_params(fig4_n_particles(1000)),
+    "fig4-(Xi,0)": replace(preset("fig4").params, pointer_velocities=((10.0, 0.0),)),
+}
+
+
+def node_states(kern, rng, count):
+    """(t, x, z) near the nodes of a one-coordinate kernel: log Omega = 0, delta S = pi + delta.
+
+    log Omega and delta S are affine in (X', Z') at fixed t', so three
+    ``contrast`` calls give the map, and one solve puts a state on the node line.
+    Uncoupled (dXi = 0), log Omega = 0 holds for every X' only at t' = d'/beta.
+    """
+    coupled = kern.dxi[0] != 0.0
+    out = []
+    for delta in (0.0, 1e-8, 3e-7, 1e-6, 1.5e-6, 3e-6, 1e-4):
+        for _ in range(count):
+            t = float(rng.uniform(0.05, 3.0)) if coupled else kern.d / kern.beta
+            f0, f1, f2 = (np.array(kern.contrast(t, x, np.array([z]))[:2])
+                          for x, z in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+            target = np.array([0.0, np.pi + delta]) - f0
+            if coupled:
+                x, z = np.linalg.solve(np.column_stack((f1 - f0, f2 - f0)), target)
+            else:
+                x, z = target[1] / (f1 - f0)[1], rng.normal()
+            out.append((t, float(x), float(z)))
+    return out
+
+
+@pytest.mark.parametrize("name", ONE_POINTER_CASES)
+def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
+    # N = 1 takes Python floats; the reference is the N = 2 array path of the same
+    # pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1
+    params = ONE_POINTER_CASES[name]
+    kern = GuidanceKernel(params)
+    inert = GuidanceKernel(replace(params, pointer_velocities=(
+        *params.pointer_velocities, (0.0, 0.0))))
+    assert kern.n == 1 and inert.n == 2
+    rng = np.random.default_rng(31)
+    states = [(c.t_prime, c.x, c.z[0]) for c in random_configurations(params, 300, rng)]
+    wide = [(float(rng.uniform(0.0, 3.0)), float(rng.uniform(-8.0, 8.0)),
+             float(rng.normal(0.0, 4.0))) for _ in range(300)]
+    signed_zeros = [(t, x, z) for t in (0.0, 0.7) for x in (0.0, -0.0, 2.5)
+                    for z in (0.0, -0.0)]
+    regimes = {"upper": 0, "lower": 0, "mixed": 0, "node": 0}
+    for t, x, z in states + wide + signed_zeros + node_states(kern, rng, 6):
+        y = float(rng.normal(t, 1.0))
+        state = np.array([x, y, z])
+        log_omega = kern.contrast(t, x, state[2:])[0]
+        regime = ("upper" if log_omega > DOMINANT_LOG_CUTOFF else
+                  "lower" if log_omega < -DOMINANT_LOG_CUTOFF else "mixed")
+        try:
+            v = kern.velocity(t, state)
+        except NodeError as exc:
+            with pytest.raises(NodeError) as ref:
+                inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
+            assert ref.value.rho_hat == exc.rho_hat
+            regimes["node"] += 1
+            continue
+        ref = inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
+        assert v.dtype == ref.dtype and v.shape == (3,)
+        assert v.tobytes() == ref[:3].tobytes(), (t, x, y, z)
+        regimes[regime] += 1
+    assert all(regimes.values()), regimes
 
 
 # the closed-form route under the plain ids, the finite-difference route under "-fd"

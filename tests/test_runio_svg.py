@@ -148,6 +148,16 @@ class TestManifest:
             assert 0 < rec["capped_steps"] <= rec["steps"]
             assert (rec["h_min"], rec["h_max"]) == (s.h_min, s.h_max)
             assert 0 < rec["h_min"] <= rec["h_max"]
+            assert rec["x_margin"] == float(np.min(np.abs(traj.x)))
+
+    def test_x_margin_is_the_closest_approach_to_the_plane(self, preset_runs):
+        # fig2 (uncoupled): every trajectory bounces, the closest at 0.020 from X' = 0
+        records = read_manifest(preset_runs / "fig2")["trajectories"]
+        for rec in records:
+            x = read_trajectory_csv(preset_runs / "fig2" / rec["file"])["X"]
+            assert rec["x_margin"] == float(np.min(np.abs(x)))
+            assert rec["crossed_plane"] is False
+        assert round(min(rec["x_margin"] for rec in records), 3) == 0.020
 
     def test_reproducible_bytes_excluding_timing(self, small_run, tmp_path):
         sc, _, out, _ = small_run

@@ -3,9 +3,10 @@
 Each real suite runs once per session.  The acceptance gate runs
 backend-equivalence, y-oracle, tau-scaling and mirror-symmetry at their
 defaults (criteria 1, 4, 8 and 9); ``test_sqrtn_equivalence_suite_passes``
-runs the fifth.  Here ``run_validation`` runs on stub suites, after
-checking that ``SUITES`` names exactly those functions and that their
-defaults hold the contract tolerances.
+runs the fifth.  Each compares its reading with ``tests/golden_presets.json``.
+Here ``run_validation`` runs on stub suites, after checking that ``SUITES``
+names exactly those functions and that their defaults hold the contract
+tolerances.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import (SUITES, check_backend_equivalence, check_mirror_symmetry,
                               check_sqrtn_equivalence, check_tau_scaling, check_y_oracle,
                               random_configurations, run_validation)
+
+from conftest import check_golden_reading
 
 # each suite's function and the defaults it runs at under `bohmsim validate`
 CONTRACTS = {
@@ -66,6 +69,7 @@ def test_validation_dispatches_to_the_contract_checks(monkeypatch):
 def test_sqrtn_equivalence_suite_passes():
     ok, detail = check_sqrtn_equivalence()
     assert ok, detail
+    check_golden_reading("sqrtn-equivalence", detail)
 
 
 def test_only_filter(monkeypatch):
