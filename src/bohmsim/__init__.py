@@ -8,8 +8,6 @@ from .model import (
     NodeError,
     ScenarioParams,
     fast_pointer_E,
-    single_pointer_params,
-    two_pointer_params,
 )
 from .velocity import VelocityVector, velocity_analytic, velocity_numeric, y_closed_form
 from .reduced import reconstruct_pointers, reduced_params

@@ -69,8 +69,6 @@ def cmd_simulate(args) -> int:
     summary = classify_ensemble(trajs)
     manifest = write_run(out_dir, sc, trajs, summary, timing={"total_s": elapsed})
     save_scenario(sc, out_dir / "scenario.json")
-    if sc.outputs.svg:
-        _render_run(out_dir)
 
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))

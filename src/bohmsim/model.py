@@ -36,8 +36,6 @@ __all__ = [
     "ModeError",
     "ScenarioParams",
     "Configuration",
-    "single_pointer_params",
-    "two_pointer_params",
     "fast_pointer_E",
 ]
 
@@ -65,8 +63,9 @@ class ScenarioParams:
     ``pointer_velocities`` holds one ``(Xi_n_plus, Xi_n_minus)`` pair per
     pointer particle: the packet velocity of particle n when the test
     particle crosses the upper / lower slit.  A single rigid pointer uses
-    ``(+Xi, -Xi)`` for every particle; two independent one-per-slit
-    pointers use ``(Xi, 0)`` and ``(0, Xi)``.
+    ``(+Xi, -Xi)`` for every particle, and ``with_rigid_pointer`` is the
+    one builder of it; two independent one-per-slit pointers use
+    ``(Xi, 0)`` and ``(0, Xi)``.
 
     TODO: per-particle packet origins (all pointer packets currently start
     centered at z' = 0).
@@ -90,9 +89,17 @@ class ScenarioParams:
         for name in ("xi_y", "r", "R", "mu", "d_prime"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        vel = tuple((float(p), float(m)) for p, m in self.pointer_velocities)
-        if any(not (math.isfinite(p) and math.isfinite(m)) for p, m in vel):
+        # A rigid pointer repeats one pair object N times, so each distinct object is
+        # converted and checked once.  Identity, not ==, tells pairs apart: (0, 0) and
+        # (0.0, -0.0) are equal but must each keep their own stored floats.
+        vel = tuple(self.pointer_velocities)
+        distinct = dict(zip(map(id, vel), vel))
+        pairs = {key: (float(p), float(m)) for key, (p, m) in distinct.items()}
+        if any(not (math.isfinite(p) and math.isfinite(m)) for p, m in pairs.values()):
             raise ValueError("pointer velocities must be finite")
+        if any(type(v) is not tuple or type(v[0]) is not float or type(v[1]) is not float
+               for v in distinct.values()):
+            vel = tuple(pairs[id(v)] for v in vel)
         object.__setattr__(self, "pointer_velocities", vel)
 
     @property
@@ -106,13 +113,10 @@ class ScenarioParams:
         Decidable mode test behind ``rigid_xi``; uses exact float equality
         on purpose (scenario files construct the pairs exactly).
         """
-        if self.n_particles == 0:
+        vel = self.pointer_velocities
+        if not vel or vel[0][1] != -vel[0][0] or vel.count(vel[0]) != len(vel):
             return None
-        xi = self.pointer_velocities[0][0]
-        for p, m in self.pointer_velocities:
-            if p != xi or m != -xi:
-                return None
-        return xi
+        return vel[0][0]
 
     @property
     def is_single_pointer(self) -> bool:
@@ -141,24 +145,6 @@ class ScenarioParams:
         if xi is None:
             xi = self.rigid_xi()
         return replace(self, pointer_velocities=((xi, -xi),) * n)
-
-
-def single_pointer_params(
-    xi_x: float, xi_y: float, r: float, R: float, mu: float, d_prime: float,
-    Xi: float, n_particles: int = 1,
-) -> ScenarioParams:
-    """One rigid pointer: every particle carries (+Xi, -Xi)."""
-    if n_particles < 0:
-        raise ValueError("n_particles must be >= 0")
-    table = tuple((Xi, -Xi) for _ in range(n_particles))
-    return ScenarioParams(xi_x, xi_y, r, R, mu, d_prime, table)
-
-
-def two_pointer_params(
-    xi_x: float, xi_y: float, r: float, R: float, mu: float, d_prime: float, Xi: float,
-) -> ScenarioParams:
-    """Two independent one-particle pointers, one reacting per slit."""
-    return ScenarioParams(xi_x, xi_y, r, R, mu, d_prime, ((Xi, 0.0), (0.0, Xi)))
 
 
 @dataclass(frozen=True)

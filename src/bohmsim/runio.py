@@ -20,24 +20,21 @@ from .integrate import Trajectory, crossing_time
 from .model import fast_pointer_E
 from .scenario import Scenario, scenario_to_dict
 
-__all__ = ["write_run", "read_manifest", "read_trajectory_csv", "pointer_columns"]
+__all__ = ["write_run", "read_manifest", "read_trajectory_csv", "csv_columns"]
 
 MANIFEST_NAME = "manifest.json"
 
 
-def pointer_columns(backend: str, n_particles: int) -> list[str]:
-    if backend == "reduced":
-        return ["Sigma_hat"]
-    return [f"Z_{i + 1}" for i in range(n_particles)]
+def csv_columns(backend: str, n_particles: int) -> list[str]:
+    """The column names of a trajectory CSV, as the manifest's ``columns`` lists them."""
+    pointer = ["Sigma_hat"] if backend == "reduced" else [f"Z_{i + 1}" for i in range(n_particles)]
+    return ["t_prime", "X", "Y", *pointer, "logOmega", "deltaS"]
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory, stride: int = 1) -> None:
-    header = ["t_prime", "X", "Y", *pointer_columns(traj.backend, traj.params.n_particles),
-              "logOmega", "deltaS"]
+def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    header = csv_columns(traj.backend, traj.params.n_particles)
     pointer = traj.sigma_hat if traj.backend == "reduced" else traj.z
     data = np.column_stack((traj.t, traj.x, traj.y, pointer, traj.log_omega, traj.delta_s))
-    i = np.arange(traj.n_samples)
-    data = data[(i % stride == 0) | (i == traj.n_samples - 1)]
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with path.open("w", newline="\n") as f:   # row by row: one row's floats alive at a time
         f.write(",".join(header) + "\n")
@@ -57,7 +54,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
     t0 = time.perf_counter()
     for i, (traj, verdict) in enumerate(zip(trajs, summary.verdicts)):
         name = f"traj_{i:03d}.csv"
-        write_trajectory_csv(out / name, traj, scenario.outputs.stride)
+        write_trajectory_csv(out / name, traj)
         records.append({
             "index": i,
             "file": name,
@@ -85,9 +82,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
         "t_cross": crossing_time(params),
         "fast_pointer_E": fast_pointer_E(params) if params.is_single_pointer else None,
         "n_trajectories": len(trajs),
-        "columns": ["t_prime", "X", "Y",
-                    *pointer_columns(scenario.ensemble.backend, params.n_particles),
-                    "logOmega", "deltaS"],
+        "columns": csv_columns(scenario.ensemble.backend, params.n_particles),
         "trajectories": records,
         "classification": {
             "bounce_fraction": summary.bounce_fraction,

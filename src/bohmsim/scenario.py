@@ -1,14 +1,16 @@
 """Scenario files: strict JSON schema, named presets, round-trip safety.
 
 A scenario bundles everything one run needs: physical parameters, launch
-grid, integrator settings and output options.  The schema is versioned and
+grid and integrator settings.  What a run writes is fixed: a CSV per
+trajectory sampled every ``integrator.stride`` of t', and a manifest; the
+SVG panels come from ``bohmsim plot``.  The schema is versioned and
 strict (unknown keys are rejected at every level) because the shipped
 presets double as regression anchors: a file that parses is a file whose
 meaning is pinned.
 
 The dataclasses are the schema: each block's keys, defaults and JSON types
 come from the fields of ``ScenarioParams``, ``EnsembleSpec`` (with
-``ZInit``), ``IntegratorOptions`` and ``OutputSpec``, and their
+``ZInit``) and ``IntegratorOptions``, and their
 ``__post_init__`` range checks serve files, presets and command-line
 overrides alike.
 
@@ -39,12 +41,11 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .integrate import EnsembleSpec, IntegratorOptions, ZInit, crossing_time
-from .model import ScenarioParams, single_pointer_params, two_pointer_params
+from .model import ScenarioParams
 
 __all__ = [
     "SCHEMA_VERSION",
     "ScenarioError",
-    "OutputSpec",
     "Scenario",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -57,21 +58,11 @@ __all__ = [
     "with_seed",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class ScenarioError(ValueError):
     """Malformed or semantically invalid scenario data."""
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    svg: bool = False              # render the SVG panels right after simulating
-    stride: int = 1                # write every k-th sample to the trajectory CSVs
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("output stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,6 @@ class Scenario:
     params: ScenarioParams
     ensemble: EnsembleSpec
     integrator: IntegratorOptions = IntegratorOptions()
-    outputs: OutputSpec = OutputSpec()
 
     def __post_init__(self):
         # the name becomes the run directory runs/<name>; it must stay inside runs/
@@ -175,7 +165,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION} "
             "(version 2 replaced outputs.formats with the boolean outputs.svg and "
-            "dropped outputs.path; version 3 dropped integrator.node_eps)")
+            "dropped outputs.path; version 3 dropped integrator.node_eps; version 4 "
+            "dropped the outputs block: in place of outputs.svg run 'bohmsim plot <run>', "
+            "in place of outputs.stride set the sampling interval integrator.stride)")
     return _build(Scenario, data, "scenario")
 
 
@@ -198,12 +190,12 @@ _XI = 10.0
 
 
 def _single(name, R, Xi, n, z_init, **ensemble):
-    params = single_pointer_params(R=R, Xi=Xi, n_particles=n, **_BASE)
+    params = ScenarioParams(**_BASE, R=R).with_rigid_pointer(n, Xi)
     return Scenario(name, params, EnsembleSpec(z_init=z_init, **ensemble))
 
 
 def _two(name, z_values):
-    params = two_pointer_params(R=0.2, Xi=_XI, **_BASE)
+    params = ScenarioParams(**_BASE, R=0.2, pointer_velocities=((_XI, 0.0), (0.0, _XI)))
     return Scenario(name, params,
                     EnsembleSpec(count_per_slit=1, z_init=ZInit.explicit(z_values)))
 

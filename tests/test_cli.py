@@ -255,17 +255,6 @@ class TestPlot:
         assert err.startswith("error:") and "traj_000.csv" in err
         assert not list(out.glob("*.svg"))
 
-    def test_svg_format_in_scenario_renders_at_simulate_time(self, tmp_path):
-        sc = preset("fig4")
-        data = scenario_to_dict(sc)
-        data["ensemble"]["count_per_slit"] = 2
-        data["outputs"] = {"svg": True}
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "run"
-        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
-        assert (out / "test_particle.svg").is_file()
-
 
 class TestBench:
     def test_table_and_check(self, capsys):
@@ -417,21 +406,31 @@ def _get(data, path):
 
 
 def _set(path, value):
-    """A mutation that sets the key at ``path`` to ``value``, or deletes it for _DROP."""
+    """A mutation that sets the key at ``path`` to ``value``, or deletes it for _DROP.
+
+    A retired key is not in the file: dropping it changes nothing, and setting
+    it puts it back, together with its retired block.
+    """
     def mutate(data):
-        parent = _get(data, path[:-1])
+        parent = data
+        for key in path[:-1]:
+            if value is _DROP and key not in parent:
+                return
+            parent = parent.setdefault(key, {})
         if value is _DROP:
-            parent.pop(path[-1], None)  # a retired key is not there to drop
+            parent.pop(path[-1], None)
         else:
             parent[path[-1]] = value
     return mutate
 
 
 def _walked(name):
-    """The preset's scenario dict with the retired ``integrator.node_eps`` back in
-    the place every version-2 file held it."""
+    """The preset's scenario dict with the retired keys back in their old places:
+    ``integrator.node_eps`` where every version-2 file held it, and the
+    ``outputs`` block where every version-3 file held it."""
     data = scenario_to_dict(preset(name))
     data["integrator"]["node_eps"] = 1e-13
+    data["outputs"] = dict(V3_OUTPUTS)
     return data
 
 
@@ -448,9 +447,10 @@ def file_mutations(seed=20261018):
     generator. It is dropped, nulled and given a wrong JSON type; number
     fields also get NaN and +/-Infinity. Wrong types and non-finite numbers
     must be refused; a dropped or nulled key may fall back to its default.
-    The walk also visits the retired ``integrator.node_eps`` in its old
-    place, so every other key keeps its preset: set to any value, it is
-    refused as an unknown key, and dropped, the file is a current one.
+    The walk also visits the retired keys of ``_walked`` in their old
+    places, so every other key keeps its preset: set to any value, null
+    included, a retired key is refused as unknown, and dropped, the file is
+    a current one.
     """
     rng = np.random.default_rng(seed)
     owners: dict[tuple, list[str]] = {}
@@ -461,9 +461,10 @@ def file_mutations(seed=20261018):
     for path, names in owners.items():
         name = str(rng.choice(names))
         value = _get(_walked(name), path)
+        retired = path not in set(_key_paths(scenario_to_dict(preset(name))))
         label = f"{name}:{'.'.join(path)}"
         cases += [pytest.param(name, _set(path, _DROP), False, id=f"{label}=drop"),
-                  pytest.param(name, _set(path, None), False, id=f"{label}=null"),
+                  pytest.param(name, _set(path, None), retired, id=f"{label}=null"),
                   pytest.param(name, _set(path, _wrong_type(value)), True,
                                id=f"{label}=wrong-type")]
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -473,6 +474,7 @@ def file_mutations(seed=20261018):
 
 
 V1_OUTPUTS = {"formats": ["csv", "json"], "path": None, "stride": 1}
+V3_OUTPUTS = {"svg": False, "stride": 1}
 # files that once gave a traceback, hung, or ran with a setting silently changed
 REPROS = [
     ("ensemble-null", "fig4", _set(("ensemble",), None)),
@@ -487,6 +489,7 @@ REPROS = [
     ("seed-1.5", "fig4", _set(("ensemble", "z_init"), {"mode": "gaussian", "seed": 1.5})),
     ("explicit-too-short", "fig7", _set(("ensemble", "z_init", "values"), [0.01])),
     ("schema-1", "fig4", lambda d: d.update(schema_version=1, outputs=V1_OUTPUTS)),
+    ("schema-3", "fig4", lambda d: d.update(schema_version=3, outputs=V3_OUTPUTS)),
 ]
 
 

@@ -1,9 +1,12 @@
 """Scenario parameters are built in model.py, and the node floor is read by the routes.
 
-Every other module derives a family member from existing parameters with
-``ScenarioParams.with_rigid_pointer``, so "these parameters with a rigid
-pointer of n particles" is written once.  The one exception is the preset
-table, which declares each canonical scenario from its physical values.
+``ScenarioParams.with_rigid_pointer`` is the one builder of a rigid pointer:
+every other module derives a family member from existing parameters with it,
+so "these parameters with a rigid pointer of n particles" is written once.
+The one exception is the preset table (``_single`` and ``_two`` in
+scenario.py), which declares each canonical scenario from its physical
+values: a rigid pointer through ``with_rigid_pointer``, the two one-particle
+pointers of fig7 and fig8 as their velocity pairs.
 
 The node floor ``NODE_EPS`` is declared in model.py and tested by the two
 velocity routes alone, ``GuidanceKernel.velocity`` and ``fd_velocity``: they
@@ -16,8 +19,8 @@ from pathlib import Path
 
 import bohmsim
 
-CONSTRUCTORS = {"ScenarioParams", "single_pointer_params"}
-ALLOWED = {("scenario.py", "_single")}
+CONSTRUCTORS = {"ScenarioParams"}
+ALLOWED = {("scenario.py", "_single"), ("scenario.py", "_two")}
 NODE_EPS_READERS = {"_kernel.py", "velocity.py"}
 NODE_RAISERS = {("_kernel.py", "velocity"), ("velocity.py", "fd_velocity")}
 PACKAGE = Path(bohmsim.__file__).parent

@@ -1,13 +1,19 @@
-"""Every exported name exists, and the package re-exports only exported names."""
+"""The public surface: every exported name exists, the package re-exports only
+exported names, and the package's names and a scenario file's settable keys are
+pinned, so a new setting or export has to edit this file on purpose."""
 
 import ast
 import importlib
 import pkgutil
+import types
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import bohmsim
+from bohmsim.scenario import Scenario
 
 MODULES = sorted(f"bohmsim.{m.name}" for m in pkgutil.iter_modules(bohmsim.__path__))
 
@@ -29,3 +35,41 @@ def test_package_reexports_are_exported_by_their_module():
         module = importlib.import_module(f"bohmsim.{module_name}")
         assert name in module.__all__, f"bohmsim re-exports {name}, not in {module_name}.__all__"
         assert getattr(bohmsim, name) is getattr(module, name)
+
+
+PACKAGE_NAMES = {
+    "NODE_EPS", "Configuration", "ModeError", "NodeError", "ScenarioParams", "fast_pointer_E",
+    "VelocityVector", "velocity_analytic", "velocity_numeric", "y_closed_form",
+    "reconstruct_pointers", "reduced_params",
+    "BACKENDS", "EnsembleSpec", "IntegratorOptions", "Trajectory", "ZInit", "crossing_time",
+    "integrate_trajectory", "run_ensemble", "sample_initials",
+}
+SCENARIO_KEYS = {
+    "name",
+    "params.xi_x", "params.xi_y", "params.r", "params.R", "params.mu", "params.d_prime",
+    "params.pointer_velocities",
+    "ensemble.count_per_slit", "ensemble.extent", "ensemble.backend", "ensemble.z_init.mode",
+    "ensemble.z_init.value", "ensemble.z_init.values", "ensemble.z_init.seed",
+    "integrator.rel_tol", "integrator.abs_tol", "integrator.max_step_frac",
+    "integrator.t_end", "integrator.stride",
+}
+
+
+def settable_keys(cls, prefix="") -> set[str]:
+    """Dotted paths of the values a scenario file sets: the dataclass fields, block by block."""
+    hints = get_type_hints(cls)
+    return {key for f in fields(cls)
+            for key in (settable_keys(hints[f.name], f"{prefix}{f.name}.")
+                        if is_dataclass(hints[f.name]) else {prefix + f.name})}
+
+
+def test_package_names_are_pinned():
+    names = {n for n, v in vars(bohmsim).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert len(PACKAGE_NAMES) == 21
+    assert names == PACKAGE_NAMES
+
+
+def test_scenario_file_keys_are_pinned():
+    assert len(SCENARIO_KEYS) == 20
+    assert settable_keys(Scenario) == SCENARIO_KEYS

@@ -7,7 +7,7 @@ import pytest
 
 from bohmsim.integrate import (EnsembleSpec, IntegratorOptions, ZInit, crossing_time,
                                integrate_trajectory, run_ensemble, sample_initials)
-from bohmsim.model import Configuration, NodeError, single_pointer_params
+from bohmsim.model import Configuration, NodeError, ScenarioParams
 from bohmsim.rk45 import solve
 from bohmsim.scenario import preset
 from bohmsim.velocity import y_closed_form
@@ -20,9 +20,9 @@ class TestCrossingTime:
         # independent route: pick dimensional quantities, form the groups,
         # and push t_cross = d / v_x through the time scaling t' = v_y t / b
         hbar, m, a, b, d, vx, vy = 1.3, 0.7, 2.0, 5.0, 6.0, 0.4, 0.9
-        params = single_pointer_params(
+        params = ScenarioParams(
             xi_x=m * vx * a / hbar, xi_y=m * vy * b / hbar, r=a / b, R=1.0, mu=1.0,
-            d_prime=d / a, Xi=1.0)
+            d_prime=d / a).with_rigid_pointer(1, 1.0)
         expected = vy * (d / vx) / b
         assert crossing_time(params) == pytest.approx(expected, rel=1e-14)
 
@@ -30,11 +30,11 @@ class TestCrossingTime:
         assert crossing_time(fig3_params) == pytest.approx(3.0, rel=1e-14)
 
     def test_coincident_slits(self):
-        p = single_pointer_params(10, 10, 1, 1, 1, 1e-12, Xi=1.0)
+        p = ScenarioParams(10, 10, 1, 1, 1, 1e-12).with_rigid_pointer(1, 1.0)
         assert crossing_time(p) == pytest.approx(0.0, abs=1e-11)
 
     def test_linear_in_xi_y(self, fig3_params):
-        doubled = single_pointer_params(10, 20, 1, 1, 1, 3, Xi=10.0)
+        doubled = ScenarioParams(10, 20, 1, 1, 1, 3).with_rigid_pointer(1, 10.0)
         assert crossing_time(doubled) == pytest.approx(2 * crossing_time(fig3_params))
 
 

@@ -13,8 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bohmsim._kernel import GuidanceKernel
-from bohmsim.model import (Configuration, ModeError, ScenarioParams, fast_pointer_E,
-                           single_pointer_params, two_pointer_params)
+from bohmsim.model import Configuration, ModeError, ScenarioParams, fast_pointer_E
 
 from conftest import config
 
@@ -61,30 +60,42 @@ class TestScenarioParams:
         with pytest.raises(ValueError):
             ScenarioParams(10, 10, 1, 1, 1, 3, ((math.inf, 0.0),))
 
+    def test_each_pair_keeps_its_own_floats(self):
+        # (0, 0) == (0.0, -0.0), yet each pair stores its own signed zeros, as floats
+        shared = (0, 0)
+        p = ScenarioParams(10, 10, 1, 1, 1, 3, (shared, (0.0, -0.0), shared, [2, -2.0]))
+        stored = p.pointer_velocities
+        assert stored == ((0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (2.0, -2.0))
+        assert [math.copysign(1.0, m) for _, m in stored] == [1.0, -1.0, 1.0, -1.0]
+        assert all(type(pair) is tuple and type(pair[0]) is type(pair[1]) is float
+                   for pair in stored)
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioParams(10, 10, 1, 1, 1, 3, ((1.0, -1.0),) * 3 + ((math.nan, 0.0),))
+
     def test_n_particles_tracks_table(self):
-        p = single_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0, n_particles=7)
+        p = ScenarioParams(10, 10, 1, 1, 1, 3).with_rigid_pointer(7, 2.0)
         assert p.n_particles == 7
         assert len(p.pointer_velocities) == 7
 
     def test_single_pointer_predicate(self):
-        assert single_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0, n_particles=3).single_pointer_xi == 2.0
-        assert two_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0).single_pointer_xi is None
+        assert ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0),) * 3).single_pointer_xi == 2.0
+        two = ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, 0.0), (0.0, 2.0)))
+        assert two.single_pointer_xi is None
         # no pointer at all is not "single pointer"
         assert ScenarioParams(10, 10, 1, 1, 1, 3, ()).single_pointer_xi is None
         # a lone asymmetric pair breaks the mode
         assert ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0), (2.0, -1.0))).single_pointer_xi is None
 
     def test_zero_velocity_is_single_pointer(self):
-        p = single_pointer_params(10, 10, 1, 1, 1, 3, Xi=0.0, n_particles=1)
+        p = ScenarioParams(10, 10, 1, 1, 1, 3).with_rigid_pointer(1, 0.0)
         assert p.single_pointer_xi == 0.0
 
     def test_rigid_pointer_family(self):
-        p = single_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0, n_particles=3)
+        p = ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0),) * 3)
         assert p.rigid_xi() == 2.0
-        assert p.with_rigid_pointer(7) == single_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0,
-                                                                 n_particles=7)
+        assert p.with_rigid_pointer(7) == ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0),) * 7)
         assert p.with_rigid_pointer(1, 5.0).pointer_velocities == ((5.0, -5.0),)
-        for other in (two_pointer_params(10, 10, 1, 1, 1, 3, Xi=2.0),
+        for other in (ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, 0.0), (0.0, 2.0))),
                       ScenarioParams(10, 10, 1, 1, 1, 3, ())):
             with pytest.raises(ModeError):
                 other.rigid_xi()
@@ -107,7 +118,7 @@ class TestFastPointerE:
 
     def test_two_pointer_mode_rejected(self):
         with pytest.raises(ModeError):
-            fast_pointer_E(two_pointer_params(10, 10, 1, 1, 1, 3, Xi=10.0))
+            fast_pointer_E(ScenarioParams(10, 10, 1, 1, 1, 3, ((10.0, 0.0), (0.0, 10.0))))
 
     def test_no_pointer_rejected(self):
         with pytest.raises(ModeError):
@@ -140,13 +151,13 @@ class TestEvalBranches:
 
     @given(t=times, x=coords, y=coords, z=coords)
     def test_matches_complex_oracle_fig4(self, t, x, y, z):
-        params = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=1)
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(1, 10.0)
         self.assert_matches_oracle(config(t, x, y, [z]), params)
 
     @given(t=times, x=coords, y=coords,
            z=st.lists(coords, min_size=2, max_size=2))
     def test_matches_complex_oracle_two_pointers(self, t, x, y, z):
-        params = two_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0)
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
         self.assert_matches_oracle(config(t, x, y, z), params)
 
     @given(t=times, x=coords, y=coords, z=coords)

@@ -14,7 +14,7 @@ import pytest
 from bohmsim import reduced
 from bohmsim._kernel import GuidanceKernel
 from bohmsim.integrate import IntegratorOptions, ZInit, integrate_trajectory
-from bohmsim.model import Configuration, ModeError, single_pointer_params, two_pointer_params
+from bohmsim.model import Configuration, ModeError, ScenarioParams
 from bohmsim.reduced import reconstruct_pointers, reduced_params
 from bohmsim.scenario import preset
 
@@ -31,13 +31,13 @@ class TestReducedVelocity:
 
     def test_sqrt_n_is_an_effective_velocity(self):
         # N = 100 at Xi = 1 must map onto N = 1 at Xi = 10 exactly
-        p100 = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=1.0, n_particles=100)
-        p1 = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=1)
+        p100 = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(100, 1.0)
+        p1 = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(1, 10.0)
         assert reduced_params(p100) == p1
 
     def test_doubling_n_matches_parameter_map_bitwise(self):
-        pn = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=1.0, n_particles=4)
-        pm = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=2.0, n_particles=1)
+        pn = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(4, 1.0)
+        pm = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(1, 2.0)
         assert reduced_params(pn).pointer_velocities == reduced_params(pm).pointer_velocities
         init = Configuration(0.0, 3.0, 0.0, (0.15,) * 4)
         init1 = Configuration(0.0, 3.0, 0.0, (0.3,))
@@ -47,7 +47,7 @@ class TestReducedVelocity:
         assert np.array_equal(a.sigma_hat, b.sigma_hat)
 
     def test_two_pointer_mode_rejected(self):
-        p = two_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0)
+        p = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
         with pytest.raises(ModeError):
             reduced_params(p)
         with pytest.raises(ModeError):
@@ -113,7 +113,7 @@ class TestReconstruction:
 
     def test_deviations_follow_packet_spreading(self, fig4_params):
         # uncoupled pointer: every Z'_n(t') = Z'_n(0) * s(t') exactly
-        params = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=0.0, n_particles=3)
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(3, 0.0)
         z0 = (0.5, -0.2, 0.9)
         init = Configuration(0.0, 2.8, 0.0, z0)
         traj = integrate_trajectory(init, params, OPTS, backend="full-analytic")

@@ -9,8 +9,7 @@ import pytest
 
 from bohmsim import svgplot
 from bohmsim.integrate import EnsembleSpec, run_ensemble
-from bohmsim.runio import (pointer_columns, read_manifest, read_trajectory_csv, write_run,
-                           write_trajectory_csv)
+from bohmsim.runio import read_manifest, read_trajectory_csv, write_run, write_trajectory_csv
 from bohmsim.scenario import preset
 from bohmsim.svgplot import Curve, render_chart
 
@@ -19,15 +18,13 @@ from bohmsim.svgplot import Curve, render_chart
 EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 
 
-def csv_oracle(traj, stride=1) -> str:
+def csv_oracle(traj) -> str:
     """The trajectory CSV as one format call per cell: the reference for the writer."""
-    n = traj.n_samples
-    rows = [*range(0, n, stride), *([n - 1] if (n - 1) % stride else [])]
-    lines = [",".join(["t_prime", "X", "Y",
-                       *pointer_columns(traj.backend, traj.params.n_particles),
-                       "logOmega", "deltaS"])]
-    for i in rows:
-        pointer = [traj.sigma_hat[i]] if traj.backend == "reduced" else list(traj.z[i])
+    reduced = traj.backend == "reduced"
+    names = ["Sigma_hat"] if reduced else [f"Z_{j + 1}" for j in range(traj.params.n_particles)]
+    lines = [",".join(["t_prime", "X", "Y", *names, "logOmega", "deltaS"])]
+    for i in range(traj.n_samples):
+        pointer = [traj.sigma_hat[i]] if reduced else list(traj.z[i])
         cells = [traj.t[i], traj.x[i], traj.y[i], *pointer, traj.log_omega[i],
                  traj.delta_s[i]]
         lines.append(",".join(f"{float(v):.17g}" for v in cells))
@@ -50,7 +47,7 @@ def small_run(tmp_path_factory):
     sc = type(sc)(sc.name, sc.params,
                   EnsembleSpec(count_per_slit=2, z_init=sc.ensemble.z_init,
                                backend="full-analytic"),
-                  sc.integrator, sc.outputs)
+                  sc.integrator)
     trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
     out = tmp_path_factory.mktemp("run")
     manifest = write_run(out, sc, trajs)
@@ -61,6 +58,7 @@ class TestCsv:
     def test_full_double_precision_round_trip(self, small_run):
         _, trajs, out, manifest = small_run
         cols = read_trajectory_csv(out / manifest["trajectories"][0]["file"])
+        assert list(cols) == manifest["columns"]
         traj = trajs[0]
         assert np.array_equal(cols["t_prime"], traj.t)
         assert np.array_equal(cols["X"], traj.x)
@@ -74,30 +72,13 @@ class TestCsv:
         sc = type(sc)(sc.name, sc.params,
                       EnsembleSpec(count_per_slit=1, z_init=sc.ensemble.z_init,
                                    backend="reduced"),
-                      sc.integrator, sc.outputs)
+                      sc.integrator)
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
         manifest = write_run(tmp_path, sc, trajs)
         assert "Sigma_hat" in manifest["columns"]
         cols = read_trajectory_csv(tmp_path / "traj_000.csv")
+        assert list(cols) == manifest["columns"]
         assert np.array_equal(cols["Sigma_hat"], trajs[0].sigma_hat)
-
-    # 513 samples: stride 7 leaves the last one off the grid, stride 8 lands on it
-    @pytest.mark.parametrize("stride, rows", [(7, [*range(0, 513, 7), 512]),
-                                              (8, list(range(0, 513, 8)))])
-    def test_stride_keeps_every_kth_row_and_the_last(self, small_run, tmp_path, stride,
-                                                     rows):
-        sc, trajs, _, _ = small_run
-        sc = dataclasses.replace(sc, outputs=dataclasses.replace(sc.outputs, stride=stride))
-        manifest = write_run(tmp_path, sc, trajs)
-        for rec, traj in zip(manifest["trajectories"], trajs, strict=True):
-            assert traj.n_samples == 513
-            path = tmp_path / rec["file"]
-            assert path.read_text() == csv_oracle(traj, stride)
-            cols = read_trajectory_csv(path)
-            assert cols["t_prime"].tobytes() == traj.t[rows].tobytes()
-            assert cols["X"].tobytes() == traj.x[rows].tobytes()
-            assert cols["Z_1"].tobytes() == traj.z[rows, 0].tobytes()
-            assert cols["deltaS"].tobytes() == traj.delta_s[rows].tobytes()
 
     @pytest.mark.parametrize("pointer", ["Z_n", "Sigma_hat"])
     def test_bytes_equal_one_format_call_per_cell(self, small_run, tmp_path, pointer):

@@ -34,7 +34,7 @@ class TestStrictness:
         with pytest.raises(ScenarioError, match="extra"):
             scenario_from_dict(data)
 
-    @pytest.mark.parametrize("block", ["params", "ensemble", "integrator", "outputs"])
+    @pytest.mark.parametrize("block", ["params", "ensemble", "integrator"])
     def test_unknown_nested_key(self, block):
         data = scenario_to_dict(preset("fig4"))
         data[block]["bogus"] = 1
@@ -62,6 +62,18 @@ class TestStrictness:
         v2["integrator"]["node_eps"] = 1e-13
         with pytest.raises(ScenarioError, match=r"integrator\.node_eps"):
             scenario_from_dict(v2)
+        # and a version-3 file, every one of which holds the outputs block
+        v3 = scenario_to_dict(preset("fig4"))
+        v3.update(schema_version=3, outputs={"svg": False, "stride": 1})
+        with pytest.raises(ScenarioError) as refused:
+            scenario_from_dict(v3)
+        for named in ("outputs block", "outputs.svg", "bohmsim plot", "outputs.stride",
+                      "integrator.stride"):
+            assert named in str(refused.value)
+        # read as the current version, the retired block is an unknown key
+        v3["schema_version"] = SCHEMA_VERSION
+        with pytest.raises(ScenarioError, match="unknown key.*outputs"):
+            scenario_from_dict(v3)
 
     def test_bad_physics_rejected(self):
         data = scenario_to_dict(preset("fig4"))
@@ -141,8 +153,7 @@ class TestPresetCatalog:
         assert preset("fig5").ensemble.z_init.value == 0.3
         assert preset("fig5-text").ensemble.z_init.value == 0.5
         assert preset("fig6") == preset("fig5").__class__(
-            "fig6", preset("fig5").params, preset("fig5").ensemble,
-            preset("fig5").integrator, preset("fig5").outputs)
+            "fig6", preset("fig5").params, preset("fig5").ensemble, preset("fig5").integrator)
 
         p7 = preset("fig7")
         assert p7.params.pointer_velocities == ((10.0, 0.0), (0.0, 10.0))

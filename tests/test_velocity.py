@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from bohmsim import velocity
 from bohmsim._kernel import GuidanceKernel
-from bohmsim.model import (NodeError, ScenarioParams, single_pointer_params,
-                           two_pointer_params)
+from bohmsim.model import NodeError, ScenarioParams
 from bohmsim.validate import random_configurations
 from bohmsim.velocity import fd_velocity, velocity_analytic, velocity_numeric, y_closed_form
 
@@ -30,15 +29,15 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("preset_params", [
         dict(R=1.0, Xi=0.0), dict(R=1.0, Xi=10.0), dict(R=0.2, Xi=10.0)])
     def test_random_support_agreement(self, preset_params):
-        params = single_pointer_params(10, 10, 1, preset_params["R"], 1, 3,
-                                       Xi=preset_params["Xi"], n_particles=1)
+        params = ScenarioParams(10, 10, 1, preset_params["R"], 1, 3).with_rigid_pointer(
+            1, preset_params["Xi"])
         rng = np.random.default_rng(42)
         for cfg in random_configurations(params, 200, rng):
             assert rel_dev(velocity_analytic(cfg, params),
                            velocity_numeric(cfg, params)) <= 1e-6
 
     def test_two_pointer_agreement(self):
-        params = two_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0)
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
         rng = np.random.default_rng(7)
         for cfg in random_configurations(params, 100, rng):
             assert rel_dev(velocity_analytic(cfg, params),
@@ -192,7 +191,7 @@ class TestSymmetry:
         assert vp.dx == v.dx
 
     def test_identical_particles_move_identically(self, ):
-        params = single_pointer_params(10, 10, 1, 0.2, 1, 3, Xi=10.0, n_particles=3)
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(3, 10.0)
         v = velocity_analytic(config(1.2, 0.7, 0.9, (0.4, 0.4, 0.4)), params)
         assert v.dz[0] == v.dz[1] == v.dz[2]
 
