@@ -112,7 +112,7 @@ class GuidanceKernel:
         self.dxi_pad = np.zeros(self.n + 2)
         self.dxi = np.subtract(xi_p, xi_m, out=self.dxi_pad[2:])
         self.pz_dxi_pad = self.pz * self.dxi_pad
-        if params.is_single_pointer:  # Xi^- = -Xi^+: SXi and dG vanish exactly
+        if params.single_pointer_xi is not None:  # Xi^- = -Xi^+: SXi and dG vanish exactly
             self.pz_sxi_pad = None
             self.dgam2 = 0.0
         else:

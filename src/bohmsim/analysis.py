@@ -8,16 +8,12 @@ slow-pointer scenario the bounces are the ones read as surrealistic, so
 The empty-wave ratio K compares the branch that the trajectory left behind
 (opposite to its initial slit) with the branch it rides, evaluated at the
 Bohmian configuration.  ``k_exact`` is the full amplitude ratio; its
-pointer-only factor ``k_pointer`` is what the N-scaling argument is about,
-together with the short-time approximations
-
-    k_lin   = exp{-N [2 <zeta> dz' + dz'^2]}     (packet-relative mean <zeta>)
-    k_gauss = exp{-N dz'^2}
-
-where dz' = 2 gamma t' is the packet separation in primed units.  The
+pointer-only factor ``k_pointer`` is what the N-scaling argument is about.
+Both are exact, read from the kernel's branch contrast.  The
 characteristic suppression time tau = 1/(gamma sqrt(N)) shrinks like
 1/sqrt(N); ``tau_scaling_fit`` measures that exponent from threshold
-crossings of k_pointer along a reference trajectory.
+crossings of k_pointer along a reference trajectory, integrated at the
+default ``IntegratorOptions``.
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import GuidanceKernel
-from .integrate import (EnsembleSpec, IntegratorOptions, Trajectory, ZInit,
-                        crossing_time, integrate_trajectory, run_ensemble)
+from .integrate import (EnsembleSpec, Trajectory, ZInit, crossing_time, integrate_trajectory,
+                        run_ensemble)
 from .model import Configuration, ScenarioParams, fast_pointer_E
 from .reduced import reduced_params
 
@@ -129,8 +125,6 @@ class EmptyWaveReport:
     t: np.ndarray
     k_exact: np.ndarray        # full ratio, test-particle factor included
     k_pointer: np.ndarray      # pointer factor only (the N-scaling quantity)
-    k_lin: np.ndarray
-    k_gauss: np.ndarray
     tau: float                 # characteristic suppression time 1/(gamma sqrt(N))
     n_particles: int
     initial_slit: str
@@ -141,35 +135,24 @@ def _kexp(arg: np.ndarray) -> np.ndarray:
 
 
 def empty_wave_ratio(traj: Trajectory, params: ScenarioParams) -> EmptyWaveReport:
-    """Exact and approximate K along a single-pointer trajectory.
+    """Exact K along a single-pointer trajectory.
 
     The pointer enters only through ``traj.sigma_hat``, read by the kernel of
-    the one-particle twin, so k_lin and k_gauss take their N = 1 forms.
+    the one-particle twin.
     """
     twin = reduced_params(params)
     kern = GuidanceKernel(twin)
     gamma = kern.pz * twin.rigid_xi()
     s_eff = 1.0 if traj.initial_slit == "upper" else -1.0
 
-    t = traj.t
-    sigma_hat = traj.sigma_hat
-    log_k_exact = -s_eff * traj.log_omega
-    _, _, z_part = kern.contrast(t, traj.x, sigma_hat[:, None])
-    log_k_pointer = -s_eff * z_part
-
-    dz = 2.0 * gamma * t
-    zeta = s_eff * sigma_hat - gamma * t
-    log_k_lin = -(2.0 * zeta * dz + dz * dz)
-    log_k_gauss = -dz * dz
+    _, _, z_part = kern.contrast(traj.t, traj.x, traj.sigma_hat[:, None])
     tau = math.inf if gamma == 0.0 else 1.0 / gamma
+    return EmptyWaveReport(t=traj.t, k_exact=_kexp(-s_eff * traj.log_omega),
+                           k_pointer=_kexp(-s_eff * z_part), tau=tau,
+                           n_particles=params.n_particles, initial_slit=traj.initial_slit)
 
-    return EmptyWaveReport(t=t, k_exact=_kexp(log_k_exact), k_pointer=_kexp(log_k_pointer),
-                           k_lin=_kexp(log_k_lin), k_gauss=_kexp(log_k_gauss),
-                           tau=tau, n_particles=params.n_particles, initial_slit=traj.initial_slit)
 
-
-def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float,
-                             opts: IntegratorOptions = IntegratorOptions()) -> list[float]:
+def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float) -> list[float]:
     """First t' with k_pointer < threshold along the reference trajectory, per N.
 
     The reference launch (upper slit centre, Sigma_hat'(0) = 0) runs on the
@@ -184,7 +167,7 @@ def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float,
     for n in n_list:
         twin = reduced_params(params.with_rigid_pointer(int(n)))
         init = Configuration(0.0, twin.d_prime, 0.0, (0.0,))
-        traj = integrate_trajectory(init, twin, opts, backend="reduced")
+        traj = integrate_trajectory(init, twin, backend="reduced")
         logk = np.log(empty_wave_ratio(traj, twin).k_pointer)
         logt = math.log(threshold)
         below = np.nonzero(logk < logt)[0]
@@ -200,24 +183,22 @@ def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float,
     return times
 
 
-def tau_scaling_fit(params: ScenarioParams, n_list, threshold: float,
-                    opts: IntegratorOptions = IntegratorOptions()) -> float:
+def tau_scaling_fit(params: ScenarioParams, n_list, threshold: float) -> float:
     """Least-squares exponent of crossing time vs N; -1/2 is the prediction."""
     ns = [int(n) for n in n_list]
     if len(set(ns)) < 4:
         raise DegenerateFit("need at least 4 distinct N values")
     if max(ns) < 10 * min(ns):
         raise DegenerateFit("N values must span at least a decade")
-    times = threshold_crossing_times(params, ns, threshold, opts)
+    times = threshold_crossing_times(params, ns, threshold)
     if any(t <= 0.0 for t in times):
         raise DegenerateFit("threshold crossed at t' = 0; nothing to fit")
     slope, _ = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(times), 1)
     return float(slope)
 
 
-def surreal_fraction_vs_N(params: ScenarioParams, n_list, sigma_hat0: float = 0.0,
-                          opts: IntegratorOptions = IntegratorOptions(),
-                          ) -> list[tuple[int, float]]:
+def surreal_fraction_vs_N(params: ScenarioParams, n_list,
+                          sigma_hat0: float = 0.0) -> list[tuple[int, float]]:
     """Bounce fraction per pointer size N, at fixed Sigma_hat'(0).
 
     Runs the standard launch grid for each N on the one-particle twin of
@@ -232,5 +213,5 @@ def surreal_fraction_vs_N(params: ScenarioParams, n_list, sigma_hat0: float = 0.
     for n in n_list:
         n = int(n)
         twin = reduced_params(params.with_rigid_pointer(n))
-        rows.append((n, classify_ensemble(run_ensemble(spec, twin, opts)).bounce_fraction))
+        rows.append((n, classify_ensemble(run_ensemble(spec, twin)).bounce_fraction))
     return rows

@@ -62,7 +62,9 @@ def cmd_simulate(args) -> int:
     except IntegrationAbort as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, MemoryError) as exc:
+        # MemoryError: an array too large to allocate, such as a sample or launch grid;
+        # numpy's message names its size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -118,10 +118,6 @@ class ScenarioParams:
             return None
         return vel[0][0]
 
-    @property
-    def is_single_pointer(self) -> bool:
-        return self.single_pointer_xi is not None
-
     def rigid_xi(self) -> float:
         """Common Xi of a single rigid pointer; ModeError for any other pointer.
 

@@ -100,7 +100,6 @@ class SolverResult:
     y: np.ndarray                 # (n_samples, dim) states at those times
     stats: SolverStats = field(default_factory=SolverStats)
     degenerate: bool = False      # truncated at a node
-    t_reached: float = 0.0
 
 
 def _error_norm(err, abs_y0, abs_y1, rtol, atol, r):
@@ -138,8 +137,7 @@ def _dense_output(ts, steps, out) -> None:
 
 
 def solve(rhs, t0: float, y0, t_end: float, sample_times,
-          rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf,
-          first_step: float | None = None) -> SolverResult:
+          rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf) -> SolverResult:
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
@@ -156,11 +154,9 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     # written so that NaN fails: a NaN h never drops below H_FLOOR, and the loop never ends
-    if not (0 < rtol < math.inf and 0 < atol < math.inf and 0 < max_step
-            and (first_step is None or 0 < first_step < math.inf)):
-        raise ValueError(f"rtol={rtol!r}, atol={atol!r}, max_step={max_step!r} and "
-                         f"first_step={first_step!r} must be positive, and all but "
-                         "max_step finite")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf and 0 < max_step):
+        raise ValueError(f"rtol={rtol!r}, atol={atol!r} and max_step={max_step!r} must be "
+                         "positive, and all but max_step finite")
 
     dim = y0.size
     n_out = len(ts)
@@ -183,14 +179,10 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     try:
         k[0] = rhs(t0, y0)
     except NodeError:
-        return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True, t0)
-    n_rhs = 1
-    if first_step is None:
-        h = _initial_step(rhs, t0, y0, k[0], t_end, rtol, atol, max_step)
-        n_rhs += 1
-    else:
-        h = first_step
-    h = min(max(h, H_FLOOR), max_step)
+        return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
+    h = min(max(_initial_step(rhs, t0, y0, k[0], t_end, rtol, atol, max_step), H_FLOOR),
+            max_step)
+    n_rhs = 2  # k1 and the starting-step probe
     t = t0
     y = y0
     abs_y = np.abs(y0)
@@ -203,7 +195,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         _dense_output(ts, dense, out)
         stats = SolverStats(n_steps, n_rejected, n_backoffs, n_rhs, n_capped,
                             h_min if n_steps else 0.0, h_max)
-        return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate, t)
+        return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate)
 
     while t < t_end:
         if n_steps + n_rejected > MAX_STEPS:

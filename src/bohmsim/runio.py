@@ -80,7 +80,7 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
         "scenario": scenario_to_dict(scenario),
         "backend": scenario.ensemble.backend,
         "t_cross": crossing_time(params),
-        "fast_pointer_E": fast_pointer_E(params) if params.is_single_pointer else None,
+        "fast_pointer_E": fast_pointer_E(params) if params.single_pointer_xi is not None else None,
         "n_trajectories": len(trajs),
         "columns": csv_columns(scenario.ensemble.backend, params.n_particles),
         "trajectories": records,

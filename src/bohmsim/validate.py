@@ -12,9 +12,12 @@ Five suites, each an independent oracle against the production code path:
     tau-scaling          fitted exponent of the empty-wave suppression
                          time vs N against the predicted -1/2
 
-`run_validation` executes any subset and reports one pass/fail per suite.
-The ``analytic_fn`` hook takes a velocity route, so tests can inject a
-broken one and confirm the equivalence suite actually detects it.
+Each suite fixes its inputs and tolerance in its own body, runs its
+presets' own ``integrator`` settings, and states its tolerance in its
+reading.  `run_validation` executes any subset and reports one pass/fail
+per suite.  The one hook is ``analytic_fn`` of the equivalence suite: it
+takes a velocity route, so tests can inject a broken one and confirm that
+the suite detects it.
 """
 
 from __future__ import annotations
@@ -76,24 +79,26 @@ def random_configurations(params: ScenarioParams, count: int,
     return out
 
 
-def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
-                              presets=("fig2", "fig3", "fig4"), seed: int = 20260808,
-                              analytic_fn: Callable = GuidanceKernel.velocity) -> tuple[bool, str]:
-    """Closed form against finite differences on random non-node configurations.
+def check_backend_equivalence(analytic_fn: Callable = GuidanceKernel.velocity) -> tuple[bool, str]:
+    """Closed form against finite differences on 1000 random non-node configurations
+    each of fig2, fig3 and fig4, to 1e-6 relative.
 
     Both routes run on each configuration's state, one kernel per preset.
     ``random_configurations`` keeps only draws with a normalized density of
     at least 1e-6, far above the node floor, so a NodeError from either
     route is a failure, not a skip; so is a velocity that is not finite.
+    ``analytic_fn`` stands in for the closed form, so a test can inject a
+    broken route.
     """
-    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    rng = np.random.default_rng(20260808)
     worst = 0.0
     where = ""
     compared = node_errors = 0
-    for name in presets:
+    for name in ("fig2", "fig3", "fig4"):
         params = preset(name).params
         kern = GuidanceKernel(params)
-        for cfg in random_configurations(params, count, rng):
+        for cfg in random_configurations(params, 1000, rng):
             state = cfg.state()
             try:
                 va = analytic_fn(kern, cfg.t_prime, state)
@@ -112,29 +117,32 @@ def check_backend_equivalence(count: int = 1000, tol: float = 1e-6,
                 f"{node_errors} raised NodeError (worst preset: {where}, tol {tol:g})")
 
 
-def check_sqrtn_equivalence(n_values=(1, 4, 9, 16), tol: float = 1e-5,
-                            opts: IntegratorOptions = IntegratorOptions()) -> tuple[bool, str]:
-    base = preset("fig4").params
+def check_sqrtn_equivalence() -> tuple[bool, str]:
+    """Full against reduced on fig4 at N = 1, 4, 9 and 16, to 1e-5 in X' and Sigma_hat'."""
+    tol = 1e-5
+    n_values = (1, 4, 9, 16)
+    sc = preset("fig4")
     worst = 0.0
     for n in n_values:
-        params = base.with_rigid_pointer(n)
+        params = sc.params.with_rigid_pointer(n)
         z0 = tuple(0.2 * np.linspace(-1.0, 1.0, n)) if n > 1 else (0.1,)
-        init = Configuration(0.0, base.d_prime + 0.2, 0.0, z0)
-        full = integrate_trajectory(init, params, opts, backend="full-analytic")
-        red = integrate_trajectory(init, params, opts, backend="reduced")
+        init = Configuration(0.0, sc.params.d_prime + 0.2, 0.0, z0)
+        full = integrate_trajectory(init, params, sc.integrator, backend="full-analytic")
+        red = integrate_trajectory(init, params, sc.integrator, backend="reduced")
         worst = max(worst,
                     float(np.max(np.abs(full.x - red.x))),
                     float(np.max(np.abs(full.sigma_hat - red.sigma_hat))))
-    return worst <= tol, f"max |full - reduced| {worst:.3e} over N={tuple(n_values)} (tol {tol:g})"
+    return worst <= tol, f"max |full - reduced| {worst:.3e} over N={n_values} (tol {tol:g})"
 
 
-def check_y_oracle(tol: float = 1e-8,
-                   opts: IntegratorOptions = IntegratorOptions()) -> tuple[bool, str]:
+def check_y_oracle() -> tuple[bool, str]:
+    """Integrated Y' against its closed form on every preset ensemble, to 1e-8."""
+    tol = 1e-8
     worst = 0.0
     where = ""
     for name in preset_names():
         sc = preset(name)
-        for traj in run_ensemble(sc.ensemble, sc.params, opts):
+        for traj in run_ensemble(sc.ensemble, sc.params, sc.integrator):
             y0 = traj.initial.y
             exact = np.array([y_closed_form(t, y0, sc.params.xi_y) for t in traj.t])
             err = float(np.max(np.abs(traj.y - exact)))
@@ -143,11 +151,11 @@ def check_y_oracle(tol: float = 1e-8,
     return worst <= tol, f"max |Y - closed form| {worst:.3e} (worst preset: {where}, tol {tol:g})"
 
 
-def check_mirror_symmetry(tol_factor: float = 10.0,
-                          opts: IntegratorOptions = IntegratorOptions()) -> tuple[bool, str]:
+def check_mirror_symmetry() -> tuple[bool, str]:
+    """fig4's upper launches against their lower mirrors, to 10 * rel_tol."""
     sc = preset("fig4")
-    tol = tol_factor * opts.rel_tol
-    trajs = run_ensemble(sc.ensemble, sc.params, opts)
+    tol = 10.0 * sc.integrator.rel_tol
+    trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
     k = sc.ensemble.count_per_slit
     worst = 0.0
     for i in range(k):
@@ -161,10 +169,10 @@ def check_mirror_symmetry(tol_factor: float = 10.0,
     return worst <= tol, f"max mirror defect {worst:.3e} over {k} pairs (tol {tol:g})"
 
 
-def check_tau_scaling(n_values=(4, 16, 64, 256), threshold: float = 1e-3,
-                      expected: float = -0.5, tol: float = 0.05) -> tuple[bool, str]:
-    params = preset("fig3").params
-    slope = tau_scaling_fit(params, n_values, threshold)
+def check_tau_scaling() -> tuple[bool, str]:
+    """Fitted exponent of fig3's 1e-3 crossing time over N = 4 .. 256: -0.5 +/- 0.05."""
+    expected, tol = -0.5, 0.05
+    slope = tau_scaling_fit(preset("fig3").params, (4, 16, 64, 256), 1e-3)
     return abs(slope - expected) <= tol, (
         f"fitted exponent {slope:.4f} (expected {expected} +/- {tol})")
 

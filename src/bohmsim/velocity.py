@@ -12,13 +12,15 @@ Both routes, ``GuidanceKernel.velocity`` and ``fd_velocity``, keep one
 contract: ``route(kern, t, state)`` returns dy/dt' of the state (X', Y',
 Z'_1..Z'_N) as a fresh array, or raises NodeError below ``model.NODE_EPS``.
 
-The finite-difference stencil (the centre, then each coordinate moved by
-+/-h and +/-h/2) is built as rows of configurations and evaluated a block
-of rows per batched ``GuidanceKernel.branch_eval`` call, which stacks the
-two branches; a block holds at most ``FD_BLOCK_BYTES`` of coordinates, so
-memory stays bounded at any N.  Every row is still a full branch
-evaluation: nothing is updated incrementally from the centre, and no
-gradient of the analytic route is reused.
+There is one stencil: the centre, then each coordinate moved by +/-h and
++/-h/2, with h = ``FD_H`` = 1e-5; Richardson extrapolation combines the
+central differences at h and h/2 to O(h^4).  It is built as rows of
+configurations and evaluated a block of rows per batched
+``GuidanceKernel.branch_eval`` call, which stacks the two branches; a
+block holds at most ``FD_BLOCK_BYTES`` of coordinates, so memory stays
+bounded at any N.  Every row is still a full branch evaluation: nothing is
+updated incrementally from the centre, and no gradient of the analytic
+route is reused.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = ["VelocityVector", "velocity_analytic", "velocity_numeric", "fd_veloci
 # that.  In fresh processes (fig4, median of 15 calls), 256 and 128 KiB blocks both read
 # 29 ms at N = 1000, and 184 against 261 ms at N = 3000, where 128 KiB holds one coordinate.
 FD_BLOCK_BYTES = 256 * 1024
+
+FD_H = 1e-5
+_FD_STEPS = np.array((FD_H, -FD_H, FD_H / 2.0, -FD_H / 2.0))  # per coordinate, in row order
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,8 @@ class VelocityVector:
 _last_kernel: tuple = (None, None)
 
 
-def _at_config(route, config: Configuration, params: ScenarioParams, *args) -> VelocityVector:
-    """``route(kern, t, state, *args)`` on one configuration; one kernel per params object."""
+def _at_config(route, config: Configuration, params: ScenarioParams) -> VelocityVector:
+    """``route(kern, t, state)`` on one configuration; one kernel per params object."""
     global _last_kernel
     if len(config.z) != params.n_particles:
         raise ValueError(f"configuration has {len(config.z)} pointer coordinates, "
@@ -71,7 +76,7 @@ def _at_config(route, config: Configuration, params: ScenarioParams, *args) -> V
     if held is not params:
         kern = GuidanceKernel(params)
         _last_kernel = params, kern
-    vx, vy, *vz = route(kern, config.t_prime, config.state(), *args).tolist()
+    vx, vy, *vz = route(kern, config.t_prime, config.state()).tolist()
     return VelocityVector(vx, vy, tuple(vz))
 
 
@@ -80,19 +85,17 @@ def velocity_analytic(config: Configuration, params: ScenarioParams) -> Velocity
     return _at_config(GuidanceKernel.velocity, config, params)
 
 
-def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
-                h: float = 1e-5, richardson: bool = True) -> np.ndarray:
+def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray) -> np.ndarray:
     """Finite-difference dy/dt' at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
     The same contract as ``GuidanceKernel.velocity``; the state is only
-    read.  Evaluates the 1 + 4(N+2) stencil rows (1 + 2(N+2) without
-    ``richardson``) in blocks of whole coordinates, one ``kern.branch_eval``
-    call per block, and takes the differences as array operations.
+    read.  Evaluates the 1 + 4(N+2) stencil rows in blocks of whole
+    coordinates, one ``kern.branch_eval`` call per block, and takes the
+    differences as array operations.
     Raises NodeError if the normalized density at the centre is below
     ``NODE_EPS``.
     """
-    steps = np.array((h, -h, h / 2.0, -h / 2.0) if richardson else (h, -h))
-    width = steps.size
+    width = _FD_STEPS.size
     dims = kern.n + 2
     # stencil row 0 is the centre; row 1 + width*k + j has coordinate k moved by steps[j]
     branches = np.empty((4, 1 + width * dims))
@@ -105,7 +108,7 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
         nc = min(per_block, dims - lo)  # coordinates lo .. lo + nc - 1
         rows[:] = state
         diagonal = rows.reshape(-1)[dims:dims + nc * span].reshape(nc, span)
-        diagonal[:, lo:lo + width * dims:dims] += steps
+        diagonal[:, lo:lo + width * dims:dims] += _FD_STEPS
         start = 0 if lo == 0 else 1  # the centre row goes with the first block only
         block = rows[start:1 + width * nc]
         branches[:, start + width * lo:1 + width * (lo + nc)] = kern.branch_eval(
@@ -120,28 +123,24 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray,
 
     moved = psi[1:].reshape(dims, width)
     diff = moved[:, 0::2] - moved[:, 1::2]  # Psi(+h) - Psi(-h), Psi(+h/2) - Psi(-h/2)
-    dpsi = diff[:, 0] / (2.0 * h)
-    if richardson:
-        dpsi = (4.0 * (diff[:, 1] / h) - dpsi) / 3.0
+    dpsi = diff[:, 0] / (2.0 * FD_H)
+    dpsi = (4.0 * (diff[:, 1] / FD_H) - dpsi) / 3.0  # Richardson: O(h^4)
     v = (psi_c.conjugate() * dpsi).imag / rho_hat  # the probability current per coordinate
     v[0], v[1] = v[0] * kern.px, v[1] * kern.py
     v[2:] *= kern.pz
     return v
 
 
-def velocity_numeric(config: Configuration, params: ScenarioParams,
-                     h: float = 1e-5, richardson: bool = True) -> VelocityVector:
+def velocity_numeric(config: Configuration, params: ScenarioParams) -> VelocityVector:
     """Finite-difference guidance velocity from the full complex Psi.
 
-    Central differences are O(h^2); with ``richardson`` the h and h/2
-    stencils are combined to O(h^4).  The wave function is rescaled by the
-    larger branch amplitude at the stencil center, so the ratio
+    Central differences at h and h/2 are combined to O(h^4).  The wave
+    function is rescaled by the larger branch amplitude at the stencil
+    center, so the ratio
     Im(Psi* dPsi)/|Psi|^2 is immune to amplitude underflow.  Independent of
     the analytic route: only branch values enter, never their gradients.
     """
-    if not 0.0 < h <= 1e-4:
-        raise ValueError(f"finite-difference step must be in (0, 1e-4], got {h!r}")
-    return _at_config(fd_velocity, config, params, h, richardson)
+    return _at_config(fd_velocity, config, params)
 
 
 def y_closed_form(t_prime: float, y0_prime: float, xi_y: float) -> float:

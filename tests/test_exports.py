@@ -1,9 +1,11 @@
 """The public surface: every exported name exists, the package re-exports only
-exported names, and the package's names and a scenario file's settable keys are
-pinned, so a new setting or export has to edit this file on purpose."""
+exported names, and the package's names, a scenario file's settable keys and the
+defaulted parameters of the public functions are pinned, so a new setting, export
+or knob has to edit this file on purpose."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from dataclasses import fields, is_dataclass
@@ -73,3 +75,41 @@ def test_package_names_are_pinned():
 def test_scenario_file_keys_are_pinned():
     assert len(SCENARIO_KEYS) == 20
     assert settable_keys(Scenario) == SCENARIO_KEYS
+
+
+KNOBS = {
+    "analysis.surreal_fraction_vs_N(sigma_hat0)",
+    "bench.run_bench(backends)", "bench.run_bench(repetitions)",
+    "integrate.ZInit.common(value)", "integrate.integrate_trajectory(opts)",
+    "integrate.integrate_trajectory(backend)", "integrate.run_ensemble(opts)",
+    "model.ScenarioParams.with_rigid_pointer(xi)",
+    "rk45.solve(rtol)", "rk45.solve(atol)", "rk45.solve(max_step)",
+    "runio.write_run(summary)", "runio.write_run(timing)",
+    "validate.check_backend_equivalence(analytic_fn)", "validate.run_validation(only)",
+}
+
+
+def defaulted_parameters() -> set[str]:
+    """``module.function(param)`` for every defaulted parameter of each function in a
+    module's ``__all__``, and of each public method and classmethod of its classes."""
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            obj = getattr(module, export)
+            if inspect.isclass(obj):
+                members = [(f"{export}.{k}", getattr(v, "__func__", v))
+                           for k, v in vars(obj).items() if not k.startswith("_")
+                           and isinstance(v, (types.FunctionType, classmethod))]
+            else:
+                members = [(export, obj)] if inspect.isfunction(obj) else []
+            found |= {f"{name.removeprefix('bohmsim.')}.{qual}({p.name})"
+                      for qual, fn in members
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not inspect.Parameter.empty}
+    return found
+
+
+def test_defaulted_parameters_are_pinned():
+    assert len(KNOBS) == 15
+    assert defaulted_parameters() == KNOBS

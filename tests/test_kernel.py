@@ -235,7 +235,7 @@ def test_batched_branch_eval_rows_equal_scalar_calls(name, n):
 def test_branch_eval_mirror_swaps_the_branches_exactly(name, n):
     # single-pointer mode (and N = 0): (X', Z') -> (-X', -Z') swaps (lr1, s1) with (lr2, s2)
     params = batch_params(name, n)
-    assert params.is_single_pointer or n == 0
+    assert params.single_pointer_xi is not None or n == 0
     kern = GuidanceKernel(params)
     times, x, y, z = batch_rows(params, 22)
     for t in times:

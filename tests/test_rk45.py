@@ -32,10 +32,9 @@ def _quartic(t, y0):
 class TestDenseOutput:
     def test_exact_for_cubic_field(self):
         y0 = np.array([0.5, -1.0])
-        # four steps of 0.25: ten samples inside each step, t0 and t_end included
+        # steps of up to 0.25, most holding several samples; t0 and t_end included
         samples = np.linspace(0.0, 1.0, 41)
-        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25, first_step=0.25)
-        assert res.stats.n_steps == 4
+        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25)
         assert np.array_equal(res.t, samples)
         assert res.y[0].tolist() == y0.tolist()
         assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12
@@ -43,7 +42,7 @@ class TestDenseOutput:
     def test_samples_in_last_step_only(self):
         y0 = np.array([0.0, 0.0])
         samples = np.array([0.9, 0.95, 0.99, 1.0])
-        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25, first_step=0.25)
+        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25)
         assert np.array_equal(res.t, samples)
         assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12
 
@@ -69,9 +68,8 @@ class TestDenseOutput:
 
 class TestSettingsRefused:
     @pytest.mark.parametrize("bad", [dict(rtol=math.nan), dict(atol=math.nan),
-                                     dict(first_step=math.nan), dict(max_step=math.nan),
-                                     dict(rtol=0.0), dict(atol=math.inf),
-                                     dict(first_step=-0.1), dict(max_step=0.0)],
+                                     dict(max_step=math.nan), dict(rtol=0.0),
+                                     dict(atol=math.inf), dict(max_step=0.0)],
                              ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
     def test_refused_at_entry(self, bad):
         # a NaN step size never falls below H_FLOOR: without the entry check this hangs
@@ -138,7 +136,7 @@ class TestSolverCounts:
                 raise NodeError(0.0)
             return -y
 
-        res = solve(rhs, 0.0, np.ones(2), 1.0, [0.0, 1.0], first_step=0.1)
+        res = solve(rhs, 0.0, np.ones(2), 1.0, [0.0, 1.0])
         assert res.degenerate and res.stats.n_steps == 0
         assert (res.stats.h_min, res.stats.h_max) == (0.0, 0.0)
 

@@ -1,39 +1,36 @@
 """The self-validation suites: dispatch, failure reporting and the oracles' inputs.
 
 Each real suite runs once per session.  The acceptance gate runs
-backend-equivalence, y-oracle, tau-scaling and mirror-symmetry at their
-defaults (criteria 1, 4, 8 and 9); ``test_sqrtn_equivalence_suite_passes``
-runs the fifth.  Each compares its reading with ``tests/golden_presets.json``.
-Here ``run_validation`` runs on stub suites, after checking that ``SUITES``
-names exactly those functions and that their defaults hold the contract
-tolerances.
+backend-equivalence, y-oracle, tau-scaling and mirror-symmetry (criteria 1,
+4, 8 and 9); ``test_sqrtn_equivalence_suite_passes`` runs the fifth.  Each
+compares its reading with ``tests/golden_presets.json``.  Each suite fixes
+its inputs and tolerance in its own body and states them in its reading;
+``CONTRACTS`` pins them there.  Here ``run_validation`` runs on stub suites,
+after checking that ``SUITES`` names exactly those functions.
 """
 
 import hashlib
-import inspect
 
 import numpy as np
 import pytest
 
-from bohmsim.integrate import IntegratorOptions
 from bohmsim.model import NodeError
 from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import (SUITES, check_backend_equivalence, check_mirror_symmetry,
                               check_sqrtn_equivalence, check_tau_scaling, check_y_oracle,
                               random_configurations, run_validation)
 
-from conftest import check_golden_reading
+from conftest import check_golden_reading, golden
 
-# each suite's function and the defaults it runs at under `bohmsim validate`
+# each suite's function, and the inputs and tolerance fixed in its body, as its reading
+# states them
 CONTRACTS = {
     "backend-equivalence": (check_backend_equivalence,
-                            {"count": 1000, "tol": 1e-6, "presets": ("fig2", "fig3", "fig4")}),
-    "sqrtn-equivalence": (check_sqrtn_equivalence,
-                          {"n_values": (1, 4, 9, 16), "tol": 1e-5, "opts": IntegratorOptions()}),
-    "y-oracle": (check_y_oracle, {"tol": 1e-8, "opts": IntegratorOptions()}),
-    "mirror-symmetry": (check_mirror_symmetry, {"tol_factor": 10.0, "opts": IntegratorOptions()}),
-    "tau-scaling": (check_tau_scaling, {"n_values": (4, 16, 64, 256), "threshold": 1e-3,
-                                        "expected": -0.5, "tol": 0.05}),
+                            ("over 3000 configurations, 0 raised NodeError", "tol 1e-06)")),
+    "sqrtn-equivalence": (check_sqrtn_equivalence, ("over N=(1, 4, 9, 16) (tol 1e-05)",)),
+    "y-oracle": (check_y_oracle, ("tol 1e-08)",)),
+    "mirror-symmetry": (check_mirror_symmetry, ("over 9 pairs (tol 1e-07)",)),
+    "tau-scaling": (check_tau_scaling, ("(expected -0.5 +/- 0.05)",)),
 }
 
 
@@ -54,16 +51,22 @@ def stub_suites(monkeypatch) -> list[str]:
 
 def test_validation_dispatches_to_the_contract_checks(monkeypatch):
     assert list(SUITES) == list(CONTRACTS)
-    for name, (check, contract) in CONTRACTS.items():
+    for name, (check, _) in CONTRACTS.items():
         assert SUITES[name] is check, name
-        params = inspect.signature(check).parameters
-        assert {key: params[key].default for key in contract} == contract, name
     calls = stub_suites(monkeypatch)
     results = run_validation()
     assert calls == list(CONTRACTS)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         (name, True, f"{name} stub") for name in CONTRACTS]
     assert all(r.elapsed_s >= 0.0 for r in results)
+
+
+def test_golden_readings_state_the_contracts():
+    # the live readings equal these wherever the golden bits hold (check_golden_reading)
+    readings = golden()[0]["validate"]
+    assert set(readings) == set(CONTRACTS)
+    for name, (_, stated) in CONTRACTS.items():
+        assert all(s in readings[name] for s in stated), name
 
 
 def test_sqrtn_equivalence_suite_passes():
@@ -95,15 +98,9 @@ def test_backend_equivalence_fails_when_every_comparison_raises():
     def at_a_node(kern, t, state):
         raise NodeError(0.0)
 
-    ok, detail = check_backend_equivalence(count=20, analytic_fn=at_a_node)
+    ok, detail = check_backend_equivalence(analytic_fn=at_a_node)
     assert not ok
-    assert "over 0 configurations, 60 raised NodeError" in detail
-
-
-def test_backend_equivalence_reports_the_configurations_compared():
-    ok, detail = check_backend_equivalence(count=20)
-    assert ok, detail
-    assert "over 60 configurations, 0 raised NodeError" in detail
+    assert "over 0 configurations, 3000 raised NodeError" in detail
 
 
 # blake2b digests of random_configurations for the four groups of the
