@@ -9,11 +9,12 @@ ensembles.
 With ``--golden PATH`` it then runs ``bohmsim validate`` and writes the
 golden record of the outputs to PATH as JSON: per preset the classification,
 each trajectory's verdict and solver counts, and a blake2b digest of every
-CSV and SVG; the five validate readings; and the environment key (numpy,
-BLAS, libc, machine) under which those bits were made.  The committed
-``tests/golden_presets.json`` is that file for all presets, and the tier-1
-tests compare the code against it.  Regenerate it when a change moves the
-bits on purpose, and explain the move:
+CSV and SVG; the five validate readings; the fig3 and fig4 gaps of the
+tolerance-convergence gate (``convergence_gap``), so that the gate's margin
+shows; and the environment key (numpy, BLAS, libc, machine) under which those
+bits were made.  The committed ``tests/golden_presets.json`` is that file
+for all presets, and the tier-1 tests compare the code against it.
+Regenerate it when a change moves the bits on purpose, and explain the move:
 
     python scripts/run_figures.py --out-root /tmp/runs --golden tests/golden_presets.json
 """
@@ -29,13 +30,17 @@ from pathlib import Path
 import numpy as np
 
 from bohmsim.cli import main as cli_main
+from bohmsim.integrate import EnsembleSpec, IntegratorOptions, run_ensemble
 from bohmsim.runio import read_manifest
-from bohmsim.scenario import preset_names
+from bohmsim.scenario import preset, preset_names
 from bohmsim.validate import run_validation
 
 # the per-trajectory manifest fields the golden record keeps: verdict, then solver counts
 VERDICT_KEYS = ("crossed_plane", "final_direction")
 COUNT_KEYS = ("steps", "rejected", "rhs_evals")
+# the tolerance-convergence gate: the presets it runs on, and the rel_tol it halves
+GATE_PRESETS = ("fig3", "fig4")
+GATE_OPTS = (IntegratorOptions(rel_tol=1e-8), IntegratorOptions(rel_tol=5e-9))
 
 
 def run_presets(names, out_root) -> int:
@@ -70,6 +75,16 @@ def preset_record(run_dir: Path) -> dict:
     }
 
 
+def convergence_gap(params, base=None) -> float:
+    """The largest move of a final X' on the default launch grid (``EnsembleSpec()``)
+    when rel_tol is halved from 1e-8; ``base`` may pass in the grid's 1e-8 run."""
+    loose, tight = GATE_OPTS
+    if base is None:
+        base = run_ensemble(EnsembleSpec(), params, loose)
+    halved = run_ensemble(EnsembleSpec(), params, tight)
+    return max(abs(a.x[-1] - b.x[-1]) for a, b in zip(base, halved))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -90,6 +105,7 @@ def main() -> int:
         "environment": environment(),
         "presets": {name: preset_record(Path(args.out_root, name)) for name in names},
         "validate": {r.name: r.detail for r in results},
+        "convergence_gaps": {name: convergence_gap(preset(name).params) for name in GATE_PRESETS},
     }
     Path(args.golden).write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in results) else 1

@@ -1,15 +1,19 @@
 """Command-line front end: simulate | plot | bench | validate.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 integration abort.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (an
+output directory that cannot take a run, or a run that cannot be written,
+among them), 3 integration abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import time
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from .analysis import classify_ensemble
 from .bench import run_bench
 from .integrate import BACKENDS, run_ensemble
 from .rk45 import IntegrationAbort
-from .runio import read_manifest, read_trajectory_csv, write_run
+from .runio import MANIFEST_NAME, read_manifest, read_trajectory_csv, write_run
 from .scenario import (Scenario, ScenarioError, load_scenario, preset, preset_names,
                        save_scenario, with_backend, with_n_particles, with_seed)
 from .svgplot import Curve, render_chart
@@ -43,6 +47,40 @@ def _resolve_scenario(args) -> Scenario:
     return sc
 
 
+def _refuse_out(out_dir: Path) -> str | None:
+    """Why ``out_dir`` cannot take a run, or None.  A run replaces only an empty
+    directory or a previous run (one that holds a manifest), and never the working
+    directory or one that holds it, which would leave the shell in a deleted one."""
+    taken = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if taken is not None and not taken.is_dir():
+        return f"{taken} is not a directory"
+    here = Path.cwd()
+    if Path(os.path.abspath(out_dir)) in (here, *here.parents):
+        return "the working directory, or a directory that holds it, is never replaced"
+    try:
+        if (out_dir.is_dir() and not (out_dir / MANIFEST_NAME).is_file()
+                and any(out_dir.iterdir())):
+            return f"{out_dir} is neither empty nor a run directory (no {MANIFEST_NAME})"
+    except OSError as exc:
+        return str(exc)
+    return None
+
+
+def _install_run(staging: Path, target: Path) -> None:
+    """Rename the complete run ``staging`` onto ``target``.  A previous run at
+    ``target`` is moved aside first and deleted only once the new one is in place."""
+    old = staging.with_name(staging.name + ".old")
+    if target.exists():
+        target.rename(old)
+    try:
+        staging.rename(target)
+    except OSError:
+        if old.exists():
+            old.rename(target)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def cmd_simulate(args) -> int:
     try:
         sc = _resolve_scenario(args)
@@ -51,9 +89,9 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out) if args.out else Path("runs") / sc.name
-    taken = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
-    if taken is not None and not taken.is_dir():  # refused before integrating
-        print(f"error: --out {out_dir}: {taken} is not a directory", file=sys.stderr)
+    refusal = _refuse_out(out_dir)
+    if refusal:  # refused before integrating
+        print(f"error: --out {out_dir}: {refusal}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         t0 = time.perf_counter()
@@ -69,8 +107,21 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     summary = classify_ensemble(trajs)
-    manifest = write_run(out_dir, sc, trajs, summary, timing={"total_s": elapsed})
-    save_scenario(sc, out_dir / "scenario.json")
+    target = Path(os.path.abspath(out_dir))   # so that '.' and '..' name their directory
+    staging = None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.part")
+        staging.mkdir()
+        manifest = write_run(staging, sc, trajs, summary, timing={"total_s": elapsed})
+        save_scenario(sc, staging / "scenario.json")
+        _install_run(staging, target)
+    except OSError as exc:
+        print(f"error: --out {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    finally:
+        if staging is not None:   # already renamed into place unless something failed
+            shutil.rmtree(staging, ignore_errors=True)
 
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))

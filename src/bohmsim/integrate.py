@@ -59,7 +59,8 @@ class IntegratorOptions:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step_frac: float = 1e-2      # ceiling on h as a fraction of the horizon
+    max_step_frac: float = 2e-2      # ceiling on h as a fraction of the horizon: the largest
+                                     # that passes the tier-1 convergence gate
     t_end: float | None = None       # horizon; default 2.5 * t'_cross
     stride: float | None = None      # output sampling interval; default horizon/512
 

@@ -153,9 +153,10 @@ class Configuration:
     z: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
-        vals = (self.t_prime, self.x, self.y, *self.z)
-        if not all(math.isfinite(v) for v in vals):
+        z = tuple(map(float, self.z))   # C-level loops: a pointer may hold 10**6 particles
+        object.__setattr__(self, "z", z)
+        if not (all(map(math.isfinite, (self.t_prime, self.x, self.y)))
+                and all(map(math.isfinite, z))):
             raise ValueError("configuration entries must be finite")
 
     def state(self) -> np.ndarray:

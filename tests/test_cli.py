@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bohmsim import cli
+from bohmsim import cli, runio
 from bohmsim.cli import main
 from bohmsim.integrate import integrate_trajectory
 from bohmsim.model import Configuration
@@ -159,6 +159,68 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "BOHM_SIM_THREADS" in err and "'-3'" in err
         assert not out.exists()
+
+    def test_failed_write_leaves_the_previous_run_whole(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_csv, written = runio.write_trajectory_csv, []
+
+        def failing(path, traj):
+            if len(written) == 3:
+                raise OSError(28, "No space left on device", str(path))
+            written.append(path)
+            write_csv(path, traj)
+
+        monkeypatch.setattr(runio, "write_trajectory_csv", failing)
+        assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and "No space left" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]   # no staging left
+
+    def test_rerun_replaces_the_whole_run(self, tmp_path, serve_preset_ensembles):
+        # fig4 writes 18 CSVs, fig7 two; one stale CSV is made a directory
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig4", "--out", str(out)]) == 0
+        (out / "traj_003.csv").unlink()
+        (out / "traj_003.csv").mkdir()
+        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "scenario.json", "traj_000.csv", "traj_001.csv"]
+        assert read_manifest(out)["scenario"]["name"] == "fig7"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    @pytest.mark.parametrize("out_name, reason", [
+        ("../other", "no manifest.json"),
+        (".", "working directory"),
+        ("..", "working directory"),
+    ], ids=["holds-other-files", "cwd", "holds-cwd"])
+    def test_out_that_cannot_take_a_run_exits_2_before_integrating(self, tmp_path, monkeypatch,
+                                                                   capsys, out_name, reason):
+        (tmp_path / "here").mkdir()
+        (tmp_path / "other").mkdir()
+        keep = tmp_path / "other" / "notes.txt"
+        keep.write_text("user file\n")
+        monkeypatch.chdir(tmp_path / "here")
+
+        def never(*args):
+            raise AssertionError("integrated although --out cannot take the run")
+
+        monkeypatch.setattr(cli, "run_ensemble", never)
+        assert main(["simulate", "--preset", "fig2", "--out", out_name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out_name}: ") and reason in err
+        assert keep.read_text() == "user file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["here", "other"]
+
+    def test_empty_out_directory_takes_the_run(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "scenario.json", "traj_000.csv", "traj_001.csv"]
 
     def test_reproducible_csv_bytes(self, tmp_path):
         args = ["simulate", "--preset", "fig4", "--seed", "11"]

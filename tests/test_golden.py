@@ -5,7 +5,8 @@ it was made in (same numpy, BLAS, libc and machine), every preset's verdicts,
 fractions, solver counts and CSV and SVG digests must match exactly.  Elsewhere
 the bits may differ in the last place, so only the verdicts and fractions are
 compared, and the test says so.  The five validate readings are compared where
-their suites run: ``test_acceptance`` and ``test_validate``.
+their suites run: ``test_acceptance`` and ``test_validate``; the two gaps of the
+tolerance-convergence gate in ``test_integrate``.
 """
 
 from bohmsim.scenario import preset_names
@@ -23,6 +24,7 @@ def test_golden_record_covers_every_preset_and_suite():
     want, _ = golden()
     assert sorted(want["presets"]) == sorted(preset_names())
     assert sorted(want["validate"]) == sorted(SUITES)
+    assert sorted(want["convergence_gaps"]) == sorted(run_figures.GATE_PRESETS)
     assert set(want["environment"]) == set(run_figures.environment())
 
 

@@ -8,6 +8,7 @@ in a plain loop, against ``GuidanceKernel.branch_eval``.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +72,13 @@ class TestScenarioParams:
                    for pair in stored)
         with pytest.raises(ValueError, match="finite"):
             ScenarioParams(10, 10, 1, 1, 1, 3, ((1.0, -1.0),) * 3 + ((math.nan, 0.0),))
+        # a configuration's pointer coordinates are stored as floats with the same bits
+        z = Configuration(0.0, 3.0, 0.0, [2, np.float64(0.1), -0.0, np.float64(-0.0), 5.5]).z
+        assert all(type(v) is float for v in z)
+        assert [v.hex() for v in z] == [v.hex() for v in (2.0, 0.1, -0.0, -0.0, 5.5)]
+        for bad in (math.nan, math.inf, np.float64(-math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Configuration(0.0, 3.0, 0.0, (0.0,) * 3 + (bad,))
 
     def test_n_particles_tracks_table(self):
         p = ScenarioParams(10, 10, 1, 1, 1, 3).with_rigid_pointer(7, 2.0)

@@ -122,7 +122,7 @@ class TestSolverCounts:
         sc = preset("fig3")
         init = Configuration(0.0, sc.params.d_prime, 0.0, (0.0,))
         stats = integrate_trajectory(init, sc.params, sc.integrator).stats
-        assert (stats.n_capped, stats.n_steps) == (99, 102)
+        assert (stats.n_capped, stats.n_steps) == (49, 52)
         assert stats.h_max == sc.integrator.resolve(sc.params)[2]
         assert 0 < stats.h_min < stats.h_max
 
