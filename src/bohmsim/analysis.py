@@ -122,12 +122,9 @@ def classify_ensemble(trajs: list[Trajectory]) -> ClassificationSummary:
 class EmptyWaveReport:
     """Empty/effective amplitude ratios along one trajectory."""
 
-    t: np.ndarray
     k_exact: np.ndarray        # full ratio, test-particle factor included
     k_pointer: np.ndarray      # pointer factor only (the N-scaling quantity)
     tau: float                 # characteristic suppression time 1/(gamma sqrt(N))
-    n_particles: int
-    initial_slit: str
 
 
 def _kexp(arg: np.ndarray) -> np.ndarray:
@@ -147,9 +144,8 @@ def empty_wave_ratio(traj: Trajectory, params: ScenarioParams) -> EmptyWaveRepor
 
     _, _, z_part = kern.contrast(traj.t, traj.x, traj.sigma_hat[:, None])
     tau = math.inf if gamma == 0.0 else 1.0 / gamma
-    return EmptyWaveReport(t=traj.t, k_exact=_kexp(-s_eff * traj.log_omega),
-                           k_pointer=_kexp(-s_eff * z_part), tau=tau,
-                           n_particles=params.n_particles, initial_slit=traj.initial_slit)
+    return EmptyWaveReport(k_exact=_kexp(-s_eff * traj.log_omega),
+                           k_pointer=_kexp(-s_eff * z_part), tau=tau)
 
 
 def threshold_crossing_times(params: ScenarioParams, n_list, threshold: float) -> list[float]:

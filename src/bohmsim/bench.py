@@ -50,50 +50,38 @@ class BenchReport:
     reduced_n_independent: bool | None   # ratio < 2
 
 
-def _median_time(fn, repetitions: int) -> tuple[float, object]:
-    fn()  # warm-up, untimed
-    times = []
-    result = None
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return sorted(times)[len(times) // 2], result
-
-
-def _full_record(backend: str, n: int, repetitions: int) -> BenchRecord:
-    params = _SCENARIO.params.with_rigid_pointer(n)
-    init = Configuration(0.0, params.d_prime, 0.0, (0.0,) * n)
-    median, traj = _median_time(
-        lambda: integrate_trajectory(init, params, _SCENARIO.integrator, backend), repetitions)
-    return BenchRecord(backend, n, median, repetitions, traj.stats.n_steps)
-
-
-def _reduced_record(n: int, repetitions: int) -> BenchRecord:
-    # core: the one-particle twin, which is exactly what the reduced backend
+def _timed_run(backend: str, params_n):
+    """The one run of a (backend, N) case that is timed, as a callable."""
+    # the reduced backend's core is the one-particle twin, which is exactly what it
     # integrates after its O(N) setup
-    params_n = _SCENARIO.params.with_rigid_pointer(n)
-    twin = reduced_params(params_n)
-    init = Configuration(0.0, twin.d_prime, 0.0, (0.0,))
-    median, traj = _median_time(
-        lambda: integrate_trajectory(init, twin, _SCENARIO.integrator, "reduced"), repetitions)
+    params = reduced_params(params_n) if backend == "reduced" else params_n
+    init = Configuration(0.0, params.d_prime, 0.0, (0.0,) * params.n_particles)
+    return lambda: integrate_trajectory(init, params, _SCENARIO.integrator, backend)
 
-    reconstruct_s = None
-    if n <= MAX_RECONSTRUCT_N:
-        # the twin's pointer coordinate IS Sigma_hat' of the N-particle system
-        thin = slice(0, traj.n_samples, max(1, traj.n_samples // 8))
-        t_thin = traj.t[thin]
-        sig_thin = traj.sigma_hat[thin]
-        z0 = np.full(n, sig_thin[0] / math.sqrt(n))
-        t0 = time.perf_counter()
-        reconstruct_pointers(t_thin, sig_thin, z0, params_n)
-        reconstruct_s = time.perf_counter() - t0
-    return BenchRecord("reduced", n, median, repetitions, traj.stats.n_steps, reconstruct_s)
+
+def _reconstruct_s(traj, params_n) -> float | None:
+    """Seconds to rebuild all N pointers of a reduced run on a thinned sample grid."""
+    n = params_n.n_particles
+    if n > MAX_RECONSTRUCT_N:
+        return None
+    # the twin's pointer coordinate IS Sigma_hat' of the N-particle system
+    thin = slice(0, traj.n_samples, max(1, traj.n_samples // 8))
+    t_thin = traj.t[thin]
+    sig_thin = traj.sigma_hat[thin]
+    z0 = np.full(n, sig_thin[0] / math.sqrt(n))
+    t0 = time.perf_counter()
+    reconstruct_pointers(t_thin, sig_thin, z0, params_n)
+    return time.perf_counter() - t0
 
 
 def run_bench(n_list, backends=("reduced", "full-analytic"),
               repetitions: int = 3) -> BenchReport:
-    """Median single-trajectory times per (backend, N) from the slit center."""
+    """Median single-trajectory times per (backend, N) from the slit center.
+
+    Every case runs once untimed first.  The timed repetitions then go round
+    robin, one of every (backend, N) per pass, so that a slow spell of the
+    machine slows every N alike rather than the cases timed during it.
+    """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     ns = [int(n) for n in n_list]
@@ -102,14 +90,26 @@ def run_bench(n_list, backends=("reduced", "full-analytic"),
     if not backends:
         raise ValueError("backends must name at least one backend")
 
-    records = []
-    for backend in backends:
-        for n in ns:
-            if backend == "reduced":
-                records.append(_reduced_record(n, repetitions))
-            else:
-                records.append(_full_record(backend, n, repetitions))
+    cases = [(backend, _SCENARIO.params.with_rigid_pointer(n))
+             for backend in backends for n in ns]
+    runs, steps, reconstruct = [], [], []
+    for backend, params_n in cases:
+        run = _timed_run(backend, params_n)
+        traj = run()   # warm-up, untimed; every run of a case gives these same bits
+        runs.append(run)
+        steps.append(traj.stats.n_steps)
+        reconstruct.append(_reconstruct_s(traj, params_n) if backend == "reduced" else None)
+    times = [[] for _ in runs]
+    for _ in range(repetitions):
+        for run, case_times in zip(runs, times):
+            t0 = time.perf_counter()
+            run()
+            case_times.append(time.perf_counter() - t0)
 
+    records = [BenchRecord(backend, params_n.n_particles, sorted(ts)[len(ts) // 2],
+                           repetitions, n_steps, rec_s)
+               for (backend, params_n), ts, n_steps, rec_s
+               in zip(cases, times, steps, reconstruct)]
     reduced_times = [r.median_core_s for r in records if r.backend == "reduced"]
     if len(reduced_times) >= 2:
         ratio = max(reduced_times) / min(reduced_times)

@@ -1,8 +1,11 @@
 """Command-line front end: simulate | plot | bench | validate.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error (an
-output directory that cannot take a run, or a run that cannot be written,
-among them), 3 integration abort.
+Exit codes: 0 success, 1 validation failure, 2 configuration error, 3
+integration abort.  The commands raise; ``main`` alone maps an exception to
+its exit code.  ``IntegrationAbort`` gives 3.  ``ValueError`` (``ScenarioError``
+among them), ``KeyError``, ``OSError`` and ``MemoryError`` give 2: a malformed
+scenario or run directory, an output directory that cannot take a run, a run
+that cannot be written, an array or pointer too large to allocate.
 """
 
 from __future__ import annotations
@@ -82,29 +85,14 @@ def _install_run(staging: Path, target: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        sc = _resolve_scenario(args)
-    except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    sc = _resolve_scenario(args)
     out_dir = Path(args.out) if args.out else Path("runs") / sc.name
     refusal = _refuse_out(out_dir)
     if refusal:  # refused before integrating
-        print(f"error: --out {out_dir}: {refusal}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        t0 = time.perf_counter()
-        trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
-        elapsed = time.perf_counter() - t0
-    except IntegrationAbort as exc:
-        print(f"integration aborted: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except (ScenarioError, ValueError, MemoryError) as exc:
-        # MemoryError: an array too large to allocate, such as a sample or launch grid;
-        # numpy's message names its size
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ScenarioError(f"--out {out_dir}: {refusal}")
+    t0 = time.perf_counter()
+    trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
+    elapsed = time.perf_counter() - t0
 
     summary = classify_ensemble(trajs)
     target = Path(os.path.abspath(out_dir))   # so that '.' and '..' name their directory
@@ -117,8 +105,7 @@ def cmd_simulate(args) -> int:
         save_scenario(sc, staging / "scenario.json")
         _install_run(staging, target)
     except OSError as exc:
-        print(f"error: --out {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise OSError(f"--out {out_dir}: {exc}") from exc
     finally:
         if staging is not None:   # already renamed into place unless something failed
             shutil.rmtree(staging, ignore_errors=True)
@@ -171,11 +158,7 @@ def _render_run(run_dir: Path) -> list[Path]:
 
 
 def cmd_plot(args) -> int:
-    try:
-        written = _render_run(Path(args.run_dir))
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    written = _render_run(Path(args.run_dir))
     if args.json:
         print(json.dumps({"written": [str(p) for p in written]}, indent=2))
     else:
@@ -192,17 +175,12 @@ def _parse_int(flag: str, value: str) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        n_list = [_parse_int("--n-list", v) for v in args.n_list.split(",") if v]
-        backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-        for b in backends:
-            if b not in BACKENDS:
-                raise ValueError(f"unknown backend {b!r}")
-        report = run_bench(n_list, backends, args.repetitions)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    n_list = [_parse_int("--n-list", v) for v in args.n_list.split(",") if v]
+    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    for b in backends:
+        if b not in BACKENDS:
+            raise ValueError(f"unknown backend {b!r}")
+    report = run_bench(n_list, backends, args.repetitions)
     if args.json:
         payload = {
             "records": [vars(r) for r in report.records],
@@ -225,11 +203,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        results = run_validation(only=args.only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    results = run_validation(only=args.only)
     if args.json:
         print(json.dumps([vars(r) for r in results], indent=2))
     else:
@@ -278,7 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except IntegrationAbort as exc:
+        print(f"integration aborted: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

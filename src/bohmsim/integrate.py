@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -170,7 +170,7 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
+    z: np.ndarray = field(repr=False)   # so that repr() never rebuilds a reduced one
     sigma_hat: np.ndarray
     log_omega: np.ndarray
     delta_s: np.ndarray

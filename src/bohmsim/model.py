@@ -134,13 +134,19 @@ class ScenarioParams:
     def with_rigid_pointer(self, n: int, xi: float | None = None) -> ScenarioParams:
         """These parameters with a rigid pointer of n >= 1 particles at (+xi, -xi).
 
-        ``xi`` defaults to this scenario's own rigid-pointer Xi.
+        ``xi`` defaults to this scenario's own rigid-pointer Xi.  An n whose pairs
+        cannot be allocated is a ValueError that names n.
         """
         if n < 1:
             raise ValueError(f"a rigid pointer needs n >= 1 particles, got n={n}")
         if xi is None:
             xi = self.rigid_xi()
-        return replace(self, pointer_velocities=((xi, -xi),) * n)
+        try:
+            pairs = ((xi, -xi),) * n
+        except (MemoryError, OverflowError):
+            raise ValueError(f"a rigid pointer of n={n} particles is too large to "
+                             "allocate") from None
+        return replace(self, pointer_velocities=pairs)
 
 
 @dataclass(frozen=True)

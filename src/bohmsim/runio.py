@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ClassificationSummary, classify_ensemble
+from .analysis import ClassificationSummary
 from .integrate import Trajectory, crossing_time
 from .model import fast_pointer_E
 from .scenario import Scenario, scenario_to_dict
@@ -42,13 +42,10 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 
 def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
-              summary: ClassificationSummary | None = None,
-              timing: dict | None = None) -> dict:
+              summary: ClassificationSummary, timing: dict | None = None) -> dict:
     """Write CSVs + manifest; returns the manifest dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if summary is None:
-        summary = classify_ensemble(trajs)
 
     records = []
     t0 = time.perf_counter()

@@ -18,6 +18,18 @@ from bohmsim.validate import SUITES, check_backend_equivalence
 from conftest import deadline
 
 
+# pointer sizes that parse but fail at once: 10**12 pairs at malloc, 10**23 in the
+# conversion to an index; never a size that could really be allocated
+OVERSIZED_N = [10**12, 10**23]
+
+
+def assert_refused_naming(n, capsys, tmp_path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(n) in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def trimmed_scenario(tmp_path, name="fig3", count=2, backend=None):
     sc = preset(name)
     data = scenario_to_dict(sc)
@@ -145,6 +157,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: Unable to allocate {size}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", OVERSIZED_N)
+    def test_pointer_too_large_to_allocate_exits_2_naming_n(self, tmp_path, monkeypatch,
+                                                            capsys, n):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--preset", "fig4", "--n", str(n), "--out", "run"]) == 2
+        assert_refused_naming(n, capsys, tmp_path)
 
     def test_bad_thread_count_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BOHM_SIM_THREADS", "abc")
@@ -373,6 +392,13 @@ class TestBench:
             traj = integrate_trajectory(init, sc.params, sc.integrator, backend)
             assert (record["backend"], record["n_particles"], record["steps"]) == \
                 (backend, n, traj.stats.n_steps)
+
+    @pytest.mark.parametrize("n", OVERSIZED_N)
+    def test_pointer_too_large_to_allocate_exits_2_naming_n(self, tmp_path, monkeypatch,
+                                                            capsys, n):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--n-list", str(n)]) == 2
+        assert_refused_naming(n, capsys, tmp_path)
 
     def test_non_integer_n_list_names_the_flag(self, capsys):
         assert main(["bench", "--n-list", "1,x"]) == 2

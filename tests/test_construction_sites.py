@@ -12,6 +12,9 @@ The node floor ``NODE_EPS`` is declared in model.py and tested by the two
 velocity routes alone, ``GuidanceKernel.velocity`` and ``fd_velocity``: they
 are the only places that raise ``NodeError``, and every caller, the stepper
 included, gets the floor through them.
+
+The command line's exit-code policy lives in ``cli.main`` alone: the commands
+raise, and only ``main`` names the configuration and integration exit codes.
 """
 
 import ast
@@ -23,6 +26,7 @@ CONSTRUCTORS = {"ScenarioParams"}
 ALLOWED = {("scenario.py", "_single"), ("scenario.py", "_two")}
 NODE_EPS_READERS = {"_kernel.py", "velocity.py"}
 NODE_RAISERS = {("_kernel.py", "velocity"), ("velocity.py", "fd_velocity")}
+EXIT_CODES = {"EXIT_CONFIG", "EXIT_INTEGRATION"}
 PACKAGE = Path(bohmsim.__file__).parent
 
 
@@ -42,6 +46,11 @@ def _is_node_raise(node) -> bool:
 
 def _names_node_eps(node) -> bool:
     return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and _name(node) == "NODE_EPS"
+
+
+def _reads_exit_code(node) -> bool:
+    return (isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in EXIT_CODES
+            and isinstance(node.ctx, ast.Load))
 
 
 def sites(path: Path, matches) -> list[tuple[str, str | None, int]]:
@@ -82,3 +91,9 @@ def test_node_floor_is_named_only_by_the_velocity_routes():
 def test_only_the_velocity_routes_raise_node_error():
     found = package_sites(_is_node_raise)
     assert {site[:2] for site in found} == NODE_RAISERS, found
+
+
+def test_exit_codes_are_named_only_in_cli_main():
+    found = package_sites(_reads_exit_code, skip=())
+    assert {site[:2] for site in found} == {("cli.py", "main")}, \
+        f"raise from the command and let cli.main choose the exit code: {found}"

@@ -84,7 +84,7 @@ KNOBS = {
     "integrate.integrate_trajectory(backend)", "integrate.run_ensemble(opts)",
     "model.ScenarioParams.with_rigid_pointer(xi)",
     "rk45.solve(rtol)", "rk45.solve(atol)", "rk45.solve(max_step)",
-    "runio.write_run(summary)", "runio.write_run(timing)",
+    "runio.write_run(timing)",
     "validate.check_backend_equivalence(analytic_fn)", "validate.run_validation(only)",
 }
 
@@ -111,5 +111,5 @@ def defaulted_parameters() -> set[str]:
 
 
 def test_defaulted_parameters_are_pinned():
-    assert len(KNOBS) == 15
+    assert len(KNOBS) == 14
     assert defaulted_parameters() == KNOBS

@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from bohmsim import reduced
+from bohmsim import integrate, reduced
 from bohmsim._kernel import GuidanceKernel
 from bohmsim.integrate import IntegratorOptions, ZInit, integrate_trajectory
 from bohmsim.model import Configuration, ModeError, ScenarioParams
@@ -174,6 +174,17 @@ class TestPointersOnRead:
         assert "z" not in held
         sizes = [a.size for a in held.values() if isinstance(a, np.ndarray)]
         assert max(sizes) <= wide_reduced.n_samples + 10**4
+
+    def test_repr_rebuilds_no_block(self, wide_reduced, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return reconstruct_pointers(*args)
+
+        monkeypatch.setattr(integrate, "reconstruct_pointers", counting)
+        repr(wide_reduced)
+        assert not calls
 
     def test_full_backend_stores_z(self, fig4_params):
         traj = integrate_trajectory(Configuration(0.0, 3.0, 0.0, (0.0,)), fig4_params)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bohmsim import svgplot
+from bohmsim.analysis import classify_ensemble
 from bohmsim.integrate import EnsembleSpec, run_ensemble
 from bohmsim.runio import read_manifest, read_trajectory_csv, write_run, write_trajectory_csv
 from bohmsim.scenario import preset
@@ -50,7 +51,7 @@ def small_run(tmp_path_factory):
                   sc.integrator)
     trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
     out = tmp_path_factory.mktemp("run")
-    manifest = write_run(out, sc, trajs)
+    manifest = write_run(out, sc, trajs, classify_ensemble(trajs))
     return sc, trajs, out, manifest
 
 
@@ -74,7 +75,7 @@ class TestCsv:
                                    backend="reduced"),
                       sc.integrator)
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
-        manifest = write_run(tmp_path, sc, trajs)
+        manifest = write_run(tmp_path, sc, trajs, classify_ensemble(trajs))
         assert "Sigma_hat" in manifest["columns"]
         cols = read_trajectory_csv(tmp_path / "traj_000.csv")
         assert list(cols) == manifest["columns"]
@@ -143,7 +144,7 @@ class TestManifest:
     def test_reproducible_bytes_excluding_timing(self, small_run, tmp_path):
         sc, _, out, _ = small_run
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
-        write_run(tmp_path, sc, trajs, timing={"total_s": 123.0})
+        write_run(tmp_path, sc, trajs, classify_ensemble(trajs), timing={"total_s": 123.0})
         for f in sorted(out.glob("traj_*.csv")):
             assert (tmp_path / f.name).read_bytes() == f.read_bytes()
         a = json.loads((out / "manifest.json").read_text())
