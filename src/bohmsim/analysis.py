@@ -137,9 +137,8 @@ def empty_wave_ratio(traj: Trajectory, params: ScenarioParams) -> EmptyWaveRepor
     The pointer enters only through ``traj.sigma_hat``, read by the kernel of
     the one-particle twin.
     """
-    twin = reduced_params(params)
-    kern = GuidanceKernel(twin)
-    gamma = kern.pz * twin.rigid_xi()
+    kern = GuidanceKernel(reduced_params(params))
+    gamma = kern.gam_p.item(0)   # p_z Xi sqrt(N), the twin's pointer packet speed
     s_eff = 1.0 if traj.initial_slit == "upper" else -1.0
 
     _, _, z_part = kern.contrast(traj.t, traj.x, traj.sigma_hat[:, None])

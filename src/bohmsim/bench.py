@@ -16,7 +16,6 @@ with all Z'_n = 0 and runs under the preset's integrator options.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .integrate import integrate_trajectory
 from .model import Configuration
-from .reduced import reconstruct_pointers, reduced_params
+from .reduced import common_start, reconstruct_pointers, reduced_params
 from .scenario import preset
 
 __all__ = ["BenchRecord", "BenchReport", "run_bench"]
@@ -68,7 +67,7 @@ def _reconstruct_s(traj, params_n) -> float | None:
     thin = slice(0, traj.n_samples, max(1, traj.n_samples // 8))
     t_thin = traj.t[thin]
     sig_thin = traj.sigma_hat[thin]
-    z0 = np.full(n, sig_thin[0] / math.sqrt(n))
+    z0 = np.full(n, common_start(sig_thin[0], n))
     t0 = time.perf_counter()
     reconstruct_pointers(t_thin, sig_thin, z0, params_n)
     return time.perf_counter() - t0

@@ -24,6 +24,7 @@ import numpy as np
 from .analysis import classify_ensemble
 from .bench import run_bench
 from .integrate import BACKENDS, run_ensemble
+from .reduced import sigma_hat_of
 from .rk45 import IntegrationAbort
 from .runio import MANIFEST_NAME, read_manifest, read_trajectory_csv, write_run
 from .scenario import (Scenario, ScenarioError, load_scenario, preset, preset_names,
@@ -144,9 +145,9 @@ def _render_run(run_dir: Path) -> list[Path]:
     zcols = [c for c in columns if c.startswith("Z_")]
     is_single = manifest["fast_pointer_E"] is not None    # E exists for one rigid pointer
     if "Sigma_hat" not in columns and len(zcols) > 1 and is_single:
-        # collective variable computed on the fly for a rigid multi-particle pointer
+        # the collective variable of a rigid multi-particle pointer, with the engine's bits
         for cols, _ in runs:
-            cols["Sigma_hat"] = sum(cols[c] for c in zcols) / np.sqrt(len(zcols))
+            cols["Sigma_hat"] = sigma_hat_of(np.column_stack([cols[c] for c in zcols]))
     if "Sigma_hat" in runs[0][0]:
         emit("pointer.svg", "Sigma_hat", f"{name}: pointer average", "Sigma_hat'")
     elif len(zcols) == 1:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernel import GuidanceKernel
 from .model import Configuration, ScenarioParams
-from .reduced import reconstruct_pointers, reduced_params
+from .reduced import reconstruct_pointers, reduced_params, sigma_hat_of
 from .rk45 import SolverStats, solve
 from .velocity import fd_velocity
 
@@ -225,34 +225,24 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
 
     t_end, _, max_step = opts.resolve(params)
     samples = opts.sample_grid(params)
-    n = params.n_particles
-    sqrt_n = math.sqrt(n) if n else 1.0
+    reduced = backend == "reduced"
 
     y0 = init.state()
-    kern = GuidanceKernel(reduced_params(params) if backend == "reduced" else params)
-    if backend == "reduced":  # (X', Y', Sigma_hat') is the full state of the one-particle twin
-        y0 = np.append(y0[:2], y0[2:].sum() / sqrt_n)
+    kern = GuidanceKernel(reduced_params(params) if reduced else params)
+    if reduced:  # (X', Y', Sigma_hat') is the full state of the one-particle twin
+        y0 = np.append(y0[:2], sigma_hat_of(y0[2:]))
     rhs = partial(fd_velocity, kern) if backend == "full-numeric" else kern.velocity
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)
     t, x, y = res.t, res.y[:, 0], res.y[:, 1]
     log_omega, delta_s, _ = kern.contrast(t, x, res.y[:, 2:])
-    if backend == "reduced":
-        sigma_hat = res.y[:, 2]
-        z = None   # rebuilt on each read
-    else:
-        z = res.y[:, 2:]
-        sigma_hat = z.sum(axis=1) / sqrt_n if n else np.zeros(t.size)
+    z = None if reduced else res.y[:, 2:]   # a reduced z is rebuilt on each read
+    sigma_hat = res.y[:, 2] if reduced else sigma_hat_of(z)
 
     return Trajectory(params=params, backend=backend, initial=init,
                       t=t, x=x, y=y, z=z, sigma_hat=sigma_hat,
                       log_omega=log_omega, delta_s=delta_s,
                       stats=res.stats, degenerate=res.degenerate)
-
-
-def _run_one(job) -> Trajectory:
-    init, params, opts, backend = job
-    return integrate_trajectory(init, params, opts, backend)
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -274,9 +264,9 @@ def run_ensemble(spec: EnsembleSpec, params: ScenarioParams,
                  opts: IntegratorOptions = IntegratorOptions()) -> list[Trajectory]:
     """Integrate the whole launch grid; deterministic order, optional processes."""
     initials = sample_initials(spec, params)
-    jobs = [(init, params, opts, spec.backend) for init in initials]
-    workers = _worker_count(len(jobs))
+    run = partial(integrate_trajectory, params=params, opts=opts, backend=spec.backend)
+    workers = _worker_count(len(initials))
     if workers == 1:
-        return [_run_one(job) for job in jobs]
+        return list(map(run, initials))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs))
+        return list(pool.map(run, initials))

@@ -25,7 +25,7 @@ stay meaningful even when both amplitudes underflow any fixed-point scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +77,7 @@ class ScenarioParams:
     R: float
     mu: float
     d_prime: float
-    pointer_velocities: tuple[tuple[float, float], ...] = ()
+    pointer_velocities: tuple[tuple[float, float], ...] = field(default=(), repr=False)  # O(N)
 
     def __post_init__(self):
         for name in ("xi_x", "xi_y", "r", "R", "mu", "d_prime"):
@@ -156,7 +156,7 @@ class Configuration:
     t_prime: float
     x: float
     y: float
-    z: tuple[float, ...] = ()
+    z: tuple[float, ...] = field(default=(), repr=False)   # O(N)
 
     def __post_init__(self):
         z = tuple(map(float, self.z))   # C-level loops: a pointer may hold 10**6 particles

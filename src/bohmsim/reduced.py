@@ -3,11 +3,12 @@
 For a single rigid pointer the branch ratio and phase difference depend on
 the pointer coordinates only through their sum, so the coupled system
 closes in (X', Sigma_hat') with Sigma_hat' = (1/sqrt(N)) sum_n Z'_n and an
-effective packet velocity Xi_hat = Xi sqrt(N).  ``reduced_params`` states
-that parameter substitution; ``integrate_trajectory`` applies it, running
-the N = 1 ``GuidanceKernel`` on (X', Y', Sigma_hat') for the reduced
-backend.  No formulas are re-derived, so the two backends cannot drift
-apart.
+effective packet velocity Xi_hat = Xi sqrt(N).  Both maps live here alone:
+``sigma_hat_of`` (Z' to Sigma_hat', shared to the bit by the engine and
+``bohmsim plot``) and ``common_start`` (Sigma_hat' to the Z'_n of N equal
+starts).  ``reduced_params`` states the parameter substitution, which
+``integrate_trajectory`` applies by running the N = 1 ``GuidanceKernel`` on
+(X', Y', Sigma_hat'): no formula is re-derived, so the backends cannot drift.
 
 Individual pointer trajectories follow analytically: every dZ'_n/dt' is
 alpha(t') Z'_n + beta_n-independent terms, with alpha the logarithmic
@@ -31,9 +32,20 @@ import numpy as np
 from ._kernel import GuidanceKernel
 from .model import ScenarioParams
 
-__all__ = ["reduced_params", "reconstruct_pointers"]
+__all__ = ["sigma_hat_of", "common_start", "reduced_params", "reconstruct_pointers"]
 
 SUM_ATOL = 1e-12  # how far the scaled sum of z0 may sit from sigma_hat[0]
+
+
+def sigma_hat_of(z: np.ndarray) -> np.ndarray:
+    """Sigma_hat' = (1/sqrt(N)) sum_n Z'_n over the last axis of the array ``z``; zeros at N = 0."""
+    n = z.shape[-1]
+    return z.sum(axis=-1) / math.sqrt(n) if n else np.zeros(z.shape[:-1])
+
+
+def common_start(sigma_hat, n: int):
+    """The Z'_n = Sigma_hat'/sqrt(N) shared by N pointer particles whose sum is sigma_hat."""
+    return sigma_hat / math.sqrt(n)
 
 
 def reduced_params(params: ScenarioParams) -> ScenarioParams:
@@ -64,8 +76,7 @@ def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
         raise ValueError(f"z0 has {n} entries, scenario has {params.n_particles}")
     if n == 0:
         return np.zeros((t.size, 0))
-    sqrt_n = math.sqrt(n)
-    sigma0 = float(z0.sum()) / sqrt_n
+    sigma0 = float(sigma_hat_of(z0))
     if abs(sigma0 - sigma_hat[0]) > SUM_ATOL:
         raise ValueError(
             f"initial pointer sum {sigma0!r} does not match the reduced trajectory's "
@@ -73,7 +84,7 @@ def reconstruct_pointers(t: np.ndarray, sigma_hat: np.ndarray, z0,
         )
     # s(t') reads no pointer velocity, so the one-particle twin's kernel gives the same bits
     s = GuidanceKernel(reduced_params(params)).spreading_factor(t)
-    mean = sigma_hat / sqrt_n
+    mean = common_start(sigma_hat, n)
     dev0 = z0 - float(z0.mean())
     dev0 -= dev0.mean()  # re-center: keeps the scaled row sums exactly on sigma_hat
     return mean[:, None] + np.outer(s, dev0)

@@ -42,6 +42,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .integrate import EnsembleSpec, IntegratorOptions, ZInit, crossing_time
 from .model import ScenarioParams
+from .reduced import common_start
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -120,8 +121,8 @@ def _from_json(value, hint, where: str):
                      for i, (v, a) in enumerate(zip(value, args)))
     if is_dataclass(hint):
         return _build(hint, value, where)
-    accepted = {float: (int, float), int: int, str: str, bool: bool}[hint]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+    accepted = {float: (int, float), int: int, str: str}[hint]
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise ScenarioError(f"{where} must be of type {hint.__name__}, got {value!r}")
     try:
         return hint(value)
@@ -189,8 +190,9 @@ _BASE = dict(xi_x=10.0, xi_y=10.0, r=1.0, mu=1.0, d_prime=3.0)
 _XI = 10.0
 
 
-def _single(name, R, Xi, n, z_init, **ensemble):
+def _single(name, R, Xi, n, sigma_hat0, **ensemble):
     params = ScenarioParams(**_BASE, R=R).with_rigid_pointer(n, Xi)
+    z_init = ZInit.common(common_start(sigma_hat0, n))
     return Scenario(name, params, EnsembleSpec(z_init=z_init, **ensemble))
 
 
@@ -202,22 +204,18 @@ def _two(name, z_values):
 
 def _build_presets() -> dict[str, Scenario]:
     presets = {
-        "fig2": _single("fig2", R=1.0, Xi=0.0, n=1, z_init=ZInit.common(0.0)),
-        "fig3": _single("fig3", R=1.0, Xi=_XI, n=1, z_init=ZInit.common(0.0)),
-        "fig4": _single("fig4", R=0.2, Xi=_XI, n=1, z_init=ZInit.common(0.0)),
-        "fig5": _single("fig5", R=0.2, Xi=_XI, n=1, z_init=ZInit.common(0.3)),
+        "fig2": _single("fig2", R=1.0, Xi=0.0, n=1, sigma_hat0=0.0),
+        "fig3": _single("fig3", R=1.0, Xi=_XI, n=1, sigma_hat0=0.0),
+        "fig4": _single("fig4", R=0.2, Xi=_XI, n=1, sigma_hat0=0.0),
+        "fig5": _single("fig5", R=0.2, Xi=_XI, n=1, sigma_hat0=0.3),
         # the running text quotes 0.5 where the figure itself says 0.3; both ship
-        "fig5-text": _single("fig5-text", R=0.2, Xi=_XI, n=1, z_init=ZInit.common(0.5)),
+        "fig5-text": _single("fig5-text", R=0.2, Xi=_XI, n=1, sigma_hat0=0.5),
         "fig7": _two("fig7", (0.01, 0.01)),
         "fig8": _two("fig8", (0.5, 0.9)),
-        "fig9": _single("fig9", R=0.2, Xi=_XI, n=10, z_init=ZInit.common(0.0),
-                        backend="reduced"),
-        "fig10": _single("fig10", R=0.2, Xi=_XI, n=10,
-                         z_init=ZInit.common(0.3 / math.sqrt(10)), backend="reduced"),
-        "fig11": _single("fig11", R=0.2, Xi=_XI, n=10,
-                         z_init=ZInit.common(1.0 / math.sqrt(10)), backend="reduced"),
-        "fig12": _single("fig12", R=0.2, Xi=_XI, n=200,
-                         z_init=ZInit.common(0.3 / math.sqrt(200)), backend="reduced"),
+        "fig9": _single("fig9", R=0.2, Xi=_XI, n=10, sigma_hat0=0.0, backend="reduced"),
+        "fig10": _single("fig10", R=0.2, Xi=_XI, n=10, sigma_hat0=0.3, backend="reduced"),
+        "fig11": _single("fig11", R=0.2, Xi=_XI, n=10, sigma_hat0=1.0, backend="reduced"),
+        "fig12": _single("fig12", R=0.2, Xi=_XI, n=200, sigma_hat0=0.3, backend="reduced"),
     }
     presets["fig6"] = replace(presets["fig5"], name="fig6")  # same run, both projections
     return presets

@@ -138,13 +138,13 @@ def check_sqrtn_equivalence() -> tuple[bool, str]:
 def check_y_oracle() -> tuple[bool, str]:
     """Integrated Y' against its closed form on every preset ensemble, to 1e-8."""
     tol = 1e-8
-    worst = 0.0
-    where = ""
-    for name in preset_names():
-        sc = preset(name)
-        for traj in run_ensemble(sc.ensemble, sc.params, sc.integrator):
-            y0 = traj.initial.y
-            exact = np.array([y_closed_form(t, y0, sc.params.xi_y) for t in traj.t])
+    worst, where = 0.0, ""
+    runs = {}   # each distinct run once, under its first name: fig6 is fig5's run
+    for sc in map(preset, preset_names()):
+        runs.setdefault((sc.ensemble, sc.params, sc.integrator), sc.name)
+    for (spec, params, opts), name in runs.items():
+        for traj in run_ensemble(spec, params, opts):
+            exact = y_closed_form(traj.t, traj.initial.y, params.xi_y)
             err = float(np.max(np.abs(traj.y - exact)))
             if err > worst:
                 worst, where = err, name

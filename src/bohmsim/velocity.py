@@ -143,8 +143,9 @@ def velocity_numeric(config: Configuration, params: ScenarioParams) -> VelocityV
     return _at_config(fd_velocity, config, params)
 
 
-def y_closed_form(t_prime: float, y0_prime: float, xi_y: float) -> float:
-    """Y'(t') = t' + Y'_0 sqrt(1 + 4 t'^2 / xi_y^2) (decoupled longitudinal motion)."""
+def y_closed_form(t_prime, y0_prime: float, xi_y: float):
+    """Y'(t') = t' + Y'_0 sqrt(1 + 4 t'^2 / xi_y^2), the decoupled longitudinal motion;
+    t' may be an array."""
     if xi_y <= 0:
         raise ValueError("xi_y must be > 0")
-    return t_prime + y0_prime * math.sqrt(1.0 + 4.0 * t_prime * t_prime / (xi_y * xi_y))
+    return t_prime + y0_prime * np.sqrt(1.0 + 4.0 * t_prime * t_prime / (xi_y * xi_y))

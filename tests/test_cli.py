@@ -8,7 +8,7 @@ import pytest
 
 from bohmsim import cli, runio
 from bohmsim.cli import main
-from bohmsim.integrate import integrate_trajectory
+from bohmsim.integrate import integrate_trajectory, run_ensemble
 from bohmsim.model import Configuration
 from bohmsim.runio import read_manifest, read_trajectory_csv
 from bohmsim.scenario import (load_scenario, preset, preset_names, scenario_to_dict,
@@ -286,6 +286,23 @@ class TestPlot:
             curves = [Curve(cols["Y"], cols[col], slit) for cols, slit in runs]
             expected = render_chart(curves, title, "Y'", ylabel).encode()
             assert (out / svg).read_bytes() == expected
+
+    def test_pointer_panel_draws_the_engines_sigma_hat(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", "fig4", "--n", "20", "--seed", "3",
+                     "--out", str(out)]) == 0
+        charts = {}
+
+        def capture(curves, title, xlabel, ylabel):
+            charts[title] = curves
+            return render_chart(curves, title, xlabel, ylabel)
+
+        monkeypatch.setattr(cli, "render_chart", capture)
+        assert main(["plot", str(out)]) == 0
+        sc = load_scenario(out / "scenario.json")
+        engine = run_ensemble(sc.ensemble, sc.params, sc.integrator)
+        drawn = charts[f"{sc.name}: pointer average"]
+        assert [c.y.tobytes() for c in drawn] == [t.sigma_hat.tobytes() for t in engine]
 
     def test_three_panels_for_two_pointers(self, tmp_path):
         out = tmp_path / "run"

@@ -15,6 +15,12 @@ included, gets the floor through them.
 
 The command line's exit-code policy lives in ``cli.main`` alone: the commands
 raise, and only ``main`` names the configuration and integration exit codes.
+
+The sqrt(N) map lives in reduced.py: ``sigma_hat_of`` (Z' to Sigma_hat'),
+``common_start`` (Sigma_hat' to a shared Z') and ``reduced_params`` (Xi to
+Xi sqrt(N)).  The one other sqrt(N) is ``scenario.with_n_particles``, whose
+sqrt(N_old/N) rescales a common start without forming Sigma_hat'.  Every
+other square root in the package is pinned by (file, function) as well.
 """
 
 import ast
@@ -27,6 +33,13 @@ ALLOWED = {("scenario.py", "_single"), ("scenario.py", "_two")}
 NODE_EPS_READERS = {"_kernel.py", "velocity.py"}
 NODE_RAISERS = {("_kernel.py", "velocity"), ("velocity.py", "fd_velocity")}
 EXIT_CODES = {"EXIT_CONFIG", "EXIT_INTEGRATION"}
+SQRT_SITES = {
+    ("reduced.py", "sigma_hat_of"), ("reduced.py", "common_start"),
+    ("reduced.py", "reduced_params"), ("scenario.py", "with_n_particles"),
+    # square roots of something other than N
+    ("_kernel.py", "spreading_factor"), ("rk45.py", "_error_norm"), ("rk45.py", "_initial_step"),
+    ("validate.py", "random_configurations"), ("velocity.py", "y_closed_form"),
+}
 PACKAGE = Path(bohmsim.__file__).parent
 
 
@@ -46,6 +59,10 @@ def _is_node_raise(node) -> bool:
 
 def _names_node_eps(node) -> bool:
     return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and _name(node) == "NODE_EPS"
+
+
+def _is_sqrt_call(node) -> bool:
+    return isinstance(node, ast.Call) and _name(node.func) == "sqrt"
 
 
 def _reads_exit_code(node) -> bool:
@@ -97,3 +114,9 @@ def test_exit_codes_are_named_only_in_cli_main():
     found = package_sites(_reads_exit_code, skip=())
     assert {site[:2] for site in found} == {("cli.py", "main")}, \
         f"raise from the command and let cli.main choose the exit code: {found}"
+
+
+def test_sqrt_n_is_taken_only_in_reduced():
+    found = package_sites(_is_sqrt_call, skip=())
+    assert {site[:2] for site in found} == SQRT_SITES, \
+        f"take Sigma_hat' and its common start from reduced.py: {found}"

@@ -183,8 +183,10 @@ class TestPointersOnRead:
             return reconstruct_pointers(*args)
 
         monkeypatch.setattr(integrate, "reconstruct_pointers", counting)
-        repr(wide_reduced)
+        text = repr(wide_reduced)
         assert not calls
+        # the sample arrays alone: neither the N pointer pairs nor the N launch positions
+        assert len(text) < 10**5
 
     def test_full_backend_stores_z(self, fig4_params):
         traj = integrate_trajectory(Configuration(0.0, 3.0, 0.0, (0.0,)), fig4_params)
