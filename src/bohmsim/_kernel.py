@@ -48,7 +48,8 @@ scalar-times-vector operations over the state (two in single-pointer mode,
 where SXi = 0).  A state with one pointer coordinate (every reduced-backend
 state, every N = 1 scenario) is three floats, on which each numpy call costs
 more than its arithmetic, so ``velocity`` computes it in Python floats: the
-same products in the same order, hence the same bits.
+same products in the same order, hence the same bits.  Given such a state
+as a tuple of 3 floats, as ``rk45.solve`` steps it, it returns a tuple.
 
 Numerical care taken here:
 
@@ -207,12 +208,14 @@ class GuidanceKernel:
         The state is only read.  For N >= 2 the pointer dot and v_z are taken
         on the whole state, against dXi padded with two zeros; entries 0 and 1
         are then set to v_x and v_y.  For N = 1 all three are Python floats,
-        the same products in the same order, so both paths give the same bits.
+        the same products in the same order, so both paths give the same bits;
+        there the state may also be a tuple of 3 floats, and then the velocity
+        is one too (the form ``rk45.solve`` steps such a state in).
         Raises NodeError if the normalized density is below NODE_EPS.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
         if self.n == 1:
-            x, y, z = state.tolist()
+            x, y, z = state if type(state) is tuple else state.tolist()
             dxi, pz_dxi, pz_sxi = self.one_z
             zd = dxi * z
         else:
@@ -252,7 +255,7 @@ class GuidanceKernel:
             vz = (2.0 * self.pz * gz) * z + a * pz_dxi
             if pz_sxi is not None:
                 vz += (0.5 * c) * pz_sxi
-            return np.array((vx, vy, vz))
+            return (vx, vy, vz) if type(state) is tuple else np.array((vx, vy, vz))
         v = (2.0 * self.pz * gz) * state
         v += a * self.pz_dxi_pad
         if self.pz_sxi_pad is not None:

@@ -11,25 +11,52 @@ Two non-standard behaviors are built in for Bohmian trajectories:
   this is a flag, not a failure); a start on a node is degenerate at once;
 * non-finite stages are handled the same way, except that hitting the
   floor raises ``IntegrationAbort``.  Every component of a stage state is
-  tested, by counting ``np.isfinite``, before ``rhs`` sees it: exact, and
-  free of floating-point warnings on +/-inf.
+  tested before ``rhs`` sees it: exact, and free of floating-point
+  warnings on +/-inf.
 
-One buffer holds the rows (y, k1..k7), and a weight matrix [1 | h A], with
-[0 | h E] as its last row, is filled once per attempt: each stage state
-1*y + sum_j h a_ij k_j, and the error estimate, is one product of a weight
-row with the leading buffer rows (negation commutes with it, so mirrored
-starts stay mirrored bit for bit).  No view of the buffer or of an array
-returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output array.
+One step controller (step ceiling, node backoff, non-finite halving, PI
+control, step budget, counts and the dense-output record) drives one of two
+forms of the stage arithmetic, picked by the size of the state:
+
+* floats, for a state of at most ``_FLOAT_DIM`` = 3 components: the reduced
+  backend's (X', Y', Sigma_hat') and every N = 1 state.  The state is a
+  tuple of Python floats; each stage state, the 5th-order solution and the
+  error estimate are the tableau written out over ``zip(y, k1, ...)``, with
+  the array path's weights h a_ij, and ``math.isfinite`` is the test of
+  every state ``rhs`` sees.  On three components each numpy call costs more
+  than its arithmetic.  The sums are Python's, left to right, so their bits
+  do not depend on the BLAS build or on the CPU it dispatches to.  ``rhs``
+  receives the state as such a tuple and returns a tuple of floats (or any
+  sequence of numbers, which is converted).
+* arrays, for wider states (fig7's 4 components, N + 2 on the full
+  backends).  One buffer holds the rows (y, k1..k7), and a weight matrix
+  [1 | h A], with [0 | h E] as its last row, is filled once per attempt:
+  each stage state 1*y + sum_j h a_ij k_j, and the error estimate, is one
+  product of a weight row with the leading buffer rows, and a stage is
+  tested by counting ``np.isfinite``.  No view of the buffer or of an array
+  returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output array.
+
+The threshold is 3 because that is the widest state on which this
+package's right-hand sides compute in floats: the N = 1 kernel, which the
+reduced backend runs too.  From 4 components on, every state here belongs
+to an N >= 2 pointer, whose kernel computes on arrays.  With a trivial
+``rhs`` (best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4) an
+attempt takes 10-14 us in floats against 16-18 us in arrays at 1-3
+components; the two meet near 6-8 components, and at 102 (``wide-pointer``
+in the benchmark) floats take 134 us against 18 us.
+
+Both forms are linear in (y, k) with fixed coefficients, so negation
+commutes with them and mirrored starts stay mirrored bit for bit.
 
 Dense output uses the standard quartic interpolant for this pair, so
 requested sample times are filled without constraining the step sequence.
-Each accepted step that covers samples records (t, h, y, k^T P); all
-samples are evaluated in one pass when the run ends, one stacked
-matrix-vector product per recorded step.
-
-Every sample is its own matrix-vector product, with the powers theta^j
-taken as Python float powers, so that its bits do not depend on which
-other samples are requested.
+Each accepted step that covers samples is recorded, and all samples are
+evaluated in one pass when the run ends.  The array path records
+(t, h, y, k^T P) and takes one stacked matrix-vector product per recorded
+step, with the powers theta^j taken as Python float powers.  The float
+path records (t, h, y, k1..k7) and evaluates every sample in one batch.
+Either way every sample is its own matrix-vector product, so that its bits
+do not depend on which other samples are requested.
 """
 
 from __future__ import annotations
@@ -49,6 +76,8 @@ __all__ = ["IntegrationAbort", "SolverStats", "SolverResult", "solve"]
 H_FLOOR = 1e-12
 MAX_STEPS = 1_000_000
 
+_FLOAT_DIM = 3  # states of at most this many components are stepped in Python floats
+
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: t + c*h stays a float
 # weights on (k1..k7): row i - 1 builds stage i + 1's state; the 5th-order row gives
 # the new y, whose slope is the next k1 (FSAL); the last row is E = b5 - b4
@@ -61,6 +90,8 @@ _AE = np.array([
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
     [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
 ])
+# the nonzero entries of _AE as Python floats, row by row, for the float path
+_TABLEAU = tuple(a for row in _AE.tolist() for a in row if a)
 # quartic dense-output coefficients for this pair (Shampine)
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -109,6 +140,152 @@ def _error_norm(err, abs_y0, abs_y1, rtol, atol, r):
     return math.sqrt(float(r.dot(r)) / r.size)
 
 
+def _dense_output(ts, steps, out) -> None:
+    """Fill out[lo:hi] from each recorded step (t, h, y, q = k^T P, lo, hi)."""
+    for t, h, y, q, lo, hi in steps:
+        thetas = [(s - t) / h for s in ts[lo:hi]]
+        tp = np.array([(th, th**2, th**3, th**4) for th in thetas])
+        out[lo:hi] = y + h * (q @ tp[:, :, None])[:, :, 0]
+
+
+class _FloatStages:
+    """The stages of one step on a tuple of Python floats.
+
+    ``attempt`` computes the step's stages and returns its error norm;
+    ``record`` gives what dense output needs of the step; ``accept`` moves to
+    the step's end.  Every ``rhs`` call goes through ``slope``, which tests
+    the state and counts the call.
+    """
+
+    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "k1", "y_new", "ks")
+
+    def __init__(self, rhs, y0: np.ndarray, rtol: float, atol: float):
+        self.rhs, self.rtol, self.atol = rhs, rtol, atol
+        self.n_rhs = 0
+        self.y = tuple(y0.tolist())
+
+    def slope(self, t: float, y: tuple) -> tuple:
+        if not all(map(math.isfinite, y)):
+            raise IntegrationAbort("non-finite stage state")
+        self.n_rhs += 1
+        f = self.rhs(t, y)
+        return f if type(f) is tuple else tuple(map(float, f))
+
+    def start(self, t0: float) -> np.ndarray:
+        self.k1 = self.slope(t0, self.y)
+        return np.array(self.k1)
+
+    def probe(self, t: float, y: np.ndarray) -> np.ndarray:
+        return np.array(self.slope(t, tuple(y.tolist())))
+
+    def attempt(self, t: float, h: float) -> float:
+        # the array path's weights h a_ij and h e_j
+        (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+         b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * c for c in _TABLEAU]
+        _, c2, c3, c4, c5, _, _ = _C
+        y, k1, slope = self.y, self.k1, self.slope
+        k2 = slope(t + c2 * h, tuple([a + a21 * p for a, p in zip(y, k1)]))
+        k3 = slope(t + c3 * h, tuple([a + a31 * p + a32 * q for a, p, q in zip(y, k1, k2)]))
+        k4 = slope(t + c4 * h, tuple([a + a41 * p + a42 * q + a43 * r
+                                      for a, p, q, r in zip(y, k1, k2, k3)]))
+        k5 = slope(t + c5 * h, tuple([a + a51 * p + a52 * q + a53 * r + a54 * s
+                                      for a, p, q, r, s in zip(y, k1, k2, k3, k4)]))
+        k6 = slope(t + h, tuple([a + a61 * p + a62 * q + a63 * r + a64 * s + a65 * u
+                                 for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)]))
+        y7 = tuple([a + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
+                    for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)])
+        k7 = slope(t + h, y7)
+        self.y_new, self.ks = y7, (k1, k2, k3, k4, k5, k6, k7)
+        rtol, atol = self.rtol, self.atol
+        sq = 0.0
+        for a, b, p, r, s, u, v, w in zip(y, y7, k1, k3, k4, k5, k6, k7):
+            e = ((e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w)
+                 / (max(abs(a), abs(b)) * rtol + atol))
+            sq += e * e
+        return math.sqrt(sq / len(y))
+
+    def record(self) -> tuple:
+        return self.y, self.ks
+
+    @staticmethod
+    def dense_output(ts, steps, out) -> None:
+        """Every sample at once from the steps recorded as (t, h, y, (k1..k7), lo, hi).
+
+        Each sample is still its own matrix-vector product, and theta's powers
+        are products of theta taken element by element.  Stacked, the per-sample
+        copies of k^T P take 4 * dim floats a sample: small at _FLOAT_DIM or fewer.
+        """
+        if not steps:
+            return
+        t, h, y, k, lo, hi = zip(*steps)
+        first, last = lo[0], hi[-1]
+        step = np.repeat(np.arange(len(steps)), np.subtract(hi, lo))
+        h = np.array(h)[step]
+        th = (np.array(ts[first:last]) - np.array(t)[step]) / h
+        th2 = th * th
+        tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
+        q = (np.array(k).transpose(0, 2, 1) @ _P)[step]
+        out[first:last] = np.array(y)[step] + h[:, None] * (q @ tp[:, :, None])[:, :, 0]
+
+    def accept(self) -> None:
+        self.y, self.k1 = self.y_new, self.ks[6]  # FSAL
+
+
+class _ArrayStages:
+    """The stages of one step in the weight-matrix buffer; the interface of _FloatStages."""
+
+    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "abs_y", "y_new", "abs_y_new",
+                 "buf", "k", "scaled", "stages", "err_row", "scratch")
+
+    def __init__(self, rhs, y0: np.ndarray, rtol: float, atol: float):
+        self.rhs, self.rtol, self.atol = rhs, rtol, atol
+        self.n_rhs = 0
+        dim = y0.size
+        self.buf = np.empty((8, dim))      # rows (y, k1..k7)
+        self.k = self.buf[1:]
+        weights = np.zeros((7, 8))
+        weights[:6, 0] = 1.0
+        self.scaled = weights[:, 1:]
+        self.stages = [(i, _C[i], weights[i - 1, :i + 1], self.buf[:i + 1]) for i in range(1, 7)]
+        self.err_row = weights[6, 1:]
+        self.scratch = np.empty(dim)
+        self.buf[0] = y0
+        self.y, self.abs_y = y0, np.abs(y0)
+
+    def start(self, t0: float) -> np.ndarray:
+        self.n_rhs += 1
+        self.k[0] = self.rhs(t0, self.y)
+        return self.k[0]
+
+    def probe(self, t: float, y: np.ndarray) -> np.ndarray:
+        self.n_rhs += 1
+        return self.rhs(t, y)
+
+    def attempt(self, t: float, h: float) -> float:
+        np.multiply(_AE, h, out=self.scaled)
+        k, rhs, dim = self.k, self.rhs, self.scratch.size
+        for i, c, w, rows in self.stages:
+            yi = w.dot(rows)
+            if _count_nonzero(np.isfinite(yi)) != dim:
+                raise IntegrationAbort("non-finite stage state")
+            self.n_rhs += 1
+            k[i] = rhs(t + c * h, yi)
+        # yi is now stage 7's state, the 5th-order solution
+        self.y_new, self.abs_y_new = yi, np.abs(yi)
+        return _error_norm(self.err_row.dot(k), self.abs_y, self.abs_y_new,
+                           self.rtol, self.atol, self.scratch)
+
+    def record(self) -> tuple:
+        return self.y, self.k.T.dot(_P)
+
+    dense_output = staticmethod(_dense_output)
+
+    def accept(self) -> None:
+        self.y, self.abs_y = self.y_new, self.abs_y_new
+        self.buf[0] = self.y
+        self.k[0] = self.k[6]  # FSAL; retries only overwrite rows 1-6
+
+
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     # Hairer's starting-step heuristic, clipped to the step ceiling.
     scale = atol + rtol * np.abs(y0)
@@ -128,18 +305,12 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, max_step, t_end - t0)
 
 
-def _dense_output(ts, steps, out) -> None:
-    """Fill out[lo:hi] from each recorded step (t, h, y, q = k^T P, lo, hi)."""
-    for t, h, y, q, lo, hi in steps:
-        thetas = [(s - t) / h for s in ts[lo:hi]]
-        tp = np.array([(th, th**2, th**3, th**4) for th in thetas])
-        out[lo:hi] = y + h * (q @ tp[:, :, None])[:, :, 0]
-
-
 def solve(rhs, t0: float, y0, t_end: float, sample_times,
           rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf) -> SolverResult:
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
+    ``rhs`` receives a state of at most 3 components as a tuple of floats,
+    and a wider one as an array (see the module docstring).
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
     first entry, if equal to t0, is served from the initial state.  Returns
@@ -158,42 +329,31 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         raise ValueError(f"rtol={rtol!r}, atol={atol!r} and max_step={max_step!r} must be "
                          "positive, and all but max_step finite")
 
-    dim = y0.size
     n_out = len(ts)
-    out = np.empty((n_out, dim))
+    out = np.empty((n_out, y0.size))
     dense: list[tuple] = []       # accepted steps that cover samples
     si = 0                        # next sample to serve
     if ts and ts[0] == t0:
         out[0] = y0
         si = 1
 
-    buf = np.empty((8, dim))      # rows (y, k1..k7)
-    k = buf[1:]
-    weights = np.zeros((7, 8))
-    weights[:6, 0] = 1.0
-    scaled = weights[:, 1:]
-    stages = [(i, _C[i], weights[i - 1, :i + 1], buf[:i + 1]) for i in range(1, 7)]
-    err_row = weights[6, 1:]
-    scratch = np.empty(dim)
-    buf[0] = y0
+    stages = (_FloatStages if y0.size <= _FLOAT_DIM else _ArrayStages)(rhs, y0, rtol, atol)
+    attempt, record, accept = stages.attempt, stages.record, stages.accept
     try:
-        k[0] = rhs(t0, y0)
+        f0 = stages.start(t0)
     except NodeError:
         return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
-    h = min(max(_initial_step(rhs, t0, y0, k[0], t_end, rtol, atol, max_step), H_FLOOR),
-            max_step)
-    n_rhs = 2  # k1 and the starting-step probe
+    h = min(max(_initial_step(stages.probe, t0, y0, f0, t_end, rtol, atol, max_step),
+                H_FLOOR), max_step)
     t = t0
-    y = y0
-    abs_y = np.abs(y0)
     fac_old = 1e-4
     just_rejected = False
     n_steps = n_rejected = n_backoffs = n_capped = 0
     h_min, h_max = math.inf, 0.0
 
     def finish(degenerate: bool) -> SolverResult:
-        _dense_output(ts, dense, out)
-        stats = SolverStats(n_steps, n_rejected, n_backoffs, n_rhs, n_capped,
+        stages.dense_output(ts, dense, out)
+        stats = SolverStats(n_steps, n_rejected, n_backoffs, stages.n_rhs, n_capped,
                             h_min if n_steps else 0.0, h_max)
         return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate)
 
@@ -204,15 +364,9 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         last_step = t + h >= t_end
         if last_step:
             h = t_end - t
-        np.multiply(_AE, h, out=scaled)
 
         try:
-            for i, c, w, rows in stages:
-                yi = w.dot(rows)
-                if _count_nonzero(np.isfinite(yi)) != dim:
-                    raise IntegrationAbort("non-finite stage state")
-                n_rhs += 1
-                k[i] = rhs(t + c * h, yi)
+            err = attempt(t, h)
         except NodeError:
             n_backoffs += 1
             h *= 0.5
@@ -225,9 +379,6 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
                 raise
             continue
 
-        # yi is now stage 7's state, the 5th-order solution
-        abs_y_new = np.abs(yi)
-        err = _error_norm(err_row.dot(k), abs_y, abs_y_new, rtol, atol, scratch)
         if not math.isfinite(err):
             h *= 0.5
             if h < H_FLOOR:
@@ -251,7 +402,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
         if si < n_out and (last_step or ts[si] <= t_new):
             hi = n_out if last_step else bisect_right(ts, t_new, si)
-            dense.append((t, h, y, k.T.dot(_P), si, hi))
+            dense.append((t, h, *record(), si, hi))
             si = hi
 
         # PI step-size controller; no growth straight after a rejection
@@ -261,8 +412,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         h = h * (fac if fac < cap else cap)
         fac_old = 1e-4 if err < 1e-4 else err
         just_rejected = False
-        t, y, abs_y = t_new, yi, abs_y_new
-        buf[0] = yi
-        k[0] = k[6]  # FSAL; retries only overwrite rows 1-6
+        t = t_new
+        accept()
 
     return finish(degenerate=False)

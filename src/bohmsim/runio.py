@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import ClassificationSummary
 from .integrate import Trajectory, crossing_time
 from .model import fast_pointer_E
+from .reduced import reduced_params
 from .scenario import Scenario, scenario_to_dict
 
 __all__ = ["write_run", "read_manifest", "read_trajectory_csv", "csv_columns"]
@@ -77,7 +78,9 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
         "scenario": scenario_to_dict(scenario),
         "backend": scenario.ensemble.backend,
         "t_cross": crossing_time(params),
-        "fast_pointer_E": fast_pointer_E(params) if params.single_pointer_xi is not None else None,
+        # the pointer sum's E, which moves at Xi sqrt(N): the one-particle twin's
+        "fast_pointer_E": (fast_pointer_E(reduced_params(params))
+                           if params.single_pointer_xi is not None else None),
         "n_trajectories": len(trajs),
         "columns": csv_columns(scenario.ensemble.backend, params.n_particles),
         "trajectories": records,

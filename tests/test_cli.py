@@ -9,7 +9,7 @@ import pytest
 from bohmsim import cli, runio
 from bohmsim.cli import main
 from bohmsim.integrate import integrate_trajectory, run_ensemble
-from bohmsim.model import Configuration
+from bohmsim.model import Configuration, fast_pointer_E
 from bohmsim.runio import read_manifest, read_trajectory_csv
 from bohmsim.scenario import (load_scenario, preset, preset_names, scenario_to_dict,
                               with_n_particles)
@@ -50,6 +50,18 @@ class TestSimulate:
         assert manifest["n_trajectories"] == 18
         assert (out / "traj_017.csv").is_file()
         assert load_scenario(out / "scenario.json") == preset("fig2")
+
+    @pytest.mark.parametrize("name", ["fig4", "fig9", "fig12"])
+    def test_e_is_the_pointer_sums(self, name, tmp_path, capsys):
+        # the pointer sum moves at Xi sqrt(N): E = 0.12, 0.379 and 1.697
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(trimmed_scenario(tmp_path, name, count=1)),
+                     "--out", str(out)]) == 0
+        params = preset(name).params
+        e = read_manifest(out)["fast_pointer_E"]
+        assert e == pytest.approx(fast_pointer_E(params) * math.sqrt(params.n_particles),
+                                  rel=1e-12)
+        assert f"  E={e:g}\n" in capsys.readouterr().out
 
     def test_scenario_file_and_json_output(self, tmp_path, capsys):
         path = trimmed_scenario(tmp_path)

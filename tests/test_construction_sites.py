@@ -38,6 +38,7 @@ SQRT_SITES = {
     ("reduced.py", "reduced_params"), ("scenario.py", "with_n_particles"),
     # square roots of something other than N
     ("_kernel.py", "spreading_factor"), ("rk45.py", "_error_norm"), ("rk45.py", "_initial_step"),
+    ("rk45.py", "attempt"),
     ("validate.py", "random_configurations"), ("velocity.py", "y_closed_form"),
 }
 PACKAGE = Path(bohmsim.__file__).parent

@@ -225,6 +225,8 @@ class TestEnsembles:
 
 
 class TestNodeHandling:
+    """On both forms of the stepper: 1 or 2 components step in floats, 4 in arrays."""
+
     def test_degenerate_truncation_flagged(self):
         # synthetic field that hits a node beyond t = 1
         calls = 0
@@ -236,12 +238,14 @@ class TestNodeHandling:
                 raise NodeError(0.0)
             return np.ones_like(y)
 
-        res = solve(rhs, 0.0, np.zeros(2), 2.0, np.linspace(0.0, 2.0, 21),
-                    rtol=1e-8, atol=1e-10, max_step=0.1)
-        assert res.degenerate
-        assert res.stats.n_node_backoffs > 0
-        assert res.stats.n_rhs_evals == calls   # calls that raised count too
-        assert res.t[-1] <= 1.0 + 1e-9
+        for dim in (2, 4):
+            calls = 0
+            res = solve(rhs, 0.0, np.zeros(dim), 2.0, np.linspace(0.0, 2.0, 21),
+                        rtol=1e-8, atol=1e-10, max_step=0.1)
+            assert res.degenerate
+            assert res.stats.n_node_backoffs > 0
+            assert res.stats.n_rhs_evals == calls   # calls that raised count too
+            assert res.t[-1] <= 1.0 + 1e-9
 
     def test_nonfinite_aborts(self):
         from bohmsim.rk45 import IntegrationAbort
@@ -249,6 +253,7 @@ class TestNodeHandling:
         def rhs(t, y):
             return np.full_like(y, np.nan) if t > 0.5 else np.ones_like(y)
 
-        with pytest.raises(IntegrationAbort):
-            solve(rhs, 0.0, np.zeros(1), 1.0, np.array([1.0]),
-                  rtol=1e-8, atol=1e-10, max_step=0.1)
+        for dim in (1, 4):
+            with pytest.raises(IntegrationAbort):
+                solve(rhs, 0.0, np.zeros(dim), 1.0, np.array([1.0]),
+                      rtol=1e-8, atol=1e-10, max_step=0.1)

@@ -138,7 +138,8 @@ def node_states(kern, rng, count):
 @pytest.mark.parametrize("name", ONE_POINTER_CASES)
 def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
     # N = 1 takes Python floats; the reference is the N = 2 array path of the same
-    # pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1
+    # pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1.  The state as
+    # a tuple, as the stepper passes it, gives the same floats as a tuple.
     params = ONE_POINTER_CASES[name]
     kern = GuidanceKernel(params)
     inert = GuidanceKernel(replace(params, pointer_velocities=(
@@ -163,11 +164,16 @@ def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
             with pytest.raises(NodeError) as ref:
                 inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
             assert ref.value.rho_hat == exc.rho_hat
+            with pytest.raises(NodeError) as as_tuple:
+                kern.velocity(t, (x, y, z))
+            assert as_tuple.value.rho_hat == exc.rho_hat
             regimes["node"] += 1
             continue
         ref = inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
         assert v.dtype == ref.dtype and v.shape == (3,)
         assert v.tobytes() == ref[:3].tobytes(), (t, x, y, z)
+        as_tuple = kern.velocity(t, (x, y, z))
+        assert type(as_tuple) is tuple and np.array(as_tuple).tobytes() == v.tobytes()
         regimes[regime] += 1
     assert all(regimes.values()), regimes
 

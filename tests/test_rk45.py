@@ -1,4 +1,10 @@
-"""The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts."""
+"""The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts.
+
+``solve`` steps a state of at most 3 components in Python floats and a wider
+one in its array buffer.  The tests of each stepper behaviour run on both: on a
+narrow system and on its wide form, the same system tiled to 4 or more
+components, whose RMS error norm is the narrow one's in exact arithmetic.
+"""
 
 import math
 import warnings
@@ -19,40 +25,57 @@ from conftest import deadline
 _COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0]])
 
 
-def _cubic_rhs(t, y):
-    return _COEF @ np.array([1.0, t, t * t, t**3])
+# copies of a test system: one keeps 1-3 components on the float path, four put
+# even a 1-component system on the array path
+TILES = (1, 4)
+
+
+def _cubic(tiles: int):
+    """(rhs, y0 tiler) of the cubic field, tiled ``tiles`` times."""
+    coef = np.tile(_COEF, (tiles, 1))
+    return (lambda t, y: coef @ np.array([1.0, t, t * t, t**3])), lambda y: np.tile(y, tiles)
 
 
 def _quartic(t, y0):
     t = np.asarray(t)[:, None]
     powers = np.concatenate([t, t**2 / 2, t**3 / 3, t**4 / 4], axis=1)
-    return y0 + powers @ _COEF.T
+    return y0 + powers @ np.tile(_COEF, (y0.size // 2, 1)).T
+
+
+def _cubic_rhs(t, y):
+    return _COEF @ np.array([1.0, t, t * t, t**3])
 
 
 class TestDenseOutput:
     def test_exact_for_cubic_field(self):
-        y0 = np.array([0.5, -1.0])
-        # steps of up to 0.25, most holding several samples; t0 and t_end included
-        samples = np.linspace(0.0, 1.0, 41)
-        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25)
-        assert np.array_equal(res.t, samples)
-        assert res.y[0].tolist() == y0.tolist()
-        assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12
+        for tiles in TILES:
+            rhs, tile = _cubic(tiles)
+            y0 = tile([0.5, -1.0])
+            # steps of up to 0.25, most holding several samples; t0 and t_end included
+            samples = np.linspace(0.0, 1.0, 41)
+            res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            assert np.array_equal(res.t, samples)
+            assert res.y[0].tolist() == y0.tolist()
+            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, tiles
 
     def test_samples_in_last_step_only(self):
-        y0 = np.array([0.0, 0.0])
-        samples = np.array([0.9, 0.95, 0.99, 1.0])
-        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25)
-        assert np.array_equal(res.t, samples)
-        assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12
+        for tiles in TILES:
+            rhs, tile = _cubic(tiles)
+            y0 = tile([0.0, 0.0])
+            samples = np.array([0.9, 0.95, 0.99, 1.0])
+            res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            assert np.array_equal(res.t, samples)
+            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, tiles
 
     def test_sample_just_past_t_end_is_served(self):
-        y0 = np.array([0.5, -1.0])
-        samples = [0.0, 0.5, 1.0 + 5e-13]
-        res = solve(_cubic_rhs, 0.0, y0, 1.0, samples, max_step=0.25)
-        assert res.t.tolist() == samples
-        assert not res.degenerate
-        assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12
+        for tiles in TILES:
+            rhs, tile = _cubic(tiles)
+            y0 = tile([0.5, -1.0])
+            samples = [0.0, 0.5, 1.0 + 5e-13]
+            res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            assert res.t.tolist() == samples
+            assert not res.degenerate
+            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, tiles
 
     @pytest.mark.parametrize("samples", [[0.0, 0.7, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0],
                                          [0.0, float("nan"), 1.0]])
@@ -80,20 +103,21 @@ class TestSettingsRefused:
 class TestNonFiniteStages:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_abort_at_floor_without_passing_state_to_rhs(self, bad):
-        seen = []
+        for tiles in TILES:
+            seen = []
 
-        def rhs(t, y):
-            seen.append((t, y.copy()))
-            return np.full_like(y, bad) if t > 0.5 else np.ones_like(y)
+            def rhs(t, y):
+                seen.append((t, np.array(y)))
+                return np.full_like(y, bad) if t > 0.5 else np.ones_like(y)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # no RuntimeWarning on the way to the abort
-            with pytest.raises(IntegrationAbort):
-                solve(rhs, 0.0, np.zeros(3), 1.0, [0.0, 1.0], max_step=0.1)
-        assert all(np.isfinite(y).all() for _, y in seen)
-        # the step was halved down to the floor just short of the bad region
-        reached = max(t for t, _ in seen if t <= 0.5)
-        assert 0.5 - reached < 1e3 * H_FLOOR
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # no RuntimeWarning on the way to the abort
+                with pytest.raises(IntegrationAbort):
+                    solve(rhs, 0.0, np.zeros(3 * tiles), 1.0, [0.0, 1.0], max_step=0.1)
+            assert all(np.isfinite(y).all() for _, y in seen)
+            # the step was halved down to the floor just short of the bad region
+            reached = max(t for t, _ in seen if t <= 0.5)
+            assert 0.5 - reached < 1e3 * H_FLOOR, tiles
 
 
 class TestSolverCounts:
@@ -134,7 +158,7 @@ class TestSolverCounts:
         def rhs(t, y):
             if t > 0.0:
                 raise NodeError(0.0)
-            return -y
+            return np.negative(y)
 
         res = solve(rhs, 0.0, np.ones(2), 1.0, [0.0, 1.0])
         assert res.degenerate and res.stats.n_steps == 0
@@ -155,21 +179,24 @@ class TestStageBuffer:
 
     def test_exponential_at_every_sample(self):
         grid = np.linspace(0.0, 1.0, 101)
-        res = solve(lambda t, y: y, 0.0, [1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
-        assert np.array_equal(res.t, grid)
-        assert np.max(np.abs(res.y[:, 0] - np.exp(grid))) <= 1e-9
+        for tiles in TILES:
+            res = solve(lambda t, y: y, 0.0, [1.0] * tiles, 1.0, grid, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(res.t, grid)
+            assert np.max(np.abs(res.y - np.exp(grid)[:, None])) <= 1e-9, tiles
 
     def test_rhs_reusing_its_output_array(self):
-        def damped_pendulum(out):
+        # two damped pendulums: 4 components, so the array path's buffer
+        def damped_pendulums(out):
             def rhs(t, y):
-                out[0] = y[1]
-                out[1] = -math.sin(y[0]) - 0.3 * y[1] * math.cos(t)
+                for i in (0, 2):
+                    out[i] = y[i + 1]
+                    out[i + 1] = -math.sin(y[i]) - 0.3 * y[i + 1] * math.cos(t)
                 return out
             return rhs
 
-        shared = damped_pendulum(np.empty(2))
-        fresh = damped_pendulum(np.empty(2))
-        y0 = np.array([2.5, 0.0])
+        shared = damped_pendulums(np.empty(4))
+        fresh = damped_pendulums(np.empty(4))
+        y0 = np.array([2.5, 0.0, -1.0, 0.5])
         grid = np.linspace(0.0, 20.0, 97)
         a = solve(shared, 0.0, y0, 20.0, grid, rtol=1e-6)
         b = solve(lambda t, y: fresh(t, y).copy(), 0.0, y0, 20.0, grid, rtol=1e-6)
@@ -177,7 +204,40 @@ class TestStageBuffer:
         assert a.stats == b.stats
         assert np.array_equal(a.t, b.t)
         assert a.y.tobytes() == b.y.tobytes()
-        assert y0.tolist() == [2.5, 0.0]
+        assert y0.tolist() == [2.5, 0.0, -1.0, 0.5]
+
+
+def _pendulum_and_follower(t, y):
+    """A damped pendulum (theta, omega) and a third component driven by it."""
+    theta, omega, u = y[0], y[1], y[2]
+    return (omega, -math.sin(theta) - 0.3 * omega * math.cos(t), theta * omega - 0.1 * u)
+
+
+class TestTwoPaths:
+    """The float and the array path are one stepper: same steps, same samples."""
+
+    def test_narrow_and_duplicated_system_agree(self):
+        y0 = (2.5, 0.0, 0.3)
+        grid = np.linspace(0.0, 20.0, 97)
+        narrow = solve(_pendulum_and_follower, 0.0, y0, 20.0, grid, rtol=1e-6)
+        wide = solve(lambda t, y: np.tile(_pendulum_and_follower(t, y[:3]), 2),
+                     0.0, y0 + y0, 20.0, grid, rtol=1e-6)
+        n, w = narrow.stats, wide.stats
+        assert n.n_rejected > 0
+        assert (n.n_steps, n.n_rejected, n.n_rhs_evals) == (w.n_steps, w.n_rejected, w.n_rhs_evals)
+        assert np.array_equal(narrow.t, wide.t)
+        assert np.max(np.abs(wide.y - np.tile(narrow.y, 2))) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+    def test_mirrored_launches_stay_mirrored_bit_for_bit(self, name):
+        # negation commutes with the stage sums, and the N = 1 kernel is odd in (X', Z')
+        sc = preset(name)
+        trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
+        k = sc.ensemble.count_per_slit
+        for up, lo in zip(trajs[:k], trajs[k:]):
+            assert up.stats == lo.stats
+            assert np.array_equal(up.x, -lo.x)
+            assert np.array_equal(up.z, -lo.z)
 
 
 class TestStrideIndependence:
