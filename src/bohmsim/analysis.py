@@ -199,7 +199,11 @@ def surreal_fraction_vs_N(params: ScenarioParams, n_list,
     Runs the standard launch grid for each N on the one-particle twin of
     the N-particle pointer, started at Sigma_hat'(0) = sigma_hat0, at a cost
     that does not depend on N.  Requires a slow-pointer base scenario
-    (E < 1), where bounces exist to be counted.
+    (E < 1), where bounces exist to be counted.  E is the per-particle
+    ``fast_pointer_E(params)``, which is the twin's E_eff = E sqrt(N) at
+    N = 1, whatever the base's own N: E_eff only grows with N, so E < 1 says
+    exactly that some N of the family can bounce.  fig12's base (its own
+    E_eff 1.697) is accepted; fig3's (E = 3) is refused.
     """
     if fast_pointer_E(params) >= 1.0:
         raise ValueError("base scenario must be slow-pointer (E < 1)")

@@ -16,34 +16,24 @@ Two non-standard behaviors are built in for Bohmian trajectories:
 
 One step controller (step ceiling, node backoff, non-finite halving, PI
 control, step budget, counts and the dense-output record) drives one of two
-forms of the stage arithmetic, picked by the size of the state:
+forms of the stage arithmetic.  ``solve`` evaluates the first slope on the
+array ``y0``, and the form of that answer picks the form of the run (the
+guidance kernel says which of its states answer tuples, and why):
 
-* floats, for a state of at most ``_FLOAT_DIM`` = 3 components: the reduced
-  backend's (X', Y', Sigma_hat') and every N = 1 state.  The state is a
-  tuple of Python floats; each stage state, the 5th-order solution and the
-  error estimate are the tableau written out over ``zip(y, k1, ...)``, with
-  the array path's weights h a_ij, and ``math.isfinite`` is the test of
-  every state ``rhs`` sees.  On three components each numpy call costs more
-  than its arithmetic.  The sums are Python's, left to right, so their bits
-  do not depend on the BLAS build or on the CPU it dispatches to.  ``rhs``
-  receives the state as such a tuple and returns a tuple of floats (or any
-  sequence of numbers, which is converted).
-* arrays, for wider states (fig7's 4 components, N + 2 on the full
-  backends).  One buffer holds the rows (y, k1..k7), and a weight matrix
-  [1 | h A], with [0 | h E] as its last row, is filled once per attempt:
-  each stage state 1*y + sum_j h a_ij k_j, and the error estimate, is one
-  product of a weight row with the leading buffer rows, and a stage is
-  tested by counting ``np.isfinite``.  No view of the buffer or of an array
-  returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output array.
-
-The threshold is 3 because that is the widest state on which this
-package's right-hand sides compute in floats: the N = 1 kernel, which the
-reduced backend runs too.  From 4 components on, every state here belongs
-to an N >= 2 pointer, whose kernel computes on arrays.  With a trivial
-``rhs`` (best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4) an
-attempt takes 10-14 us in floats against 16-18 us in arrays at 1-3
-components; the two meet near 6-8 components, and at 102 (``wide-pointer``
-in the benchmark) floats take 134 us against 18 us.
+* floats, when ``rhs`` answers a tuple.  The state is a tuple of Python
+  floats; each stage state, the 5th-order solution and the error estimate
+  are the tableau written out over ``zip(y, k1, ...)``, with the array
+  path's weights h a_ij, and ``math.isfinite`` is the test of every state
+  ``rhs`` sees.  The sums are Python's, left to right, so their bits do not
+  depend on the BLAS build or on the CPU it dispatches to.  ``rhs`` then
+  receives every later state as such a tuple, and answers a tuple of floats.
+* arrays, for any other answer.  One buffer holds the rows (y, k1..k7), and
+  a weight matrix [1 | h A], with [0 | h E] as its last row, is filled once
+  per attempt: each stage state 1*y + sum_j h a_ij k_j, and the error
+  estimate, is one product of a weight row with the leading buffer rows,
+  and a stage is tested by counting ``np.isfinite``.  No view of the buffer
+  or of an array returned by ``rhs`` outlives a step, so ``rhs`` may reuse
+  its output array.
 
 Both forms are linear in (y, k) with fixed coefficients, so negation
 commutes with them and mirrored starts stay mirrored bit for bit.
@@ -75,8 +65,6 @@ __all__ = ["IntegrationAbort", "SolverStats", "SolverResult", "solve"]
 
 H_FLOOR = 1e-12
 MAX_STEPS = 1_000_000
-
-_FLOAT_DIM = 3  # states of at most this many components are stepped in Python floats
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: t + c*h stays a float
 # weights on (k1..k7): row i - 1 builds stage i + 1's state; the 5th-order row gives
@@ -153,27 +141,22 @@ class _FloatStages:
 
     ``attempt`` computes the step's stages and returns its error norm;
     ``record`` gives what dense output needs of the step; ``accept`` moves to
-    the step's end.  Every ``rhs`` call goes through ``slope``, which tests
-    the state and counts the call.
+    the step's end.  The first slope, ``f0``, is ``solve``'s; every later
+    ``rhs`` call goes through ``slope``, which tests the state and counts the call.
     """
 
     __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "k1", "y_new", "ks")
 
-    def __init__(self, rhs, y0: np.ndarray, rtol: float, atol: float):
+    def __init__(self, rhs, y0: np.ndarray, f0: tuple, rtol: float, atol: float):
         self.rhs, self.rtol, self.atol = rhs, rtol, atol
-        self.n_rhs = 0
-        self.y = tuple(y0.tolist())
+        self.n_rhs = 1
+        self.y, self.k1 = tuple(y0.tolist()), f0
 
     def slope(self, t: float, y: tuple) -> tuple:
         if not all(map(math.isfinite, y)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
-        f = self.rhs(t, y)
-        return f if type(f) is tuple else tuple(map(float, f))
-
-    def start(self, t0: float) -> np.ndarray:
-        self.k1 = self.slope(t0, self.y)
-        return np.array(self.k1)
+        return self.rhs(t, y)
 
     def probe(self, t: float, y: np.ndarray) -> np.ndarray:
         return np.array(self.slope(t, tuple(y.tolist())))
@@ -213,7 +196,7 @@ class _FloatStages:
 
         Each sample is still its own matrix-vector product, and theta's powers
         are products of theta taken element by element.  Stacked, the per-sample
-        copies of k^T P take 4 * dim floats a sample: small at _FLOAT_DIM or fewer.
+        copies of k^T P take 4 * dim floats a sample: small on a narrow state.
         """
         if not steps:
             return
@@ -237,9 +220,9 @@ class _ArrayStages:
     __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "abs_y", "y_new", "abs_y_new",
                  "buf", "k", "scaled", "stages", "err_row", "scratch")
 
-    def __init__(self, rhs, y0: np.ndarray, rtol: float, atol: float):
+    def __init__(self, rhs, y0: np.ndarray, f0, rtol: float, atol: float):
         self.rhs, self.rtol, self.atol = rhs, rtol, atol
-        self.n_rhs = 0
+        self.n_rhs = 1
         dim = y0.size
         self.buf = np.empty((8, dim))      # rows (y, k1..k7)
         self.k = self.buf[1:]
@@ -250,14 +233,12 @@ class _ArrayStages:
         self.err_row = weights[6, 1:]
         self.scratch = np.empty(dim)
         self.buf[0] = y0
+        self.k[0] = f0
         self.y, self.abs_y = y0, np.abs(y0)
 
-    def start(self, t0: float) -> np.ndarray:
-        self.n_rhs += 1
-        self.k[0] = self.rhs(t0, self.y)
-        return self.k[0]
-
     def probe(self, t: float, y: np.ndarray) -> np.ndarray:
+        if _count_nonzero(np.isfinite(y)) != y.size:
+            raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         return self.rhs(t, y)
 
@@ -309,8 +290,10 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
           rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf) -> SolverResult:
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
-    ``rhs`` receives a state of at most 3 components as a tuple of floats,
-    and a wider one as an array (see the module docstring).
+    ``rhs`` first receives the array ``y0``.  If it answers a tuple, every
+    later state comes as a tuple of floats; otherwise as an array (see the
+    module docstring).  ``rhs`` never sees a non-finite state: a non-finite
+    ``y0`` or first slope raises ``IntegrationAbort`` at once.
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
     first entry, if equal to t0, is served from the initial state.  Returns
@@ -328,6 +311,8 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     if not (0 < rtol < math.inf and 0 < atol < math.inf and 0 < max_step):
         raise ValueError(f"rtol={rtol!r}, atol={atol!r} and max_step={max_step!r} must be "
                          "positive, and all but max_step finite")
+    if not np.isfinite(y0).all():
+        raise IntegrationAbort("non-finite initial state")
 
     n_out = len(ts)
     out = np.empty((n_out, y0.size))
@@ -337,12 +322,15 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         out[0] = y0
         si = 1
 
-    stages = (_FloatStages if y0.size <= _FLOAT_DIM else _ArrayStages)(rhs, y0, rtol, atol)
-    attempt, record, accept = stages.attempt, stages.record, stages.accept
     try:
-        f0 = stages.start(t0)
+        f0 = rhs(t0, y0)
     except NodeError:
         return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
+    stages = (_FloatStages if type(f0) is tuple else _ArrayStages)(rhs, y0, f0, rtol, atol)
+    attempt, record, accept = stages.attempt, stages.record, stages.accept
+    f0 = np.array(f0, dtype=float)
+    if not np.isfinite(f0).all():
+        raise IntegrationAbort(f"non-finite slope at t0={t0!r}")
     h = min(max(_initial_step(stages.probe, t0, y0, f0, t_end, rtol, atol, max_step),
                 H_FLOOR), max_step)
     t = t0
@@ -357,6 +345,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
                             h_min if n_steps else 0.0, h_max)
         return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate)
 
+    # each floor test reads `not h >= H_FLOOR`, which a NaN h fails too
     while t < t_end:
         if n_steps + n_rejected > MAX_STEPS:
             raise IntegrationAbort(f"step budget exceeded at t={t!r}")
@@ -370,18 +359,18 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         except NodeError:
             n_backoffs += 1
             h *= 0.5
-            if h < H_FLOOR:
+            if not h >= H_FLOOR:
                 return finish(degenerate=True)
             continue
         except IntegrationAbort:
             h *= 0.5
-            if h < H_FLOOR:
+            if not h >= H_FLOOR:
                 raise
             continue
 
         if not math.isfinite(err):
             h *= 0.5
-            if h < H_FLOOR:
+            if not h >= H_FLOOR:
                 raise IntegrationAbort("non-finite error estimate")
             continue
 
@@ -389,7 +378,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
             n_rejected += 1
             just_rejected = True
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
-            if h < H_FLOOR:
+            if not h >= H_FLOOR:
                 return finish(degenerate=True)
             continue
 

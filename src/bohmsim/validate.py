@@ -101,7 +101,7 @@ def check_backend_equivalence(analytic_fn: Callable = GuidanceKernel.velocity) -
         for cfg in random_configurations(params, 1000, rng):
             state = cfg.state()
             try:
-                va = analytic_fn(kern, cfg.t_prime, state)
+                va = np.asarray(analytic_fn(kern, cfg.t_prime, state))
                 vn = fd_velocity(kern, cfg.t_prime, state)
             except NodeError:
                 node_errors += 1

@@ -10,7 +10,9 @@ the analytic route.  The decoupled longitudinal motion has the closed form
 
 Both routes, ``GuidanceKernel.velocity`` and ``fd_velocity``, keep one
 contract: ``route(kern, t, state)`` returns dy/dt' of the state (X', Y',
-Z'_1..Z'_N) as a fresh array, or raises NodeError below ``model.NODE_EPS``.
+Z'_1..Z'_N) as a fresh array, or from the kernel at N = 1 as a tuple of
+floats, or raises NodeError below ``model.NODE_EPS``.  Callers that need an
+array coerce the answer.
 
 There is one stencil: the centre, then each coordinate moved by +/-h and
 +/-h/2, with h = ``FD_H`` = 1e-5; Richardson extrapolation combines the
@@ -76,7 +78,7 @@ def _at_config(route, config: Configuration, params: ScenarioParams) -> Velocity
     if held is not params:
         kern = GuidanceKernel(params)
         _last_kernel = params, kern
-    vx, vy, *vz = route(kern, config.t_prime, config.state()).tolist()
+    vx, vy, *vz = np.asarray(route(kern, config.t_prime, config.state())).tolist()
     return VelocityVector(vx, vy, tuple(vz))
 
 
@@ -88,10 +90,9 @@ def velocity_analytic(config: Configuration, params: ScenarioParams) -> Velocity
 def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray) -> np.ndarray:
     """Finite-difference dy/dt' at the state (X', Y', Z'_1..Z'_N), as a fresh array.
 
-    The same contract as ``GuidanceKernel.velocity``; the state is only
-    read.  Evaluates the 1 + 4(N+2) stencil rows in blocks of whole
-    coordinates, one ``kern.branch_eval`` call per block, and takes the
-    differences as array operations.
+    The contract of ``GuidanceKernel.velocity``, an array at every N; the state is only
+    read.  Evaluates the 1 + 4(N+2) stencil rows in blocks of whole coordinates, one
+    ``kern.branch_eval`` call per block, and takes the differences as array operations.
     Raises NodeError if the normalized density at the centre is below
     ``NODE_EPS``.
     """

@@ -160,6 +160,30 @@ def config(t, x, y, z=()) -> Configuration:
     return Configuration(t, x, y, tuple(z))
 
 
+class Form:
+    """The system ``f(t, y)`` answering its slope in one form: as a tuple of floats,
+    which ``rk45.solve`` steps in Python floats, or as an array, which it steps in
+    its array buffer.  ``seen`` holds (t, type, copy) of every state handed in."""
+
+    def __init__(self, answer: type, f):
+        self.answer, self.f, self.seen = answer, f, []
+
+    def __call__(self, t, y):
+        self.seen.append((t, type(y), np.array(y)))
+        v = self.f(t, y)
+        return tuple(map(float, v)) if self.answer is tuple else np.array(v, dtype=float)
+
+    def reached(self) -> bool:
+        """``solve`` handed over y0 as an array, then every later state in the answer's form."""
+        kinds = [kind for _, kind, _ in self.seen]
+        return kinds[:1] == [np.ndarray] and set(kinds[1:]) == {self.answer}
+
+
+def both_forms(f) -> list[Form]:
+    """``f`` answering a tuple, then the same ``f`` answering an array."""
+    return [Form(tuple, f), Form(np.ndarray, f)]
+
+
 @contextlib.contextmanager
 def deadline(seconds: int):
     """Raise TimeoutError in the body once it has run ``seconds``, so a hang fails.

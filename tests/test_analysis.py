@@ -10,7 +10,8 @@ from bohmsim.analysis import (DegenerateFit, ThresholdNotReached, classify, clas
                               empty_wave_ratio, surreal_fraction_vs_N, tau_scaling_fit,
                               threshold_crossing_times)
 from bohmsim.integrate import Trajectory
-from bohmsim.model import Configuration, ModeError, ScenarioParams
+from bohmsim.model import Configuration, ModeError, ScenarioParams, fast_pointer_E
+from bohmsim.reduced import reduced_params
 from bohmsim.rk45 import SolverStats
 from bohmsim.scenario import preset
 
@@ -161,6 +162,16 @@ def test_n_sweeps_reconstruct_at_most_one_pointer(monkeypatch):
 class TestSurrealFractions:
     def test_slow_pointer_required(self, fig3_params):
         with pytest.raises(ValueError):
+            surreal_fraction_vs_N(fig3_params, [1])
+
+    def test_guard_reads_e_at_n_equal_1(self, fig3_params, fig4_centred_sweep):
+        # E_eff = E sqrt(N) grows with N, and the sweep rebuilds the pointer at each N:
+        # fig12's base (its own E_eff 1.697) gives fig4's sweep; fig3's (E = 3) is refused
+        fig12 = preset("fig12").params
+        assert fast_pointer_E(reduced_params(fig12)) == pytest.approx(1.697, abs=5e-4)
+        assert fast_pointer_E(fig12) == pytest.approx(0.12, rel=1e-12)
+        assert surreal_fraction_vs_N(fig12, [1, 10], sigma_hat0=0.0) == fig4_centred_sweep[0]
+        with pytest.raises(ValueError, match="E < 1"):
             surreal_fraction_vs_N(fig3_params, [1])
 
     def test_fraction_decreases_with_n(self, fig4_params, fig4_centred_sweep):

@@ -98,6 +98,24 @@ class TestSimulate:
         assert read_manifest(out)["classification"]["excluded"] == 2
         assert main(["plot", str(out)]) == 0
 
+    @pytest.mark.parametrize("backend", ["full-analytic", "full-numeric", "reduced"])
+    def test_pointerless_scenario(self, tmp_path, capsys, backend):
+        # N = 0, the bare two-slit: the full backends run it, the reduced one refuses it
+        data = scenario_to_dict(preset("fig2"))
+        data["params"].update(pointer_velocities=[], n_particles=0)
+        data["ensemble"]["backend"] = backend
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        code = main(["simulate", "--scenario", str(path), "--out", str(out)])
+        if backend == "reduced":
+            assert code == 2 and not out.exists()
+            assert "Traceback" not in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert read_manifest(out)["n_trajectories"] == 18
+            assert len(list(out.glob("traj_*.csv"))) == 18
+
     def test_seed_and_n_overrides(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--preset", "fig4", "--n", "10", "--seed", "5",
@@ -459,7 +477,7 @@ class TestValidate:
     def test_injected_sign_error_detected(self):
         # backend-equivalence must notice a corrupted analytic route
         def flipped(kern, t, state):
-            v = kern.velocity(t, state)
+            v = np.array(kern.velocity(t, state))
             v[2:] *= -1.0  # the pointer moves the wrong way
             return v
 

@@ -21,6 +21,12 @@ The sqrt(N) map lives in reduced.py: ``sigma_hat_of`` (Z' to Sigma_hat'),
 Xi sqrt(N)).  The one other sqrt(N) is ``scenario.with_n_particles``, whose
 sqrt(N_old/N) rescales a common start without forming Sigma_hat'.  Every
 other square root in the package is pinned by (file, function) as well.
+
+Which states are computed in Python floats is decided once, by the right-hand
+side: ``GuidanceKernel.velocity`` answers a tuple at N = 1, and ``rk45.solve``
+steps in floats when its first slope is a tuple.  So the package holds two
+``type(...) is tuple`` tests: ``solve``'s read of that answer, and the kernel's
+read of its input.
 """
 
 import ast
@@ -41,6 +47,7 @@ SQRT_SITES = {
     ("rk45.py", "attempt"),
     ("validate.py", "random_configurations"), ("velocity.py", "y_closed_form"),
 }
+TUPLE_TESTS = [("_kernel.py", "velocity"), ("rk45.py", "solve")]
 PACKAGE = Path(bohmsim.__file__).parent
 
 
@@ -64,6 +71,13 @@ def _names_node_eps(node) -> bool:
 
 def _is_sqrt_call(node) -> bool:
     return isinstance(node, ast.Call) and _name(node.func) == "sqrt"
+
+
+def _tests_for_tuple(node) -> bool:
+    """``type(x) is tuple``: a read of the form a state or a slope comes in."""
+    return (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Is)
+            and isinstance(node.left, ast.Call) and _name(node.left.func) == "type"
+            and _name(node.comparators[0]) == "tuple")
 
 
 def _reads_exit_code(node) -> bool:
@@ -121,3 +135,9 @@ def test_sqrt_n_is_taken_only_in_reduced():
     found = package_sites(_is_sqrt_call, skip=())
     assert {site[:2] for site in found} == SQRT_SITES, \
         f"take Sigma_hat' and its common start from reduced.py: {found}"
+
+
+def test_the_stage_form_is_read_once_by_solve_and_once_by_the_kernel():
+    found = package_sites(_tests_for_tuple, skip=())
+    assert [site[:2] for site in found] == TUPLE_TESTS, \
+        f"let the right-hand side's answer pick the stage form, in rk45.solve alone: {found}"

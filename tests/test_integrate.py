@@ -1,6 +1,7 @@
 """Trajectory integration, launch grids, ensembles, node handling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bohmsim.rk45 import solve
 from bohmsim.scenario import preset
 from bohmsim.velocity import y_closed_form
 
-from conftest import fig4_n_particles, golden, run_figures
+from conftest import both_forms, fig4_n_particles, golden, run_figures
 
 
 class TestCrossingTime:
@@ -65,6 +66,16 @@ class TestSingleTrajectories:
         init = Configuration(0.0, fig2_params.d_prime + 0.4, 0.0, (0.0,))
         traj = integrate_trajectory(init, fig2_params)
         assert np.min(traj.x) > 0.0
+
+    def test_pointerless_slit_centre_launch(self):
+        # N = 0, the bare two-slit: its kernel answers arrays, so (X', Y') is stepped
+        # in the array buffer
+        sc = preset("fig2")
+        params = replace(sc.params, pointer_velocities=())
+        init = Configuration(0.0, params.d_prime, 0.0, ())
+        traj = integrate_trajectory(init, params, sc.integrator)
+        assert traj.stats.n_steps == 175
+        assert traj.x[-1] == 4.5000000050287445
 
     def test_fast_pointer_crosses_straight(self, fig3_params):
         for off in (-0.8, 0.0, 0.8):
@@ -225,35 +236,29 @@ class TestEnsembles:
 
 
 class TestNodeHandling:
-    """On both forms of the stepper: 1 or 2 components step in floats, 4 in arrays."""
+    """On both forms of the stepper: one system answering a tuple, then an array."""
 
     def test_degenerate_truncation_flagged(self):
         # synthetic field that hits a node beyond t = 1
-        calls = 0
-
-        def rhs(t, y):
-            nonlocal calls
-            calls += 1
+        def f(t, y):
             if t > 1.0:
                 raise NodeError(0.0)
-            return np.ones_like(y)
+            return [1.0, 1.0]
 
-        for dim in (2, 4):
-            calls = 0
-            res = solve(rhs, 0.0, np.zeros(dim), 2.0, np.linspace(0.0, 2.0, 21),
+        for rhs in both_forms(f):
+            res = solve(rhs, 0.0, np.zeros(2), 2.0, np.linspace(0.0, 2.0, 21),
                         rtol=1e-8, atol=1e-10, max_step=0.1)
+            assert rhs.reached()
             assert res.degenerate
             assert res.stats.n_node_backoffs > 0
-            assert res.stats.n_rhs_evals == calls   # calls that raised count too
+            assert res.stats.n_rhs_evals == len(rhs.seen)   # calls that raised count too
             assert res.t[-1] <= 1.0 + 1e-9
 
     def test_nonfinite_aborts(self):
         from bohmsim.rk45 import IntegrationAbort
 
-        def rhs(t, y):
-            return np.full_like(y, np.nan) if t > 0.5 else np.ones_like(y)
-
-        for dim in (1, 4):
+        for rhs in both_forms(lambda t, y: [np.nan if t > 0.5 else 1.0]):
             with pytest.raises(IntegrationAbort):
-                solve(rhs, 0.0, np.zeros(dim), 1.0, np.array([1.0]),
+                solve(rhs, 0.0, np.zeros(1), 1.0, np.array([1.0]),
                       rtol=1e-8, atol=1e-10, max_step=0.1)
+            assert rhs.reached()

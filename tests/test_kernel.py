@@ -88,8 +88,8 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
     dominant = mixed = 0
     for cfg in random_configurations(params, 150, np.random.default_rng(11)):
         t, x, y, z = cfg.t_prime, cfg.x, cfg.y, cfg.state()[2:]
-        v = kern.velocity(t, np.concatenate(([x, y], z)))
-        m = kern.velocity(t, np.concatenate(([-x, y], -z)))
+        v = np.array(kern.velocity(t, np.concatenate(([x, y], z))))
+        m = np.array(kern.velocity(t, np.concatenate(([-x, y], -z))))
         assert m[0] == -v[0]
         assert m[1] == v[1]
         assert np.array_equal(m[2:], -v[2:])
@@ -137,9 +137,9 @@ def node_states(kern, rng, count):
 
 @pytest.mark.parametrize("name", ONE_POINTER_CASES)
 def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
-    # N = 1 takes Python floats; the reference is the N = 2 array path of the same
-    # pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1.  The state as
-    # a tuple, as the stepper passes it, gives the same floats as a tuple.
+    # N = 1 takes Python floats and answers a tuple, for an array state and a tuple
+    # state alike; the reference is the N = 2 array path of the same pointer plus an
+    # inert particle (Xi+- = 0), on v_x, v_y and v_z1.
     params = ONE_POINTER_CASES[name]
     kern = GuidanceKernel(params)
     inert = GuidanceKernel(replace(params, pointer_velocities=(
@@ -170,10 +170,10 @@ def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
             regimes["node"] += 1
             continue
         ref = inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
-        assert v.dtype == ref.dtype and v.shape == (3,)
-        assert v.tobytes() == ref[:3].tobytes(), (t, x, y, z)
+        assert type(v) is tuple and [type(c) for c in v] == [float] * 3
+        assert np.array(v).tobytes() == ref[:3].tobytes(), (t, x, y, z)
         as_tuple = kern.velocity(t, (x, y, z))
-        assert type(as_tuple) is tuple and np.array(as_tuple).tobytes() == v.tobytes()
+        assert type(as_tuple) is tuple and np.array(as_tuple).tobytes() == np.array(v).tobytes()
         regimes[regime] += 1
     assert all(regimes.values()), regimes
 
@@ -187,17 +187,23 @@ STATE_ROUTES = [pytest.param(name, n, route, other, id=f"{name}-{n}{suffix}")
 
 @pytest.mark.parametrize("name,n,route,other", STATE_ROUTES)
 def test_state_velocity_matches_finite_differences(name, n, route, other):
-    # dy/dt' over the whole state, as a fresh array, with the caller's state left alone
+    # dy/dt' over the whole state, with the caller's state left alone: a tuple of
+    # floats from the closed form at N = 1, and a fresh array everywhere else
     params = fig4_n_particles(n) if name == "fig4" else preset_params(name, n)
     kern = GuidanceKernel(params)
+    floats = route is GuidanceKernel.velocity and n == 1
     for cfg in random_configurations(params, 20, np.random.default_rng(5)):
         state = cfg.state()
         before = state.tobytes()
         v = route(kern, cfg.t_prime, state)
         assert state.tobytes() == before
-        assert v.shape == state.shape
-        assert not np.shares_memory(v, state)
-        assert not np.shares_memory(v, route(kern, cfg.t_prime, state))
+        if floats:
+            assert type(v) is tuple and [type(c) for c in v] == [float] * state.size
+            v = np.array(v)
+        else:
+            assert v.shape == state.shape
+            assert not np.shares_memory(v, state)
+            assert not np.shares_memory(v, route(kern, cfg.t_prime, state))
         fd = other(kern, cfg.t_prime, state)
         assert np.max(np.abs(v - fd) / np.maximum(1.0, np.abs(v))) <= 1e-6
 

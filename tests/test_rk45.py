@@ -1,9 +1,9 @@
 """The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts.
 
-``solve`` steps a state of at most 3 components in Python floats and a wider
-one in its array buffer.  The tests of each stepper behaviour run on both: on a
-narrow system and on its wide form, the same system tiled to 4 or more
-components, whose RMS error norm is the narrow one's in exact arithmetic.
+``solve`` steps a state in Python floats when the right-hand side answers a
+tuple, and in its array buffer otherwise.  The tests of each stepper behaviour
+run one system in both forms (``conftest.both_forms``) and check that each run
+reached the form it targets.
 """
 
 import math
@@ -13,33 +13,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bohmsim import integrate
+from bohmsim import integrate, rk45
 from bohmsim.analysis import classify
 from bohmsim.integrate import integrate_trajectory, run_ensemble
 from bohmsim.model import Configuration, NodeError
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset
-from conftest import deadline
+from conftest import both_forms, deadline
 
 # y' = cubic(t) per component; the quartic interpolant reproduces y exactly
 _COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0]])
 
 
-# copies of a test system: one keeps 1-3 components on the float path, four put
-# even a 1-component system on the array path
-TILES = (1, 4)
-
-
-def _cubic(tiles: int):
-    """(rhs, y0 tiler) of the cubic field, tiled ``tiles`` times."""
-    coef = np.tile(_COEF, (tiles, 1))
-    return (lambda t, y: coef @ np.array([1.0, t, t * t, t**3])), lambda y: np.tile(y, tiles)
-
-
 def _quartic(t, y0):
     t = np.asarray(t)[:, None]
     powers = np.concatenate([t, t**2 / 2, t**3 / 3, t**4 / 4], axis=1)
-    return y0 + powers @ np.tile(_COEF, (y0.size // 2, 1)).T
+    return np.asarray(y0) + powers @ _COEF.T
 
 
 def _cubic_rhs(t, y):
@@ -48,34 +37,34 @@ def _cubic_rhs(t, y):
 
 class TestDenseOutput:
     def test_exact_for_cubic_field(self):
-        for tiles in TILES:
-            rhs, tile = _cubic(tiles)
-            y0 = tile([0.5, -1.0])
+        y0 = [0.5, -1.0]
+        for rhs in both_forms(_cubic_rhs):
             # steps of up to 0.25, most holding several samples; t0 and t_end included
             samples = np.linspace(0.0, 1.0, 41)
             res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            assert rhs.reached()
             assert np.array_equal(res.t, samples)
-            assert res.y[0].tolist() == y0.tolist()
-            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, tiles
+            assert res.y[0].tolist() == y0
+            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     def test_samples_in_last_step_only(self):
-        for tiles in TILES:
-            rhs, tile = _cubic(tiles)
-            y0 = tile([0.0, 0.0])
+        y0 = [0.0, 0.0]
+        for rhs in both_forms(_cubic_rhs):
             samples = np.array([0.9, 0.95, 0.99, 1.0])
             res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            assert rhs.reached()
             assert np.array_equal(res.t, samples)
-            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, tiles
+            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     def test_sample_just_past_t_end_is_served(self):
-        for tiles in TILES:
-            rhs, tile = _cubic(tiles)
-            y0 = tile([0.5, -1.0])
+        y0 = [0.5, -1.0]
+        for rhs in both_forms(_cubic_rhs):
             samples = [0.0, 0.5, 1.0 + 5e-13]
             res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            assert rhs.reached()
             assert res.t.tolist() == samples
             assert not res.degenerate
-            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, tiles
+            assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     @pytest.mark.parametrize("samples", [[0.0, 0.7, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0],
                                          [0.0, float("nan"), 1.0]])
@@ -103,21 +92,31 @@ class TestSettingsRefused:
 class TestNonFiniteStages:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_abort_at_floor_without_passing_state_to_rhs(self, bad):
-        for tiles in TILES:
-            seen = []
-
-            def rhs(t, y):
-                seen.append((t, np.array(y)))
-                return np.full_like(y, bad) if t > 0.5 else np.ones_like(y)
-
+        for rhs in both_forms(lambda t, y: [bad if t > 0.5 else 1.0] * 3):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")   # no RuntimeWarning on the way to the abort
                 with pytest.raises(IntegrationAbort):
-                    solve(rhs, 0.0, np.zeros(3 * tiles), 1.0, [0.0, 1.0], max_step=0.1)
-            assert all(np.isfinite(y).all() for _, y in seen)
+                    solve(rhs, 0.0, np.zeros(3), 1.0, [0.0, 1.0], max_step=0.1)
+            assert rhs.reached()
+            assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
             # the step was halved down to the floor just short of the bad region
-            reached = max(t for t, _ in seen if t <= 0.5)
-            assert 0.5 - reached < 1e3 * H_FLOOR, tiles
+            reached = max(t for t, _, _ in rhs.seen if t <= 0.5)
+            assert 0.5 - reached < 1e3 * H_FLOOR, rhs.answer
+
+    @pytest.mark.parametrize("start", ["state", "slope", "step"])
+    def test_non_finite_start_aborts_at_once(self, start, monkeypatch):
+        # a NaN initial state, first slope or first step; a NaN step never compares
+        # below H_FLOOR, so halving it would never end
+        if start == "step":
+            monkeypatch.setattr(rk45, "_initial_step", lambda *args: math.nan)
+        bad = math.nan if start == "slope" else 1.0
+        for dim in (2, 4):
+            y0 = [math.nan if start == "state" else 0.0] + [0.0] * (dim - 1)
+            for rhs in both_forms(lambda t, y: [bad] * dim):
+                with deadline(10), pytest.raises(IntegrationAbort):
+                    solve(rhs, 0.0, y0, 1.0, [0.0, 1.0])
+                assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
+                assert len(rhs.seen) == {"state": 0, "slope": 1, "step": 1}[start]
 
 
 class TestSolverCounts:
@@ -158,7 +157,7 @@ class TestSolverCounts:
         def rhs(t, y):
             if t > 0.0:
                 raise NodeError(0.0)
-            return np.negative(y)
+            return -y
 
         res = solve(rhs, 0.0, np.ones(2), 1.0, [0.0, 1.0])
         assert res.degenerate and res.stats.n_steps == 0
@@ -179,13 +178,14 @@ class TestStageBuffer:
 
     def test_exponential_at_every_sample(self):
         grid = np.linspace(0.0, 1.0, 101)
-        for tiles in TILES:
-            res = solve(lambda t, y: y, 0.0, [1.0] * tiles, 1.0, grid, rtol=1e-10, atol=1e-12)
+        for rhs in both_forms(lambda t, y: y):
+            res = solve(rhs, 0.0, [1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
+            assert rhs.reached()
             assert np.array_equal(res.t, grid)
-            assert np.max(np.abs(res.y - np.exp(grid)[:, None])) <= 1e-9, tiles
+            assert np.max(np.abs(res.y - np.exp(grid)[:, None])) <= 1e-9, rhs.answer
 
     def test_rhs_reusing_its_output_array(self):
-        # two damped pendulums: 4 components, so the array path's buffer
+        # two damped pendulums answering one reused array, so the array path's buffer
         def damped_pendulums(out):
             def rhs(t, y):
                 for i in (0, 2):
@@ -216,17 +216,32 @@ def _pendulum_and_follower(t, y):
 class TestTwoPaths:
     """The float and the array path are one stepper: same steps, same samples."""
 
-    def test_narrow_and_duplicated_system_agree(self):
-        y0 = (2.5, 0.0, 0.3)
+    def test_tuple_and_array_answers_agree(self):
         grid = np.linspace(0.0, 20.0, 97)
-        narrow = solve(_pendulum_and_follower, 0.0, y0, 20.0, grid, rtol=1e-6)
-        wide = solve(lambda t, y: np.tile(_pendulum_and_follower(t, y[:3]), 2),
-                     0.0, y0 + y0, 20.0, grid, rtol=1e-6)
-        n, w = narrow.stats, wide.stats
-        assert n.n_rejected > 0
-        assert (n.n_steps, n.n_rejected, n.n_rhs_evals) == (w.n_steps, w.n_rejected, w.n_rhs_evals)
-        assert np.array_equal(narrow.t, wide.t)
-        assert np.max(np.abs(wide.y - np.tile(narrow.y, 2))) <= 1e-10
+        floats, arrays = both_forms(_pendulum_and_follower)
+        f, a = (solve(rhs, 0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6)
+                for rhs in (floats, arrays))
+        assert floats.reached() and arrays.reached()
+        assert f.stats.n_rejected > 0
+        assert (f.stats.n_steps, f.stats.n_rejected, f.stats.n_rhs_evals) == \
+               (a.stats.n_steps, a.stats.n_rejected, a.stats.n_rhs_evals)
+        assert np.array_equal(f.t, a.t)
+        # the stage sums round differently, and the controller carries that into h;
+        # the follower grows to |u| = 448, so the bound is relative beyond |y| = 1
+        assert np.max(np.abs(f.y - a.y) / np.maximum(1.0, np.abs(a.y))) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_array_answer_steps_in_arrays_at_any_width(self, dim):
+        # the answer, not the width, picks the form: -y on an array is an array
+        handed = []
+
+        def rhs(t, y):
+            handed.append(type(y))
+            return -y
+
+        res = solve(rhs, 0.0, [1.0] * dim, 1.0, [0.0, 1.0])
+        assert set(handed) == {np.ndarray}
+        assert np.max(np.abs(res.y[-1] - math.exp(-1.0))) <= 1e-8
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
     def test_mirrored_launches_stay_mirrored_bit_for_bit(self, name):
