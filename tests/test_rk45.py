@@ -230,6 +230,19 @@ class TestTwoPaths:
         # the follower grows to |u| = 448, so the bound is relative beyond |y| = 1
         assert np.max(np.abs(f.y - a.y) / np.maximum(1.0, np.abs(a.y))) <= 1e-10
 
+    def test_narrow_and_duplicated_system_agree(self):
+        # the narrow system answers a tuple (float path), its tiled copy an array
+        y0 = (2.5, 0.0, 0.3)
+        grid = np.linspace(0.0, 20.0, 97)
+        narrow = solve(_pendulum_and_follower, 0.0, y0, 20.0, grid, rtol=1e-6)
+        wide = solve(lambda t, y: np.tile(_pendulum_and_follower(t, y[:3]), 2),
+                     0.0, y0 + y0, 20.0, grid, rtol=1e-6)
+        n, w = narrow.stats, wide.stats
+        assert n.n_rejected > 0
+        assert (n.n_steps, n.n_rejected, n.n_rhs_evals) == (w.n_steps, w.n_rejected, w.n_rhs_evals)
+        assert np.array_equal(narrow.t, wide.t)
+        assert np.max(np.abs(wide.y - np.tile(narrow.y, 2))) <= 1e-10
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_array_answer_steps_in_arrays_at_any_width(self, dim):
         # the answer, not the width, picks the form: -y on an array is an array
