@@ -46,6 +46,7 @@ __all__ = [
 
 BACKENDS = ("full-analytic", "full-numeric", "reduced")
 _MODE_SETTING = {"common": "value", "explicit": "values", "gaussian": "seed"}
+MAX_STEP_FRAC = 0.02  # step ceiling / horizon: the largest passing the tier-1 convergence gate
 
 
 def crossing_time(params: ScenarioParams) -> float:
@@ -57,10 +58,7 @@ def crossing_time(params: ScenarioParams) -> float:
 class IntegratorOptions:
     """Adaptive-stepper settings; ``resolve`` fills scenario-dependent defaults."""
 
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step_frac: float = 2e-2      # ceiling on h as a fraction of the horizon: the largest
-                                     # that passes the tier-1 convergence gate
+    rel_tol: float = 1e-8            # the stepper's absolute tolerance is rel_tol / 100
     t_end: float | None = None       # horizon; default 2.5 * t'_cross
     stride: float | None = None      # output sampling interval; default horizon/512
 
@@ -74,7 +72,7 @@ class IntegratorOptions:
         """(t_end, stride, max_step) for a given scenario."""
         t_end = self.t_end if self.t_end is not None else 2.5 * crossing_time(params)
         stride = self.stride if self.stride is not None else t_end / 512.0
-        return t_end, stride, self.max_step_frac * t_end
+        return t_end, stride, MAX_STEP_FRAC * t_end
 
     def sample_grid(self, params: ScenarioParams) -> np.ndarray:
         t_end, stride, _ = self.resolve(params)
@@ -233,7 +231,7 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
         y0 = np.append(y0[:2], sigma_hat_of(y0[2:]))
     rhs = partial(fd_velocity, kern) if backend == "full-numeric" else kern.velocity
     res = solve(rhs, 0.0, y0, t_end, samples,
-                rtol=opts.rel_tol, atol=opts.abs_tol, max_step=max_step)
+                rtol=opts.rel_tol, atol=opts.rel_tol / 100, max_step=max_step)
     t, x, y = res.t, res.y[:, 0], res.y[:, 1]
     log_omega, delta_s, _ = kern.contrast(t, x, res.y[:, 2:])
     z = None if reduced else res.y[:, 2:]   # a reduced z is rebuilt on each read

@@ -59,7 +59,7 @@ __all__ = [
     "with_seed",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class ScenarioError(ValueError):
@@ -168,7 +168,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             "(version 2 replaced outputs.formats with the boolean outputs.svg and "
             "dropped outputs.path; version 3 dropped integrator.node_eps; version 4 "
             "dropped the outputs block: in place of outputs.svg run 'bohmsim plot <run>', "
-            "in place of outputs.stride set the sampling interval integrator.stride)")
+            "in place of outputs.stride set the sampling interval integrator.stride; version 5 "
+            "fixed integrator.abs_tol at rel_tol / 100 and integrator.max_step_frac at 0.02)")
     return _build(Scenario, data, "scenario")
 
 

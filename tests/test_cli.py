@@ -572,10 +572,14 @@ def _set(path, value):
 
 def _walked(name):
     """The preset's scenario dict with the retired keys back in their old places:
-    ``integrator.node_eps`` where every version-2 file held it, and the
-    ``outputs`` block where every version-3 file held it."""
+    ``integrator.abs_tol`` and ``integrator.max_step_frac`` between ``rel_tol`` and
+    ``t_end``, where every version-4 file held them, ``integrator.node_eps`` where
+    every version-2 file held it, and the ``outputs`` block where every version-3
+    file held it."""
     data = scenario_to_dict(preset(name))
-    data["integrator"]["node_eps"] = 1e-13
+    integrator = data["integrator"]
+    data["integrator"] = {"rel_tol": integrator.pop("rel_tol"), **V4_INTEGRATOR, **integrator,
+                          "node_eps": 1e-13}
     data["outputs"] = dict(V3_OUTPUTS)
     return data
 
@@ -621,6 +625,7 @@ def file_mutations(seed=20261018):
 
 V1_OUTPUTS = {"formats": ["csv", "json"], "path": None, "stride": 1}
 V3_OUTPUTS = {"svg": False, "stride": 1}
+V4_INTEGRATOR = {"abs_tol": 1e-10, "max_step_frac": 0.02}
 # files that once gave a traceback, hung, or ran with a setting silently changed
 REPROS = [
     ("ensemble-null", "fig4", _set(("ensemble",), None)),

@@ -52,8 +52,7 @@ SCENARIO_KEYS = {
     "params.pointer_velocities",
     "ensemble.count_per_slit", "ensemble.extent", "ensemble.backend", "ensemble.z_init.mode",
     "ensemble.z_init.value", "ensemble.z_init.values", "ensemble.z_init.seed",
-    "integrator.rel_tol", "integrator.abs_tol", "integrator.max_step_frac",
-    "integrator.t_end", "integrator.stride",
+    "integrator.rel_tol", "integrator.t_end", "integrator.stride",
 }
 
 
@@ -73,7 +72,7 @@ def test_package_names_are_pinned():
 
 
 def test_scenario_file_keys_are_pinned():
-    assert len(SCENARIO_KEYS) == 20
+    assert len(SCENARIO_KEYS) == 18
     assert settable_keys(Scenario) == SCENARIO_KEYS
 
 

@@ -20,7 +20,7 @@ from bohmsim.scenario import preset
 
 from conftest import fig4_n_particles, spread_z0
 
-OPTS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+OPTS = IntegratorOptions(rel_tol=1e-10)
 
 
 class TestReducedVelocity:

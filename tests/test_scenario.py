@@ -70,6 +70,14 @@ class TestStrictness:
         for named in ("outputs block", "outputs.svg", "bohmsim plot", "outputs.stride",
                       "integrator.stride"):
             assert named in str(refused.value)
+        # and a version-4 file, every one of which holds abs_tol and max_step_frac
+        v4 = scenario_to_dict(preset("fig4"))
+        v4["schema_version"] = 4
+        v4["integrator"].update(abs_tol=1e-10, max_step_frac=0.02)
+        with pytest.raises(ScenarioError) as refused:
+            scenario_from_dict(v4)
+        for named in ("integrator.abs_tol", "rel_tol / 100", "integrator.max_step_frac", "0.02"):
+            assert named in str(refused.value)
         # read as the current version, the retired block is an unknown key
         v3["schema_version"] = SCHEMA_VERSION
         with pytest.raises(ScenarioError, match="unknown key.*outputs"):
