@@ -79,10 +79,27 @@ import numpy as np
 
 from .model import NODE_EPS, NodeError, ScenarioParams
 
-__all__ = ["GuidanceKernel", "DOMINANT_LOG_CUTOFF"]
+__all__ = ["GuidanceKernel", "DOMINANT_LOG_CUTOFF", "scales"]
 
 # |log Omega| above which the weaker branch (weight < e^-80) is ignored.
 DOMINANT_LOG_CUTOFF = 40.0
+
+
+def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, float, float]:
+    """The scalar scales (P_x, P_y, p_z, beta, ax, ay, az) of the module docstring.
+
+    Positive, finite parameters can still give a product that overflows or
+    underflows; ValueError unless every scale is positive and finite.
+    """
+    r2xy = params.r * params.r * params.xi_y
+    if r2xy > 0:
+        pz = params.mu * params.R * params.R / r2xy
+        found = (1.0 / r2xy, 1.0 / params.xi_y, pz, params.xi_x / r2xy,
+                 2.0 / r2xy, 2.0 / params.xi_y, 2.0 * pz)
+        if all(0 < v < math.inf for v in found):
+            return found
+    raise ValueError("xi_x, xi_y, r, R and mu give a packet scale that is zero or not finite "
+                     f"(r^2 xi_y = {r2xy!r})")
 
 
 class GuidanceKernel:
@@ -101,14 +118,7 @@ class GuidanceKernel:
         self.xi_x = params.xi_x
         self.xi_y = params.xi_y
         self.d = params.d_prime
-        r2xy = params.r * params.r * params.xi_y
-        self.px = 1.0 / r2xy
-        self.py = 1.0 / params.xi_y
-        self.pz = params.mu * params.R * params.R / r2xy
-        self.beta = params.xi_x / r2xy
-        self.ax = 2.0 / r2xy
-        self.ay = 2.0 / params.xi_y
-        self.az = 2.0 * self.pz
+        self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = scales(params)
         # (Xi^+, Xi^-) and (gamma^+, gamma^-) as (2, 1, N): they broadcast against 1 or M rows
         self.xi_pm = np.array(params.pointer_velocities, float).reshape(-1, 2).T.copy()[:, None]
         self.gam_pm = self.pz * self.xi_pm

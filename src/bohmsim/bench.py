@@ -73,8 +73,7 @@ def _reconstruct_s(traj, params_n) -> float | None:
     return time.perf_counter() - t0
 
 
-def run_bench(n_list, backends=("reduced", "full-analytic"),
-              repetitions: int = 3) -> BenchReport:
+def run_bench(n_list, backends, repetitions: int) -> BenchReport:
     """Median single-trajectory times per (backend, N) from the slit center.
 
     Every case runs once untimed first.  The timed repetitions then go round

@@ -9,6 +9,9 @@ One uniform ODE system per backend:
 
 Y' is integrated alongside the rest even though it has a closed form; the
 closed form serves as an oracle in the tests instead of being wired in.
+One tolerance drives the stepper: ``IntegratorOptions.rel_tol``, with the
+absolute tolerance rel_tol / 100 and steps of at most ``MAX_STEP_FRAC`` of
+the horizon.
 Ensembles follow the canonical grid: per slit, ``count_per_slit``
 equidistant launch points spanning +/-``extent`` packet widths around the
 slit center, the lower-slit points being exact mirror images of the upper
@@ -51,7 +54,7 @@ MAX_STEP_FRAC = 0.02  # step ceiling / horizon: the largest passing the tier-1 c
 
 def crossing_time(params: ScenarioParams) -> float:
     """t'_cross = d' r^2 xi_y / xi_x, when the test-particle packets meet."""
-    return params.d_prime * params.r**2 * params.xi_y / params.xi_x
+    return params.d_prime * (params.r * params.r) * params.xi_y / params.xi_x
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,15 @@ class IntegratorOptions:
                 raise ValueError(f"{f.name} must be positive and finite, got {v!r}")
 
     def resolve(self, params: ScenarioParams) -> tuple[float, float, float]:
-        """(t_end, stride, max_step) for a given scenario."""
+        """(t_end, stride, max_step) for a given scenario; ValueError unless each is
+        positive and finite, which a default derived from t'_cross may not be."""
         t_end = self.t_end if self.t_end is not None else 2.5 * crossing_time(params)
         stride = self.stride if self.stride is not None else t_end / 512.0
-        return t_end, stride, MAX_STEP_FRAC * t_end
+        resolved = t_end, stride, MAX_STEP_FRAC * t_end
+        if not all(0 < v < math.inf for v in resolved):
+            raise ValueError(f"the horizon, stride and step ceiling {resolved!r} must be "
+                             "positive and finite")
+        return resolved
 
     def sample_grid(self, params: ScenarioParams) -> np.ndarray:
         t_end, stride, _ = self.resolve(params)

@@ -268,17 +268,26 @@ class _ArrayStages:
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
-    # Hairer's starting-step heuristic, clipped to the step ceiling.
+    # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow here is
+    # tested, not warned about: a slope norm that overflows aborts, and so does a probe
+    # state that overflows, in the stage test of ``rhs`` (a stage class's ``probe``).
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, (t_end - t0) * 0.1, max_step)
+    with np.errstate(over="ignore"):
+        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, (t_end - t0) * 0.1, max_step)
+        y1 = y0 + h0 * f0
+    if d1 == math.inf:
+        raise IntegrationAbort(f"slope norm overflows at t0={t0!r}")
     try:
-        f1 = rhs(t0 + h0, y0 + h0 * f0)
+        f1 = rhs(t0 + h0, y1)
     except NodeError:
         return min(h0, max_step)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    with np.errstate(over="ignore"):
+        d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    if d2 == math.inf:
+        raise IntegrationAbort(f"slope norm overflows at t0={t0!r}")
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -293,7 +302,9 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     ``rhs`` first receives the array ``y0``.  If it answers a tuple, every
     later state comes as a tuple of floats; otherwise as an array (see the
     module docstring).  ``rhs`` never sees a non-finite state: a non-finite
-    ``y0`` or first slope raises ``IntegrationAbort`` at once.
+    ``y0`` or first slope, or a first slope whose error norm overflows,
+    raises ``IntegrationAbort`` at once.  ``t0`` and ``t_end`` must be
+    finite, with t0 < t_end.
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
     first entry, if equal to t0, is served from the initial state.  Returns
@@ -301,12 +312,13 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     """
     y0 = np.asarray(y0, dtype=float)
     ts = np.asarray(sample_times, dtype=float).tolist()
+    # written so that NaN fails; an infinite horizon would step without end
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError(f"t0={t0!r} and t_end={t_end!r} must be finite, with t0 < t_end")
     if ts and not (t0 <= ts[0] and ts[-1] <= t_end + 1e-12):
         raise ValueError("sample times must lie within [t0, t_end]")
     if not (np.diff(ts) > 0.0).all():  # NaN compares False, so it is refused too
         raise ValueError("sample times must be strictly ascending")
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
     # written so that NaN fails: a NaN h never drops below H_FLOOR, and the loop never ends
     if not (0 < rtol < math.inf and 0 < atol < math.inf and 0 < max_step):
         raise ValueError(f"rtol={rtol!r}, atol={atol!r} and max_step={max_step!r} must be "

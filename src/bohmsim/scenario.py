@@ -12,7 +12,13 @@ The dataclasses are the schema: each block's keys, defaults and JSON types
 come from the fields of ``ScenarioParams``, ``EnsembleSpec`` (with
 ``ZInit``) and ``IntegratorOptions``, and their
 ``__post_init__`` range checks serve files, presets and command-line
-overrides alike.
+overrides alike.  ``Scenario`` adds the checks that need more than one
+block: the kernel's scales and the resolved horizon, stride and step ceiling
+must be positive and finite (products of positive, finite parameters can
+overflow or underflow), and an explicit ``t_end`` may not fall short of
+t'_cross.  Schema version 5 took ``integrator.abs_tol`` and
+``integrator.max_step_frac`` out of the file: the first is rel_tol / 100, the
+second the constant ``integrate.MAX_STEP_FRAC``.
 
 Presets ``fig2`` .. ``fig12`` encode the canonical two-slit/pointer
 scenarios used throughout: a shared base (xi_x = xi_y = 10, r = mu = 1,
@@ -40,6 +46,7 @@ from pathlib import Path, PurePath
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from ._kernel import scales
 from .integrate import EnsembleSpec, IntegratorOptions, ZInit, crossing_time
 from .model import ScenarioParams
 from .reduced import common_start
@@ -79,6 +86,11 @@ class Scenario:
         if not path.parts or path.is_absolute() or ".." in path.parts:
             raise ScenarioError(
                 f"scenario name {self.name!r} must be a relative path without '..'")
+        try:
+            scales(self.params)
+            self.integrator.resolve(self.params)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         t_end, t_cross = self.integrator.t_end, crossing_time(self.params)
         if t_end is not None and t_end < t_cross:
             raise ScenarioError(f"integrator.t_end={t_end!r} is below t'_cross={t_cross!r}; "

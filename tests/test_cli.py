@@ -116,6 +116,24 @@ class TestSimulate:
             assert read_manifest(out)["n_trajectories"] == 18
             assert len(list(out.glob("traj_*.csv"))) == 18
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("xi_x", 1e200, 3), ("xi_y", 1e-200, 3), ("mu", 1e200, 3),    # slope norm overflows
+        ("r", 1e-200, 2), ("r", 1e200, 2), ("R", 1e200, 2),           # a scale over/underflows
+        ("d_prime", 1e308, 2), ("d_prime", 5e-324, 2)])   # the horizon or its stride does
+    def test_extreme_parameter_exits_cleanly(self, tmp_path, capsys, key, value, code):
+        # positive and finite, but a derived scale, the horizon or the first slope is not
+        data = scenario_to_dict(preset("fig4"))
+        data["ensemble"]["count_per_slit"] = 1
+        data["params"][key] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("integration aborted: " if code == 3 else "error: ")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["extreme.json"]
+
     def test_seed_and_n_overrides(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--preset", "fig4", "--n", "10", "--seed", "5",

@@ -78,7 +78,6 @@ def test_scenario_file_keys_are_pinned():
 
 KNOBS = {
     "analysis.surreal_fraction_vs_N(sigma_hat0)",
-    "bench.run_bench(backends)", "bench.run_bench(repetitions)",
     "integrate.ZInit.common(value)", "integrate.integrate_trajectory(opts)",
     "integrate.integrate_trajectory(backend)", "integrate.run_ensemble(opts)",
     "model.ScenarioParams.with_rigid_pointer(xi)",
@@ -110,5 +109,5 @@ def defaulted_parameters() -> set[str]:
 
 
 def test_defaulted_parameters_are_pinned():
-    assert len(KNOBS) == 14
+    assert len(KNOBS) == 12
     assert defaulted_parameters() == KNOBS

@@ -88,6 +88,15 @@ class TestSettingsRefused:
         with deadline(10), pytest.raises(ValueError, match="must be positive"):
             solve(lambda t, y: -y, 0.0, [1.0], 1.0, [0.0, 1.0], **bad)
 
+    @pytest.mark.parametrize("t0, t_end", [(0.0, math.nan), (0.0, math.inf), (0.0, 0.0),
+                                           (1.0, 0.5), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_horizon_refused_at_entry(self, t0, t_end):
+        # an infinite horizon lets h grow to inf, which halving never brings below H_FLOOR
+        for rhs in both_forms(lambda t, y: [-v for v in y]):
+            with deadline(10), pytest.raises(ValueError, match="must be finite"):
+                solve(rhs, t0, [1.0, 2.0], t_end, [])
+            assert rhs.seen == []
+
 
 class TestNonFiniteStages:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -117,6 +126,69 @@ class TestNonFiniteStages:
                     solve(rhs, 0.0, y0, 1.0, [0.0, 1.0])
                 assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
                 assert len(rhs.seen) == {"state": 0, "slope": 1, "step": 1}[start]
+
+
+class _KickAtStage7:
+    """y' = 0, but for the second of two calls in a row at one time: in a step, stage 7,
+    the slope at the 5th-order solution.  It enters the error estimate only, so each
+    attempt's error is about h * kick / atol, whatever the attempt's y."""
+
+    def __init__(self, kick: float):
+        self.kick, self.last = kick, None
+
+    def __call__(self, t, y):
+        slope = [self.kick if t == self.last else 0.0, 0.0]
+        self.last = t
+        return slope
+
+
+class TestAborts:
+    """The stepper's ways out of a run that cannot go on, on both forms and unwarned."""
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(rk45, "MAX_STEPS", 5)
+        for rhs in both_forms(lambda t, y: [-v for v in y]):
+            with pytest.raises(IntegrationAbort, match="step budget exceeded"):
+                solve(rhs, 0.0, [1.0, 2.0], 1.0, [0.0, 1.0], max_step=0.01)
+            assert rhs.reached()
+
+    @pytest.mark.parametrize("kick", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_estimate_aborts_at_floor(self, kick):
+        for rhs in both_forms(_KickAtStage7(kick)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationAbort, match="non-finite error estimate"):
+                    solve(rhs, 0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
+            assert rhs.reached()
+            assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
+            assert min(t for t, _, _ in rhs.seen[1:]) < 2 * H_FLOOR
+
+    def test_rejections_below_the_floor_end_degenerate(self):
+        for rhs in both_forms(_KickAtStage7(1e10)):
+            res = solve(rhs, 0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
+            assert rhs.reached()
+            assert res.degenerate
+            assert (res.stats.n_steps, res.stats.h_max) == (0, 0.0)
+            assert res.stats.n_rejected > 0
+            assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0, 1.0]]
+
+    def test_slope_norm_overflow_aborts_at_once(self):
+        # finite, but its norm against a tolerance of 1e-10 overflows
+        for rhs in both_forms(lambda t, y: [1e200, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationAbort, match="slope norm overflows"):
+                    solve(rhs, 0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
+            assert len(rhs.seen) == 1
+
+    def test_overflowing_probe_state_aborts_unseen(self):
+        # y' = y near the largest float: the starting-step probe y0 + h0 f0 overflows
+        for rhs in both_forms(lambda t, y: y):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationAbort, match="non-finite stage state"):
+                    solve(rhs, 0.0, [1.79e308, 1.0], 1.0, [0.0, 1.0])
+            assert len(rhs.seen) == 1
 
 
 class TestSolverCounts:
