@@ -268,9 +268,8 @@ class _ArrayStages:
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
-    # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow here is
-    # tested, not warned about: a slope norm that overflows aborts, and so does a probe
-    # state that overflows, in the stage test of ``rhs`` (a stage class's ``probe``).
+    # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow aborts
+    # unwarned: of a slope norm here, of the probe state in the stage test of ``rhs``.
     scale = atol + rtol * np.abs(y0)
     with np.errstate(over="ignore"):
         d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))

@@ -12,13 +12,10 @@ The dataclasses are the schema: each block's keys, defaults and JSON types
 come from the fields of ``ScenarioParams``, ``EnsembleSpec`` (with
 ``ZInit``) and ``IntegratorOptions``, and their
 ``__post_init__`` range checks serve files, presets and command-line
-overrides alike.  ``Scenario`` adds the checks that need more than one
-block: the kernel's scales and the resolved horizon, stride and step ceiling
-must be positive and finite (products of positive, finite parameters can
-overflow or underflow), and an explicit ``t_end`` may not fall short of
-t'_cross.  Schema version 5 took ``integrator.abs_tol`` and
-``integrator.max_step_frac`` out of the file: the first is rel_tol / 100, the
-second the constant ``integrate.MAX_STEP_FRAC``.
+overrides alike.  ``Scenario`` adds the checks that span blocks: the
+kernel's scales and the resolved horizon, stride and step ceiling must be
+positive and finite, and an explicit ``t_end`` may not fall short of t'_cross.
+The integrator block holds one tolerance, ``rel_tol`` (see ``integrate``).
 
 Presets ``fig2`` .. ``fig12`` encode the canonical two-slit/pointer
 scenarios used throughout: a shared base (xi_x = xi_y = 10, r = mu = 1,

@@ -131,7 +131,7 @@ class TestNonFiniteStages:
 class _KickAtStage7:
     """y' = 0, but for the second of two calls in a row at one time: in a step, stage 7,
     the slope at the 5th-order solution.  It enters the error estimate only, so each
-    attempt's error is about h * kick / atol, whatever the attempt's y."""
+    attempt leaves y as it was and reads an error of about h * kick / (rtol |y| + atol)."""
 
     def __init__(self, kick: float):
         self.kick, self.last = kick, None
