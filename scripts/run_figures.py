@@ -3,8 +3,7 @@
 
 Writes runs/<preset>/ directories (CSV + manifest + figures) for all
 presets and prints the classification summary per run.  Takes about 6 s
-serially on a 2-CPU machine; set BOHM_SIM_THREADS to parallelize the
-ensembles.
+on a 2-CPU machine.
 
 With ``--golden PATH`` it then runs ``bohmsim validate`` and writes the
 golden record of the outputs to PATH as JSON: per preset the classification,

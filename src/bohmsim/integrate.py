@@ -15,15 +15,12 @@ the horizon.
 Ensembles follow the canonical grid: per slit, ``count_per_slit``
 equidistant launch points spanning +/-``extent`` packet widths around the
 slit center, the lower-slit points being exact mirror images of the upper
-ones.  `BOHM_SIM_THREADS` caps process parallelism for ensemble runs
-(unset: serial, 0: one per CPU); results always come back in input order.
+ones.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
@@ -251,28 +248,8 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
                       stats=res.stats, degenerate=res.degenerate)
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("BOHM_SIM_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-        if workers < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"BOHM_SIM_THREADS must be an integer >= 0, got {env!r}") from None
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
-
-
 def run_ensemble(spec: EnsembleSpec, params: ScenarioParams,
                  opts: IntegratorOptions = IntegratorOptions()) -> list[Trajectory]:
-    """Integrate the whole launch grid; deterministic order, optional processes."""
-    initials = sample_initials(spec, params)
-    run = partial(integrate_trajectory, params=params, opts=opts, backend=spec.backend)
-    workers = _worker_count(len(initials))
-    if workers == 1:
-        return list(map(run, initials))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, initials))
+    """Integrate the whole launch grid serially, in input order."""
+    return [integrate_trajectory(init, params, opts, spec.backend)
+            for init in sample_initials(spec, params)]

@@ -213,20 +213,6 @@ class TestSimulate:
         assert main(["simulate", "--preset", "fig4", "--n", str(n), "--out", "run"]) == 2
         assert_refused_naming(n, capsys, tmp_path)
 
-    def test_bad_thread_count_names_the_variable(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BOHM_SIM_THREADS", "abc")
-        assert main(["simulate", "--preset", "fig7", "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert "BOHM_SIM_THREADS" in err and "'abc'" in err
-
-    def test_negative_thread_count_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BOHM_SIM_THREADS", "-3")
-        out = tmp_path / "run"
-        assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "BOHM_SIM_THREADS" in err and "'-3'" in err
-        assert not out.exists()
-
     def test_failed_write_leaves_the_previous_run_whole(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0

@@ -111,3 +111,38 @@ def defaulted_parameters() -> set[str]:
 def test_defaulted_parameters_are_pinned():
     assert len(KNOBS) == 12
     assert defaulted_parameters() == KNOBS
+
+
+ENVIRONMENT_READS: set[str] = set()
+
+
+def environment_reads() -> set[str]:
+    """``module: expression`` for each read of ``os.environ`` or ``os.getenv`` in the
+    package, through ``import os``, ``import os as ...`` or ``from os import ...``."""
+    found = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.name == "os"}
+        bare = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "os"
+                for alias in node.names if alias.name in ("environ", "getenv")}
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not ((isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                     and isinstance(node.value, ast.Name) and node.value.id in os_names)
+                    or (isinstance(node, ast.Name) and node.id in bare)):
+                continue
+            # widen to the whole read: os.environ.get(...), os.environ[...], os.getenv(...)
+            while isinstance(up := parents.get(node), ast.Attribute) and up.value is node:
+                node = up
+            if (isinstance(up, ast.Call) and up.func is node
+                    or isinstance(up, ast.Subscript) and up.value is node):
+                node = up
+            found.add(f"{name.removeprefix('bohmsim.')}: {ast.unparse(node)}")
+    return found
+
+
+def test_environment_reads_are_pinned():
+    assert environment_reads() == ENVIRONMENT_READS

@@ -209,29 +209,6 @@ class TestEnsembles:
                         / (fig2_params.r**2 * fig2_params.xi_y)) ** 2
             assert np.max(np.abs(traj.z[:, 0] - 0.7 * np.sqrt(dz))) <= 1e-8
 
-    def test_process_parallelism_matches_serial(self, fig4_params, monkeypatch):
-        spec = EnsembleSpec(count_per_slit=2)
-        serial = run_ensemble(spec, fig4_params)
-        monkeypatch.setenv("BOHM_SIM_THREADS", "2")
-        parallel = run_ensemble(spec, fig4_params)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.z, b.z)
-
-    def test_process_parallelism_matches_serial_on_reduced(self, monkeypatch):
-        # workers send back the factors, t, Sigma_hat' and the start, not the pointer block
-        sc = preset("fig9")
-        spec = EnsembleSpec(count_per_slit=2, z_init=ZInit.gaussian(3), backend="reduced")
-        serial = run_ensemble(spec, sc.params, sc.integrator)
-        monkeypatch.setenv("BOHM_SIM_THREADS", "2")
-        parallel = run_ensemble(spec, sc.params, sc.integrator)
-        assert len(parallel) == len(serial) == 4
-        for a, b in zip(serial, parallel):
-            assert "z" not in vars(b)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.sigma_hat, b.sigma_hat)
-            assert np.array_equal(a.z, b.z)
-
 
 class TestNodeHandling:
     """On both forms of the stepper: one system answering a tuple, then an array."""
