@@ -89,7 +89,9 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
     """The scalar scales (P_x, P_y, p_z, beta, ax, ay, az) of the module docstring.
 
     Positive, finite parameters can still give a product that overflows or
-    underflows; ValueError unless every scale is positive and finite.
+    underflows; ValueError unless every scale is positive and finite, and
+    every pointer term the kernel forms from them is finite (see
+    ``_pointer_terms``).  A rigid pointer is checked on its one pair.
     """
     r2xy = params.r * params.r * params.xi_y
     if r2xy > 0:
@@ -97,9 +99,36 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
         found = (1.0 / r2xy, 1.0 / params.xi_y, pz, params.xi_x / r2xy,
                  2.0 / r2xy, 2.0 / params.xi_y, 2.0 * pz)
         if all(0 < v < math.inf for v in found):
+            xi = params.single_pointer_xi
+            _pointer_terms(params.pointer_velocities if xi is None else ((xi, -xi),), pz,
+                           rigid=xi is not None)
             return found
     raise ValueError("xi_x, xi_y, r, R and mu give a packet scale that is zero or not finite "
                      f"(r^2 xi_y = {r2xy!r})")
+
+
+def _pointer_terms(pairs, pz: float, rigid: bool):
+    """(Xi^+/-, gamma^+/-, dXi, p_z dXi, p_z SXi, dG) from the (Xi^+, Xi^-) pairs.
+
+    Xi^+/- and gamma^+/- come as (2, 1, N); p_z SXi is None and dG is 0 for a
+    rigid pointer, where both vanish exactly.  ValueError unless every term is
+    finite: finite velocities can still give a difference, a sum or a product
+    with p_z that overflows.
+    """
+    xi_pm = np.array(pairs, float).reshape(-1, 2).T.copy()[:, None]
+    xi_p, xi_m = xi_pm[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gam_pm = pz * xi_pm
+        dxi = xi_p - xi_m
+        pz_dxi = pz * dxi
+        pz_sxi = None if rigid else pz * (xi_p + xi_m)
+        gam_p, gam_m = gam_pm[:, 0]
+        dgam2 = 0.0 if rigid else float(gam_p @ gam_p - gam_m @ gam_m)
+    terms = (gam_pm, dxi, pz_dxi) if rigid else (gam_pm, dxi, pz_dxi, pz_sxi, dgam2)
+    if not all(np.isfinite(a).all() for a in terms):
+        raise ValueError("pointer_velocities give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
+                         f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
+    return xi_pm, gam_pm, dxi, pz_dxi, pz_sxi, dgam2
 
 
 class GuidanceKernel:
@@ -119,21 +148,16 @@ class GuidanceKernel:
         self.xi_y = params.xi_y
         self.d = params.d_prime
         self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = scales(params)
-        # (Xi^+, Xi^-) and (gamma^+, gamma^-) as (2, 1, N): they broadcast against 1 or M rows
-        self.xi_pm = np.array(params.pointer_velocities, float).reshape(-1, 2).T.copy()[:, None]
-        self.gam_pm = self.pz * self.xi_pm
-        xi_p, xi_m = self.xi_pm[:, 0]
+        # (Xi^+, Xi^-) and (gamma^+, gamma^-) as (2, 1, N): they broadcast against 1 or M rows;
+        # Xi^- = -Xi^+ (rigid): SXi and dG vanish exactly
+        self.xi_pm, self.gam_pm, dxi, pz_dxi, pz_sxi, self.dgam2 = _pointer_terms(
+            params.pointer_velocities, self.pz, rigid=params.single_pointer_xi is not None)
         self.gam_p, self.gam_m = self.gam_pm[:, 0]
         # dXi padded to the state layout (X', Y', Z'): the leading zeros drop X' and Y'
-        self.dxi_pad = np.zeros(self.n + 2)
-        self.dxi = np.subtract(xi_p, xi_m, out=self.dxi_pad[2:])
-        self.pz_dxi_pad = self.pz * self.dxi_pad
-        if params.single_pointer_xi is not None:  # Xi^- = -Xi^+: SXi and dG vanish exactly
-            self.pz_sxi_pad = None
-            self.dgam2 = 0.0
-        else:
-            self.pz_sxi_pad = np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m)))
-            self.dgam2 = float(self.gam_p @ self.gam_p - self.gam_m @ self.gam_m)
+        self.dxi_pad = np.concatenate(([0.0, 0.0], dxi))
+        self.dxi = self.dxi_pad[2:]
+        self.pz_dxi_pad = np.concatenate(([0.0, 0.0], pz_dxi))
+        self.pz_sxi_pad = None if pz_sxi is None else np.concatenate(([0.0, 0.0], pz_sxi))
         # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path
         self.one_z = None
         if self.n == 1:

@@ -269,22 +269,21 @@ class _ArrayStages:
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow aborts
-    # unwarned: of a slope norm here, of the probe state in the stage test of ``rhs``.
+    # (``solve`` keeps it unwarned): of a slope norm here, of the probe state in the
+    # stage test of ``rhs``.
     scale = atol + rtol * np.abs(y0)
-    with np.errstate(over="ignore"):
-        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, (t_end - t0) * 0.1, max_step)
-        y1 = y0 + h0 * f0
+    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, (t_end - t0) * 0.1, max_step)
+    y1 = y0 + h0 * f0
     if d1 == math.inf:
         raise IntegrationAbort(f"slope norm overflows at t0={t0!r}")
     try:
         f1 = rhs(t0 + h0, y1)
     except NodeError:
         return min(h0, max_step)
-    with np.errstate(over="ignore"):
-        d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if d2 == math.inf:
         raise IntegrationAbort(f"slope norm overflows at t0={t0!r}")
     if max(d1, d2) <= 1e-15:
@@ -302,7 +301,9 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     later state comes as a tuple of floats; otherwise as an array (see the
     module docstring).  ``rhs`` never sees a non-finite state: a non-finite
     ``y0`` or first slope, or a first slope whose error norm overflows,
-    raises ``IntegrationAbort`` at once.  ``t0`` and ``t_end`` must be
+    raises ``IntegrationAbort`` at once.  Overflow and invalid operations
+    anywhere in the run, ``rhs`` included, are not warned: they give
+    non-finite values, which meet these tests.  ``t0`` and ``t_end`` must be
     finite, with t0 < t_end.
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
@@ -333,86 +334,89 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         out[0] = y0
         si = 1
 
-    try:
-        f0 = rhs(t0, y0)
-    except NodeError:
-        return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
-    stages = (_FloatStages if type(f0) is tuple else _ArrayStages)(rhs, y0, f0, rtol, atol)
-    attempt, record, accept = stages.attempt, stages.record, stages.accept
-    f0 = np.array(f0, dtype=float)
-    if not np.isfinite(f0).all():
-        raise IntegrationAbort(f"non-finite slope at t0={t0!r}")
-    h = min(max(_initial_step(stages.probe, t0, y0, f0, t_end, rtol, atol, max_step),
-                H_FLOOR), max_step)
-    t = t0
-    fac_old = 1e-4
-    just_rejected = False
-    n_steps = n_rejected = n_backoffs = n_capped = 0
-    h_min, h_max = math.inf, 0.0
-
-    def finish(degenerate: bool) -> SolverResult:
-        stages.dense_output(ts, dense, out)
-        stats = SolverStats(n_steps, n_rejected, n_backoffs, stages.n_rhs, n_capped,
-                            h_min if n_steps else 0.0, h_max)
-        return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate)
-
-    # each floor test reads `not h >= H_FLOOR`, which a NaN h fails too
-    while t < t_end:
-        if n_steps + n_rejected > MAX_STEPS:
-            raise IntegrationAbort(f"step budget exceeded at t={t!r}")
-        h = max_step if max_step < h else h  # min and max as comparisons: no builtin calls
-        last_step = t + h >= t_end
-        if last_step:
-            h = t_end - t
-
+    # one errstate for the whole run, rhs included: overflow and invalid operations give
+    # non-finite values, which the tests below handle, so they are not warned
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            err = attempt(t, h)
+            f0 = rhs(t0, y0)
         except NodeError:
-            n_backoffs += 1
-            h *= 0.5
-            if not h >= H_FLOOR:
-                return finish(degenerate=True)
-            continue
-        except IntegrationAbort:
-            h *= 0.5
-            if not h >= H_FLOOR:
-                raise
-            continue
-
-        if not math.isfinite(err):
-            h *= 0.5
-            if not h >= H_FLOOR:
-                raise IntegrationAbort("non-finite error estimate")
-            continue
-
-        if err > 1.0:
-            n_rejected += 1
-            just_rejected = True
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
-            if not h >= H_FLOOR:
-                return finish(degenerate=True)
-            continue
-
-        # accepted
-        n_steps += 1
-        n_capped += h == max_step
-        h_min = h if h < h_min else h_min
-        h_max = h if h > h_max else h_max
-        t_new = t_end if last_step else t + h
-
-        if si < n_out and (last_step or ts[si] <= t_new):
-            hi = n_out if last_step else bisect_right(ts, t_new, si)
-            dense.append((t, h, *record(), si, hi))
-            si = hi
-
-        # PI step-size controller; no growth straight after a rejection
-        fac = _SAFETY * err ** -_EXPO * fac_old ** _BETA if err > 0 else _FAC_MAX
-        fac = fac if fac > _FAC_MIN else _FAC_MIN
-        cap = 1.0 if just_rejected else _FAC_MAX
-        h = h * (fac if fac < cap else cap)
-        fac_old = 1e-4 if err < 1e-4 else err
+            return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
+        stages = (_FloatStages if type(f0) is tuple else _ArrayStages)(rhs, y0, f0, rtol, atol)
+        attempt, record, accept = stages.attempt, stages.record, stages.accept
+        f0 = np.array(f0, dtype=float)
+        if not np.isfinite(f0).all():
+            raise IntegrationAbort(f"non-finite slope at t0={t0!r}")
+        h = min(max(_initial_step(stages.probe, t0, y0, f0, t_end, rtol, atol, max_step),
+                    H_FLOOR), max_step)
+        t = t0
+        fac_old = 1e-4
         just_rejected = False
-        t = t_new
-        accept()
+        n_steps = n_rejected = n_backoffs = n_capped = 0
+        h_min, h_max = math.inf, 0.0
 
-    return finish(degenerate=False)
+        def finish(degenerate: bool) -> SolverResult:
+            stages.dense_output(ts, dense, out)
+            stats = SolverStats(n_steps, n_rejected, n_backoffs, stages.n_rhs, n_capped,
+                                h_min if n_steps else 0.0, h_max)
+            return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate)
+
+        # each floor test reads `not h >= H_FLOOR`, which a NaN h fails too
+        while t < t_end:
+            if n_steps + n_rejected > MAX_STEPS:
+                raise IntegrationAbort(f"step budget exceeded at t={t!r}")
+            h = max_step if max_step < h else h  # min and max as comparisons: no builtin calls
+            last_step = t + h >= t_end
+            if last_step:
+                h = t_end - t
+
+            try:
+                err = attempt(t, h)
+            except NodeError:
+                n_backoffs += 1
+                h *= 0.5
+                if not h >= H_FLOOR:
+                    return finish(degenerate=True)
+                continue
+            except IntegrationAbort:
+                h *= 0.5
+                if not h >= H_FLOOR:
+                    raise
+                continue
+
+            if not math.isfinite(err):
+                h *= 0.5
+                if not h >= H_FLOOR:
+                    raise IntegrationAbort("non-finite error estimate")
+                continue
+
+            if err > 1.0:
+                n_rejected += 1
+                just_rejected = True
+                h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+                if not h >= H_FLOOR:
+                    return finish(degenerate=True)
+                continue
+
+            # accepted
+            n_steps += 1
+            n_capped += h == max_step
+            h_min = h if h < h_min else h_min
+            h_max = h if h > h_max else h_max
+            t_new = t_end if last_step else t + h
+
+            if si < n_out and (last_step or ts[si] <= t_new):
+                hi = n_out if last_step else bisect_right(ts, t_new, si)
+                dense.append((t, h, *record(), si, hi))
+                si = hi
+
+            # PI step-size controller; no growth straight after a rejection
+            fac = _SAFETY * err ** -_EXPO * fac_old ** _BETA if err > 0 else _FAC_MAX
+            fac = fac if fac > _FAC_MIN else _FAC_MIN
+            cap = 1.0 if just_rejected else _FAC_MAX
+            h = h * (fac if fac < cap else cap)
+            fac_old = 1e-4 if err < 1e-4 else err
+            just_rejected = False
+            t = t_new
+            accept()
+
+        return finish(degenerate=False)

@@ -70,8 +70,7 @@ def random_configurations(params: ScenarioParams, count: int,
         y = float(t + rng.normal(0.0, 0.5 * math.sqrt(dy)))
         centers = (kern.gam_p if branch > 0 else kern.gam_m) * t
         z = centers + rng.normal(0.0, 0.5 * math.sqrt(dz), size=kern.n)
-        lr1, lr2, s1, s2 = kern.branch_eval(t, x, y, z)
-        l, d = lr1 - lr2, s1 - s2
+        l, d, _ = kern.contrast(t, x, z)
         el = math.exp(-abs(l))
         if 1.0 + el * el + 2.0 * el * math.cos(d) < 1e-6:
             continue

@@ -122,9 +122,23 @@ class TestSimulate:
         ("d_prime", 1e308, 2), ("d_prime", 5e-324, 2)])   # the horizon or its stride does
     def test_extreme_parameter_exits_cleanly(self, tmp_path, capsys, key, value, code):
         # positive and finite, but a derived scale, the horizon or the first slope is not
+        self.assert_extreme_exits_cleanly(tmp_path, capsys, {key: value}, "full-analytic", code)
+
+    @pytest.mark.parametrize("velocities, backend, code", [
+        ([[1e308, -1e308]], "full-analytic", 2),  # Xi+ - Xi- overflows
+        ([[1e308, 0.0]], "full-analytic", 2),     # dG = |gamma+|^2 - |gamma-|^2 overflows
+        ([[5e307, -5e307]] * 4, "reduced", 2),    # the twin's Xi sqrt(N) doubled overflows
+        # every kernel term is finite, but the FD route's squared residuals overflow
+        ([[1e200, -1e200]], "full-numeric", 3)], ids=["dxi", "dg", "twin-dxi", "fd-squares"])
+    def test_extreme_pointer_exits_cleanly(self, tmp_path, capsys, velocities, backend, code):
+        params = {"pointer_velocities": velocities, "n_particles": len(velocities)}
+        self.assert_extreme_exits_cleanly(tmp_path, capsys, params, backend, code)
+
+    @staticmethod
+    def assert_extreme_exits_cleanly(tmp_path, capsys, params, backend, code):
         data = scenario_to_dict(preset("fig4"))
-        data["ensemble"]["count_per_slit"] = 1
-        data["params"][key] = value
+        data["ensemble"].update(count_per_slit=1, backend=backend)
+        data["params"].update(params)
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "run"
