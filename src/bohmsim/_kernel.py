@@ -110,8 +110,10 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
 def _pointer_terms(pairs, pz: float, rigid: bool):
     """(Xi^+/-, gamma^+/-, dXi, p_z dXi, p_z SXi, dG) from the (Xi^+, Xi^-) pairs.
 
-    Xi^+/- and gamma^+/- come as (2, 1, N); p_z SXi is None and dG is 0 for a
-    rigid pointer, where both vanish exactly.  ValueError unless every term is
+    Xi^+/- and gamma^+/- come as (2, 1, N), which broadcasts against 1 or M rows.
+    dXi and the p_z products come padded to the state layout (X', Y', Z'): two
+    leading zeros drop X' and Y'.  p_z SXi is None and dG is 0 for a rigid pointer
+    (Xi^- = -Xi^+), where both vanish exactly.  ValueError unless every term is
     finite: finite velocities can still give a difference, a sum or a product
     with p_z that overflows.
     """
@@ -119,16 +121,16 @@ def _pointer_terms(pairs, pz: float, rigid: bool):
     xi_p, xi_m = xi_pm[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         gam_pm = pz * xi_pm
-        dxi = xi_p - xi_m
-        pz_dxi = pz * dxi
-        pz_sxi = None if rigid else pz * (xi_p + xi_m)
+        dxi_pad = np.concatenate(([0.0, 0.0], xi_p - xi_m))
+        pz_dxi_pad = pz * dxi_pad
+        pz_sxi_pad = None if rigid else np.concatenate(([0.0, 0.0], pz * (xi_p + xi_m)))
         gam_p, gam_m = gam_pm[:, 0]
         dgam2 = 0.0 if rigid else float(gam_p @ gam_p - gam_m @ gam_m)
-    terms = (gam_pm, dxi, pz_dxi) if rigid else (gam_pm, dxi, pz_dxi, pz_sxi, dgam2)
+    terms = (gam_pm, dxi_pad, pz_dxi_pad) + (() if rigid else (pz_sxi_pad, dgam2))
     if not all(np.isfinite(a).all() for a in terms):
         raise ValueError("pointer_velocities give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
                          f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
-    return xi_pm, gam_pm, dxi, pz_dxi, pz_sxi, dgam2
+    return xi_pm, gam_pm, dxi_pad, pz_dxi_pad, pz_sxi_pad, dgam2
 
 
 class GuidanceKernel:
@@ -148,16 +150,11 @@ class GuidanceKernel:
         self.xi_y = params.xi_y
         self.d = params.d_prime
         self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = scales(params)
-        # (Xi^+, Xi^-) and (gamma^+, gamma^-) as (2, 1, N): they broadcast against 1 or M rows;
-        # Xi^- = -Xi^+ (rigid): SXi and dG vanish exactly
-        self.xi_pm, self.gam_pm, dxi, pz_dxi, pz_sxi, self.dgam2 = _pointer_terms(
-            params.pointer_velocities, self.pz, rigid=params.single_pointer_xi is not None)
+        (self.xi_pm, self.gam_pm, self.dxi_pad, self.pz_dxi_pad, self.pz_sxi_pad,
+         self.dgam2) = _pointer_terms(params.pointer_velocities, self.pz,
+                                      rigid=params.single_pointer_xi is not None)
         self.gam_p, self.gam_m = self.gam_pm[:, 0]
-        # dXi padded to the state layout (X', Y', Z'): the leading zeros drop X' and Y'
-        self.dxi_pad = np.concatenate(([0.0, 0.0], dxi))
         self.dxi = self.dxi_pad[2:]
-        self.pz_dxi_pad = np.concatenate(([0.0, 0.0], pz_dxi))
-        self.pz_sxi_pad = None if pz_sxi is None else np.concatenate(([0.0, 0.0], pz_sxi))
         # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path
         self.one_z = None
         if self.n == 1:
