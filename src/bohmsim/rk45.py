@@ -269,8 +269,8 @@ class _ArrayStages:
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow aborts
-    # (``solve`` keeps it unwarned): of a slope norm here, of the probe state in the
-    # stage test of ``rhs``.
+    # unwarned under ``solve``'s errstate: of a slope norm here, of the probe state in
+    # the stage test of ``rhs``.
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
@@ -334,9 +334,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         out[0] = y0
         si = 1
 
-    # one errstate for the whole run, rhs included: overflow and invalid operations give
-    # non-finite values, which the tests below handle, so they are not warned
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # once per run, rhs included
         try:
             f0 = rhs(t0, y0)
         except NodeError:
