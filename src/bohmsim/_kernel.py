@@ -89,9 +89,8 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
     """The scalar scales (P_x, P_y, p_z, beta, ax, ay, az) of the module docstring.
 
     Positive, finite parameters can still give a product that overflows or
-    underflows; ValueError unless every scale is positive and finite, and
-    every pointer term the kernel forms from them is finite (see
-    ``_pointer_terms``).  A rigid pointer is checked on its one pair.
+    underflows; ValueError unless every scale is positive and finite, and so
+    is every pointer term the kernel forms from them (``_pointer_terms``).
     """
     r2xy = params.r * params.r * params.xi_y
     if r2xy > 0:
@@ -100,8 +99,15 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
                  2.0 / r2xy, 2.0 / params.xi_y, 2.0 * pz)
         if all(0 < v < math.inf for v in found):
             xi = params.single_pointer_xi
-            _pointer_terms(params.pointer_velocities if xi is None else ((xi, -xi),), pz,
-                           rigid=xi is not None)
+            if xi is not None:  # the terms are +/-p_z Xi, 2 Xi and p_z 2 Xi: finite iff the last is
+                finite = math.isfinite(pz * (2.0 * xi))
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    terms = _pointer_terms(params.pointer_velocities, pz, rigid=False)
+                finite = all(np.isfinite(term).all() for term in terms)
+            if not finite:
+                raise ValueError("pointer_velocities give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
+                                 f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
             return found
     raise ValueError("xi_x, xi_y, r, R and mu give a packet scale that is zero or not finite "
                      f"(r^2 xi_y = {r2xy!r})")
@@ -113,24 +119,18 @@ def _pointer_terms(pairs, pz: float, rigid: bool):
     Xi^+/- and gamma^+/- come as (2, 1, N), which broadcasts against 1 or M rows.
     dXi and the p_z products come padded to the state layout (X', Y', Z'): two
     leading zeros drop X' and Y'.  p_z SXi is None and dG is 0 for a rigid pointer
-    (Xi^- = -Xi^+), where both vanish exactly.  ValueError unless every term is
-    finite: finite velocities can still give a difference, a sum or a product
-    with p_z that overflows.
+    (Xi^- = -Xi^+), where both vanish exactly.  Finite velocities can still give
+    a term that overflows; ``scales`` refuses such a pointer.
     """
     xi_pm = np.array(pairs, float).reshape(-1, 2).T.copy()[:, None]
     xi_p, xi_m = xi_pm[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gam_pm = pz * xi_pm
-        dxi_pad = np.concatenate(([0.0, 0.0], xi_p - xi_m))
-        pz_dxi_pad = pz * dxi_pad
-        pz_sxi_pad = None if rigid else np.concatenate(([0.0, 0.0], pz * (xi_p + xi_m)))
-        gam_p, gam_m = gam_pm[:, 0]
-        dgam2 = 0.0 if rigid else float(gam_p @ gam_p - gam_m @ gam_m)
-    terms = (gam_pm, dxi_pad, pz_dxi_pad) + (() if rigid else (pz_sxi_pad, dgam2))
-    if not all(np.isfinite(a).all() for a in terms):
-        raise ValueError("pointer_velocities give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
-                         f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
-    return xi_pm, gam_pm, dxi_pad, pz_dxi_pad, pz_sxi_pad, dgam2
+    gam_pm = pz * xi_pm
+    dxi_pad = np.concatenate(([0.0, 0.0], xi_p - xi_m))
+    if rigid:
+        return xi_pm, gam_pm, dxi_pad, pz * dxi_pad, None, 0.0
+    gam_p, gam_m = gam_pm[:, 0]
+    return (xi_pm, gam_pm, dxi_pad, pz * dxi_pad, np.concatenate(([0.0, 0.0], pz * (xi_p + xi_m))),
+            float(gam_p @ gam_p - gam_m @ gam_m))
 
 
 class GuidanceKernel:

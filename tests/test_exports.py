@@ -1,7 +1,8 @@
 """The public surface: every exported name exists, the package re-exports only
-exported names, and the package's names, a scenario file's settable keys and the
-defaulted parameters of the public functions are pinned, so a new setting, export
-or knob has to edit this file on purpose."""
+exported names, and the package's names, a scenario file's settable keys, the
+defaulted parameters of the public functions and the environment variables the
+package reads are pinned, so a new setting, export or knob has to edit this file
+on purpose."""
 
 import ast
 import importlib
@@ -118,13 +119,15 @@ ENVIRONMENT_READS: set[str] = set()
 
 def environment_reads() -> set[str]:
     """``module: expression`` for each read of ``os.environ`` or ``os.getenv`` in the
-    package, through ``import os``, ``import os as ...`` or ``from os import ...``."""
+    package, through ``import os``, ``import os.path``, ``import os as ...`` or
+    ``from os import ...``."""
     found = set()
     for name in MODULES:
         tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
-        os_names = {alias.asname or alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.Import) for alias in node.names
-                    if alias.name == "os"}
+        # "os" itself (``import os`` or ``import os.path``) and any ``import os as ...``
+        os_names = {"os"} | {alias.asname for node in ast.walk(tree)
+                             if isinstance(node, ast.Import) for alias in node.names
+                             if alias.name == "os" and alias.asname}
         bare = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "os"
                 for alias in node.names if alias.name in ("environ", "getenv")}
