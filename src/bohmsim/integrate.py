@@ -11,11 +11,12 @@ Y' is integrated alongside the rest even though it has a closed form; the
 closed form serves as an oracle in the tests instead of being wired in.
 One tolerance drives the stepper: ``IntegratorOptions.rel_tol``, with the
 absolute tolerance rel_tol / 100 and steps of at most ``MAX_STEP_FRAC`` of
-the horizon.
+the horizon.  The horizon is ``HORIZON_CROSSINGS`` t'_cross, and a run is
+sampled at t' = 0 and after each of ``SAMPLE_INTERVALS`` equal intervals.
 Ensembles follow the canonical grid: per slit, ``count_per_slit``
-equidistant launch points spanning +/-``extent`` packet widths around the
-slit center, the lower-slit points being exact mirror images of the upper
-ones.
+equidistant launch points spanning +/-``LAUNCH_HALF_WIDTH`` packet widths
+around the slit center, the lower-slit points being exact mirror images of
+the upper ones.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ __all__ = [
 BACKENDS = ("full-analytic", "full-numeric", "reduced")
 _MODE_SETTING = {"common": "value", "explicit": "values", "gaussian": "seed"}
 MAX_STEP_FRAC = 0.02  # step ceiling / horizon: the largest passing the tier-1 convergence gate
+HORIZON_CROSSINGS = 2.5  # horizon / t'_cross: the packets have crossed and separated again
+SAMPLE_INTERVALS = 512  # horizon / sampling interval: smooth panels; the golden CSVs pin it
+LAUNCH_HALF_WIDTH = 0.8  # packet widths, 1.6 standard deviations: ~89% of each slit's density
 
 
 def crossing_time(params: ScenarioParams) -> float:
@@ -56,23 +60,19 @@ def crossing_time(params: ScenarioParams) -> float:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Adaptive-stepper settings; ``resolve`` fills scenario-dependent defaults."""
+    """Adaptive-stepper settings; ``resolve`` derives the scenario-dependent ones."""
 
     rel_tol: float = 1e-8            # the stepper's absolute tolerance is rel_tol / 100
-    t_end: float | None = None       # horizon; default 2.5 * t'_cross
-    stride: float | None = None      # output sampling interval; default horizon/512
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None and not 0 < v < math.inf:   # NaN fails too
-                raise ValueError(f"{f.name} must be positive and finite, got {v!r}")
+        if not 0 < self.rel_tol < math.inf:   # NaN fails too
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
     def resolve(self, params: ScenarioParams) -> tuple[float, float, float]:
         """(t_end, stride, max_step) for a given scenario; ValueError unless each is
-        positive and finite, which a default derived from t'_cross may not be."""
-        t_end = self.t_end if self.t_end is not None else 2.5 * crossing_time(params)
-        stride = self.stride if self.stride is not None else t_end / 512.0
+        positive and finite, which values derived from t'_cross may not be."""
+        t_end = HORIZON_CROSSINGS * crossing_time(params)
+        stride = t_end / SAMPLE_INTERVALS
         resolved = t_end, stride, MAX_STEP_FRAC * t_end
         if not all(0 < v < math.inf for v in resolved):
             raise ValueError(f"the horizon, stride and step ceiling {resolved!r} must be "
@@ -141,15 +141,12 @@ class ZInit:
 @dataclass(frozen=True)
 class EnsembleSpec:
     count_per_slit: int = 9
-    extent: float = 0.8              # launch-grid half-width, in packet widths
     z_init: ZInit = ZInit.common(0.0)
     backend: str = "full-analytic"
 
     def __post_init__(self):
         if self.count_per_slit < 1:
             raise ValueError("count_per_slit must be >= 1")
-        if not 0 < self.extent < math.inf:
-            raise ValueError(f"extent must be positive and finite, got {self.extent!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
@@ -206,7 +203,8 @@ def sample_initials(spec: EnsembleSpec, params: ScenarioParams) -> list[Configur
     reference figures (the test-particle grid is scanned at fixed pointer).
     """
     k = spec.count_per_slit
-    offsets = np.array([0.0]) if k == 1 else np.linspace(-spec.extent, spec.extent, k)
+    half = LAUNCH_HALF_WIDTH
+    offsets = np.array([0.0]) if k == 1 else np.linspace(-half, half, k)
     z0 = tuple(spec.z_init.draw(params.n_particles))
     upper = [Configuration(0.0, params.d_prime + off, 0.0, z0) for off in offsets]
     lower = [Configuration(0.0, -(params.d_prime + off), 0.0, z0) for off in offsets]

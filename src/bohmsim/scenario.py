@@ -1,9 +1,9 @@
 """Scenario files: strict JSON schema, named presets, round-trip safety.
 
 A scenario bundles everything one run needs: physical parameters, launch
-grid and integrator settings.  What a run writes is fixed: a CSV per
-trajectory sampled every ``integrator.stride`` of t', and a manifest; the
-SVG panels come from ``bohmsim plot``.  The schema is versioned and
+grid and integrator tolerance.  What a run writes is fixed: a CSV per
+trajectory, sampled on the grid of ``integrate`` (horizon 2.5 t'_cross, 512
+equal intervals), and a manifest; the SVG panels come from ``bohmsim plot``.  The schema is versioned and
 strict (unknown keys are rejected at every level) because the shipped
 presets double as regression anchors: a file that parses is a file whose
 meaning is pinned.
@@ -13,8 +13,8 @@ come from the fields of ``ScenarioParams``, ``EnsembleSpec`` (with
 ``ZInit``) and ``IntegratorOptions``, and their
 ``__post_init__`` range checks serve files, presets and command-line
 overrides alike.  ``Scenario`` adds the checks that span blocks: the
-kernel's scales and the resolved horizon, stride and step ceiling must be
-positive and finite, and an explicit ``t_end`` may not fall short of t'_cross.
+kernel's scales and the derived horizon, stride and step ceiling must be
+positive and finite.
 The integrator block holds one tolerance, ``rel_tol`` (see ``integrate``).
 
 Presets ``fig2`` .. ``fig12`` encode the canonical two-slit/pointer
@@ -44,7 +44,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from ._kernel import scales
-from .integrate import EnsembleSpec, IntegratorOptions, ZInit, crossing_time
+from .integrate import EnsembleSpec, IntegratorOptions, ZInit
 from .model import ScenarioParams
 from .reduced import common_start
 
@@ -63,7 +63,7 @@ __all__ = [
     "with_seed",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class ScenarioError(ValueError):
@@ -88,10 +88,6 @@ class Scenario:
             self.integrator.resolve(self.params)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        t_end, t_cross = self.integrator.t_end, crossing_time(self.params)
-        if t_end is not None and t_end < t_cross:
-            raise ScenarioError(f"integrator.t_end={t_end!r} is below t'_cross={t_cross!r}; "
-                                "trajectories could not be classified")
         z, n = self.ensemble.z_init, self.params.n_particles
         if z.mode == "explicit" and len(z.values) != n:
             raise ScenarioError(f"explicit z_init has {len(z.values)} entries, "
@@ -177,8 +173,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             "(version 2 replaced outputs.formats with the boolean outputs.svg and "
             "dropped outputs.path; version 3 dropped integrator.node_eps; version 4 "
             "dropped the outputs block: in place of outputs.svg run 'bohmsim plot <run>', "
-            "in place of outputs.stride set the sampling interval integrator.stride; version 5 "
-            "fixed integrator.abs_tol at rel_tol / 100 and integrator.max_step_frac at 0.02)")
+            "and outputs.stride has no successor (see version 6); version 5 fixed "
+            "integrator.abs_tol at rel_tol / 100 and integrator.max_step_frac at 0.02; "
+            "version 6 fixed integrator.t_end at 2.5 t'_cross, integrator.stride at "
+            "t_end / 512 and ensemble.extent at 0.8)")
     return _build(Scenario, data, "scenario")
 
 

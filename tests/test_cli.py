@@ -86,10 +86,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("backend", ["full-analytic", "full-numeric"])
     def test_launch_on_a_node_is_excluded(self, tmp_path, backend):
-        # the X' = 0 launch of each slit starts on an exact node: equal branch
-        # amplitudes, and delta_S = (Xi+ - Xi-) Z' = pi at Z' = pi/20
+        # at d' = 0.8 the middle launch of each slit is X' = +/-0, an exact node: equal
+        # branch amplitudes, and delta_S = (Xi+ - Xi-) Z' = pi at Z' = pi/20
         data = scenario_to_dict(preset("fig4"))
-        data["ensemble"].update(count_per_slit=3, extent=3.0, backend=backend,
+        data["params"]["d_prime"] = 0.8
+        data["ensemble"].update(count_per_slit=3, backend=backend,
                                 z_init={"mode": "common", "value": math.pi / 20})
         path = tmp_path / "node.json"
         path.write_text(json.dumps(data))
@@ -167,15 +168,6 @@ class TestSimulate:
         both = trimmed_scenario(tmp_path)
         assert main(["simulate", "--preset", "fig2", "--scenario", str(both)]) == 2
 
-    def test_short_horizon_exits_2_before_integrating(self, tmp_path):
-        data = scenario_to_dict(preset("fig7"))
-        data["integrator"]["t_end"] = 1.0
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "run"
-        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
-
     def test_name_outside_runs_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         target = tmp_path / "elsewhere"
@@ -205,9 +197,8 @@ class TestSimulate:
     # a grid that parses but cannot be allocated: the request fails at malloc, so no
     # memory is touched
     @pytest.mark.parametrize("block, key, value, size", [
-        ("integrator", "stride", 1e-14, "5.33 PiB"),
         ("ensemble", "count_per_slit", 10**15, "7.11 PiB"),
-    ], ids=["sample-grid", "launch-grid"])
+    ], ids=["launch-grid"])
     def test_grid_too_large_to_allocate_exits_2_naming_its_size(self, tmp_path, capsys,
                                                                  block, key, value, size):
         data = scenario_to_dict(preset("fig2"))
@@ -509,7 +500,8 @@ def fuzz_scenarios(count=30, seed=20261018):
 
     Single-pointer runs at N = 1, 3 or 50 on full-analytic or reduced, and
     two-pointer runs; one launch point per slit and a gaussian pointer draw.
-    Some horizons fall below t'_cross, which must be refused at load.
+    A launch-grid half-width and a horizon are still drawn, and not written,
+    so that every other draw keeps the seed's sequence.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -529,11 +521,11 @@ def fuzz_scenarios(count=30, seed=20261018):
             backend = str(rng.choice(["full-analytic", "reduced"]))
         p["n_particles"] = len(pairs)
         p["pointer_velocities"] = pairs
-        data["ensemble"].update(count_per_slit=1, extent=float(rng.uniform(0.0, 1.5)),
+        rng.uniform(0.0, 1.5)   # the retired ensemble.extent
+        data["ensemble"].update(count_per_slit=1,
                                 z_init={"mode": "gaussian", "seed": int(rng.integers(1000))},
                                 backend=backend)
-        t_cross = p["d_prime"] * p["r"] ** 2 * p["xi_y"] / p["xi_x"]
-        data["integrator"]["t_end"] = float(rng.uniform(0.8, 3.0)) * t_cross
+        rng.uniform(0.8, 3.0)   # the retired integrator.t_end, in units of t'_cross
         out.append(data)
     return out
 
@@ -590,13 +582,16 @@ def _set(path, value):
 
 def _walked(name):
     """The preset's scenario dict with the retired keys back in their old places:
-    ``integrator.abs_tol`` and ``integrator.max_step_frac`` between ``rel_tol`` and
-    ``t_end``, where every version-4 file held them, ``integrator.node_eps`` where
-    every version-2 file held it, and the ``outputs`` block where every version-3
-    file held it."""
+    ``integrator.abs_tol`` and ``integrator.max_step_frac`` after ``rel_tol``, where
+    every version-4 file held them, then ``integrator.t_end`` and ``integrator.stride``,
+    and ``ensemble.extent`` after ``count_per_slit``, where every version-5 file held
+    them, ``integrator.node_eps`` where every version-2 file held it, and the
+    ``outputs`` block where every version-3 file held it."""
     data = scenario_to_dict(preset(name))
-    integrator = data["integrator"]
-    data["integrator"] = {"rel_tol": integrator.pop("rel_tol"), **V4_INTEGRATOR, **integrator,
+    ensemble = data["ensemble"]
+    data["ensemble"] = {"count_per_slit": ensemble.pop("count_per_slit"), **V5_ENSEMBLE,
+                        **ensemble}
+    data["integrator"] = {**data["integrator"], **V4_INTEGRATOR, **V5_INTEGRATOR,
                           "node_eps": 1e-13}
     data["outputs"] = dict(V3_OUTPUTS)
     return data
@@ -644,6 +639,8 @@ def file_mutations(seed=20261018):
 V1_OUTPUTS = {"formats": ["csv", "json"], "path": None, "stride": 1}
 V3_OUTPUTS = {"svg": False, "stride": 1}
 V4_INTEGRATOR = {"abs_tol": 1e-10, "max_step_frac": 0.02}
+V5_INTEGRATOR = {"t_end": None, "stride": None}
+V5_ENSEMBLE = {"extent": 0.8}
 # files that once gave a traceback, hung, or ran with a setting silently changed
 REPROS = [
     ("ensemble-null", "fig4", _set(("ensemble",), None)),

@@ -51,9 +51,9 @@ SCENARIO_KEYS = {
     "name",
     "params.xi_x", "params.xi_y", "params.r", "params.R", "params.mu", "params.d_prime",
     "params.pointer_velocities",
-    "ensemble.count_per_slit", "ensemble.extent", "ensemble.backend", "ensemble.z_init.mode",
+    "ensemble.count_per_slit", "ensemble.backend", "ensemble.z_init.mode",
     "ensemble.z_init.value", "ensemble.z_init.values", "ensemble.z_init.seed",
-    "integrator.rel_tol", "integrator.t_end", "integrator.stride",
+    "integrator.rel_tol",
 }
 
 
@@ -73,7 +73,7 @@ def test_package_names_are_pinned():
 
 
 def test_scenario_file_keys_are_pinned():
-    assert len(SCENARIO_KEYS) == 18
+    assert len(SCENARIO_KEYS) == 15
     assert settable_keys(Scenario) == SCENARIO_KEYS
 
 
