@@ -92,6 +92,13 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
     underflows; ValueError unless every scale is positive and finite, and so
     is every pointer term the kernel forms from them (``_pointer_terms``).
     """
+    return _checked(params)[0]
+
+
+def _checked(params: ScenarioParams):
+    """(scales, pointer terms) once ``scales`` has checked both.  A general pointer's
+    terms are formed to be checked and come back; a rigid pointer's are checked in
+    floats and not formed, and come back as None."""
     r2xy = params.r * params.r * params.xi_y
     if r2xy > 0:
         pz = params.mu * params.R * params.R / r2xy
@@ -99,6 +106,7 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
                  2.0 / r2xy, 2.0 / params.xi_y, 2.0 * pz)
         if all(0 < v < math.inf for v in found):
             xi = params.single_pointer_xi
+            terms = None
             if xi is not None:  # the terms are +/-p_z Xi, 2 Xi and p_z 2 Xi: finite iff the last is
                 finite = math.isfinite(pz * (2.0 * xi))
             else:
@@ -108,7 +116,7 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
             if not finite:
                 raise ValueError("pointer_velocities give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
                                  f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
-            return found
+            return found, terms
     raise ValueError("xi_x, xi_y, r, R and mu give a packet scale that is zero or not finite "
                      f"(r^2 xi_y = {r2xy!r})")
 
@@ -149,10 +157,12 @@ class GuidanceKernel:
         self.xi_x = params.xi_x
         self.xi_y = params.xi_y
         self.d = params.d_prime
-        self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = scales(params)
+        found, terms = _checked(params)
+        self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = found
+        if terms is None:
+            terms = _pointer_terms(params.pointer_velocities, self.pz, rigid=True)
         (self.xi_pm, self.gam_pm, self.dxi_pad, self.pz_dxi_pad, self.pz_sxi_pad,
-         self.dgam2) = _pointer_terms(params.pointer_velocities, self.pz,
-                                      rigid=params.single_pointer_xi is not None)
+         self.dgam2) = terms
         self.gam_p, self.gam_m = self.gam_pm[:, 0]
         self.dxi = self.dxi_pad[2:]
         # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path

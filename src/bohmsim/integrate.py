@@ -31,7 +31,7 @@ from ._kernel import GuidanceKernel
 from .model import Configuration, ScenarioParams
 from .reduced import reconstruct_pointers, reduced_params, sigma_hat_of
 from .rk45 import SolverStats, solve
-from .velocity import fd_velocity
+from .velocity import check_fd_resolves, fd_velocity
 
 __all__ = [
     "BACKENDS",
@@ -211,6 +211,15 @@ def sample_initials(spec: EnsembleSpec, params: ScenarioParams) -> list[Configur
     return upper + lower
 
 
+def kernel_params(params: ScenarioParams, backend: str) -> ScenarioParams:
+    """The parameters of the kernel that ``backend`` steps: the one-particle twin on the
+    reduced backend, ``params`` otherwise.  ValueError (ModeError among them) where the
+    reduced backend has no twin, or the full-numeric stencil cannot resolve the phase."""
+    if backend == "full-numeric":
+        check_fd_resolves(params)
+    return reduced_params(params) if backend == "reduced" else params
+
+
 def integrate_trajectory(init: Configuration, params: ScenarioParams,
                          opts: IntegratorOptions = IntegratorOptions(),
                          backend: str = "full-analytic") -> Trajectory:
@@ -229,7 +238,7 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     reduced = backend == "reduced"
 
     y0 = init.state()
-    kern = GuidanceKernel(reduced_params(params) if reduced else params)
+    kern = GuidanceKernel(kernel_params(params, backend))
     if reduced:  # (X', Y', Sigma_hat') is the full state of the one-particle twin
         y0 = np.append(y0[:2], sigma_hat_of(y0[2:]))
     rhs = partial(fd_velocity, kern) if backend == "full-numeric" else kern.velocity

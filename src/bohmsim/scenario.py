@@ -44,7 +44,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from ._kernel import scales
-from .integrate import EnsembleSpec, IntegratorOptions, ZInit
+from .integrate import EnsembleSpec, IntegratorOptions, ZInit, kernel_params
 from .model import ScenarioParams
 from .reduced import common_start
 
@@ -85,6 +85,9 @@ class Scenario:
                 f"scenario name {self.name!r} must be a relative path without '..'")
         try:
             scales(self.params)
+            twin = kernel_params(self.params, self.ensemble.backend)
+            if twin is not self.params:
+                scales(twin)
             self.integrator.resolve(self.params)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc

@@ -16,7 +16,9 @@ array coerce the answer.
 
 There is one stencil: the centre, then each coordinate moved by +/-h and
 +/-h/2, with h = ``FD_H`` = 1e-5; Richardson extrapolation combines the
-central differences at h and h/2 to O(h^4).  It is built as rows of
+central differences at h and h/2 to O(h^4).  A fixed h resolves a phase
+only up to a wavenumber: ``check_fd_resolves`` refuses parameters whose
+fastest one, k, gives k h >= ``FD_MAX_KH``.  The stencil is built as rows of
 configurations and evaluated a block of rows per batched
 ``GuidanceKernel.branch_eval`` call, which stacks the two branches; a
 block holds at most ``FD_BLOCK_BYTES`` of coordinates, so memory stays
@@ -44,6 +46,13 @@ __all__ = ["VelocityVector", "velocity_analytic", "velocity_numeric", "fd_veloci
 FD_BLOCK_BYTES = 256 * 1024
 
 FD_H = 1e-5
+# The largest k * FD_H, for the fastest phase wavenumber k = max(xi_x, xi_y, |Xi+/-|), at
+# which the stencil keeps the closed form's 1e-6.  Worst relative gap of each velocity from
+# the closed form on fig4:   k h   1e-4     0.03    0.1     1       10
+#                            Xi    5.8e-10  5.9e-7  9.2e-6  2.0e-3  1.24
+#                            xi_x  4.8e-10  3.2e-8  2.1e-7  2.0e-3
+#                            xi_y  4.8e-10  9.4e-8  4.8e-7  2.0e-3
+FD_MAX_KH = 0.03
 _FD_STEPS = np.array((FD_H, -FD_H, FD_H / 2.0, -FD_H / 2.0))  # per coordinate, in row order
 
 
@@ -130,6 +139,15 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray) -> np.ndarray
     v[0], v[1] = v[0] * kern.px, v[1] * kern.py
     v[2:] *= kern.pz
     return v
+
+
+def check_fd_resolves(params: ScenarioParams) -> None:
+    """ValueError unless the stencil resolves the fastest phase: k FD_H < ``FD_MAX_KH``."""
+    k = max(params.xi_x, params.xi_y, float(np.abs(params.pointer_velocities).max(initial=0.0)))
+    if not k * FD_H < FD_MAX_KH:
+        raise ValueError(f"the finite-difference step {FD_H} cannot resolve a phase "
+                         f"wavenumber of {k!r} (k h = {k * FD_H!r}, at most {FD_MAX_KH}); "
+                         "use the full-analytic backend")
 
 
 def velocity_numeric(config: Configuration, params: ScenarioParams) -> VelocityVector:

@@ -129,16 +129,24 @@ class TestSimulate:
         ([[1e308, -1e308]], "full-analytic", 2),  # Xi+ - Xi- overflows
         ([[1e308, 0.0]], "full-analytic", 2),     # dG = |gamma+|^2 - |gamma-|^2 overflows
         ([[5e307, -5e307]] * 4, "reduced", 2),    # the twin's Xi sqrt(N) doubled overflows
-        # every kernel term is finite, but the FD route's squared residuals overflow
-        ([[1e200, -1e200]], "full-numeric", 3)], ids=["dxi", "dg", "twin-dxi", "fd-squares"])
+        # every kernel term is finite, but the FD step cannot resolve the phase Xi Z'
+        ([[1e200, -1e200]], "full-numeric", 2), ([[1e155, -1e155]], "full-numeric", 2)],
+        ids=["dxi", "dg", "twin-dxi", "fd-squares", "fd-noise"])
     def test_extreme_pointer_exits_cleanly(self, tmp_path, capsys, velocities, backend, code):
         params = {"pointer_velocities": velocities, "n_particles": len(velocities)}
         self.assert_extreme_exits_cleanly(tmp_path, capsys, params, backend, code)
 
+    def test_non_finite_fd_slope_exits_3(self, tmp_path, capsys):
+        # the FD route's squared residuals overflow at Z' = 1e200: the stepper aborts
+        z_init = {"mode": "common", "value": 1e200}
+        self.assert_extreme_exits_cleanly(tmp_path, capsys, {}, "full-numeric", 3, z_init)
+
     @staticmethod
-    def assert_extreme_exits_cleanly(tmp_path, capsys, params, backend, code):
+    def assert_extreme_exits_cleanly(tmp_path, capsys, params, backend, code, z_init=None):
         data = scenario_to_dict(preset("fig4"))
         data["ensemble"].update(count_per_slit=1, backend=backend)
+        if z_init is not None:
+            data["ensemble"]["z_init"] = z_init
         data["params"].update(params)
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(data))

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bohmsim._kernel import DOMINANT_LOG_CUTOFF, GuidanceKernel
+from bohmsim._kernel import DOMINANT_LOG_CUTOFF, GuidanceKernel, scales
 from bohmsim.integrate import integrate_trajectory
-from bohmsim.model import NodeError
+from bohmsim.model import NodeError, ScenarioParams
 from bohmsim.reduced import reduced_params
 from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import random_configurations
@@ -25,6 +25,21 @@ from conftest import config, fig4_n_particles, spread_z0
 def preset_params(name: str, n: int):
     sc = preset(name)
     return sc.params if n == sc.params.n_particles else with_n_particles(sc, n).params
+
+
+def test_scales_are_the_raw_parameter_formulas():
+    # away from the presets' shared base, so that no two of the scales coincide
+    xi_x, xi_y, r, R, mu = 7.0, 13.0, 1.6, 0.7, 0.45
+    pairs = ((10.0, 3.0), (2.0, 5.0))
+    params = ScenarioParams(xi_x, xi_y, r, R, mu, 2.2, pairs)
+    pz = mu * R**2 / (r**2 * xi_y)
+    expected = (1 / (r**2 * xi_y), 1 / xi_y, pz, xi_x / (r**2 * xi_y),
+                2 / (r**2 * xi_y), 2 / xi_y, 2 * pz)
+    assert scales(params) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    kern = GuidanceKernel(params)
+    assert kern.gam_p == pytest.approx([pz * 10.0, pz * 2.0], rel=1e-14, abs=0.0)
+    assert kern.gam_m == pytest.approx([pz * 3.0, pz * 5.0], rel=1e-14, abs=0.0)
+    assert kern.dxi.tolist() == [7.0, -3.0]
 
 
 CASES = [(name, n) for name in ("fig2", "fig3", "fig4") for n in (1, 7, 100)] + [("fig7", 2)]

@@ -122,6 +122,19 @@ class TestStrictness:
             with pytest.raises(ScenarioError):
                 scenario_from_dict(data)
 
+    @pytest.mark.parametrize("change", [
+        dict(),                                                        # fig7: two pointers
+        dict(pointer_velocities=[[5e307, -5e307]] * 4, n_particles=4),  # twin's 2 Xi sqrt(N)
+    ], ids=["no-twin", "twin-overflows"])
+    def test_reduced_backend_checks_its_twin_at_load(self, change):
+        data = scenario_to_dict(preset("fig7"))
+        data["params"].update(change)
+        data["ensemble"].update(backend="reduced", z_init={"mode": "common", "value": 0.0})
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(data)
+        data["ensemble"]["backend"] = "full-analytic"
+        assert scenario_from_dict(data).ensemble.backend == "full-analytic"
+
     @pytest.mark.parametrize("name", ["/abs/dir", "../up", "a/../../b", "", "."])
     def test_name_leaving_run_root_rejected(self, name):
         data = scenario_to_dict(preset("fig4"))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from bohmsim import velocity
 from bohmsim._kernel import GuidanceKernel
-from bohmsim.model import NodeError, ScenarioParams
+from bohmsim.integrate import integrate_trajectory
+from bohmsim.model import Configuration, NodeError, ScenarioParams
 from bohmsim.validate import random_configurations
 from bohmsim.velocity import fd_velocity, velocity_analytic, velocity_numeric, y_closed_form
 
@@ -250,6 +251,22 @@ class TestErrors:
             velocity_analytic(cfg, params)
         with pytest.raises(NodeError):
             velocity_numeric(cfg, params)
+
+    @pytest.mark.parametrize("change, refused", [
+        (dict(xi_x=2999.0), False), (dict(xi_x=3000.0), True), (dict(xi_y=3000.0), True),
+        (dict(pointer_velocities=((10.0, -3000.0),)), True),
+        (dict(pointer_velocities=((1e155, -1e155),)), True)],
+        ids=["xi_x-below", "xi_x-at", "xi_y-at", "xi_minus-at", "xi-1e155"])
+    def test_full_numeric_refuses_a_phase_its_step_cannot_resolve(self, fig4_params, change,
+                                                                  refused):
+        # k h = max(xi_x, xi_y, |Xi+/-|) FD_H must stay below FD_MAX_KH = 0.03
+        params = replace(fig4_params, **change)
+        init = Configuration(0.0, params.d_prime, 0.0, (0.0,))
+        if refused:
+            with pytest.raises(ValueError, match="cannot resolve"):
+                integrate_trajectory(init, params, backend="full-numeric")
+        else:
+            velocity.check_fd_resolves(params)
 
     def test_wrong_pointer_count(self, fig4_params):
         with pytest.raises(ValueError):
