@@ -144,10 +144,10 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray) -> np.ndarray
 def check_fd_resolves(params: ScenarioParams) -> None:
     """ValueError unless the stencil resolves the fastest phase: k FD_H < ``FD_MAX_KH``."""
     k = max(params.xi_x, params.xi_y, float(np.abs(params.pointer_velocities).max(initial=0.0)))
-    if not k * FD_H < FD_MAX_KH:
+    if k * FD_H >= FD_MAX_KH:
         raise ValueError(f"the finite-difference step {FD_H} cannot resolve a phase "
-                         f"wavenumber of {k!r} (k h = {k * FD_H!r}, at most {FD_MAX_KH}); "
-                         "use the full-analytic backend")
+                         f"wavenumber of {k!r} (k h = {k * FD_H!r} must be below "
+                         f"{FD_MAX_KH}); use the full-analytic backend")
 
 
 def velocity_numeric(config: Configuration, params: ScenarioParams) -> VelocityVector:
