@@ -50,11 +50,11 @@ state, every N = 1 scenario) is three floats, on which each numpy call costs
 more than its arithmetic, so ``velocity`` computes it in Python floats: the
 same products in the same order, hence the same bits, and answers the tuple
 (v_x, v_y, v_z) whatever form the state comes in; ``rk45.solve`` then steps
-the state in floats too.  With a trivial right-hand side (best of 9, a 2-CPU
-x86-64 Xeon, Python 3.11, numpy 2.4) a stepper attempt takes 10-14 us in
-floats against 16-18 us in arrays at 1-3 components; the two meet near 6-8
-components, and at 102 (N = 100) floats take 134 us against 18 us, so every
-other N answers an array.
+the state as three named floats too.  With a trivial right-hand side (best of
+9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4) a stepper attempt takes 5-7 us
+on those floats against 16-19 us in arrays at 3 components, and the arrays take
+18-22 us at 102 (N = 100).  The float stepper is written for three components
+only, so every other N answers an array.
 
 Numerical care taken here:
 

@@ -65,10 +65,7 @@ class ScenarioParams:
     particle crosses the upper / lower slit.  A single rigid pointer uses
     ``(+Xi, -Xi)`` for every particle, and ``with_rigid_pointer`` is the
     one builder of it; two independent one-per-slit pointers use
-    ``(Xi, 0)`` and ``(0, Xi)``.
-
-    TODO: per-particle packet origins (all pointer packets currently start
-    centered at z' = 0).
+    ``(Xi, 0)`` and ``(0, Xi)``.  Every pointer packet starts centred at z' = 0.
     """
 
     xi_x: float

@@ -85,12 +85,16 @@ class Scenario:
                 f"scenario name {self.name!r} must be a relative path without '..'")
         try:
             scales(self.params)
-            twin = kernel_params(self.params, self.ensemble.backend)
-            if twin is not self.params:
-                scales(twin)
             self.integrator.resolve(self.params)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        backend = self.ensemble.backend
+        try:
+            twin = kernel_params(self.params, backend)
+            if twin is not self.params:
+                scales(twin)
+        except ValueError as exc:
+            raise ScenarioError(f"ensemble.backend = {backend!r}: {exc}") from exc
         z, n = self.ensemble.z_init, self.params.n_particles
         if z.mode == "explicit" and len(z.values) != n:
             raise ScenarioError(f"explicit z_init has {len(z.values)} entries, "

@@ -162,8 +162,8 @@ def config(t, x, y, z=()) -> Configuration:
 
 class Form:
     """The system ``f(t, y)`` answering its slope in one form: as a tuple of floats,
-    which ``rk45.solve`` steps in Python floats, or as an array, which it steps in
-    its array buffer.  ``seen`` holds (t, type, copy) of every state handed in."""
+    which ``rk45.solve`` steps in Python floats when there are three, or as an
+    array, which it steps in its array buffer.  ``seen`` holds (t, type, copy) of every state handed in."""
 
     def __init__(self, answer: type, f):
         self.answer, self.f, self.seen = answer, f, []

@@ -9,7 +9,7 @@ from bohmsim import analysis, integrate
 from bohmsim.analysis import (DegenerateFit, ThresholdNotReached, classify, classify_ensemble,
                               empty_wave_ratio, surreal_fraction_vs_N, tau_scaling_fit,
                               threshold_crossing_times)
-from bohmsim.integrate import Trajectory
+from bohmsim.integrate import Trajectory, crossing_time
 from bohmsim.model import Configuration, ModeError, ScenarioParams, fast_pointer_E
 from bohmsim.reduced import reduced_params
 from bohmsim.rk45 import SolverStats
@@ -47,7 +47,16 @@ class TestClassify:
 
     def test_too_short_rejected(self, fig4_params):
         t = np.linspace(0.0, 0.5 * 7.5 / 2.5, 10)  # shorter than t_cross = 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="packet crossing time"):
+            classify(synthetic_trajectory(t, 3.0 - t, fig4_params))
+
+    def test_horizon_refused_just_short_of_the_crossing(self, fig4_params):
+        # no engine run ends before t'_cross, but a hand-built trajectory can
+        t_cross = crossing_time(fig4_params)
+        t = np.linspace(0.0, t_cross, 50)
+        assert not classify(synthetic_trajectory(t, 3.0 - t, fig4_params)).bounced
+        t[-1] = np.nextafter(t_cross, 0.0)
+        with pytest.raises(ValueError, match="packet crossing time"):
             classify(synthetic_trajectory(t, 3.0 - t, fig4_params))
 
     def test_degenerate_rejected(self, fig4_params):

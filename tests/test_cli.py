@@ -176,6 +176,16 @@ class TestSimulate:
         both = trimmed_scenario(tmp_path)
         assert main(["simulate", "--preset", "fig2", "--scenario", str(both)]) == 2
 
+    def test_reduced_refusal_names_the_backend(self, tmp_path, capsys):
+        # fig7's pointer is not rigid, so it has no one-particle twin
+        out = tmp_path / "x"
+        assert main(["simulate", "--preset", "fig7", "--backend", "reduced",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ensemble.backend = 'reduced': requires a single rigid "
+                              "pointer")
+        assert not out.exists()
+
     def test_name_outside_runs_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         target = tmp_path / "elsewhere"

@@ -216,10 +216,10 @@ class TestNodeHandling:
         def f(t, y):
             if t > 1.0:
                 raise NodeError(0.0)
-            return [1.0, 1.0]
+            return [1.0, 1.0, 1.0]
 
         for rhs in both_forms(f):
-            res = solve(rhs, 0.0, np.zeros(2), 2.0, np.linspace(0.0, 2.0, 21),
+            res = solve(rhs, 0.0, np.zeros(3), 2.0, np.linspace(0.0, 2.0, 21),
                         rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()
             assert res.degenerate
@@ -230,8 +230,8 @@ class TestNodeHandling:
     def test_nonfinite_aborts(self):
         from bohmsim.rk45 import IntegrationAbort
 
-        for rhs in both_forms(lambda t, y: [np.nan if t > 0.5 else 1.0]):
+        for rhs in both_forms(lambda t, y: [np.nan if t > 0.5 else 1.0] * 3):
             with pytest.raises(IntegrationAbort):
-                solve(rhs, 0.0, np.zeros(1), 1.0, np.array([1.0]),
+                solve(rhs, 0.0, np.zeros(3), 1.0, np.array([1.0]),
                       rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()

@@ -1,9 +1,9 @@
 """The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts.
 
 ``solve`` steps a state in Python floats when the right-hand side answers a
-tuple, and in its array buffer otherwise.  The tests of each stepper behaviour
-run one system in both forms (``conftest.both_forms``) and check that each run
-reached the form it targets.
+tuple of three floats, and in its array buffer otherwise.  The tests of each
+stepper behaviour run one three-component system in both forms
+(``conftest.both_forms``) and check that each run reached the form it targets.
 """
 
 import math
@@ -18,10 +18,10 @@ from bohmsim.integrate import integrate_trajectory, run_ensemble, sample_initial
 from bohmsim.model import Configuration, NodeError
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset
-from conftest import both_forms, deadline
+from conftest import Form, both_forms, deadline
 
 # y' = cubic(t) per component; the quartic interpolant reproduces y exactly
-_COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0]])
+_COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0], [-0.4, 1.5, 0.2, -1.3]])
 
 
 def _quartic(t, y0):
@@ -36,7 +36,7 @@ def _cubic_rhs(t, y):
 
 class TestDenseOutput:
     def test_exact_for_cubic_field(self):
-        y0 = [0.5, -1.0]
+        y0 = [0.5, -1.0, 2.0]
         for rhs in both_forms(_cubic_rhs):
             # steps of up to 0.25, most holding several samples; t0 and t_end included
             samples = np.linspace(0.0, 1.0, 41)
@@ -47,7 +47,7 @@ class TestDenseOutput:
             assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     def test_samples_in_last_step_only(self):
-        y0 = [0.0, 0.0]
+        y0 = [0.0, 0.0, 0.0]
         for rhs in both_forms(_cubic_rhs):
             samples = np.array([0.9, 0.95, 0.99, 1.0])
             res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
@@ -56,7 +56,7 @@ class TestDenseOutput:
             assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     def test_sample_just_past_t_end_is_served(self):
-        y0 = [0.5, -1.0]
+        y0 = [0.5, -1.0, 2.0]
         for rhs in both_forms(_cubic_rhs):
             samples = [0.0, 0.5, 1.0 + 5e-13]
             res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
@@ -69,12 +69,12 @@ class TestDenseOutput:
                                          [0.0, float("nan"), 1.0]])
     def test_unordered_samples_refused(self, samples):
         with pytest.raises(ValueError, match="ascending"):
-            solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, samples)
+            solve(_cubic_rhs, 0.0, np.zeros(3), 1.0, samples)
 
     @pytest.mark.parametrize("samples", [[-0.1, 0.5], [0.0, 1.0 + 1e-9]])
     def test_samples_outside_span_refused(self, samples):
         with pytest.raises(ValueError, match="within"):
-            solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, samples)
+            solve(_cubic_rhs, 0.0, np.zeros(3), 1.0, samples)
 
 
 class TestSettingsRefused:
@@ -136,7 +136,7 @@ class _KickAtStage7:
         self.kick, self.last = kick, None
 
     def __call__(self, t, y):
-        slope = [self.kick if t == self.last else 0.0, 0.0]
+        slope = [self.kick if t == self.last else 0.0, 0.0, 0.0]
         self.last = t
         return slope
 
@@ -148,7 +148,7 @@ class TestAborts:
         monkeypatch.setattr(rk45, "MAX_STEPS", 5)
         for rhs in both_forms(lambda t, y: [-v for v in y]):
             with pytest.raises(IntegrationAbort, match="step budget exceeded"):
-                solve(rhs, 0.0, [1.0, 2.0], 1.0, [0.0, 1.0], max_step=0.01)
+                solve(rhs, 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0], max_step=0.01)
             assert rhs.reached()
 
     # 1e300 is finite, but the error it gives overflows: in ``_error_norm``'s dot on arrays
@@ -158,19 +158,19 @@ class TestAborts:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="non-finite error estimate"):
-                    solve(rhs, 0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
+                    solve(rhs, 0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
             assert min(t for t, _, _ in rhs.seen[1:]) < 2 * H_FLOOR
 
     def test_rejections_below_the_floor_end_degenerate(self):
         for rhs in both_forms(_KickAtStage7(1e10)):
-            res = solve(rhs, 0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
+            res = solve(rhs, 0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert res.degenerate
             assert (res.stats.n_steps, res.stats.h_max) == (0, 0.0)
             assert res.stats.n_rejected > 0
-            assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0, 1.0]]
+            assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0, 1.0, 1.0]]
 
     def test_slope_norm_overflow_aborts_at_once(self):
         # finite, but its norm against a tolerance of 1e-10 overflows
@@ -222,7 +222,7 @@ class TestSolverCounts:
         assert 0 < stats.h_min < stats.h_max
 
     def test_no_cap_no_capped_steps(self):
-        res = solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, [1.0])
+        res = solve(_cubic_rhs, 0.0, np.zeros(3), 1.0, [1.0])
         assert res.stats.n_capped == 0
 
     def test_no_accepted_step_reads_zero(self):
@@ -251,7 +251,7 @@ class TestStageBuffer:
     def test_exponential_at_every_sample(self):
         grid = np.linspace(0.0, 1.0, 101)
         for rhs in both_forms(lambda t, y: y):
-            res = solve(rhs, 0.0, [1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
+            res = solve(rhs, 0.0, [1.0, 1.0, 1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
             assert rhs.reached()
             assert np.array_equal(res.t, grid)
             assert np.max(np.abs(res.y - np.exp(grid)[:, None])) <= 1e-9, rhs.answer
@@ -326,6 +326,14 @@ class TestTwoPaths:
 
         res = solve(rhs, 0.0, [1.0] * dim, 1.0, [0.0, 1.0])
         assert set(handed) == {np.ndarray}
+        assert np.max(np.abs(res.y[-1] - math.exp(-1.0))) <= 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_tuple_answer_of_other_width_steps_in_arrays(self, dim):
+        # only a tuple of three floats is stepped in floats
+        rhs = Form(tuple, lambda t, y: [-v for v in y])
+        res = solve(rhs, 0.0, [1.0] * dim, 1.0, [0.0, 1.0])
+        assert {kind for _, kind, _ in rhs.seen} == {np.ndarray}
         assert np.max(np.abs(res.y[-1] - math.exp(-1.0))) <= 1e-8
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
