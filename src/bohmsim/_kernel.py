@@ -26,8 +26,12 @@ dot product dXi . Z' (dXi = Xi^+ - Xi^-):
               = dXi . Z' - 2 xi_x X' - 4 g_x X' c_x
                 - g_z [2 p_z t' (dXi . Z') - t'^2 dG]
 
-where c_x = d' - beta t' and dG = |gamma^+|^2 - |gamma^-|^2.  The guidance
-velocity of coordinate w with scale prefactor P_w is
+where c_x = d' - beta t' and dG = |gamma^+|^2 - |gamma^-|^2, which is
+sum_g count_g (gamma_g^+ - gamma_g^-)(gamma_g^+ + gamma_g^-) over the
+pointer's run-length groups (``ScenarioParams.pointer_groups``).  dG and
+every other pointer term are checked once per group, in floats;
+``GuidanceKernel.__init__`` alone expands the groups to per-particle arrays.
+The guidance velocity of coordinate w with scale prefactor P_w is
 
     v_w = P_w [ grad_w S_bar
                 + ((w1 - w2)/2) grad_w delta_S
@@ -90,55 +94,33 @@ def scales(params: ScenarioParams) -> tuple[float, float, float, float, float, f
 
     Positive, finite parameters can still give a product that overflows or
     underflows; ValueError unless every scale is positive and finite, and so
-    is every pointer term the kernel forms from them (``_pointer_terms``).
+    is every pointer term the kernel forms from them.
     """
     return _checked(params)[0]
 
 
 def _checked(params: ScenarioParams):
-    """(scales, pointer terms) once ``scales`` has checked both.  A general pointer's
-    terms are formed to be checked and come back; a rigid pointer's are checked in
-    floats and not formed, and come back as None."""
+    """(scales, dG) once ``scales`` has checked both.  Each pointer term the kernel
+    forms, dXi, p_z dXi, p_z SXi and gamma^+/-, is formed once per group, in floats
+    with the kernel's bits; dG = sum_g count_g (gamma^+_g - gamma^-_g)(gamma^+_g +
+    gamma^-_g) is the kernel's own, exactly 0 for a rigid pointer."""
     r2xy = params.r * params.r * params.xi_y
     if r2xy > 0:
         pz = params.mu * params.R * params.R / r2xy
         found = (1.0 / r2xy, 1.0 / params.xi_y, pz, params.xi_x / r2xy,
                  2.0 / r2xy, 2.0 / params.xi_y, 2.0 * pz)
         if all(0 < v < math.inf for v in found):
-            xi = params.single_pointer_xi
-            terms = None
-            if xi is not None:  # the terms are +/-p_z Xi, 2 Xi and p_z 2 Xi: finite iff the last is
-                finite = math.isfinite(pz * (2.0 * xi))
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    terms = _pointer_terms(params.pointer_velocities, pz, rigid=False)
-                finite = all(np.isfinite(term).all() for term in terms)
-            if not finite:
-                raise ValueError("pointer_velocities give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
-                                 f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
-            return found, terms
+            dgam2 = 0.0
+            for count, xi_p, xi_m in params.pointer_groups:
+                gam_p, gam_m = pz * xi_p, pz * xi_m
+                dgam2 += count * ((gam_p - gam_m) * (gam_p + gam_m))   # 0 when Xi- = -Xi+
+                terms = (xi_p - xi_m, pz * (xi_p - xi_m), pz * (xi_p + xi_m), gam_p, gam_m, dgam2)
+                if not all(map(math.isfinite, terms)):
+                    raise ValueError("pointer_groups give a kernel term (Xi+ - Xi-, Xi+ + Xi-, "
+                                     f"p_z Xi or dG, with p_z = {pz!r}) that is not finite")
+            return found, dgam2
     raise ValueError("xi_x, xi_y, r, R and mu give a packet scale that is zero or not finite "
                      f"(r^2 xi_y = {r2xy!r})")
-
-
-def _pointer_terms(pairs, pz: float, rigid: bool):
-    """(Xi^+/-, gamma^+/-, dXi, p_z dXi, p_z SXi, dG) from the (Xi^+, Xi^-) pairs.
-
-    Xi^+/- and gamma^+/- come as (2, 1, N), which broadcasts against 1 or M rows.
-    dXi and the p_z products come padded to the state layout (X', Y', Z'): two
-    leading zeros drop X' and Y'.  p_z SXi is None and dG is 0 for a rigid pointer
-    (Xi^- = -Xi^+), where both vanish exactly.  Finite velocities can still give
-    a term that overflows; ``scales`` refuses such a pointer.
-    """
-    xi_pm = np.array(pairs, float).reshape(-1, 2).T.copy()[:, None]
-    xi_p, xi_m = xi_pm[:, 0]
-    gam_pm = pz * xi_pm
-    dxi_pad = np.concatenate(([0.0, 0.0], xi_p - xi_m))
-    if rigid:
-        return xi_pm, gam_pm, dxi_pad, pz * dxi_pad, None, 0.0
-    gam_p, gam_m = gam_pm[:, 0]
-    return (xi_pm, gam_pm, dxi_pad, pz * dxi_pad, np.concatenate(([0.0, 0.0], pz * (xi_p + xi_m))),
-            float(gam_p @ gam_p - gam_m @ gam_m))
 
 
 class GuidanceKernel:
@@ -157,14 +139,23 @@ class GuidanceKernel:
         self.xi_x = params.xi_x
         self.xi_y = params.xi_y
         self.d = params.d_prime
-        found, terms = _checked(params)
+        found, self.dgam2 = _checked(params)
         self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = found
-        if terms is None:
-            terms = _pointer_terms(params.pointer_velocities, self.pz, rigid=True)
-        (self.xi_pm, self.gam_pm, self.dxi_pad, self.pz_dxi_pad, self.pz_sxi_pad,
-         self.dgam2) = terms
+        # the one place the groups become per-particle arrays: Xi^+/- and gamma^+/- as
+        # (2, 1, N), which broadcasts against 1 or M rows; dXi and the p_z products
+        # padded to the state layout (X', Y', Z'), where two leading zeros drop X' and Y'
+        groups = params.pointer_groups
+        pairs = np.array([(p, m) for _, p, m in groups], float).reshape(-1, 2)
+        self.xi_pm = np.repeat(pairs, [count for count, _, _ in groups], axis=0).T.copy()[:, None]
+        xi_p, xi_m = self.xi_pm[:, 0]
+        self.gam_pm = self.pz * self.xi_pm
         self.gam_p, self.gam_m = self.gam_pm[:, 0]
+        self.dxi_pad = np.concatenate(([0.0, 0.0], xi_p - xi_m))
         self.dxi = self.dxi_pad[2:]
+        self.pz_dxi_pad = self.pz * self.dxi_pad
+        # p_z SXi vanishes exactly for a rigid pointer (Xi^- = -Xi^+), as dG does
+        self.pz_sxi_pad = (None if params.single_pointer_xi is not None
+                           else np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m))))
         # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path
         self.one_z = None
         if self.n == 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import integrate_trajectory
+from .integrate import ZInit, integrate_trajectory
 from .model import Configuration
 from .reduced import common_start, reconstruct_pointers, reduced_params
 from .scenario import preset
@@ -54,7 +54,7 @@ def _timed_run(backend: str, params_n):
     # the reduced backend's core is the one-particle twin, which is exactly what it
     # integrates after its O(N) setup
     params = reduced_params(params_n) if backend == "reduced" else params_n
-    init = Configuration(0.0, params.d_prime, 0.0, (0.0,) * params.n_particles)
+    init = Configuration(0.0, params.d_prime, 0.0, ZInit.common().draw(params.n_particles))
     return lambda: integrate_trajectory(init, params, _SCENARIO.integrator, backend)
 
 

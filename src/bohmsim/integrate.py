@@ -128,14 +128,20 @@ class ZInit:
         return cls("gaussian", seed=int(seed))
 
     def draw(self, n_particles: int) -> np.ndarray:
-        if self.mode == "common":
-            return np.full(n_particles, self.value)
+        """The N starts of a launch: a ValueError that names N where they cannot be
+        allocated, the first place a run holds a float per particle."""
         if self.mode == "explicit":
             if len(self.values) != n_particles:
                 raise ValueError(
                     f"explicit z_init has {len(self.values)} entries, scenario has {n_particles}")
             return np.asarray(self.values)
-        return np.random.default_rng(self.seed).normal(0.0, 0.5, size=n_particles)
+        try:
+            if self.mode == "common":
+                return np.full(n_particles, self.value)
+            return np.random.default_rng(self.seed).normal(0.0, 0.5, size=n_particles)
+        except (MemoryError, OverflowError, ValueError):   # numpy's "maximum dimension"
+            raise ValueError(f"a pointer of n={n_particles} particles is too large to "
+                             "allocate") from None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ widths, time t' scaled by the longitudinal transit rate.
 The dimensionless groups are
 
     xi_x, xi_y : test-particle packet velocities (transverse, longitudinal)
-    Xi_n^+/-   : per-particle pointer packet velocities for the two branches
+    Xi_n^+/-   : pointer packet velocities for the two branches, stated per
+                 group of particles that share them
     r = a/b, R = a/c : width ratios, mu = m/M : mass ratio, d' : half slit
     separation in units of the transverse width.
 
@@ -20,11 +21,14 @@ transverse velocity -xi_x/(r^2 xi_y), while its pointer packets move with
 (``_kernel.py``), which keeps amplitudes as log R_i and phases S_i so that
 the ratio Omega = R_1/R_2 and the phase difference delta_S = S_1 - S_2
 stay meaningful even when both amplitudes underflow any fixed-point scale.
+``ScenarioParams`` holds no float per particle, so a pointer of 10^23
+particles is stated as cheaply as one of 1; a ``Configuration`` holds N.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -60,12 +64,14 @@ class ModeError(ValueError):
 class ScenarioParams:
     """Dimensionless physical parameters of one interferometer scenario.
 
-    ``pointer_velocities`` holds one ``(Xi_n_plus, Xi_n_minus)`` pair per
-    pointer particle: the packet velocity of particle n when the test
-    particle crosses the upper / lower slit.  A single rigid pointer uses
-    ``(+Xi, -Xi)`` for every particle, and ``with_rigid_pointer`` is the
-    one builder of it; two independent one-per-slit pointers use
-    ``(Xi, 0)`` and ``(0, Xi)``.  Every pointer packet starts centred at z' = 0.
+    ``pointer_groups`` states the pointer as run-length groups
+    ``(count, Xi_plus, Xi_minus)``: count particles whose packets move with
+    Xi_plus when the test particle crosses the upper slit and Xi_minus when
+    it crosses the lower one.  The particles are numbered group by group, and
+    N is the sum of the counts.  A single rigid pointer of N particles is
+    ``((N, Xi, -Xi),)``, and ``with_rigid_pointer`` is the one builder of it;
+    two independent one-per-slit pointers are ``((1, Xi, 0), (1, 0, Xi))``.
+    Every pointer packet starts centred at z' = 0.
     """
 
     xi_x: float
@@ -74,7 +80,7 @@ class ScenarioParams:
     R: float
     mu: float
     d_prime: float
-    pointer_velocities: tuple[tuple[float, float], ...] = field(default=(), repr=False)  # O(N)
+    pointer_groups: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self):
         for name in ("xi_x", "xi_y", "r", "R", "mu", "d_prime"):
@@ -86,34 +92,31 @@ class ScenarioParams:
         for name in ("xi_y", "r", "R", "mu", "d_prime"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        # A rigid pointer repeats one pair object N times, so each distinct object is
-        # converted and checked once.  Identity, not ==, tells pairs apart: (0, 0) and
-        # (0.0, -0.0) are equal but must each keep their own stored floats.
-        vel = tuple(self.pointer_velocities)
-        distinct = dict(zip(map(id, vel), vel))
-        pairs = {key: (float(p), float(m)) for key, (p, m) in distinct.items()}
-        if any(not (math.isfinite(p) and math.isfinite(m)) for p, m in pairs.values()):
-            raise ValueError("pointer velocities must be finite")
-        if any(type(v) is not tuple or type(v[0]) is not float or type(v[1]) is not float
-               for v in distinct.values()):
-            vel = tuple(pairs[id(v)] for v in vel)
-        object.__setattr__(self, "pointer_velocities", vel)
+        groups = tuple((count, float(p), float(m)) for count, p, m in self.pointer_groups)
+        for count, p, m in groups:
+            if type(count) is not int or count < 1:
+                raise ValueError(f"a pointer group's count must be an int >= 1, got {count!r}")
+            if not (math.isfinite(p) and math.isfinite(m)):
+                raise ValueError("pointer velocities must be finite")
+        object.__setattr__(self, "pointer_groups", groups)
+        if self.n_particles > sys.float_info.max:   # N enters the kernel's floats
+            raise ValueError(f"a pointer of n={self.n_particles} particles is more than "
+                             "a float can count")
 
     @property
     def n_particles(self) -> int:
-        return len(self.pointer_velocities)
+        return sum(count for count, _, _ in self.pointer_groups)
 
     @cached_property
     def single_pointer_xi(self) -> float | None:
-        """Common Xi if every entry is exactly (+Xi, -Xi), else None.
+        """Common Xi if every group is exactly (+Xi, -Xi), else None.
 
         Decidable mode test behind ``rigid_xi``; uses exact float equality
-        on purpose (scenario files construct the pairs exactly).
+        on purpose (scenario files state the groups exactly).
         """
-        vel = self.pointer_velocities
-        if not vel or vel[0][1] != -vel[0][0] or vel.count(vel[0]) != len(vel):
-            return None
-        return vel[0][0]
+        groups = self.pointer_groups
+        xi = groups[0][1] if groups else None
+        return xi if groups and all((p, m) == (xi, -xi) for _, p, m in groups) else None
 
     def rigid_xi(self) -> float:
         """Common Xi of a single rigid pointer; ModeError for any other pointer.
@@ -131,19 +134,13 @@ class ScenarioParams:
     def with_rigid_pointer(self, n: int, xi: float | None = None) -> ScenarioParams:
         """These parameters with a rigid pointer of n >= 1 particles at (+xi, -xi).
 
-        ``xi`` defaults to this scenario's own rigid-pointer Xi.  An n whose pairs
-        cannot be allocated is a ValueError that names n.
+        ``xi`` defaults to this scenario's own rigid-pointer Xi.
         """
         if n < 1:
             raise ValueError(f"a rigid pointer needs n >= 1 particles, got n={n}")
         if xi is None:
             xi = self.rigid_xi()
-        try:
-            pairs = ((xi, -xi),) * n
-        except (MemoryError, OverflowError):
-            raise ValueError(f"a rigid pointer of n={n} particles is too large to "
-                             "allocate") from None
-        return replace(self, pointer_velocities=pairs)
+        return replace(self, pointer_groups=((n, xi, -xi),))
 
 
 @dataclass(frozen=True)

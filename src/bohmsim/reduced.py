@@ -52,7 +52,7 @@ def reduced_params(params: ScenarioParams) -> ScenarioParams:
     """Map an N-particle single-pointer scenario to its 1-particle twin.
 
     N and Xi enter the reduced dynamics only through Xi sqrt(N); the twin
-    carries one particle with velocity pair (+Xi sqrt(N), -Xi sqrt(N)).
+    is the one group (1, +Xi sqrt(N), -Xi sqrt(N)).
     ModeError for a scenario that is not one rigid pointer of N >= 1.
     """
     return params.with_rigid_pointer(1, params.rigid_xi() * math.sqrt(params.n_particles))

@@ -16,6 +16,9 @@ overrides alike.  ``Scenario`` adds the checks that span blocks: the
 kernel's scales and the derived horizon, stride and step ceiling must be
 positive and finite.
 The integrator block holds one tolerance, ``rel_tol`` (see ``integrate``).
+The pointer is ``params.pointer_groups``, run-length groups
+``[[count, Xi+, Xi-], ...]`` whose counts sum to N, so the file's size does
+not grow with N unless an explicit ``z_init`` lists the N starts.
 
 Presets ``fig2`` .. ``fig12`` encode the canonical two-slit/pointer
 scenarios used throughout: a shared base (xi_x = xi_y = 10, r = mu = 1,
@@ -63,7 +66,7 @@ __all__ = [
     "with_seed",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class ScenarioError(ValueError):
@@ -112,9 +115,7 @@ def _to_json(obj):
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    data = _to_json(s)
-    data["params"]["n_particles"] = s.params.n_particles
-    return {"schema_version": SCHEMA_VERSION, **data}
+    return {"schema_version": SCHEMA_VERSION, **_to_json(s)}
 
 
 def _from_json(value, hint, where: str):
@@ -146,10 +147,6 @@ def _build(cls, block, where: str):
     """One dataclass from a JSON object whose keys are exactly its fields."""
     if not isinstance(block, dict):
         raise ScenarioError(f"{where} must be a JSON object, got {block!r}")
-    block = dict(block)
-    declared_n = None
-    if cls is ScenarioParams and "n_particles" in block:   # optional cross-check
-        declared_n = _from_json(block.pop("n_particles"), int, f"{where}.n_particles")
     known = {f.name: f for f in fields(cls)}
     unknown = set(block) - set(known)
     if unknown:
@@ -163,9 +160,6 @@ def _build(cls, block, where: str):
         obj = cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    if declared_n is not None and declared_n != obj.n_particles:
-        raise ScenarioError(f"n_particles={declared_n} but pointer_velocities has "
-                            f"{obj.n_particles} entries")
     return obj
 
 
@@ -183,7 +177,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             "and outputs.stride has no successor (see version 6); version 5 fixed "
             "integrator.abs_tol at rel_tol / 100 and integrator.max_step_frac at 0.02; "
             "version 6 fixed integrator.t_end at 2.5 t'_cross, integrator.stride at "
-            "t_end / 512 and ensemble.extent at 0.8)")
+            "t_end / 512 and ensemble.extent at 0.8; version 7 replaced "
+            "params.pointer_velocities, one [Xi+, Xi-] pair per particle, with "
+            "params.pointer_groups, [[count, Xi+, Xi-], ...], and dropped "
+            "params.n_particles, which is the sum of the counts)")
     return _build(Scenario, data, "scenario")
 
 
@@ -212,7 +209,7 @@ def _single(name, R, Xi, n, sigma_hat0, **ensemble):
 
 
 def _two(name, z_values):
-    params = ScenarioParams(**_BASE, R=0.2, pointer_velocities=((_XI, 0.0), (0.0, _XI)))
+    params = ScenarioParams(**_BASE, R=0.2, pointer_groups=((1, _XI, 0.0), (1, 0.0, _XI)))
     return Scenario(name, params,
                     EnsembleSpec(count_per_slit=1, z_init=ZInit.explicit(z_values)))
 

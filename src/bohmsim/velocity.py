@@ -73,7 +73,7 @@ class VelocityVector:
 
 
 # (params, kernel) of the last wrapper call, matched by identity: two params that
-# compare == can differ in the sign of a zero, and hashing params costs O(N)
+# compare == can differ in the sign of a zero
 _last_kernel: tuple = (None, None)
 
 
@@ -143,7 +143,8 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray) -> np.ndarray
 
 def check_fd_resolves(params: ScenarioParams) -> None:
     """ValueError unless the stencil resolves the fastest phase: k FD_H < ``FD_MAX_KH``."""
-    k = max(params.xi_x, params.xi_y, float(np.abs(params.pointer_velocities).max(initial=0.0)))
+    groups = params.pointer_groups
+    k = max(params.xi_x, params.xi_y, *(abs(v) for _, p, m in groups for v in (p, m)))
     if k * FD_H >= FD_MAX_KH:
         raise ValueError(f"the finite-difference step {FD_H} cannot resolve a phase "
                          f"wavenumber of {k!r} (k h = {k * FD_H!r} must be below "

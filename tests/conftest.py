@@ -144,7 +144,7 @@ def fig4_centred_sweep() -> tuple[list[tuple[int, float]], float]:
 def fig4_n_particles(n: int) -> ScenarioParams:
     """The fig4 scenario with a rigid pointer of n particles; n = 0 has no pointer."""
     params = preset("fig4").params
-    return params.with_rigid_pointer(n) if n else replace(params, pointer_velocities=())
+    return params.with_rigid_pointer(n) if n else replace(params, pointer_groups=())
 
 
 def spread_z0(n: int, sigma_hat0: float = 0.0) -> tuple[float, ...]:

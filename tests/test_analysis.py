@@ -110,7 +110,7 @@ class TestEmptyWaveRatio:
         gamma = 10.0 * fig4_params.mu * fig4_params.R**2 / (fig4_params.r**2 * fig4_params.xi_y)
         assert report.tau == pytest.approx(1.0 / gamma, rel=1e-12)
         with pytest.raises(ModeError):
-            p2 = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
+            p2 = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((1, 10.0, 0.0), (1, 0.0, 10.0)))
             empty_wave_ratio(synthetic_trajectory(t, np.array([3.0, 3.0]), p2), p2)
 
 

@@ -103,7 +103,7 @@ class TestSimulate:
     def test_pointerless_scenario(self, tmp_path, capsys, backend):
         # N = 0, the bare two-slit: the full backends run it, the reduced one refuses it
         data = scenario_to_dict(preset("fig2"))
-        data["params"].update(pointer_velocities=[], n_particles=0)
+        data["params"]["pointer_groups"] = []
         data["ensemble"]["backend"] = backend
         path = tmp_path / "bare.json"
         path.write_text(json.dumps(data))
@@ -125,15 +125,15 @@ class TestSimulate:
         # positive and finite, but a derived scale, the horizon or the first slope is not
         self.assert_extreme_exits_cleanly(tmp_path, capsys, {key: value}, "full-analytic", code)
 
-    @pytest.mark.parametrize("velocities, backend, code", [
-        ([[1e308, -1e308]], "full-analytic", 2),  # Xi+ - Xi- overflows
-        ([[1e308, 0.0]], "full-analytic", 2),     # dG = |gamma+|^2 - |gamma-|^2 overflows
-        ([[5e307, -5e307]] * 4, "reduced", 2),    # the twin's Xi sqrt(N) doubled overflows
+    @pytest.mark.parametrize("groups, backend, code", [
+        ([[1, 1e308, -1e308]], "full-analytic", 2),  # Xi+ - Xi- overflows
+        ([[1, 1e308, 0.0]], "full-analytic", 2),     # dG = |gamma+|^2 - |gamma-|^2 overflows
+        ([[4, 5e307, -5e307]], "reduced", 2),        # the twin's Xi sqrt(N) doubled overflows
         # every kernel term is finite, but the FD step cannot resolve the phase Xi Z'
-        ([[1e200, -1e200]], "full-numeric", 2), ([[1e155, -1e155]], "full-numeric", 2)],
+        ([[1, 1e200, -1e200]], "full-numeric", 2), ([[1, 1e155, -1e155]], "full-numeric", 2)],
         ids=["dxi", "dg", "twin-dxi", "fd-squares", "fd-noise"])
-    def test_extreme_pointer_exits_cleanly(self, tmp_path, capsys, velocities, backend, code):
-        params = {"pointer_velocities": velocities, "n_particles": len(velocities)}
+    def test_extreme_pointer_exits_cleanly(self, tmp_path, capsys, groups, backend, code):
+        params = {"pointer_groups": groups}
         self.assert_extreme_exits_cleanly(tmp_path, capsys, params, backend, code)
 
     def test_non_finite_fd_slope_exits_3(self, tmp_path, capsys):
@@ -229,12 +229,40 @@ class TestSimulate:
         assert err.startswith(f"error: Unable to allocate {size}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("n", OVERSIZED_N)
+    # the reduced twin steps three floats at any N, but a launch still carries the N starts
+    @pytest.mark.parametrize("n, backend", [*((n, ()) for n in OVERSIZED_N),
+                                            (10**23, ("--backend", "reduced"))],
+                             ids=[*map(str, OVERSIZED_N), f"reduced-{10**23}"])
     def test_pointer_too_large_to_allocate_exits_2_naming_n(self, tmp_path, monkeypatch,
-                                                            capsys, n):
+                                                            capsys, n, backend):
         monkeypatch.chdir(tmp_path)
-        assert main(["simulate", "--preset", "fig4", "--n", str(n), "--out", "run"]) == 2
+        assert main(["simulate", "--preset", "fig4", *backend, "--n", str(n),
+                     "--out", "run"]) == 2
         assert_refused_naming(n, capsys, tmp_path)
+
+    def test_run_metadata_does_not_grow_with_n(self, tmp_path):
+        # the pointer is one group at any N: the scenario copies differ by the digits of
+        # the count and of the common start Sigma_hat'(0)/sqrt(N), and the manifests,
+        # timing aside, hold the same keys and list lengths
+        files, digits = {}, 0
+        for sign, n in ((-1, 10), (1, 100_000)):
+            out = tmp_path / str(n)
+            assert main(["simulate", "--preset", "fig12", "--n", str(n), "--out", str(out)]) == 0
+            manifest = read_manifest(out)
+            del manifest["timing"]
+            files[n] = (out / "scenario.json").read_bytes(), manifest
+            digits += sign * (len(str(n)) + len(repr(load_scenario(out / "scenario.json")
+                                                      .ensemble.z_init.value)))
+
+        def layout(value):
+            if isinstance(value, dict):
+                return {k: layout(v) for k, v in value.items()}
+            return [layout(v) for v in value] if isinstance(value, list) else None
+
+        (small, small_manifest), (big, big_manifest) = files[10], files[100_000]
+        assert len(big) - len(small) == digits
+        assert layout(big_manifest) == layout(small_manifest)
+        assert big_manifest["scenario"]["params"]["pointer_groups"] == [[100_000, 10.0, -10.0]]
 
     def test_failed_write_leaves_the_previous_run_whole(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -372,8 +400,7 @@ class TestPlot:
         # every pair is (+Xi_n, -Xi_n), but Xi differs between particles: not one
         # rigid pointer, so there is no Sigma_hat' panel
         data = scenario_to_dict(preset("fig4"))
-        data["params"]["n_particles"] = 2
-        data["params"]["pointer_velocities"] = [[10.0, -10.0], [5.0, -5.0]]
+        data["params"]["pointer_groups"] = [[1, 10.0, -10.0], [1, 5.0, -5.0]]
         data["ensemble"]["count_per_slit"] = 1
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
@@ -474,6 +501,14 @@ class TestBench:
         assert main(["bench", "--n-list", str(n)]) == 2
         assert_refused_naming(n, capsys, tmp_path)
 
+    def test_macroscopic_reduced_bench(self, capsys):
+        # a pointer of 10**23 particles is stated in O(1), and its twin steps in O(1)
+        assert main(["bench", "--backends", "reduced", "--n-list", f"1,{10**23}",
+                     "--repetitions", "1", "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["n_particles"] for r in records] == [1, 10**23]
+        assert all(r["steps"] > 0 for r in records)
+
     def test_non_integer_n_list_names_the_flag(self, capsys):
         assert main(["bench", "--n-list", "1,x"]) == 2
         err = capsys.readouterr().err
@@ -532,13 +567,11 @@ def fuzz_scenarios(count=30, seed=20261018):
                  mu=rng.uniform(0.2, 2.0), d_prime=rng.uniform(1.0, 4.0))
         xi = float(rng.uniform(0.0, 20.0))
         if rng.random() < 0.25:
-            pairs, backend = [[xi, 0.0], [0.0, xi]], "full-analytic"
+            groups, backend = [[1, xi, 0.0], [1, 0.0, xi]], "full-analytic"
         else:
-            n = int(rng.choice([1, 3, 50]))
-            pairs = [[xi, -xi]] * n
+            groups = [[int(rng.choice([1, 3, 50])), xi, -xi]]
             backend = str(rng.choice(["full-analytic", "reduced"]))
-        p["n_particles"] = len(pairs)
-        p["pointer_velocities"] = pairs
+        p["pointer_groups"] = groups
         rng.uniform(0.0, 1.5)   # the retired ensemble.extent
         data["ensemble"].update(count_per_slit=1,
                                 z_init={"mode": "gaussian", "seed": int(rng.integers(1000))},
@@ -603,9 +636,12 @@ def _walked(name):
     ``integrator.abs_tol`` and ``integrator.max_step_frac`` after ``rel_tol``, where
     every version-4 file held them, then ``integrator.t_end`` and ``integrator.stride``,
     and ``ensemble.extent`` after ``count_per_slit``, where every version-5 file held
-    them, ``integrator.node_eps`` where every version-2 file held it, and the
-    ``outputs`` block where every version-3 file held it."""
+    them, ``integrator.node_eps`` where every version-2 file held it, the
+    ``outputs`` block where every version-3 file held it, and ``params.n_particles``
+    after the pointer, where every version-6 file held it.  The version-6 pointer
+    key is walked under its version-7 name, ``params.pointer_groups``."""
     data = scenario_to_dict(preset(name))
+    data["params"]["n_particles"] = preset(name).params.n_particles
     ensemble = data["ensemble"]
     data["ensemble"] = {"count_per_slit": ensemble.pop("count_per_slit"), **V5_ENSEMBLE,
                         **ensemble}

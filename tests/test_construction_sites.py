@@ -6,7 +6,7 @@ so "these parameters with a rigid pointer of n particles" is written once.
 The one exception is the preset table (``_single`` and ``_two`` in
 scenario.py), which declares each canonical scenario from its physical
 values: a rigid pointer through ``with_rigid_pointer``, the two one-particle
-pointers of fig7 and fig8 as their velocity pairs.
+pointers of fig7 and fig8 as two groups of one particle.
 
 The node floor ``NODE_EPS`` is declared in model.py and tested by the two
 velocity routes alone, ``GuidanceKernel.velocity`` and ``fd_velocity``: they

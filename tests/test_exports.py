@@ -50,7 +50,7 @@ PACKAGE_NAMES = {
 SCENARIO_KEYS = {
     "name",
     "params.xi_x", "params.xi_y", "params.r", "params.R", "params.mu", "params.d_prime",
-    "params.pointer_velocities",
+    "params.pointer_groups",
     "ensemble.count_per_slit", "ensemble.backend", "ensemble.z_init.mode",
     "ensemble.z_init.value", "ensemble.z_init.values", "ensemble.z_init.seed",
     "integrator.rel_tol",

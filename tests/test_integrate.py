@@ -69,7 +69,7 @@ class TestSingleTrajectories:
         # N = 0, the bare two-slit: its kernel answers arrays, so (X', Y') is stepped
         # in the array buffer
         sc = preset("fig2")
-        params = replace(sc.params, pointer_velocities=())
+        params = replace(sc.params, pointer_groups=())
         init = Configuration(0.0, params.d_prime, 0.0, ())
         traj = integrate_trajectory(init, params, sc.integrator)
         assert traj.stats.n_steps == 175

@@ -30,8 +30,8 @@ def preset_params(name: str, n: int):
 def test_scales_are_the_raw_parameter_formulas():
     # away from the presets' shared base, so that no two of the scales coincide
     xi_x, xi_y, r, R, mu = 7.0, 13.0, 1.6, 0.7, 0.45
-    pairs = ((10.0, 3.0), (2.0, 5.0))
-    params = ScenarioParams(xi_x, xi_y, r, R, mu, 2.2, pairs)
+    groups = ((1, 10.0, 3.0), (1, 2.0, 5.0))
+    params = ScenarioParams(xi_x, xi_y, r, R, mu, 2.2, groups)
     pz = mu * R**2 / (r**2 * xi_y)
     expected = (1 / (r**2 * xi_y), 1 / xi_y, pz, xi_x / (r**2 * xi_y),
                 2 / (r**2 * xi_y), 2 / xi_y, 2 * pz)
@@ -123,7 +123,7 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
 ONE_POINTER_CASES = {
     **{name: reduced_params(preset(name).params) for name in ("fig2", "fig3", "fig4")},
     "fig4-N1000": reduced_params(fig4_n_particles(1000)),
-    "fig4-(Xi,0)": replace(preset("fig4").params, pointer_velocities=((10.0, 0.0),)),
+    "fig4-(Xi,0)": replace(preset("fig4").params, pointer_groups=((1, 10.0, 0.0),)),
 }
 
 
@@ -157,8 +157,8 @@ def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
     # inert particle (Xi+- = 0), on v_x, v_y and v_z1.
     params = ONE_POINTER_CASES[name]
     kern = GuidanceKernel(params)
-    inert = GuidanceKernel(replace(params, pointer_velocities=(
-        *params.pointer_velocities, (0.0, 0.0))))
+    inert = GuidanceKernel(replace(params, pointer_groups=(
+        *params.pointer_groups, (1, 0.0, 0.0))))
     assert kern.n == 1 and inert.n == 2
     rng = np.random.default_rng(31)
     states = [(c.t_prime, c.x, c.z[0]) for c in random_configurations(params, 300, rng)]

@@ -37,7 +37,8 @@ def oracle_branch_exponents(cfg: Configuration, params: ScenarioParams):
         expo = -sgn * 1j * params.xi_x * x
         expo -= (x - sgn * (params.d_prime - beta * t)) ** 2 / wx
         expo += 1j * params.xi_y * y - (y - t) ** 2 / wy
-        for zn, (vp, vm) in zip(cfg.z, params.pointer_velocities):
+        pairs = [(vp, vm) for count, vp, vm in params.pointer_groups for _ in range(count)]
+        for zn, (vp, vm) in zip(cfg.z, pairs):
             v = vp if sgn > 0 else vm
             gam = params.mu * v * params.R**2 / r2xy
             expo += 1j * v * zn - (zn - gam * t) ** 2 / wz
@@ -59,19 +60,23 @@ class TestScenarioParams:
 
     def test_rejects_nonfinite_velocities(self):
         with pytest.raises(ValueError):
-            ScenarioParams(10, 10, 1, 1, 1, 3, ((math.inf, 0.0),))
+            ScenarioParams(10, 10, 1, 1, 1, 3, ((1, math.inf, 0.0),))
 
     def test_each_pair_keeps_its_own_floats(self):
-        # (0, 0) == (0.0, -0.0), yet each pair stores its own signed zeros, as floats
-        shared = (0, 0)
-        p = ScenarioParams(10, 10, 1, 1, 1, 3, (shared, (0.0, -0.0), shared, [2, -2.0]))
-        stored = p.pointer_velocities
-        assert stored == ((0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (2.0, -2.0))
-        assert [math.copysign(1.0, m) for _, m in stored] == [1.0, -1.0, 1.0, -1.0]
-        assert all(type(pair) is tuple and type(pair[0]) is type(pair[1]) is float
-                   for pair in stored)
+        # (0, 0) == (0.0, -0.0), yet each group stores its own signed zeros, as floats
+        shared = (1, 0, 0)
+        p = ScenarioParams(10, 10, 1, 1, 1, 3, (shared, (2, 0.0, -0.0), shared, [3, 2, -2.0]))
+        stored = p.pointer_groups
+        assert stored == ((1, 0.0, 0.0), (2, 0.0, -0.0), (1, 0.0, 0.0), (3, 2.0, -2.0))
+        assert [math.copysign(1.0, m) for _, _, m in stored] == [1.0, -1.0, 1.0, -1.0]
+        assert all(type(group) is tuple and type(group[0]) is int
+                   and type(group[1]) is type(group[2]) is float for group in stored)
+        # a count is an int >= 1, and a bool is not one
+        for count in (0, -3, 2.0, True):
+            with pytest.raises(ValueError, match="count"):
+                ScenarioParams(10, 10, 1, 1, 1, 3, ((count, 1.0, -1.0),))
         with pytest.raises(ValueError, match="finite"):
-            ScenarioParams(10, 10, 1, 1, 1, 3, ((1.0, -1.0),) * 3 + ((math.nan, 0.0),))
+            ScenarioParams(10, 10, 1, 1, 1, 3, ((3, 1.0, -1.0), (1, math.nan, 0.0)))
         # a configuration's pointer coordinates are stored as floats with the same bits
         z = Configuration(0.0, 3.0, 0.0, [2, np.float64(0.1), -0.0, np.float64(-0.0), 5.5]).z
         assert all(type(v) is float for v in z)
@@ -83,27 +88,37 @@ class TestScenarioParams:
     def test_n_particles_tracks_table(self):
         p = ScenarioParams(10, 10, 1, 1, 1, 3).with_rigid_pointer(7, 2.0)
         assert p.n_particles == 7
-        assert len(p.pointer_velocities) == 7
+        assert p.pointer_groups == ((7, 2.0, -2.0),)
+        two = ScenarioParams(10, 10, 1, 1, 1, 3, ((3, 2.0, 0.0), (4, 0.0, 2.0)))
+        assert two.n_particles == 7
+        # a macroscopic pointer is stated in O(1); one too large to count in floats is not
+        assert p.with_rigid_pointer(10**23).n_particles == 10**23
+        with pytest.raises(ValueError, match=f"n={10**400}"):
+            p.with_rigid_pointer(10**400)
 
     def test_single_pointer_predicate(self):
-        assert ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0),) * 3).single_pointer_xi == 2.0
-        two = ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, 0.0), (0.0, 2.0)))
+        assert ScenarioParams(10, 10, 1, 1, 1, 3, ((3, 2.0, -2.0),)).single_pointer_xi == 2.0
+        # every group at (+Xi, -Xi) with one Xi is one rigid pointer, however it is split
+        split = ScenarioParams(10, 10, 1, 1, 1, 3, ((3, 2.0, -2.0), (4, 2.0, -2.0)))
+        assert split.single_pointer_xi == 2.0
+        two = ScenarioParams(10, 10, 1, 1, 1, 3, ((1, 2.0, 0.0), (1, 0.0, 2.0)))
         assert two.single_pointer_xi is None
         # no pointer at all is not "single pointer"
         assert ScenarioParams(10, 10, 1, 1, 1, 3, ()).single_pointer_xi is None
         # a lone asymmetric pair breaks the mode
-        assert ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0), (2.0, -1.0))).single_pointer_xi is None
+        assert ScenarioParams(10, 10, 1, 1, 1, 3,
+                              ((1, 2.0, -2.0), (1, 2.0, -1.0))).single_pointer_xi is None
 
     def test_zero_velocity_is_single_pointer(self):
         p = ScenarioParams(10, 10, 1, 1, 1, 3).with_rigid_pointer(1, 0.0)
         assert p.single_pointer_xi == 0.0
 
     def test_rigid_pointer_family(self):
-        p = ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0),) * 3)
+        p = ScenarioParams(10, 10, 1, 1, 1, 3, ((3, 2.0, -2.0),))
         assert p.rigid_xi() == 2.0
-        assert p.with_rigid_pointer(7) == ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, -2.0),) * 7)
-        assert p.with_rigid_pointer(1, 5.0).pointer_velocities == ((5.0, -5.0),)
-        for other in (ScenarioParams(10, 10, 1, 1, 1, 3, ((2.0, 0.0), (0.0, 2.0))),
+        assert p.with_rigid_pointer(7) == ScenarioParams(10, 10, 1, 1, 1, 3, ((7, 2.0, -2.0),))
+        assert p.with_rigid_pointer(1, 5.0).pointer_groups == ((1, 5.0, -5.0),)
+        for other in (ScenarioParams(10, 10, 1, 1, 1, 3, ((1, 2.0, 0.0), (1, 0.0, 2.0))),
                       ScenarioParams(10, 10, 1, 1, 1, 3, ())):
             with pytest.raises(ModeError):
                 other.rigid_xi()
@@ -126,7 +141,7 @@ class TestFastPointerE:
 
     def test_two_pointer_mode_rejected(self):
         with pytest.raises(ModeError):
-            fast_pointer_E(ScenarioParams(10, 10, 1, 1, 1, 3, ((10.0, 0.0), (0.0, 10.0))))
+            fast_pointer_E(ScenarioParams(10, 10, 1, 1, 1, 3, ((1, 10.0, 0.0), (1, 0.0, 10.0))))
 
     def test_no_pointer_rejected(self):
         with pytest.raises(ModeError):
@@ -165,7 +180,7 @@ class TestEvalBranches:
     @given(t=times, x=coords, y=coords,
            z=st.lists(coords, min_size=2, max_size=2))
     def test_matches_complex_oracle_two_pointers(self, t, x, y, z):
-        params = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((1, 10.0, 0.0), (1, 0.0, 10.0)))
         self.assert_matches_oracle(config(t, x, y, z), params)
 
     @given(t=times, x=coords, y=coords, z=coords)

@@ -38,7 +38,7 @@ class TestReducedVelocity:
     def test_doubling_n_matches_parameter_map_bitwise(self):
         pn = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(4, 1.0)
         pm = ScenarioParams(10, 10, 1, 0.2, 1, 3).with_rigid_pointer(1, 2.0)
-        assert reduced_params(pn).pointer_velocities == reduced_params(pm).pointer_velocities
+        assert reduced_params(pn).pointer_groups == reduced_params(pm).pointer_groups
         init = Configuration(0.0, 3.0, 0.0, (0.15,) * 4)
         init1 = Configuration(0.0, 3.0, 0.0, (0.3,))
         a = integrate_trajectory(init, pn, OPTS, backend="reduced")
@@ -47,7 +47,7 @@ class TestReducedVelocity:
         assert np.array_equal(a.sigma_hat, b.sigma_hat)
 
     def test_two_pointer_mode_rejected(self):
-        p = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
+        p = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((1, 10.0, 0.0), (1, 0.0, 10.0)))
         with pytest.raises(ModeError):
             reduced_params(p)
         with pytest.raises(ModeError):

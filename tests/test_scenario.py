@@ -41,6 +41,7 @@ class TestStrictness:
             scenario_from_dict(data)
 
     def test_particle_count_mismatch(self):
+        # N is the sum of the group counts: a file that states n_particles is refused
         data = scenario_to_dict(preset("fig4"))
         data["params"]["n_particles"] = 3
         with pytest.raises(ScenarioError, match="n_particles"):
@@ -87,11 +88,22 @@ class TestStrictness:
         for named in ("integrator.t_end at 2.5 t'_cross", "integrator.stride at t_end / 512",
                       "ensemble.extent at 0.8"):
             assert named in str(refused.value)
-        # a current file that sets any of the three holds an unknown key
-        for block, key in (("integrator", "t_end"), ("integrator", "stride"),
-                           ("ensemble", "extent")):
+        # and a version-6 file, every one of which holds pointer_velocities and n_particles
+        v6 = scenario_to_dict(preset("fig4"))
+        v6["schema_version"] = 6
+        v6["params"].update(pointer_velocities=[[10.0, -10.0]], n_particles=1)
+        del v6["params"]["pointer_groups"]
+        with pytest.raises(ScenarioError) as refused:
+            scenario_from_dict(v6)
+        for named in ("params.pointer_velocities", "params.pointer_groups",
+                      "[[count, Xi+, Xi-], ...]", "params.n_particles"):
+            assert named in str(refused.value)
+        # a current file that sets any of the five holds an unknown key
+        for block, key, old in (("integrator", "t_end", v5), ("integrator", "stride", v5),
+                                ("ensemble", "extent", v5), ("params", "n_particles", v6),
+                                ("params", "pointer_velocities", v6)):
             data = scenario_to_dict(preset("fig4"))
-            data[block][key] = v5[block][key]
+            data[block][key] = old[block][key]
             with pytest.raises(ScenarioError, match=f"unknown key.*{key}"):
                 scenario_from_dict(data)
         # read as the current version, the retired block is an unknown key
@@ -108,12 +120,15 @@ class TestStrictness:
     def test_malformed_values_rejected(self):
         for mutate in (
             lambda d: d["params"].__setitem__("xi_x", None),
-            lambda d: d["params"].__setitem__("pointer_velocities", [[1.0]]),
+            lambda d: d["params"].__setitem__("pointer_groups", [[1.0]]),
             lambda d: d["ensemble"]["z_init"].update(mode="gaussian", seed=None),
             lambda d: d["integrator"].__setitem__("rel_tol", "fast"),
             lambda d: d["integrator"].__setitem__("rel_tol", float("nan")),
             lambda d: d["ensemble"].__setitem__("count_per_slit", True),
-            lambda d: d["params"].__setitem__("pointer_velocities", [["10", -10.0]]),
+            lambda d: d["params"].__setitem__("pointer_groups", [[1, "10", -10.0]]),
+            lambda d: d["params"].__setitem__("pointer_groups", [[1.0, 10.0, -10.0]]),
+            lambda d: d["params"].__setitem__("pointer_groups", [[True, 10.0, -10.0]]),
+            lambda d: d["params"].__setitem__("pointer_groups", [[0, 10.0, -10.0]]),
             lambda d: d["ensemble"].__setitem__("z_init", {"mode": "explicit",
                                                           "values": [0.1, 0.2]}),
         ):
@@ -124,7 +139,7 @@ class TestStrictness:
 
     @pytest.mark.parametrize("change", [
         dict(),                                                        # fig7: two pointers
-        dict(pointer_velocities=[[5e307, -5e307]] * 4, n_particles=4),  # twin's 2 Xi sqrt(N)
+        dict(pointer_groups=[[4, 5e307, -5e307]]),                      # twin's 2 Xi sqrt(N)
     ], ids=["no-twin", "twin-overflows"])
     def test_reduced_backend_checks_its_twin_at_load(self, change):
         data = scenario_to_dict(preset("fig7"))
@@ -181,7 +196,7 @@ class TestPresetCatalog:
             "fig6", preset("fig5").params, preset("fig5").ensemble, preset("fig5").integrator)
 
         p7 = preset("fig7")
-        assert p7.params.pointer_velocities == ((10.0, 0.0), (0.0, 10.0))
+        assert p7.params.pointer_groups == ((1, 10.0, 0.0), (1, 0.0, 10.0))
         assert p7.ensemble.z_init.values == (0.01, 0.01)
         assert p7.ensemble.count_per_slit == 1
         assert preset("fig8").ensemble.z_init.values == (0.5, 0.9)

@@ -38,7 +38,7 @@ class TestBackendAgreement:
                            velocity_numeric(cfg, params)) <= 1e-6
 
     def test_two_pointer_agreement(self):
-        params = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((10.0, 0.0), (0.0, 10.0)))
+        params = ScenarioParams(10, 10, 1, 0.2, 1, 3, ((1, 10.0, 0.0), (1, 0.0, 10.0)))
         rng = np.random.default_rng(7)
         for cfg in random_configurations(params, 100, rng):
             assert rel_dev(velocity_analytic(cfg, params),
@@ -167,9 +167,9 @@ class TestSymmetry:
 
     def test_permutation_equivariance(self):
         params = ScenarioParams(10, 10, 1, 0.2, 1, 3,
-                                ((10.0, -10.0), (4.0, -1.0), (0.0, 7.0)))
+                                ((1, 10.0, -10.0), (1, 4.0, -1.0), (1, 0.0, 7.0)))
         perm = [2, 0, 1]
-        table = tuple(params.pointer_velocities[i] for i in perm)
+        table = tuple(params.pointer_groups[i] for i in perm)
         permuted = ScenarioParams(10, 10, 1, 0.2, 1, 3, table)
         z = (0.3, -0.6, 1.1)
         zp = tuple(z[i] for i in perm)
@@ -254,8 +254,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("change, refused", [
         (dict(xi_x=2999.0), False), (dict(xi_x=3000.0), True), (dict(xi_y=3000.0), True),
-        (dict(pointer_velocities=((10.0, -3000.0),)), True),
-        (dict(pointer_velocities=((1e155, -1e155),)), True)],
+        (dict(pointer_groups=((1, 10.0, -3000.0),)), True),
+        (dict(pointer_groups=((1, 1e155, -1e155),)), True)],
         ids=["xi_x-below", "xi_x-at", "xi_y-at", "xi_minus-at", "xi-1e155"])
     def test_full_numeric_refuses_a_phase_its_step_cannot_resolve(self, fig4_params, change,
                                                                   refused):
