@@ -54,11 +54,13 @@ state, every N = 1 scenario) is three floats, on which each numpy call costs
 more than its arithmetic, so ``velocity`` computes it in Python floats: the
 same products in the same order, hence the same bits, and answers the tuple
 (v_x, v_y, v_z) whatever form the state comes in; ``rk45.solve`` then steps
-the state as three named floats too.  With a trivial right-hand side (best of
-9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4) a stepper attempt takes 5-7 us
-on those floats against 16-19 us in arrays at 3 components, and the arrays take
-18-22 us at 102 (N = 100).  The float stepper is written for three components
-only, so every other N answers an array.
+the state as three named floats too.  ``velocity`` writes the closed form out
+inline, on scalars unpacked from one tuple: a call takes 1.3 us at N = 1, against
+1.5 us through a helper, and 3.5-3.9 us at N = 100 (best of 9, a 2-CPU x86-64 Xeon,
+Python 3.11, numpy 2.4).  With a trivial right-hand side a stepper attempt takes
+4-7 us on three floats against 16-19 us in arrays, and 18-22 us at 102 components
+(N = 100).  The float stepper is written for three components only, so every
+other N answers an array.
 
 Numerical care taken here:
 
@@ -130,7 +132,7 @@ class GuidanceKernel:
         "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_pm", "gam_pm", "gam_p", "gam_m",
-        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2", "one_z",
+        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2", "one_z", "consts",
     )
     _SIGNS = np.array([[1.0], [-1.0]])  # (+1, -1) down the branch axis of a stacked block
 
@@ -141,6 +143,9 @@ class GuidanceKernel:
         self.d = params.d_prime
         found, self.dgam2 = _checked(params)
         self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = found
+        # velocity's scalars, with the two products its expressions form first
+        self.consts = (self.ax, self.ay, self.az, self.d, self.beta, self.pz, self.px, self.py,
+                       self.xi_y, self.dgam2, 2.0 * self.pz, 2.0 * self.xi_x)
         # the one place the groups become per-particle arrays: Xi^+/- and gamma^+/- as
         # (2, 1, N), which broadcasts against 1 or M rows; dXi and the p_z products
         # padded to the state layout (X', Y', Z'), where two leading zeros drop X' and Y'
@@ -209,33 +214,22 @@ class GuidanceKernel:
 
     # -- branch contrast -------------------------------------------------
 
-    def _closed_form(self, t, x, zd):
-        """Closed-form contrast terms at t' given X' and zd = dXi . Z'.
-
-        Scalars or equal-shape arrays.  Returns
-        (Dx, Dz, gx, gz, cx, x_part, z_part, delta_s), where
-        x_part + z_part = log Omega.
-        """
-        Dx = 1.0 + (self.ax * t) ** 2
-        Dz = 1.0 + (self.az * t) ** 2
-        gx = self.ax * t / Dx
-        gz = self.az * t / Dz
-        cx = self.d - self.beta * t
-        xc = x * cx
-        z_num = (2.0 * self.pz) * t * zd - (t * t) * self.dgam2
-        x_part = 4.0 * xc / Dx
-        z_part = z_num / Dz
-        delta_s = (zd - 2.0 * self.xi_x * x) - 4.0 * gx * xc - gz * z_num
-        return Dx, Dz, gx, gz, cx, x_part, z_part, delta_s
-
     def contrast(self, t, x, z):
         """(log Omega, delta S, pointer part of log Omega).
 
         One configuration (scalars t, x and z of shape (N,)) or M samples
         at once (t, x of shape (M,), z of shape (M, N)).
         """
-        *_, x_part, z_part, delta_s = self._closed_form(t, x, z @ self.dxi)
-        return x_part + z_part, delta_s, z_part
+        zd = z @ self.dxi
+        Dx = 1.0 + (self.ax * t) ** 2
+        Dz = 1.0 + (self.az * t) ** 2
+        gx = self.ax * t / Dx
+        gz = self.az * t / Dz
+        xc = x * (self.d - self.beta * t)
+        z_num = (2.0 * self.pz) * t * zd - (t * t) * self.dgam2
+        z_part = z_num / Dz
+        delta_s = (zd - 2.0 * self.xi_x * x) - 4.0 * gx * xc - gz * z_num
+        return 4.0 * xc / Dx + z_part, delta_s, z_part
 
     # -- guidance velocity -----------------------------------------------
 
@@ -248,18 +242,31 @@ class GuidanceKernel:
         bits.  For any other N it is an array, and the answer a fresh array:
         the pointer dot and v_z are taken on the whole state, against dXi
         padded with two zeros, and entries 0 and 1 are then set to v_x and v_y.
+        The closed form of ``contrast`` is written out again on the scalars
+        of ``consts``, whose 2 p_z and 2 xi_x are the products its expressions
+        form first, so the bits hold.
         Raises NodeError if the normalized density is below NODE_EPS.
         """
+        ax, ay, az, dp, beta, pz, px, py, xi_y, dgam2, pz2, xi_x2 = self.consts
         t = float(t)  # numpy scalars would slow every scalar operation below
-        if self.n == 1:
+        one_z = self.one_z
+        if one_z is not None:
             x, y, z = state if type(state) is tuple else state.tolist()
-            dxi, pz_dxi, pz_sxi = self.one_z
+            dxi, pz_dxi, pz_sxi = one_z
             zd = dxi * z
         else:
             x, y = state.item(0), state.item(1)
             zd = float(state.dot(self.dxi_pad))
-        Dx, Dz, gx, gz, cx, x_part, z_part, d = self._closed_form(t, x, zd)
-        l = x_part + z_part
+        axt, azt = ax * t, az * t
+        Dx = 1.0 + axt ** 2
+        Dz = 1.0 + azt ** 2
+        gx = axt / Dx
+        gz = azt / Dz
+        cx = dp - beta * t
+        xc = x * cx
+        z_num = pz2 * t * zd - (t * t) * dgam2
+        l = 4.0 * xc / Dx + z_num / Dz
+        d = (zd - xi_x2 * x) - 4.0 * gx * xc - gz * z_num
 
         if l > DOMINANT_LOG_CUTOFF:
             half_dw = 0.5
@@ -282,18 +289,17 @@ class GuidanceKernel:
             half_dw = 0.5 * (w1 - w2)
             wcs = el / rho_hat * math.sin(d)
 
-        c = 1.0 - 2.0 * gz * self.pz * t
-        a = c * half_dw + wcs * (2.0 * self.pz * t / Dz)
-        Dy = 1.0 + (self.ay * t) ** 2
-        vx = self.px * (2.0 * gx * x - half_dw * (2.0 * self.xi_x + 4.0 * gx * cx)
-                        + wcs * (4.0 * cx / Dx))
-        vy = self.py * (self.xi_y + 2.0 * (self.ay * t / Dy) * (y - t))
-        if self.n == 1:  # the array path's v_z at its one pointer entry, in its order
-            vz = (2.0 * self.pz * gz) * z + a * pz_dxi
+        c = 1.0 - 2.0 * gz * pz * t
+        a = c * half_dw + wcs * (pz2 * t / Dz)
+        ayt = ay * t
+        vx = px * (2.0 * gx * x - half_dw * (xi_x2 + 4.0 * gx * cx) + wcs * (4.0 * cx / Dx))
+        vy = py * (xi_y + 2.0 * (ayt / (1.0 + ayt ** 2)) * (y - t))
+        if one_z is not None:  # the array path's v_z at its one pointer entry, in its order
+            vz = (pz2 * gz) * z + a * pz_dxi
             if pz_sxi is not None:
                 vz += (0.5 * c) * pz_sxi
             return vx, vy, vz
-        v = (2.0 * self.pz * gz) * state
+        v = (pz2 * gz) * state
         v += a * self.pz_dxi_pad
         if self.pz_sxi_pad is not None:
             v += (0.5 * c) * self.pz_sxi_pad

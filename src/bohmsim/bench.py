@@ -39,6 +39,7 @@ class BenchRecord:
     median_core_s: float
     repetitions: int
     steps: int
+    rhs_evals: int                       # right-hand-side calls, rejected steps' included
     reconstruct_s: float | None = None   # reduced backend only, thinned grid
 
 
@@ -90,12 +91,12 @@ def run_bench(n_list, backends, repetitions: int) -> BenchReport:
 
     cases = [(backend, _SCENARIO.params.with_rigid_pointer(n))
              for backend in backends for n in ns]
-    runs, steps, reconstruct = [], [], []
+    runs, stats, reconstruct = [], [], []
     for backend, params_n in cases:
         run = _timed_run(backend, params_n)
         traj = run()   # warm-up, untimed; every run of a case gives these same bits
         runs.append(run)
-        steps.append(traj.stats.n_steps)
+        stats.append(traj.stats)
         reconstruct.append(_reconstruct_s(traj, params_n) if backend == "reduced" else None)
     times = [[] for _ in runs]
     for _ in range(repetitions):
@@ -105,9 +106,8 @@ def run_bench(n_list, backends, repetitions: int) -> BenchReport:
             case_times.append(time.perf_counter() - t0)
 
     records = [BenchRecord(backend, params_n.n_particles, sorted(ts)[len(ts) // 2],
-                           repetitions, n_steps, rec_s)
-               for (backend, params_n), ts, n_steps, rec_s
-               in zip(cases, times, steps, reconstruct)]
+                           repetitions, st.n_steps, st.n_rhs_evals, rec_s)
+               for (backend, params_n), ts, st, rec_s in zip(cases, times, stats, reconstruct)]
     reduced_times = [r.median_core_s for r in records if r.backend == "reduced"]
     if len(reduced_times) >= 2:
         ratio = max(reduced_times) / min(reduced_times)

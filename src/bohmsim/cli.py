@@ -191,11 +191,12 @@ def cmd_bench(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
 
-    print(f"{'backend':<14} {'N':>9} {'core median':>12} {'steps':>7} {'reconstruct':>12}")
+    print(f"{'backend':<14} {'N':>9} {'core median':>12} {'steps':>7} {'per RHS':>10} "
+          f"{'reconstruct':>12}")
     for r in report.records:
         rec = f"{r.reconstruct_s:.4f} s" if r.reconstruct_s is not None else "-"
         print(f"{r.backend:<14} {r.n_particles:>9} {r.median_core_s * 1e3:>9.2f} ms "
-              f"{r.steps:>7} {rec:>12}")
+              f"{r.steps:>7} {r.median_core_s * 1e6 / r.rhs_evals:>7.2f} us {rec:>12}")
     if report.reduced_core_ratio is not None:
         verdict = "OK" if report.reduced_n_independent else "FAIL"
         print(f"reduced core max/min ratio: {report.reduced_core_ratio:.2f} "

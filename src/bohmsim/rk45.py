@@ -22,11 +22,14 @@ guidance kernel says which of its states answer tuples, and why):
 
 * floats, when ``rhs`` answers a tuple of three floats.  Each stage state, the
   5th-order solution and the error estimate are the tableau written out over
-  three named floats, with the array path's weights h a_ij, and ``math.isfinite``
-  tests each component of every state ``rhs`` sees.  The sums are Python's, left
-  to right, so their bits do not depend on the BLAS build or the CPU.  ``rhs``
-  receives every later state as a tuple of three floats.  An attempt with a
-  trivial ``rhs`` takes 5-7 us, against 16-19 us in arrays (best of 9, 2-CPU Xeon).
+  three named floats, with the array path's weights h a_ij.  A stage state is
+  tested by one ``math.isfinite`` of its sum, and component by component only
+  when the sum is not finite.  That is exact: an inf or NaN component makes the
+  sum inf or NaN, and finite components whose sum overflows fall through to the
+  per-component test.  The sums are Python's, left to right, so their bits do not
+  depend on the BLAS build or the CPU.  ``rhs`` receives every later state as a
+  tuple of three floats.  An attempt with a trivial ``rhs`` takes 4-7 us, against
+  16-19 us in arrays (best of 9, 2-CPU Xeon).
 * arrays, for any other answer.  One buffer holds the rows (y, k1..k7), and
   a weight matrix [1 | h A], with [0 | h E] as its last row, is filled once
   per attempt: each stage state 1*y + sum_j h a_ij k_j, and the error
@@ -44,7 +47,9 @@ Each accepted step that covers samples is recorded, and all samples are
 evaluated in one pass when the run ends.  The array path records
 (t, h, y, k^T P) and takes one stacked matrix-vector product per recorded
 step, with the powers theta^j taken as Python float powers.  The float
-path records (t, h, y, k1..k7) and evaluates every sample in one batch.
+path records (t, h, y, k1..k7 as one flat tuple of 21 floats: numpy builds its
+array from those 2-4 times faster than from nested tuples) and evaluates every
+sample in one batch.
 Either way every sample is its own matrix-vector product, so that its bits
 do not depend on which other samples are requested.
 """
@@ -142,8 +147,8 @@ class _FloatStages:
     ``attempt`` computes the step's stages and returns its error norm;
     ``record`` gives what dense output needs of the step; ``accept`` moves to
     the step's end.  The first slope, ``f0``, is ``solve``'s.  Every later
-    state is tested with ``math.isfinite``, one component at a time, and the
-    call is counted before ``rhs`` sees the state.
+    state is tested for finiteness (module docstring), and the call is counted
+    before ``rhs`` sees the state.
     """
 
     __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "k1", "y_new", "ks")
@@ -169,39 +174,39 @@ class _FloatStages:
         (y0, y1, y2), k1 = self.y, self.k1
         p0, p1, p2 = k1
         z0, z1, z2 = y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2
-        if not (fin(z0) and fin(z1) and fin(z2)):
+        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         q0, q1, q2 = k2 = rhs(t + c2 * h, (z0, z1, z2))
         z0, z1, z2 = y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1, y2 + a31 * p2 + a32 * q2
-        if not (fin(z0) and fin(z1) and fin(z2)):
+        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         r0, r1, r2 = k3 = rhs(t + c3 * h, (z0, z1, z2))
         z0, z1, z2 = (y0 + a41 * p0 + a42 * q0 + a43 * r0, y1 + a41 * p1 + a42 * q1 + a43 * r1,
                       y2 + a41 * p2 + a42 * q2 + a43 * r2)
-        if not (fin(z0) and fin(z1) and fin(z2)):
+        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         s0, s1, s2 = k4 = rhs(t + c4 * h, (z0, z1, z2))
         z0, z1, z2 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
                       y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
                       y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
-        if not (fin(z0) and fin(z1) and fin(z2)):
+        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         u0, u1, u2 = k5 = rhs(t + c5 * h, (z0, z1, z2))
         z0, z1, z2 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
                       y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
                       y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
-        if not (fin(z0) and fin(z1) and fin(z2)):
+        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         v0, v1, v2 = k6 = rhs(t + h, (z0, z1, z2))
         z0, z1, z2 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
                            y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
                            y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
-        if not (fin(z0) and fin(z1) and fin(z2)):
+        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
         w0, w1, w2 = k7 = rhs(t + h, y7)
@@ -216,11 +221,12 @@ class _FloatStages:
         return math.sqrt((d0 * d0 + d1 * d1 + d2 * d2) / 3)
 
     def record(self) -> tuple:
-        return self.y, self.ks
+        k1, k2, k3, k4, k5, k6, k7 = self.ks
+        return self.y, (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
 
     @staticmethod
     def dense_output(ts, steps, out) -> None:
-        """Every sample at once from the steps recorded as (t, h, y, (k1..k7), lo, hi).
+        """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi).
 
         Each sample is still its own matrix-vector product, and theta's powers
         are products of theta taken element by element.  Stacked, the per-sample
@@ -235,7 +241,7 @@ class _FloatStages:
         th = (np.array(ts[first:last]) - np.array(t)[step]) / h
         th2 = th * th
         tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
-        q = (np.array(k).transpose(0, 2, 1) @ _P)[step]
+        q = (np.array(k).reshape(-1, 7, 3).transpose(0, 2, 1) @ _P)[step]
         out[first:last] = np.array(y)[step] + h[:, None] * (q @ tp[:, :, None])[:, :, 0]
 
     def accept(self) -> None:

@@ -461,6 +461,7 @@ class TestBench:
                      "--repetitions", "1"]) == 0
         out = capsys.readouterr().out
         assert "reduced core max/min ratio" in out
+        assert "per RHS" in out.splitlines()[0] and out.count(" us ") == 2
 
     def test_json_records(self, capsys):
         assert main(["bench", "--n-list", "1,16", "--backends", "reduced",
@@ -493,6 +494,7 @@ class TestBench:
             traj = integrate_trajectory(init, sc.params, sc.integrator, backend)
             assert (record["backend"], record["n_particles"], record["steps"]) == \
                 (backend, n, traj.stats.n_steps)
+            assert record["rhs_evals"] == traj.stats.n_rhs_evals
 
     @pytest.mark.parametrize("n", OVERSIZED_N)
     def test_pointer_too_large_to_allocate_exits_2_naming_n(self, tmp_path, monkeypatch,

@@ -190,6 +190,19 @@ class TestAborts:
                     solve(rhs, 0.0, [1.79e308, 1.0], 1.0, [0.0, 1.0])
             assert len(rhs.seen) == 1
 
+    def test_finite_stage_whose_sum_overflows_is_stepped(self):
+        # the float path tests a stage's sum first; 1e308 + 1e308 overflows, yet each
+        # component is finite, so the run goes on and rhs sees the state
+        for rhs in both_forms(lambda t, y: [0.0, 0.0, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = solve(rhs, 0.0, [1e308, 1e308, 0.0], 1.0, [0.0, 1.0])
+            assert rhs.reached()
+            assert res.t.tolist() == [0.0, 1.0] and not res.degenerate
+            assert res.y.tolist() == [[1e308, 1e308, 0.0]] * 2
+            assert res.stats.n_rhs_evals == len(rhs.seen) > 2
+            assert all(y.tolist() == [1e308, 1e308, 0.0] for _, _, y in rhs.seen)
+
 
 class TestSolverCounts:
     def test_rhs_evals_match_a_counting_wrapper(self, monkeypatch):
