@@ -9,7 +9,7 @@ from .model import (
     ScenarioParams,
     fast_pointer_E,
 )
-from .velocity import VelocityVector, velocity_analytic, velocity_numeric, y_closed_form
+from .velocity import y_closed_form
 from .reduced import reconstruct_pointers, reduced_params
 from .integrate import (
     BACKENDS,

@@ -28,7 +28,7 @@ from .reduced import sigma_hat_of
 from .rk45 import IntegrationAbort
 from .runio import MANIFEST_NAME, read_manifest, read_trajectory_csv, write_run
 from .scenario import (Scenario, ScenarioError, load_scenario, preset, preset_names,
-                       save_scenario, with_backend, with_n_particles, with_seed)
+                       with_backend, with_n_particles, with_seed)
 from .svgplot import Curve, render_chart
 from .validate import run_validation
 
@@ -103,7 +103,6 @@ def cmd_simulate(args) -> int:
         staging = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.part")
         staging.mkdir()
         manifest = write_run(staging, sc, trajs, summary, timing={"total_s": elapsed})
-        save_scenario(sc, staging / "scenario.json")
         _install_run(staging, target)
     except OSError as exc:
         raise OSError(f"--out {out_dir}: {exc}") from exc
@@ -129,7 +128,7 @@ def _render_run(run_dir: Path) -> list[Path]:
     if not manifest["trajectories"]:
         raise ValueError("run contains no trajectories")
     columns = manifest["columns"]
-    name = manifest["scenario"]["name"]
+    name = manifest["name"]
     # each trajectory CSV is parsed once and feeds every panel
     runs = [(read_trajectory_csv(run_dir / rec["file"]), rec["initial_slit"])
             for rec in manifest["trajectories"]]

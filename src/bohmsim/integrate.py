@@ -10,9 +10,10 @@ One uniform ODE system per backend:
 Y' is integrated alongside the rest even though it has a closed form; the
 closed form serves as an oracle in the tests instead of being wired in.
 One tolerance drives the stepper: ``IntegratorOptions.rel_tol``, with the
-absolute tolerance rel_tol / 100 and steps of at most ``MAX_STEP_FRAC`` of
-the horizon.  The horizon is ``HORIZON_CROSSINGS`` t'_cross, and a run is
-sampled at t' = 0 and after each of ``SAMPLE_INTERVALS`` equal intervals.
+absolute tolerance rel_tol / 100.  ``time_grid`` derives the rest from the
+parameters alone: the horizon ``HORIZON_CROSSINGS`` t'_cross, steps of at most
+``MAX_STEP_FRAC`` of it, and samples at t' = 0 and after each of
+``SAMPLE_INTERVALS`` equal intervals.
 Ensembles follow the canonical grid: per slit, ``count_per_slit``
 equidistant launch points spanning +/-``LAUNCH_HALF_WIDTH`` packet widths
 around the slit center, the lower-slit points being exact mirror images of
@@ -40,6 +41,7 @@ __all__ = [
     "EnsembleSpec",
     "Trajectory",
     "crossing_time",
+    "time_grid",
     "sample_initials",
     "integrate_trajectory",
     "run_ensemble",
@@ -58,33 +60,30 @@ def crossing_time(params: ScenarioParams) -> float:
     return params.d_prime * (params.r * params.r) * params.xi_y / params.xi_x
 
 
+def time_grid(params: ScenarioParams) -> tuple[float, np.ndarray, float]:
+    """(t_end, samples, max_step): the horizon as a Python float, the sample times from 0
+    to t_end and the step ceiling.  ValueError unless the horizon, stride and ceiling are
+    positive and finite, which values derived from t'_cross may not be."""
+    t_end = float(HORIZON_CROSSINGS * crossing_time(params))
+    stride, max_step = t_end / SAMPLE_INTERVALS, MAX_STEP_FRAC * t_end
+    if not all(0 < v < math.inf for v in (t_end, stride, max_step)):
+        raise ValueError(f"the horizon, stride and step ceiling {(t_end, stride, max_step)!r} "
+                         "must be positive and finite")
+    samples = np.arange(0.0, t_end, stride)
+    if samples.size == 0 or samples[-1] < t_end:
+        samples = np.append(samples, t_end)
+    return t_end, samples, max_step
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Adaptive-stepper settings; ``resolve`` derives the scenario-dependent ones."""
+    """The integrator block of a scenario: the stepper's tolerance."""
 
     rel_tol: float = 1e-8            # the stepper's absolute tolerance is rel_tol / 100
 
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:   # NaN fails too
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-
-    def resolve(self, params: ScenarioParams) -> tuple[float, float, float]:
-        """(t_end, stride, max_step) for a given scenario; ValueError unless each is
-        positive and finite, which values derived from t'_cross may not be."""
-        t_end = HORIZON_CROSSINGS * crossing_time(params)
-        stride = t_end / SAMPLE_INTERVALS
-        resolved = t_end, stride, MAX_STEP_FRAC * t_end
-        if not all(0 < v < math.inf for v in resolved):
-            raise ValueError(f"the horizon, stride and step ceiling {resolved!r} must be "
-                             "positive and finite")
-        return resolved
-
-    def sample_grid(self, params: ScenarioParams) -> np.ndarray:
-        t_end, stride, _ = self.resolve(params)
-        times = np.arange(0.0, t_end, stride)
-        if times.size == 0 or times[-1] < t_end:
-            times = np.append(times, t_end)
-        return times
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,7 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
             f"initial configuration has {len(init.z)} pointer coordinates, "
             f"scenario has {params.n_particles}")
 
-    t_end, _, max_step = opts.resolve(params)
-    samples = opts.sample_grid(params)
+    t_end, samples, max_step = time_grid(params)
     reduced = backend == "reduced"
 
     y0 = init.state()

@@ -1,10 +1,10 @@
-"""Run directories: per-trajectory CSV files plus a JSON manifest.
+"""Run directories: per-trajectory CSV files, ``scenario.json`` and a JSON manifest.
 
 Numbers go to CSV at 17 significant digits so downstream comparisons are
 bit-stable: one format call per row, one numpy text-reader call per file.
-The manifest carries everything needed to reproduce and audit a run;
-wall-clock numbers, CSV writing (``write_s``) among them, live under the
-single key "timing", which reproducibility checks strip before comparing.
+``scenario.json``, the one copy of the scenario, re-runs the run; the manifest
+audits it, and its wall-clock numbers, CSV writing (``write_s``) among them,
+live under the key "timing", which reproducibility checks strip.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .analysis import ClassificationSummary
 from .integrate import Trajectory, crossing_time
 from .model import fast_pointer_E
 from .reduced import reduced_params
-from .scenario import Scenario, scenario_to_dict
+from .scenario import Scenario, save_scenario
 
 __all__ = ["write_run", "read_manifest", "read_trajectory_csv", "csv_columns"]
 
@@ -44,7 +44,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
               summary: ClassificationSummary, timing: dict | None = None) -> dict:
-    """Write CSVs + manifest; returns the manifest dict."""
+    """Write the run directory: CSVs, scenario and manifest; returns the manifest dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -73,9 +73,10 @@ def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
         })
     write_s = time.perf_counter() - t0
 
+    save_scenario(scenario, out / "scenario.json")
     params = scenario.params
     manifest = {
-        "scenario": scenario_to_dict(scenario),
+        "name": scenario.name,
         "backend": scenario.ensemble.backend,
         "t_cross": crossing_time(params),
         # the pointer sum's E, which moves at Xi sqrt(N): the one-particle twin's

@@ -47,7 +47,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from ._kernel import scales
-from .integrate import EnsembleSpec, IntegratorOptions, ZInit, kernel_params
+from .integrate import EnsembleSpec, IntegratorOptions, ZInit, kernel_params, time_grid
 from .model import ScenarioParams
 from .reduced import common_start
 
@@ -88,7 +88,7 @@ class Scenario:
                 f"scenario name {self.name!r} must be a relative path without '..'")
         try:
             scales(self.params)
-            self.integrator.resolve(self.params)
+            time_grid(self.params)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         backend = self.ensemble.backend

@@ -15,9 +15,10 @@ Five suites, each an independent oracle against the production code path:
 Each suite fixes its inputs and tolerance in its own body, runs its
 presets' own ``integrator`` settings, and states its tolerance in its
 reading.  `run_validation` executes any subset and reports one pass/fail
-per suite.  The one hook is ``analytic_fn`` of the equivalence suite: it
-takes a velocity route, so tests can inject a broken one and confirm that
-the suite detects it.
+per suite.  Each must run alone under ``--only``, so mirror-symmetry integrates
+fig4's ensemble itself rather than share y-oracle's run.  The one hook is
+``analytic_fn`` of the equivalence suite: it takes a velocity route, so tests
+can inject a broken one and confirm that the suite detects it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from ._kernel import GuidanceKernel
 from .analysis import tau_scaling_fit
-from .integrate import IntegratorOptions, integrate_trajectory, run_ensemble
+from .integrate import integrate_trajectory, run_ensemble, time_grid
 from .model import Configuration, NodeError, ScenarioParams
 from .scenario import preset, preset_names
 from .velocity import fd_velocity, y_closed_form
@@ -53,13 +54,12 @@ def random_configurations(params: ScenarioParams, count: int,
                           rng: np.random.Generator) -> list[Configuration]:
     """Non-node configurations drawn over the scenario's support.
 
-    Times are uniform over the default integration horizon; positions are
-    drawn around the moving packet centers with the spread of the
-    corresponding packet.
+    Times are uniform over the integration horizon; positions are drawn around the
+    moving packet centers with the spread of the corresponding packet.
     Node-adjacent draws (normalized density < 1e-6) are rejected.
     """
     kern = GuidanceKernel(params)
-    horizon, _, _ = IntegratorOptions().resolve(params)
+    horizon, _, _ = time_grid(params)
     out: list[Configuration] = []
     while len(out) < count:
         t = float(rng.uniform(0.0, horizon))

@@ -5,8 +5,9 @@ kernel.  ``velocity_numeric`` never touches that algebra: it reconstructs
 the full complex wave function from branch log-amplitudes/phases and
 applies the raw current formula Im(Psi* dPsi)/|Psi|^2 with central finite
 differences, which makes it an independent cross-check of every term in
-the analytic route.  The decoupled longitudinal motion has the closed form
-``y_closed_form``, used as an integration oracle.
+the analytic route.  These two wrappers have one use left, the benchmark's
+``velocity-oracle`` workload and ``perfbench/test_checks.py``.  The decoupled
+longitudinal motion has the closed form ``y_closed_form``, an integration oracle.
 
 Both routes, ``GuidanceKernel.velocity`` and ``fd_velocity``, keep one
 contract: ``route(kern, t, state)`` returns dy/dt' of the state (X', Y',

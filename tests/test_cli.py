@@ -262,7 +262,9 @@ class TestSimulate:
         (small, small_manifest), (big, big_manifest) = files[10], files[100_000]
         assert len(big) - len(small) == digits
         assert layout(big_manifest) == layout(small_manifest)
-        assert big_manifest["scenario"]["params"]["pointer_groups"] == [[100_000, 10.0, -10.0]]
+        assert "scenario" not in big_manifest and big_manifest["name"] == "fig12"
+        assert (load_scenario(tmp_path / "100000" / "scenario.json").params.pointer_groups
+                == ((100_000, 10.0, -10.0),))
 
     def test_failed_write_leaves_the_previous_run_whole(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -293,7 +295,7 @@ class TestSimulate:
         assert main(["simulate", "--preset", "fig7", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "scenario.json", "traj_000.csv", "traj_001.csv"]
-        assert read_manifest(out)["scenario"]["name"] == "fig7"
+        assert read_manifest(out)["name"] == "fig7"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
     @pytest.mark.parametrize("out_name, reason", [
@@ -327,15 +329,23 @@ class TestSimulate:
             "manifest.json", "scenario.json", "traj_000.csv", "traj_001.csv"]
 
     def test_reproducible_csv_bytes(self, tmp_path):
-        args = ["simulate", "--preset", "fig4", "--seed", "11"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        for f in sorted(a.glob("traj_*.csv")):
-            assert (b / f.name).read_bytes() == f.read_bytes()
-        ma, mb = read_manifest(a), read_manifest(b)
-        ma.pop("timing"), mb.pop("timing")
-        assert ma == mb
+        # a rerun of the preset, and a run of the first run's own scenario copy
+        a = tmp_path / "a"
+        assert main(["simulate", "--preset", "fig4", "--seed", "11", "--out", str(a)]) == 0
+        ma = read_manifest(a)
+        ma.pop("timing")
+        csvs = sorted(p.name for p in a.glob("traj_*.csv"))
+        assert csvs
+        for again in (["--preset", "fig4", "--seed", "11"],
+                      ["--scenario", str(a / "scenario.json")]):
+            b = tmp_path / "b"
+            assert main(["simulate", *again, "--out", str(b)]) == 0
+            assert sorted(p.name for p in b.glob("traj_*.csv")) == csvs
+            for name in csvs:
+                assert (b / name).read_bytes() == (a / name).read_bytes()
+            mb = read_manifest(b)
+            mb.pop("timing")
+            assert mb == ma
 
 
 class TestPlot:

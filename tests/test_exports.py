@@ -42,7 +42,7 @@ def test_package_reexports_are_exported_by_their_module():
 
 PACKAGE_NAMES = {
     "NODE_EPS", "Configuration", "ModeError", "NodeError", "ScenarioParams", "fast_pointer_E",
-    "VelocityVector", "velocity_analytic", "velocity_numeric", "y_closed_form",
+    "y_closed_form",
     "reconstruct_pointers", "reduced_params",
     "BACKENDS", "EnsembleSpec", "IntegratorOptions", "Trajectory", "ZInit", "crossing_time",
     "integrate_trajectory", "run_ensemble", "sample_initials",
@@ -68,7 +68,7 @@ def settable_keys(cls, prefix="") -> set[str]:
 def test_package_names_are_pinned():
     names = {n for n, v in vars(bohmsim).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert len(PACKAGE_NAMES) == 21
+    assert len(PACKAGE_NAMES) == 18
     assert names == PACKAGE_NAMES
 
 

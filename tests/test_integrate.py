@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bohmsim import integrate
 from bohmsim.integrate import (EnsembleSpec, IntegratorOptions, ZInit, crossing_time,
-                               integrate_trajectory, run_ensemble, sample_initials)
+                               integrate_trajectory, run_ensemble, sample_initials, time_grid)
 from bohmsim.model import Configuration, NodeError, ScenarioParams
 from bohmsim.rk45 import solve
 from bohmsim.scenario import preset
@@ -41,10 +42,11 @@ class TestCrossingTime:
 
 class TestIntegratorOptions:
     def test_defaults_resolve(self, fig4_params):
-        t_end, stride, max_step = IntegratorOptions().resolve(fig4_params)
+        t_end, samples, max_step = time_grid(fig4_params)
         assert t_end == pytest.approx(2.5 * crossing_time(fig4_params))
-        assert stride == pytest.approx(t_end / 512)
+        assert samples[1] == pytest.approx(t_end / 512)
         assert max_step == pytest.approx(0.02 * t_end)
+        assert t_end == 2.5 * crossing_time(fig4_params) and max_step == 0.02 * t_end
 
     def test_validation(self):
         for bad in (dict(rel_tol=0.0), dict(rel_tol=math.nan)):
@@ -52,11 +54,25 @@ class TestIntegratorOptions:
                 IntegratorOptions(**bad)
 
     def test_sample_grid_covers_horizon(self, fig4_params):
-        grid = IntegratorOptions().sample_grid(fig4_params)
+        t_end, grid, _ = time_grid(fig4_params)
         assert grid.size == 513
         assert grid[0] == 0.0
-        assert grid[-1] == 2.5 * crossing_time(fig4_params)
+        assert grid[-1] == 2.5 * crossing_time(fig4_params) == t_end   # the horizon itself
         assert np.all(np.diff(grid) > 0)
+
+    def test_solve_gets_python_floats(self, fig4_params, monkeypatch):
+        # numpy scalars would slow every comparison in the float stepper's loop
+        seen = {}
+
+        def capture(rhs, t0, y0, t_end, samples, **kw):
+            seen.update(t_end=t_end, max_step=kw["max_step"])
+            return solve(rhs, t0, y0, t_end, samples, **kw)
+
+        monkeypatch.setattr(integrate, "solve", capture)
+        init = Configuration(0.0, fig4_params.d_prime, 0.0, (0.0,))
+        integrate_trajectory(init, fig4_params)
+        assert type(seen["t_end"]) is float and type(seen["max_step"]) is float
+        assert (seen["t_end"], seen["max_step"]) == time_grid(fig4_params)[::2]
 
 
 class TestSingleTrajectories:

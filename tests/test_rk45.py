@@ -231,7 +231,7 @@ class TestSolverCounts:
         init = Configuration(0.0, sc.params.d_prime, 0.0, (0.0,))
         stats = integrate_trajectory(init, sc.params, sc.integrator).stats
         assert (stats.n_capped, stats.n_steps) == (49, 52)
-        assert stats.h_max == sc.integrator.resolve(sc.params)[2]
+        assert stats.h_max == integrate.time_grid(sc.params)[2]
         assert 0 < stats.h_min < stats.h_max
 
     def test_no_cap_no_capped_steps(self):
@@ -373,7 +373,7 @@ class TestStrideIndependence:
     def test_same_steps_verdicts_and_shared_samples(self, name):
         # the preset's launches, horizon and tolerances on three nested sample grids
         sc = preset(name)
-        t_end, _, max_step = sc.integrator.resolve(sc.params)
+        t_end, _, max_step = integrate.time_grid(sc.params)
         rtol = sc.integrator.rel_tol
         kern = GuidanceKernel(sc.params)
         for init in sample_initials(sc.ensemble, sc.params):

@@ -11,7 +11,7 @@ from bohmsim import svgplot
 from bohmsim.analysis import classify_ensemble
 from bohmsim.integrate import EnsembleSpec, run_ensemble
 from bohmsim.runio import read_manifest, read_trajectory_csv, write_run, write_trajectory_csv
-from bohmsim.scenario import preset
+from bohmsim.scenario import load_scenario, preset
 from bohmsim.svgplot import Curve, render_chart
 
 # doubles whose 17-digit text is easy to get wrong: signed zero, the smallest
@@ -111,6 +111,10 @@ class TestManifest:
         loaded = read_manifest(out)
         assert loaded == json.loads(json.dumps(manifest))  # written = returned
         assert loaded["n_trajectories"] == 4
+        # the scenario's one copy is scenario.json; the manifest only names it
+        assert loaded["name"] == sc.name and "scenario" not in loaded
+        assert sorted(p.name for p in out.glob("*.json")) == ["manifest.json", "scenario.json"]
+        assert load_scenario(out / "scenario.json") == sc
         assert loaded["backend"] == "full-analytic"
         assert loaded["t_cross"] == pytest.approx(3.0)
         assert loaded["fast_pointer_E"] == pytest.approx(0.12)
