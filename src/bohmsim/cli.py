@@ -17,9 +17,8 @@ import shutil
 import sys
 import time
 import uuid
+from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import classify_ensemble
 from .bench import run_bench
@@ -129,31 +128,33 @@ def _render_run(run_dir: Path) -> list[Path]:
         raise ValueError("run contains no trajectories")
     columns = manifest["columns"]
     name = manifest["name"]
-    # each trajectory CSV is parsed once and feeds every panel
-    runs = [(read_trajectory_csv(run_dir / rec["file"]), rec["initial_slit"])
-            for rec in manifest["trajectories"]]
+    zcols = [c for c in columns if c.startswith("Z_")]
+    pointer = ["Sigma_hat"] if "Sigma_hat" in columns else zcols
+    # each trajectory CSV is parsed once, in the columns drawn alone, and feeds every panel
+    runs = [(read_trajectory_csv(run_dir / rec["file"], ["X", "Y", *pointer]),
+             rec["initial_slit"]) for rec in manifest["trajectories"]]
     written = []
 
-    def emit(fname: str, vcol: str, title: str, ylabel: str):
-        curves = [Curve(cols["Y"], cols[vcol], slit) for cols, slit in runs]
+    def emit(fname: str, y_of, title: str, ylabel: str):
+        curves = [Curve(cols["Y"], y_of(cols), slit) for cols, slit in runs]
         path = run_dir / fname
         path.write_text(render_chart(curves, title, "Y'", ylabel), newline="\n")
         written.append(path)
 
-    emit("test_particle.svg", "X", f"{name}: test particle", "X'")
-    zcols = [c for c in columns if c.startswith("Z_")]
+    emit("test_particle.svg", itemgetter("X"), f"{name}: test particle", "X'")
     is_single = manifest["fast_pointer_E"] is not None    # E exists for one rigid pointer
-    if "Sigma_hat" not in columns and len(zcols) > 1 and is_single:
-        # the collective variable of a rigid multi-particle pointer, with the engine's bits
-        for cols, _ in runs:
-            cols["Sigma_hat"] = sigma_hat_of(np.column_stack([cols[c] for c in zcols]))
-    if "Sigma_hat" in runs[0][0]:
-        emit("pointer.svg", "Sigma_hat", f"{name}: pointer average", "Sigma_hat'")
+    if pointer == ["Sigma_hat"]:
+        emit("pointer.svg", itemgetter("Sigma_hat"), f"{name}: pointer average", "Sigma_hat'")
+    elif len(zcols) > 1 and is_single:
+        # the collective variable of a rigid multi-particle pointer, with the engine's
+        # bits: summed over the parsed (samples, N) block of Z'_n, after X' and Y'
+        emit("pointer.svg", lambda cols: sigma_hat_of(cols.view((float, len(zcols) + 2))[:, 2:]),
+             f"{name}: pointer average", "Sigma_hat'")
     elif len(zcols) == 1:
-        emit("pointer.svg", "Z_1", f"{name}: pointer", "Z'")
+        emit("pointer.svg", itemgetter("Z_1"), f"{name}: pointer", "Z'")
     else:
         for j, zc in enumerate(zcols, start=1):
-            emit(f"pointer_{j}.svg", zc, f"{name}: pointer {j}", f"Z'_{j}")
+            emit(f"pointer_{j}.svg", itemgetter(zc), f"{name}: pointer {j}", f"Z'_{j}")
     return written
 
 

@@ -1,7 +1,8 @@
 """Run directories: per-trajectory CSV files, ``scenario.json`` and a JSON manifest.
 
 Numbers go to CSV at 17 significant digits so downstream comparisons are
-bit-stable: one format call per row, one numpy text-reader call per file.
+bit-stable: one format call per block of rows, and one numpy text-reader call per
+file that converts only the columns its caller names.
 ``scenario.json``, the one copy of the scenario, re-runs the run; the manifest
 audits it, and its wall-clock numbers, CSV writing (``write_s``) among them,
 live under the key "timing", which reproducibility checks strip.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +34,21 @@ def csv_columns(backend: str, n_particles: int) -> list[str]:
     return ["t_prime", "X", "Y", *pointer, "logOmega", "deltaS"]
 
 
+# cells per format call: each call's string stays bounded whatever N is
+_BLOCK_CELLS = 4096
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     header = csv_columns(traj.backend, traj.params.n_particles)
     pointer = traj.sigma_hat if traj.backend == "reduced" else traj.z
     data = np.column_stack((traj.t, traj.x, traj.y, pointer, traj.log_omega, traj.delta_s))
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    with path.open("w", newline="\n") as f:   # row by row: one row's floats alive at a time
+    block = max(1, _BLOCK_CELLS // len(header))   # rows per format call
+    with path.open("w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(row % tuple(r.tolist()) for r in data)
+        for i in range(0, len(data), block):
+            part = data[i:i + block]
+            f.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
 def write_run(out_dir, scenario: Scenario, trajs: list[Trajectory],
@@ -105,17 +114,32 @@ def read_manifest(run_dir) -> dict:
     return json.loads(path.read_text())
 
 
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Columns by name; inverse of write_trajectory_csv.  A malformed file is a ValueError."""
+def read_trajectory_csv(path, columns) -> np.ndarray:
+    """The named ``columns`` of a trajectory CSV, bit for bit; inverse of write_trajectory_csv.
+
+    A structured array with one float field per name, in the order given:
+    ``cols["X"]`` is a column, and ``cols.view((float, len(columns)))`` all of them
+    as one (rows, columns) float block, with no copy.  Only these columns are
+    converted, but every row's cell count is checked against the header, since
+    ``np.loadtxt`` with ``usecols`` accepts short and long rows.  A malformed file,
+    or a name its header lacks, is a ValueError naming the file.
+    """
     header, _, body = Path(path).read_text().strip().partition("\n")
     if not body.strip():  # checked here: np.loadtxt only warns on no data
         raise ValueError(f"trajectory CSV {path} holds no sample rows")
     names = header.split(",")
+    missing = [c for c in columns if c not in names]
+    if missing:
+        raise ValueError(f"trajectory CSV {path}: the header {header!r} lacks {missing}")
+    rows = body.split("\n")
+    commas = len(names) - 1
+    if set(map(str.count, rows, repeat(","))) != {commas}:
+        i, r = next((i, r) for i, r in enumerate(rows) if r.count(",") != commas)
+        raise ValueError(f"trajectory CSV {path}: row {i + 1} holds {r.count(',') + 1} "
+                         f"cells, the header names {len(names)}")
     try:
-        data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2, comments=None)
+        return np.loadtxt(rows, delimiter=",", ndmin=1, comments=None,
+                          usecols=[names.index(c) for c in columns],
+                          dtype=[(c, float) for c in columns])
     except ValueError as exc:
         raise ValueError(f"trajectory CSV {path}: {exc}") from None
-    if data.shape[1] != len(names):
-        raise ValueError(f"trajectory CSV {path}: rows hold {data.shape[1]} cells, "
-                         f"the header names {len(names)}")
-    return {name: data[:, j] for j, name in enumerate(names)}

@@ -10,6 +10,7 @@ from bohmsim import cli, runio
 from bohmsim.cli import main
 from bohmsim.integrate import integrate_trajectory, run_ensemble
 from bohmsim.model import Configuration, fast_pointer_E
+from bohmsim.reduced import sigma_hat_of
 from bohmsim.runio import read_manifest, read_trajectory_csv
 from bohmsim.scenario import (load_scenario, preset, preset_names, scenario_to_dict,
                               with_n_particles)
@@ -359,28 +360,47 @@ class TestPlot:
         assert (out / "test_particle.svg").is_file()
         assert (out / "pointer.svg").is_file()
 
-    def test_each_csv_read_once(self, tmp_path, monkeypatch, serve_preset_ensembles):
+    @pytest.mark.parametrize("flags, drawn, panels", [
+        (["--preset", "fig4"], ["X", "Y", "Z_1"],
+         [("pointer.svg", "Z_1", "pointer", "Z'")]),
+        (["--preset", "fig9"], ["X", "Y", "Sigma_hat"],
+         [("pointer.svg", "Sigma_hat", "pointer average", "Sigma_hat'")]),
+        (["--preset", "fig7"], ["X", "Y", "Z_1", "Z_2"],
+         [("pointer_1.svg", "Z_1", "pointer 1", "Z'_1"),
+          ("pointer_2.svg", "Z_2", "pointer 2", "Z'_2")]),
+        # a rigid pointer's Sigma_hat' panel is summed from all of its Z'_n
+        (["--preset", "fig4", "--n", "3", "--backend", "full-analytic"],
+         ["X", "Y", "Z_1", "Z_2", "Z_3"],
+         [("pointer.svg", None, "pointer average", "Sigma_hat'")]),
+    ], ids=["fig4", "fig9", "fig7", "fig4-n3-full-analytic"])
+    def test_each_csv_read_once(self, tmp_path, monkeypatch, serve_preset_ensembles,
+                                flags, drawn, panels):
         out = tmp_path / "run"
-        assert main(["simulate", "--preset", "fig4", "--out", str(out)]) == 0
+        assert main(["simulate", *flags, "--out", str(out)]) == 0
         manifest = read_manifest(out)
         calls = []
 
-        def counting(path):
-            calls.append(path)
-            return read_trajectory_csv(path)
+        def counting(path, /, columns):   # the path positional: the benchmark's tracer reads it
+            calls.append((path.name, list(columns)))
+            return read_trajectory_csv(path, columns)
 
         monkeypatch.setattr(cli, "read_trajectory_csv", counting)
         assert main(["plot", str(out)]) == 0
-        assert sorted(p.name for p in calls) == [r["file"] for r in manifest["trajectories"]]
+        # each CSV parsed once, in exactly the columns drawn
+        assert sorted(calls) == [(r["file"], drawn) for r in manifest["trajectories"]]
         # the panels are exactly what the CSVs give when charted one by one
-        runs = [(read_trajectory_csv(out / r["file"]), r["initial_slit"])
+        runs = [(read_trajectory_csv(out / r["file"], manifest["columns"]), r["initial_slit"])
                 for r in manifest["trajectories"]]
-        for svg, col, title, ylabel in (
-                ("test_particle.svg", "X", "fig4: test particle", "X'"),
-                ("pointer.svg", "Z_1", "fig4: pointer", "Z'")):
-            curves = [Curve(cols["Y"], cols[col], slit) for cols, slit in runs]
-            expected = render_chart(curves, title, "Y'", ylabel).encode()
+        name = manifest["name"]
+        for svg, col, title, ylabel in [("test_particle.svg", "X", "test particle", "X'"),
+                                        *panels]:
+            curves = [Curve(cols["Y"], cols[col] if col else
+                            sigma_hat_of(np.column_stack([cols[c] for c in drawn[2:]])), slit)
+                      for cols, slit in runs]
+            expected = render_chart(curves, f"{name}: {title}", "Y'", ylabel).encode()
             assert (out / svg).read_bytes() == expected
+        assert sorted(p.name for p in out.glob("*.svg")) == \
+            sorted(["test_particle.svg", *(svg for svg, *_ in panels)])
 
     def test_pointer_panel_draws_the_engines_sigma_hat(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -444,7 +464,8 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "traj_000.csv" in err
 
-    @pytest.mark.parametrize("damage", ["header-only", "extra-cell", "short-row"])
+    @pytest.mark.parametrize("damage", ["header-only", "extra-cell", "short-row",
+                                        "missing-column"])
     def test_malformed_trajectory_csv_exits_2_naming_the_file(self, tmp_path, capsys,
                                                               damage):
         out = tmp_path / "run"
@@ -455,8 +476,10 @@ class TestPlot:
             rows = []
         elif damage == "extra-cell":       # every row one cell longer than the header
             rows = [r + ",0" for r in rows]
-        else:                              # one row a cell short
+        elif damage == "short-row":        # one row a cell short
             rows[1] = rows[1].rsplit(",", 1)[0]
+        else:                              # a drawn column renamed in the header
+            header = header.replace(",Z_2,", ",Q_2,")
         csv.write_text("\n".join([header, *rows]) + "\n")
         capsys.readouterr()
         assert main(["plot", str(out)]) == 2

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from bohmsim import svgplot
+from bohmsim import runio, svgplot
 from bohmsim.analysis import classify_ensemble
 from bohmsim.integrate import EnsembleSpec, run_ensemble
 from bohmsim.runio import read_manifest, read_trajectory_csv, write_run, write_trajectory_csv
@@ -58,8 +58,9 @@ def small_run(tmp_path_factory):
 class TestCsv:
     def test_full_double_precision_round_trip(self, small_run):
         _, trajs, out, manifest = small_run
-        cols = read_trajectory_csv(out / manifest["trajectories"][0]["file"])
-        assert list(cols) == manifest["columns"]
+        path = out / manifest["trajectories"][0]["file"]
+        assert path.read_text().partition("\n")[0].split(",") == manifest["columns"]
+        cols = read_trajectory_csv(path, manifest["columns"])
         traj = trajs[0]
         assert np.array_equal(cols["t_prime"], traj.t)
         assert np.array_equal(cols["X"], traj.x)
@@ -77,17 +78,29 @@ class TestCsv:
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
         manifest = write_run(tmp_path, sc, trajs, classify_ensemble(trajs))
         assert "Sigma_hat" in manifest["columns"]
-        cols = read_trajectory_csv(tmp_path / "traj_000.csv")
-        assert list(cols) == manifest["columns"]
+        path = tmp_path / "traj_000.csv"
+        assert path.read_text().partition("\n")[0].split(",") == manifest["columns"]
+        cols = read_trajectory_csv(path, ["Sigma_hat"])
         assert np.array_equal(cols["Sigma_hat"], trajs[0].sigma_hat)
 
-    @pytest.mark.parametrize("pointer", ["Z_n", "Sigma_hat"])
-    def test_bytes_equal_one_format_call_per_cell(self, small_run, tmp_path, pointer):
+    @pytest.mark.parametrize("n_z, n_rows", [
+        (3, None), (0, None),
+        (6, None),                   # 11 cells a row: whole blocks of rows, then a remainder
+        (runio._BLOCK_CELLS, 2),     # each row wider than a block's cell budget
+    ], ids=["Z_n", "Sigma_hat", "blocks-and-a-remainder", "rows-wider-than-a-block"])
+    def test_bytes_equal_one_format_call_per_cell(self, small_run, tmp_path, n_z, n_rows):
         traj = small_run[1][0]
-        if pointer == "Z_n":     # three pointer columns, each cycling the edge values
-            params = traj.params.with_rigid_pointer(3)
-            z = np.resize(EDGE_VALUES, (traj.n_samples, 3))
+        if n_rows is not None:
+            traj = dataclasses.replace(traj, t=traj.t[:n_rows])
+        if n_z:     # n_z pointer columns, each cycling the edge values
+            params = traj.params.with_rigid_pointer(n_z)
+            z = np.resize(EDGE_VALUES, (traj.n_samples, n_z))
             traj = with_edge_values(traj, params=params, z=z)
+            rows_per_block = runio._BLOCK_CELLS // (n_z + 5)
+            if n_rows is None:   # whole blocks, then a remainder
+                assert traj.n_samples > rows_per_block and traj.n_samples % rows_per_block
+            else:                # a row holds more cells than a block
+                assert rows_per_block == 0
         else:
             traj = with_edge_values(traj, backend="reduced")
         path = tmp_path / "traj.csv"
@@ -95,12 +108,14 @@ class TestCsv:
         oracle = csv_oracle(traj)
         assert path.read_text().splitlines() == oracle.splitlines()
         assert path.read_bytes() == oracle.encode()
-        cols = read_trajectory_csv(path)   # and back, bit for bit, -0.0 included
+        # and back, bit for bit, -0.0 included
+        pointer = [f"Z_{j + 1}" for j in range(n_z)] if n_z else ["Sigma_hat"]
+        cols = read_trajectory_csv(path, ["t_prime", "X", "Y", *pointer, "logOmega"])
+        assert cols["t_prime"].tobytes() == traj.t.tobytes()
         assert cols["X"].tobytes() == traj.x.tobytes()
         assert cols["logOmega"].tobytes() == traj.log_omega.tobytes()
-        if pointer == "Z_n":
-            assert np.column_stack([cols[f"Z_{j}"] for j in (1, 2, 3)]).tobytes() == \
-                traj.z.tobytes()
+        if n_z:
+            assert np.column_stack([cols[c] for c in pointer]).tobytes() == traj.z.tobytes()
         else:
             assert cols["Sigma_hat"].tobytes() == traj.sigma_hat.tobytes()
 
@@ -140,7 +155,7 @@ class TestManifest:
         # fig2 (uncoupled): every trajectory bounces, the closest at 0.020 from X' = 0
         records = read_manifest(preset_runs / "fig2")["trajectories"]
         for rec in records:
-            x = read_trajectory_csv(preset_runs / "fig2" / rec["file"])["X"]
+            x = read_trajectory_csv(preset_runs / "fig2" / rec["file"], ["X"])["X"]
             assert rec["x_margin"] == float(np.min(np.abs(x)))
             assert rec["crossed_plane"] is False
         assert round(min(rec["x_margin"] for rec in records), 3) == 0.020
