@@ -16,8 +16,8 @@ ay = 2/xi_y, az = 2 p_z.  Write g = a t'/D for the phase-curvature factors.
 for one configuration or M at once, with the two branches evaluated
 stacked as one (2, ...) block; the finite-difference oracle is built on it
 alone and evaluates its stencil through it in row blocks.
-``velocity`` and ``contrast`` never form the branches.  They use the branch contrast, in
-which the w-terms cancel and the pointer enters only through the single
+``coefficients`` and ``contrast`` never form the branches.  They use the branch contrast,
+in which the w-terms cancel and the pointer enters only through the single
 dot product dXi . Z' (dXi = Xi^+ - Xi^-):
 
     log Omega = log R1/R2
@@ -47,20 +47,26 @@ half_dw = (w1 - w2)/2 and wcs = wc sin(delta_S):
     v_z = p_z [(c/2) SXi + a dXi + 2 g_z Z']
 
 with SXi = Xi^+ + Xi^-, c = 1 - 2 g_z p_z t' and
-a = c half_dw + wcs 2 p_z t'/Dz.  For N >= 2 that is three
-scalar-times-vector operations over the state (two in single-pointer mode,
-where SXi = 0).  A state with one pointer coordinate (every reduced-backend
-state, every N = 1 scenario) is three floats, on which each numpy call costs
-more than its arithmetic, so ``velocity`` computes it in Python floats: the
-same products in the same order, hence the same bits, and answers the tuple
-(v_x, v_y, v_z) whatever form the state comes in; ``rk45.solve`` then steps
-the state as three named floats too.  ``velocity`` writes the closed form out
-inline, on scalars unpacked from one tuple: a call takes 1.3 us at N = 1, against
-1.5 us through a helper, and 3.5-3.9 us at N = 100 (best of 9, a 2-CPU x86-64 Xeon,
-Python 3.11, numpy 2.4).  With a trivial right-hand side a stepper attempt takes
-4-7 us on three floats against 16-19 us in arrays, and 18-22 us at 102 components
-(N = 100).  The float stepper is written for three components only, so every
-other N answers an array.
+a = c half_dw + wcs 2 p_z t'/Dz.  So v_z = c_1 Z' + a p_z dXi + b p_z SXi, with
+c_1 = 2 p_z g_z and b = c/2: the scalars (c_1, a, b) depend only on t', X', Y'
+and dXi . Z', and the pointer block stays in the span of Z' and the pointer
+basis p_z dXi, p_z SXi, two fixed vectors (p_z SXi = 0 in single-pointer mode).
+``coefficients`` is that scalar core: (v_x, v_y, c_1, a, b) from four floats.
+Every velocity answer is built on it:
+
+* ``velocity`` at N = 1 (every reduced-backend state, every N = 1 scenario):
+  three floats, on which each numpy call costs more than its arithmetic, so it
+  answers the tuple (v_x, v_y, v_z) in Python floats whatever form the state
+  comes in, and ``rk45.solve`` then steps the state as three named floats too;
+* ``velocity`` at any other N: an array, three scalar-times-vector operations
+  over the state (two in single-pointer mode);
+* ``block_velocity``: the core, dXi and the pointer basis, so that
+  ``rk45.solve`` holds each stage's pointer block as three coefficients over
+  (Z' at the step's start, p_z dXi, p_z SXi) and calls the core on floats.
+  Full-analytic runs at N >= 2 step that way.
+
+A core call takes 1.1 us, and a ``velocity`` call 1.2-1.3 us at N = 1 and 3.4 us
+at N = 100 (best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
 
 Numerical care taken here:
 
@@ -73,8 +79,8 @@ Numerical care taken here:
   tolerance): half_dw = +/-1/2, wcs = 0, and no trig is evaluated;
 * in single-pointer mode (Xi^- = -Xi^+, so dG = 0 and SXi = 0) every
   term above is odd in (X', Z'), so reflecting (X', Z') -> (-X', -Z')
-  negates v_x and v_z bit for bit.  Ensemble mirror symmetry in the tests
-  relies on this.
+  negates v_x, a and v_z bit for bit and leaves c_1 and b as they are.
+  Ensemble mirror symmetry in the tests relies on this.
 """
 
 from __future__ import annotations
@@ -132,7 +138,7 @@ class GuidanceKernel:
         "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_pm", "gam_pm", "gam_p", "gam_m",
-        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "dgam2", "one_z", "consts",
+        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "pz_basis", "dgam2", "one_z", "consts",
     )
     _SIGNS = np.array([[1.0], [-1.0]])  # (+1, -1) down the branch axis of a stacked block
 
@@ -161,6 +167,8 @@ class GuidanceKernel:
         # p_z SXi vanishes exactly for a rigid pointer (Xi^- = -Xi^+), as dG does
         self.pz_sxi_pad = (None if params.single_pointer_xi is not None
                            else np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m))))
+        self.pz_basis = np.stack((self.pz_dxi_pad[2:], np.zeros(self.n) if self.pz_sxi_pad is None
+                                  else self.pz_sxi_pad[2:]))
         # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path
         self.one_z = None
         if self.n == 1:
@@ -233,30 +241,17 @@ class GuidanceKernel:
 
     # -- guidance velocity -----------------------------------------------
 
-    def velocity(self, t: float, state: np.ndarray | tuple) -> np.ndarray | tuple:
-        """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N).
+    def coefficients(self, t: float, x: float, y: float, zd: float) -> tuple:
+        """(v_x, v_y, c_1, a, b) at t', X', Y' and zd = dXi . Z', all Python floats.
 
-        The state is only read.  For N = 1 it may be an array or a tuple of 3
-        floats, and the answer is the tuple (v_x, v_y, v_z) of Python floats,
-        the same products in the same order as the array path, so the same
-        bits.  For any other N it is an array, and the answer a fresh array:
-        the pointer dot and v_z are taken on the whole state, against dXi
-        padded with two zeros, and entries 0 and 1 are then set to v_x and v_y.
-        The closed form of ``contrast`` is written out again on the scalars
-        of ``consts``, whose 2 p_z and 2 xi_x are the products its expressions
+        The guidance velocity's pointer block is then v_z = c_1 Z' + a p_z dXi
+        + b p_z SXi (module docstring), with c_1 = 2 p_z g_z and b = c/2.  The
+        closed form of ``contrast`` is written out again on the scalars of
+        ``consts``, whose 2 p_z and 2 xi_x are the products its expressions
         form first, so the bits hold.
         Raises NodeError if the normalized density is below NODE_EPS.
         """
         ax, ay, az, dp, beta, pz, px, py, xi_y, dgam2, pz2, xi_x2 = self.consts
-        t = float(t)  # numpy scalars would slow every scalar operation below
-        one_z = self.one_z
-        if one_z is not None:
-            x, y, z = state if type(state) is tuple else state.tolist()
-            dxi, pz_dxi, pz_sxi = one_z
-            zd = dxi * z
-        else:
-            x, y = state.item(0), state.item(1)
-            zd = float(state.dot(self.dxi_pad))
         axt, azt = ax * t, az * t
         Dx = 1.0 + axt ** 2
         Dz = 1.0 + azt ** 2
@@ -290,19 +285,49 @@ class GuidanceKernel:
             wcs = el / rho_hat * math.sin(d)
 
         c = 1.0 - 2.0 * gz * pz * t
-        a = c * half_dw + wcs * (pz2 * t / Dz)
         ayt = ay * t
-        vx = px * (2.0 * gx * x - half_dw * (xi_x2 + 4.0 * gx * cx) + wcs * (4.0 * cx / Dx))
-        vy = py * (xi_y + 2.0 * (ayt / (1.0 + ayt ** 2)) * (y - t))
-        if one_z is not None:  # the array path's v_z at its one pointer entry, in its order
-            vz = (pz2 * gz) * z + a * pz_dxi
+        return (px * (2.0 * gx * x - half_dw * (xi_x2 + 4.0 * gx * cx) + wcs * (4.0 * cx / Dx)),
+                py * (xi_y + 2.0 * (ayt / (1.0 + ayt ** 2)) * (y - t)),
+                pz2 * gz, c * half_dw + wcs * (pz2 * t / Dz), 0.5 * c)
+
+    def velocity(self, t: float, state: np.ndarray | tuple) -> np.ndarray | tuple:
+        """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N).
+
+        The state is only read.  For N = 1 it may be an array or a tuple of 3
+        floats, and the answer is the tuple (v_x, v_y, v_z) of Python floats,
+        the same products in the same order as the array path, so the same
+        bits.  For any other N it is an array, and the answer a fresh array:
+        the pointer dot and v_z are taken on the whole state, against dXi
+        padded with two zeros, and entries 0 and 1 are then set to v_x and v_y.
+        Both evaluate ``coefficients``.
+        Raises NodeError if the normalized density is below NODE_EPS.
+        """
+        t = float(t)  # numpy scalars would slow every scalar operation below
+        one_z = self.one_z
+        if one_z is not None:
+            x, y, z = state if type(state) is tuple else state.tolist()
+            dxi, pz_dxi, pz_sxi = one_z
+            vx, vy, c1, a, b = self.coefficients(t, x, y, dxi * z)
+            vz = c1 * z + a * pz_dxi
             if pz_sxi is not None:
-                vz += (0.5 * c) * pz_sxi
+                vz += b * pz_sxi
             return vx, vy, vz
-        v = (pz2 * gz) * state
+        vx, vy, c1, a, b = self.coefficients(t, state.item(0), state.item(1),
+                                             float(state.dot(self.dxi_pad)))
+        v = c1 * state
         v += a * self.pz_dxi_pad
         if self.pz_sxi_pad is not None:
-            v += (0.5 * c) * self.pz_sxi_pad
+            v += b * self.pz_sxi_pad
         v[0] = vx
         v[1] = vy
         return v
+
+    def block_velocity(self, t: float, state: np.ndarray) -> tuple:
+        """The guidance velocity as ``rk45.solve`` steps it with the pointer block held as
+        coefficients: whatever the state, (``coefficients``, dXi, [p_z dXi, p_z SXi]).
+
+        The slope's pointer block c_1 Z' + a p_z dXi + b p_z SXi stays in the span of
+        Z' and the two rows, so each stage state does, and a stage reads the pointer
+        only through dXi . Z'.  For a rigid pointer the second row is zeros.
+        """
+        return self.coefficients, self.dxi, self.pz_basis

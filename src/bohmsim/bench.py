@@ -1,9 +1,12 @@
 """Wall-clock comparison of the trajectory backends vs pointer size N.
 
 The full backends integrate N+2 coupled equations, so their cost grows
-with N; the reduced backend always integrates 3 (X', Y', Sigma_hat'), so
-its core cost must not depend on N.  That is the headline check reported
-here.  Pointer reconstruction is O(N) per output sample and is timed
+with N: on full-numeric through every slope's finite-difference stencil, on
+full-analytic at N >= 2 only through the O(N) work once per attempt (the new
+state, the error vector and its norm) and once per run (dense output and the
+diagnostics), since each stage's pointer block is three coefficients there.
+The reduced backend always integrates 3 (X', Y', Sigma_hat'), so its core
+cost must not depend on N.  That is the headline check reported here.  Pointer reconstruction is O(N) per output sample and is timed
 separately on a thinned sample grid (and skipped above
 ``MAX_RECONSTRUCT_N``, where the arrays alone would dominate).
 

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._kernel import GuidanceKernel
+from ._kernel import GuidanceKernel, scales
 from .model import Configuration, ScenarioParams
 from .reduced import reconstruct_pointers, reduced_params, sigma_hat_of
 from .rk45 import SolverStats, solve
@@ -53,6 +53,7 @@ MAX_STEP_FRAC = 0.02  # step ceiling / horizon: the largest passing the tier-1 c
 HORIZON_CROSSINGS = 2.5  # horizon / t'_cross: the packets have crossed and separated again
 SAMPLE_INTERVALS = 512  # horizon / sampling interval: smooth panels; the golden CSVs pin it
 LAUNCH_HALF_WIDTH = 0.8  # packet widths, 1.6 standard deviations: ~89% of each slit's density
+SQUARABLE = 2.0 ** 511  # bound on t' and a t' over the horizon: their squares stay below 2^1022
 
 
 def crossing_time(params: ScenarioParams) -> float:
@@ -63,12 +64,18 @@ def crossing_time(params: ScenarioParams) -> float:
 def time_grid(params: ScenarioParams) -> tuple[float, np.ndarray, float]:
     """(t_end, samples, max_step): the horizon as a Python float, the sample times from 0
     to t_end and the step ceiling.  ValueError unless the horizon, stride and ceiling are
-    positive and finite, which values derived from t'_cross may not be."""
+    positive and finite, which values derived from t'_cross may not be, and unless the
+    kernel can square t' and its spreading products a t' up to the horizon: each below
+    ``SQUARABLE``."""
     t_end = float(HORIZON_CROSSINGS * crossing_time(params))
     stride, max_step = t_end / SAMPLE_INTERVALS, MAX_STEP_FRAC * t_end
     if not all(0 < v < math.inf for v in (t_end, stride, max_step)):
         raise ValueError(f"the horizon, stride and step ceiling {(t_end, stride, max_step)!r} "
                          "must be positive and finite")
+    _, _, _, _, ax, ay, az = scales(params)
+    if not max(t_end, ax * t_end, ay * t_end, az * t_end) < SQUARABLE:
+        raise ValueError(f"the horizon t'={t_end!r} or a spreading product a t' there is at or "
+                         "above 2^511, where the guidance kernel's squares overflow")
     samples = np.arange(0.0, t_end, stride)
     if samples.size == 0 or samples[-1] < t_end:
         samples = np.append(samples, t_end)
@@ -245,7 +252,10 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
     kern = GuidanceKernel(kernel_params(params, backend))
     if reduced:  # (X', Y', Sigma_hat') is the full state of the one-particle twin
         y0 = np.append(y0[:2], sigma_hat_of(y0[2:]))
-    rhs = partial(fd_velocity, kern) if backend == "full-numeric" else kern.velocity
+    if backend == "full-numeric":
+        rhs = partial(fd_velocity, kern)
+    else:  # N >= 2 steps the pointer block as coefficients, N = 1 in floats (see rk45)
+        rhs = kern.block_velocity if kern.n >= 2 else kern.velocity
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.rel_tol / 100, max_step=max_step)
     t, x, y = res.t, res.y[:, 0], res.y[:, 1]

@@ -15,10 +15,11 @@ Two non-standard behaviors are built in for Bohmian trajectories:
   warnings on +/-inf.
 
 One step controller (step ceiling, node backoff, non-finite halving, PI
-control, step budget, counts and the dense-output record) drives one of two
-forms of the stage arithmetic.  ``solve`` evaluates the first slope on the
-array ``y0``, and the form of that answer picks the form of the run (the
-guidance kernel says which of its states answer tuples, and why):
+control, step budget, a step that does not advance t, counts and the
+dense-output record) drives one of three forms of the stage arithmetic.
+``solve`` calls ``rhs`` first on the array ``y0``, and the form of that answer
+picks the form of the run (the guidance kernel says which of its states answer
+which form, and why):
 
 * floats, when ``rhs`` answers a tuple of three floats.  Each stage state, the
   5th-order solution and the error estimate are the tableau written out over
@@ -28,8 +29,15 @@ guidance kernel says which of its states answer tuples, and why):
   sum inf or NaN, and finite components whose sum overflows fall through to the
   per-component test.  The sums are Python's, left to right, so their bits do not
   depend on the BLAS build or the CPU.  ``rhs`` receives every later state as a
-  tuple of three floats.  An attempt with a trivial ``rhs`` takes 4-7 us, against
-  16-19 us in arrays (best of 9, 2-CPU Xeon).
+  tuple of three floats.
+* blocks, when ``rhs`` answers with (core, lin, basis) instead of a slope: the
+  state is (x, y, Z), and the slope's block Z' is c Z + a B1 + b B2 for the two
+  rows of ``basis``, where (x', y', c, a, b) = core(t, x, y, lin . Z).  So every
+  stage's Z stays in the span of (Z at the step's start, B1, B2), and a stage is
+  five floats (x, y and Z's three coefficients) written out as on the float path,
+  with ``core`` called on floats; ``rhs`` is not called again.  Z itself, the
+  error vector over it and the error norm over all components are formed once
+  per attempt (see ``_BlockStages``).
 * arrays, for any other answer.  One buffer holds the rows (y, k1..k7), and
   a weight matrix [1 | h A], with [0 | h E] as its last row, is filled once
   per attempt: each stage state 1*y + sum_j h a_ij k_j, and the error
@@ -38,8 +46,16 @@ guidance kernel says which of its states answer tuples, and why):
   or of an array returned by ``rhs`` outlives a step, so ``rhs`` may reuse
   its output array.
 
-Both forms are linear in (y, k) with fixed coefficients, so negation
-commutes with them and mirrored starts stay mirrored bit for bit.
+With a trivial ``rhs`` an attempt takes 4 us on floats, 12-13 us in arrays of 3
+or 102 components, and 13 us on blocks at N = 100.  With the guidance kernel at
+N = 100 it takes 24 us on blocks against 40 us in arrays: six calls of the
+scalar core in place of six array slopes (best of 9 and of 15 runs, a 2-CPU
+x86-64 Xeon, Python 3.11, numpy 2.4).
+
+Every form is linear in (y, k) with fixed coefficients, and on blocks c and
+the coefficient of Z are even under a reflection (x, Z) -> (-x, -Z) of a flow
+that is odd in (x, Z), so negation commutes with each form and mirrored starts
+stay mirrored bit for bit.
 
 Dense output uses the standard quartic interpolant for this pair, so
 requested sample times are filled without constraining the step sequence.
@@ -49,7 +65,9 @@ evaluated in one pass when the run ends.  The array path records
 step, with the powers theta^j taken as Python float powers.  The float
 path records (t, h, y, k1..k7 as one flat tuple of 21 floats: numpy builds its
 array from those 2-4 times faster than from nested tuples) and evaluates every
-sample in one batch.
+sample in one batch.  The block path records (t, h, (x, y), Z, k1..k7 flat over
+five floats), takes x, y and the coefficients in that batch, and then Z with one
+stacked matrix-vector product per recorded step.
 Either way every sample is its own matrix-vector product, so that its bits
 do not depend on which other samples are requested.
 """
@@ -141,6 +159,23 @@ def _dense_output(ts, steps, out) -> None:
         out[lo:hi] = y + h * (q @ tp[:, :, None])[:, :, 0]
 
 
+def _increments(ts, t, h, k, lo, hi, width):
+    """(step, inc) for the samples ts[lo[0]:hi[-1]] of steps recorded as (t, h, k1..k7 flat over
+    ``width`` components, lo, hi): each sample's step and its h sum_j k_j b_j(theta).
+
+    Each sample is still its own matrix-vector product, and theta's powers are
+    products of theta taken element by element.  Stacked, the per-sample copies
+    of k^T P take 4 * width floats a sample: small on a narrow state.
+    """
+    step = np.repeat(np.arange(len(t)), np.subtract(hi, lo))
+    h = np.array(h)[step]
+    th = (np.array(ts[lo[0]:hi[-1]]) - np.array(t)[step]) / h
+    th2 = th * th
+    tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
+    q = (np.array(k).reshape(-1, 7, width).transpose(0, 2, 1) @ _P)[step]
+    return step, h[:, None] * (q @ tp[:, :, None])[:, :, 0]
+
+
 class _FloatStages:
     """The stages of one step on three Python floats, written out component by component.
 
@@ -151,11 +186,12 @@ class _FloatStages:
     before ``rhs`` sees the state.
     """
 
-    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "k1", "y_new", "ks")
+    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "f0", "y", "k1", "y_new", "ks")
 
-    def __init__(self, rhs, y0: np.ndarray, f0: tuple, rtol: float, atol: float):
+    def __init__(self, rhs, t0: float, y0: np.ndarray, f0: tuple, rtol: float, atol: float):
         self.rhs, self.rtol, self.atol = rhs, rtol, atol
         self.n_rhs = 1
+        self.f0 = np.array(f0, dtype=float)
         self.y, self.k1 = tuple(y0.tolist()), f0
 
     def probe(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -226,23 +262,11 @@ class _FloatStages:
 
     @staticmethod
     def dense_output(ts, steps, out) -> None:
-        """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi).
-
-        Each sample is still its own matrix-vector product, and theta's powers
-        are products of theta taken element by element.  Stacked, the per-sample
-        copies of k^T P take 4 * dim floats a sample: small on a narrow state.
-        """
-        if not steps:
-            return
-        t, h, y, k, lo, hi = zip(*steps)
-        first, last = lo[0], hi[-1]
-        step = np.repeat(np.arange(len(steps)), np.subtract(hi, lo))
-        h = np.array(h)[step]
-        th = (np.array(ts[first:last]) - np.array(t)[step]) / h
-        th2 = th * th
-        tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
-        q = (np.array(k).reshape(-1, 7, 3).transpose(0, 2, 1) @ _P)[step]
-        out[first:last] = np.array(y)[step] + h[:, None] * (q @ tp[:, :, None])[:, :, 0]
+        """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi)."""
+        if steps:
+            t, h, y, k, lo, hi = zip(*steps)
+            step, inc = _increments(ts, t, h, k, lo, hi, 3)
+            out[lo[0]:hi[-1]] = np.array(y)[step] + inc
 
     def accept(self) -> None:
         self.y, self.k1 = self.y_new, self.ks[6]  # FSAL
@@ -251,12 +275,13 @@ class _FloatStages:
 class _ArrayStages:
     """The stages of one step in the weight-matrix buffer; the interface of _FloatStages."""
 
-    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "y", "abs_y", "y_new", "abs_y_new",
+    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "f0", "y", "abs_y", "y_new", "abs_y_new",
                  "buf", "k", "scaled", "stages", "err_row", "scratch")
 
-    def __init__(self, rhs, y0: np.ndarray, f0, rtol: float, atol: float):
+    def __init__(self, rhs, t0: float, y0: np.ndarray, f0, rtol: float, atol: float):
         self.rhs, self.rtol, self.atol = rhs, rtol, atol
         self.n_rhs = 1
+        self.f0 = np.array(f0, dtype=float)
         dim = y0.size
         self.buf = np.empty((8, dim))      # rows (y, k1..k7)
         self.k = self.buf[1:]
@@ -301,6 +326,143 @@ class _ArrayStages:
         self.k[0] = self.k[6]  # FSAL; retries only overwrite rows 1-6
 
 
+class _BlockStages:
+    """The stages of one step with the state's block held as coefficients; the interface
+    of _FloatStages.
+
+    The state is (x, y, Z), and ``rhs`` answered the array y0 with (core, lin, basis):
+    at a state whose Z is Z0 + g Z0 + d B1 + e B2, for the rows B1, B2 of ``basis``,
+    core(t, x, y, lin . Z) gives (v_x, v_y, c, a, b), and the slope's block is
+    c Z + a B1 + b B2, which is (c + c g, c d + a, c e + b) over the same three
+    vectors.  So each stage state is the five floats (x, y, g, d, e) over the step's
+    start Z0, written as the float path's sums with zero start coefficients, and
+    lin . Z is lin . Z0 + (g lin . Z0 + d lin . B1 + e lin . B2).  A stage is tested
+    like a float-path stage, lin . Z included.  Z itself is formed once per attempt,
+    at the 5th-order solution, with the error vector, as one product of the two
+    coefficient rows with (Z0, B1, B2); it is tested for finiteness, as a stage state
+    is.  The error norm is the array path's, over all components.  At the step's end
+    the coefficients restart at zero over the new Z0: FSAL gives the next first slope
+    as stage 7's (v_x, v_y, c, a, b), and lin . Z0 is carried over from that stage.
+    """
+
+    __slots__ = ("core", "rtol", "atol", "n_rhs", "f0", "lin", "lb", "rows", "scratch", "xy", "zeta",
+                 "z", "abs_z", "k1", "raw", "xy_new", "zeta_new", "z_new", "abs_z_new", "ks")
+
+    def __init__(self, rhs, t0: float, y0: np.ndarray, first: tuple, rtol: float, atol: float):
+        core, lin, basis = first
+        lin = np.asarray(lin, dtype=float)
+        self.core, self.lin, self.rtol, self.atol = core, lin, rtol, atol
+        self.n_rhs = 0
+        z0 = y0[2:].copy()
+        self.rows = np.stack((z0, *basis))          # (Z0, B1, B2); row 0 follows the state
+        self.lb = self.rows[1:].dot(lin).tolist()    # lin . B1, lin . B2
+        self.scratch = np.empty(z0.size)
+        self.zeta = float(z0.dot(lin))
+        self.xy, self.z, self.abs_z = tuple(y0[:2].tolist()), z0, np.abs(z0)
+        self.k1 = self._slope(t0, *self.xy, 0.0, 0.0, 0.0)
+        self.f0 = self._full(z0, self.raw)
+
+    def _slope(self, t: float, x: float, y: float, g: float, d: float, e: float) -> tuple:
+        zeta = self.zeta
+        zeta += g * zeta + d * self.lb[0] + e * self.lb[1]
+        fin = math.isfinite
+        if not fin(x + y + g + d + e + zeta) and not all(map(fin, (x, y, g, d, e, zeta))):
+            raise IntegrationAbort("non-finite stage state")
+        self.n_rhs += 1
+        vx, vy, c, a, b = self.raw = self.core(t, x, y, zeta)
+        self.zeta_new = zeta
+        return vx, vy, c + c * g, c * d + a, c * e + b
+
+    def _full(self, z: np.ndarray, raw: tuple) -> np.ndarray:
+        """The slope as one array at a state with block z, from the core's answer there."""
+        vx, vy, c, a, b = raw
+        return np.concatenate(((vx, vy), c * z + a * self.rows[1] + b * self.rows[2]))
+
+    def probe(self, t: float, y: np.ndarray) -> np.ndarray:
+        if _count_nonzero(np.isfinite(y)) != y.size:
+            raise IntegrationAbort("non-finite stage state")
+        z = y[2:]
+        self.n_rhs += 1
+        return self._full(z, self.core(t, y.item(0), y.item(1), float(z.dot(self.lin))))
+
+    def attempt(self, t: float, h: float) -> float:
+        # the float path's weights h a_ij and h e_j; every sum runs left to right
+        (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+         b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * c for c in _TABLEAU]
+        _, c2, c3, c4, c5, _, _ = _C
+        slope = self._slope
+        x0, y0 = self.xy
+        p0, p1, p2, p3, p4 = k1 = self.k1
+        q0, q1, q2, q3, q4 = k2 = slope(t + c2 * h, x0 + a21 * p0, y0 + a21 * p1,
+                                        a21 * p2, a21 * p3, a21 * p4)
+        r0, r1, r2, r3, r4 = k3 = slope(t + c3 * h, x0 + a31 * p0 + a32 * q0, y0 + a31 * p1 + a32 * q1,
+                                        a31 * p2 + a32 * q2, a31 * p3 + a32 * q3, a31 * p4 + a32 * q4)
+        s0, s1, s2, s3, s4 = k4 = slope(t + c4 * h, x0 + a41 * p0 + a42 * q0 + a43 * r0,
+                                        y0 + a41 * p1 + a42 * q1 + a43 * r1,
+                                        a41 * p2 + a42 * q2 + a43 * r2, a41 * p3 + a42 * q3 + a43 * r3,
+                                        a41 * p4 + a42 * q4 + a43 * r4)
+        u0, u1, u2, u3, u4 = k5 = slope(t + c5 * h, x0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
+                                        y0 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
+                                        a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2,
+                                        a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3,
+                                        a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4)
+        v0, v1, v2, v3, v4 = k6 = slope(t + h,
+                                        x0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
+                                        y0 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
+                                        a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2,
+                                        a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3,
+                                        a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * u4)
+        s7 = (x0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
+              y0 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
+              b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2,
+              b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3,
+              b1 * p4 + b3 * r4 + b4 * s4 + b5 * u4 + b6 * v4)
+        w0, w1, w2, w3, w4 = k7 = slope(t + h, *s7)
+        x7, y7, *inc = s7
+        ex = e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * v0 + e7 * w0
+        ey = e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1
+        err = (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2,
+               e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3,
+               e1 * p4 + e3 * r4 + e4 * s4 + e5 * u4 + e6 * v4 + e7 * w4)
+        dz, err_z = np.array((inc, err)).dot(self.rows)
+        z_new = self.z + dz
+        if _count_nonzero(np.isfinite(z_new)) != z_new.size:
+            raise IntegrationAbort("non-finite stage state")
+        self.xy_new, self.z_new, self.abs_z_new = (x7, y7), z_new, np.abs(z_new)
+        self.ks = (k1, k2, k3, k4, k5, k6, k7)
+        rtol, atol, r = self.rtol, self.atol, self.scratch
+        dx = ex / (max(abs(x0), abs(x7)) * rtol + atol)
+        dy = ey / (max(abs(y0), abs(y7)) * rtol + atol)
+        np.multiply(np.maximum(self.abs_z, self.abs_z_new, out=r), rtol, out=r)
+        np.divide(err_z, np.add(r, atol, out=r), out=r)
+        return math.sqrt((dx * dx + dy * dy + float(r.dot(r))) / (r.size + 2))
+
+    def record(self) -> tuple:
+        k1, k2, k3, k4, k5, k6, k7 = self.ks
+        return self.xy, self.z, (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
+
+    def dense_output(self, ts, steps, out) -> None:
+        """Every sample from the steps recorded as (t, h, (x, y), Z0, k1..k7 flat over
+        (x, y, g, d, e), lo, hi).  Z at a sample is (1 + g, d, e) times the rows
+        (Z0, B1, B2) of its step: one stacked product per step, written into ``out``."""
+        if steps:
+            t, h, u, z, k, lo, hi = zip(*steps)
+            step, inc = _increments(ts, t, h, k, lo, hi, 5)
+            first = lo[0]
+            out[first:hi[-1], :2] = np.array(u)[step] + inc[:, :2]
+            coef = inc[:, None, 2:]
+            coef[:, :, 0] += 1.0
+            rows, out_z = self.rows.copy(), out[first:, None, 2:]
+            for z0, a, b in zip(z, lo, hi):
+                rows[0] = z0
+                np.matmul(coef[a - first:b - first], rows, out=out_z[a - first:b - first])
+
+    def accept(self) -> None:
+        self.xy, self.zeta, self.k1 = self.xy_new, self.zeta_new, self.raw  # FSAL
+        self.z, self.abs_z = self.z_new, self.abs_z_new
+        self.rows[0] = self.z
+
+
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow aborts
     # unwarned under ``solve``'s errstate: of a slope norm here, of the probe state in
@@ -332,13 +494,16 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
     ``rhs`` first receives the array ``y0``.  If it answers a tuple of three
-    floats, every later state comes as one; otherwise as an array (see the
-    module docstring).  ``rhs`` never sees a non-finite state: a non-finite
-    ``y0`` or first slope, or a first slope whose error norm overflows,
-    raises ``IntegrationAbort`` at once.  Overflow and invalid operations
-    anywhere in the run, ``rhs`` included, are not warned: they give
-    non-finite values, which meet these tests.  ``t0`` and ``t_end`` must be
-    finite, with t0 < t_end.
+    floats, every later state comes as one; if it answers (core, lin, basis),
+    only ``core`` is called after; otherwise every later state comes as an
+    array (see the module docstring).  ``rhs`` never sees a non-finite state:
+    a non-finite ``y0`` or first slope, or a first slope whose error norm
+    overflows, raises ``IntegrationAbort`` at once.  Overflow and invalid
+    operations anywhere in the run, ``rhs`` included, are not warned: they
+    give non-finite values, which meet these tests.  An accepted step too small
+    to move t raises ``IntegrationAbort`` too.  ``t0`` and ``t_end`` must be
+    finite, with t0 < t_end; they, the tolerances and ``max_step`` are taken
+    as Python floats.
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
     first entry, if equal to t0, is served from the initial state.  Returns
@@ -346,6 +511,8 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     """
     y0 = np.asarray(y0, dtype=float)
     ts = np.asarray(sample_times, dtype=float).tolist()
+    # Python floats: numpy scalars would make the counts and step sizes numpy scalars too
+    t0, t_end, rtol, atol, max_step = map(float, (t0, t_end, rtol, atol, max_step))
     # written so that NaN fails; an infinite horizon would step without end
     if not -math.inf < t0 < t_end < math.inf:
         raise ValueError(f"t0={t0!r} and t_end={t_end!r} must be finite, with t0 < t_end")
@@ -370,13 +537,15 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
 
     with np.errstate(over="ignore", invalid="ignore"):  # once per run, rhs included
         try:
-            f0 = rhs(t0, y0)
+            first = rhs(t0, y0)
+            tup = type(first) is tuple
+            form = (_BlockStages if tup and first and callable(first[0]) else
+                    _FloatStages if tup and len(first) == 3 else _ArrayStages)
+            stages = form(rhs, t0, y0, first, rtol, atol)
         except NodeError:
             return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
-        floats = type(f0) is tuple and len(f0) == 3
-        stages = (_FloatStages if floats else _ArrayStages)(rhs, y0, f0, rtol, atol)
         attempt, record, accept = stages.attempt, stages.record, stages.accept
-        f0 = np.array(f0, dtype=float)
+        f0 = stages.f0
         if not np.isfinite(f0).all():
             raise IntegrationAbort(f"non-finite slope at t0={t0!r}")
         h = min(max(_initial_step(stages.probe, t0, y0, f0, t_end, rtol, atol, max_step),
@@ -436,6 +605,8 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
             h_min = h if h < h_min else h_min
             h_max = h if h > h_max else h_max
             t_new = t_end if last_step else t + h
+            if t_new == t:   # h is below the float spacing at t: no step would move t
+                raise IntegrationAbort(f"step {h!r} does not advance t={t!r}")
 
             if si < n_out and (last_step or ts[si] <= t_new):
                 hi = n_out if last_step else bisect_right(ts, t_new, si)

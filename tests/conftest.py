@@ -162,36 +162,58 @@ def config(t, x, y, z=()) -> Configuration:
 
 class Form:
     """The system ``f(t, y)`` answering its slope in one form: as a tuple of floats,
-    which ``rk45.solve`` steps in Python floats when there are three, or as an
-    array, which it steps in its array buffer.  ``seen`` holds (t, type, copy) of every state handed in."""
+    which ``rk45.solve`` steps in Python floats when there are three; as an array,
+    which it steps in its array buffer; or, as ``BLOCK``, with the block form's
+    (core, lin, basis) for a state (y0, y1, z) of three components, which it steps
+    with z held as coefficients.  The block form's z is its own basis row and lin . z
+    is z, so ``f`` there reads (y0, y1, z) and may answer any slope.  ``seen`` holds
+    (t, type, copy) of every state handed in, as (y0, y1, z) on the block form."""
 
-    def __init__(self, answer: type, f):
-        self.answer, self.f, self.seen = answer, f, []
+    BLOCK = "block"
+
+    def __init__(self, answer, f):
+        self.answer, self.f, self.seen, self.asked = answer, f, [], []
 
     def __call__(self, t, y):
+        if self.answer is self.BLOCK:
+            self.asked.append(type(y))
+            return self.core, np.ones(1), np.array([[1.0], [0.0]])
         self.seen.append((t, type(y), np.array(y)))
         v = self.f(t, y)
         return tuple(map(float, v)) if self.answer is tuple else np.array(v, dtype=float)
 
+    def core(self, t, x, y, z):
+        # the slope's block is 0 z + a 1 + b 0, with a the slope of z
+        self.seen.append((t, self.BLOCK, np.array([x, y, z])))
+        vx, vy, vz = map(float, self.f(t, (x, y, z)))
+        return vx, vy, 0.0, vz, 0.0
+
     def reached(self) -> bool:
         """``solve`` handed over y0 as an array, then every later state in the answer's form."""
         kinds = [kind for _, kind, _ in self.seen]
+        if self.answer is self.BLOCK:
+            return self.asked == [np.ndarray] and set(kinds) == {self.BLOCK}
         return kinds[:1] == [np.ndarray] and set(kinds[1:]) == {self.answer}
 
 
-def both_forms(f) -> list[Form]:
-    """``f`` answering a tuple, then the same ``f`` answering an array."""
-    return [Form(tuple, f), Form(np.ndarray, f)]
+def every_form(f, dim: int = 3) -> list[Form]:
+    """``f`` answering a tuple, then an array, then, on three components, in block form."""
+    return [Form(tuple, f), Form(np.ndarray, f), *[Form(Form.BLOCK, f)] * (dim == 3)]
+
+
+class DeadlineExceeded(Exception):
+    """A body ran past its ``deadline``.  Not a TimeoutError: that is an OSError, which
+    ``cli.main`` reports as exit 2, so a hang inside ``main`` would read as a refusal."""
 
 
 @contextlib.contextmanager
 def deadline(seconds: int):
-    """Raise TimeoutError in the body once it has run ``seconds``, so a hang fails.
+    """Raise DeadlineExceeded in the body once it has run ``seconds``, so a hang fails.
 
     Uses SIGALRM: POSIX only, and pytest must run the test in the main thread.
     """
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise DeadlineExceeded(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)

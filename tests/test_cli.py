@@ -119,12 +119,36 @@ class TestSimulate:
             assert len(list(out.glob("traj_*.csv"))) == 18
 
     @pytest.mark.parametrize("key, value, code", [
-        ("xi_x", 1e200, 3), ("xi_y", 1e-200, 3), ("mu", 1e200, 3),    # slope norm overflows
+        ("xi_x", 1e200, 3), ("xi_y", 1e-200, 3), ("mu", 1e150, 3),    # slope norm overflows
         ("r", 1e-200, 2), ("r", 1e200, 2), ("R", 1e200, 2),           # a scale over/underflows
-        ("d_prime", 1e308, 2), ("d_prime", 5e-324, 2)])   # the horizon or its stride does
+        ("d_prime", 1e308, 2), ("d_prime", 5e-324, 2),    # the horizon or its stride does
+        ("mu", 1e200, 2)])                                # a_z t_end = 1.5e200 >= 2^511
     def test_extreme_parameter_exits_cleanly(self, tmp_path, capsys, key, value, code):
         # positive and finite, but a derived scale, the horizon or the first slope is not
         self.assert_extreme_exits_cleanly(tmp_path, capsys, {key: value}, "full-analytic", code)
+
+    @pytest.mark.parametrize("name", ["fig4", "fig7"])
+    @pytest.mark.parametrize("key", ["xi_x", "xi_y", "r", "R", "mu", "d_prime"])
+    @pytest.mark.parametrize("value", [1e-300, 1e-200, 1e200, 1e300])
+    def test_far_parameter_ends_in_seconds(self, tmp_path, capsys, name, key, value):
+        # every accepted input ends: a complete run, a refusal or an abort, never a spent
+        # step budget.  A horizon of 2^512 used to take steps below its float spacing
+        data = scenario_to_dict(preset(name))
+        data["ensemble"]["count_per_slit"] = 1
+        data["params"][key] = value
+        for backend in ("full-analytic", "full-numeric", "reduced"):
+            data["ensemble"]["backend"] = backend
+            path = tmp_path / f"{backend}.json"
+            path.write_text(json.dumps(data))
+            with deadline(5):
+                code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / backend)])
+            assert code in (0, 2, 3), backend
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_horizon_the_kernel_cannot_square_exits_2(self, tmp_path, capsys):
+        # t_end = 7.5e-10 but a_x t_end = 5 d'/xi_x = 1.5e161, above 2^511 = 6.7e153
+        self.assert_extreme_exits_cleanly(tmp_path, capsys, {"xi_x": 1e-160, "xi_y": 1e-170},
+                                          "full-analytic", 2)
 
     @pytest.mark.parametrize("groups, backend, code", [
         ([[1, 1e308, -1e308]], "full-analytic", 2),  # Xi+ - Xi- overflows

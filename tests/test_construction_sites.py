@@ -9,9 +9,11 @@ values: a rigid pointer through ``with_rigid_pointer``, the two one-particle
 pointers of fig7 and fig8 as two groups of one particle.
 
 The node floor ``NODE_EPS`` is declared in model.py and tested by the two
-velocity routes alone, ``GuidanceKernel.velocity`` and ``fd_velocity``: they
-are the only places that raise ``NodeError``, and every caller, the stepper
-included, gets the floor through them.
+velocity routes alone, the closed form and ``fd_velocity``: they are the only
+places that raise ``NodeError``, and every caller, the stepper included, gets
+the floor through them.  The closed form raises it in
+``GuidanceKernel.coefficients``, the scalar core under ``velocity`` and
+``block_velocity``.
 
 The command line's exit-code policy lives in ``cli.main`` alone: the commands
 raise, and only ``main`` names the configuration and integration exit codes.
@@ -23,10 +25,10 @@ sqrt(N_old/N) rescales a common start without forming Sigma_hat'.  Every
 other square root in the package is pinned by (file, function) as well.
 
 Which states are computed in Python floats is decided once, by the right-hand
-side: ``GuidanceKernel.velocity`` answers a tuple at N = 1, and ``rk45.solve``
-steps in floats when its first slope is a tuple.  So the package holds two
-``type(...) is tuple`` tests: ``solve``'s read of that answer, and the kernel's
-read of its input.
+side: ``GuidanceKernel.velocity`` answers a tuple at N = 1, ``block_velocity``
+answers the block form's (core, lin, basis), and ``rk45.solve`` picks its stage
+form from that first answer.  So the package holds two ``type(...) is tuple``
+tests: ``solve``'s read of that answer, and the kernel's read of its input.
 """
 
 import ast
@@ -37,7 +39,7 @@ import bohmsim
 CONSTRUCTORS = {"ScenarioParams"}
 ALLOWED = {("scenario.py", "_single"), ("scenario.py", "_two")}
 NODE_EPS_READERS = {"_kernel.py", "velocity.py"}
-NODE_RAISERS = {("_kernel.py", "velocity"), ("velocity.py", "fd_velocity")}
+NODE_RAISERS = {("_kernel.py", "coefficients"), ("velocity.py", "fd_velocity")}
 EXIT_CODES = {"EXIT_CONFIG", "EXIT_INTEGRATION"}
 SQRT_SITES = {
     ("reduced.py", "sigma_hat_of"), ("reduced.py", "common_start"),

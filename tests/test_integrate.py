@@ -14,7 +14,7 @@ from bohmsim.rk45 import solve
 from bohmsim.scenario import preset
 from bohmsim.velocity import y_closed_form
 
-from conftest import both_forms, fig4_n_particles, golden, run_figures
+from conftest import every_form, fig4_n_particles, golden, run_figures
 
 
 class TestCrossingTime:
@@ -59,6 +59,27 @@ class TestIntegratorOptions:
         assert grid[0] == 0.0
         assert grid[-1] == 2.5 * crossing_time(fig4_params) == t_end   # the horizon itself
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("changes", [
+        dict(xi_x=1e-200),                   # t_end = 7.5e200
+        dict(xi_x=1e-160, xi_y=1e-170),      # t_end = 7.5e-10, a_x t_end = 5 d'/xi_x = 1.5e161
+        dict(xi_x=1e-152, r=1e10),           # a_y t_end = 5 d' r^2/xi_x = 1.5e173
+        dict(xi_x=1e-152, mu=1e10)],         # a_z t_end = 5 mu R^2 d'/xi_x = 1.5e163
+        ids=["t", "ax-t", "ay-t", "az-t"])
+    def test_horizon_the_kernel_cannot_square_is_refused(self, fig4_params, changes):
+        params = replace(fig4_params, **changes)
+        with pytest.raises(ValueError, match=r"2\^511"):
+            time_grid(params)
+
+    def test_horizon_of_2_to_the_510_is_accepted(self, fig4_params):
+        # fig4's horizon t_end = 2.5 d' exceeds a t_end for each a: scale d' to the bound
+        for t_end, ok in ((2.0 ** 511, False), (2.0 ** 510, True)):
+            params = replace(fig4_params, d_prime=t_end / 2.5)
+            if ok:
+                assert time_grid(params)[0] == t_end
+            else:
+                with pytest.raises(ValueError, match=r"2\^511"):
+                    time_grid(params)
 
     def test_solve_gets_python_floats(self, fig4_params, monkeypatch):
         # numpy scalars would slow every comparison in the float stepper's loop
@@ -225,7 +246,8 @@ class TestEnsembles:
 
 
 class TestNodeHandling:
-    """On both forms of the stepper: one system answering a tuple, then an array."""
+    """On every form of the stepper: one system answering a tuple, an array, then the block
+    form's (core, lin, basis)."""
 
     def test_degenerate_truncation_flagged(self):
         # synthetic field that hits a node beyond t = 1
@@ -234,7 +256,7 @@ class TestNodeHandling:
                 raise NodeError(0.0)
             return [1.0, 1.0, 1.0]
 
-        for rhs in both_forms(f):
+        for rhs in every_form(f):
             res = solve(rhs, 0.0, np.zeros(3), 2.0, np.linspace(0.0, 2.0, 21),
                         rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()
@@ -246,7 +268,7 @@ class TestNodeHandling:
     def test_nonfinite_aborts(self):
         from bohmsim.rk45 import IntegrationAbort
 
-        for rhs in both_forms(lambda t, y: [np.nan if t > 0.5 else 1.0] * 3):
+        for rhs in every_form(lambda t, y: [np.nan if t > 0.5 else 1.0] * 3):
             with pytest.raises(IntegrationAbort):
                 solve(rhs, 0.0, np.zeros(3), 1.0, np.array([1.0]),
                       rtol=1e-8, atol=1e-10, max_step=0.1)

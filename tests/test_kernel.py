@@ -118,6 +118,29 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
         assert dominant > 0
 
 
+@pytest.mark.parametrize("name,n", [("fig4", 1), ("fig7", 2), ("fig8", 2), ("fig4", 100)])
+def test_velocity_is_the_scalar_core_bit_for_bit(name, n):
+    # v = (v_x, v_y, c_1 Z' + a p_z dXi + b p_z SXi) from ``coefficients`` at zd = dXi . Z':
+    # a tuple at N = 1, an array at N >= 2, and the rows ``block_velocity`` hands the stepper
+    params = preset_params(name, n)
+    kern = GuidanceKernel(params)
+    core, dxi, (b1, b2) = kern.block_velocity(0.0, None)
+    assert core == kern.coefficients and np.array_equal(dxi, kern.dxi)
+    for cfg in random_configurations(params, 100, np.random.default_rng(17)):
+        t, state = cfg.t_prime, cfg.state()
+        z = state[2:]
+        zd = dxi.item(0) * z.item(0) if n == 1 else float(state.dot(np.append([0.0, 0.0], dxi)))
+        vx, vy, c1, a, b = kern.coefficients(t, cfg.x, cfg.y, zd)
+        v = kern.velocity(t, state)
+        assert type(v) is (tuple if n == 1 else np.ndarray)
+        vz = c1 * z + a * b1
+        if params.single_pointer_xi is None:
+            vz += b * b2
+        else:
+            assert not b2.any()
+        assert np.array((vx, vy, *vz)).tobytes() == np.array(v).tobytes()
+
+
 # one-coordinate kernels: the reduced twins of fig2, fig3, fig4 and of fig4 at N = 1000
 # (born-vs-N's widest), and one non-rigid particle (Xi, 0), which has SXi != 0 and dG != 0
 ONE_POINTER_CASES = {
