@@ -54,18 +54,18 @@ basis p_z dXi, p_z SXi, two fixed vectors (p_z SXi = 0 in single-pointer mode).
 ``coefficients`` is that scalar core: (v_x, v_y, c_1, a, b) from four floats.
 Every velocity answer is built on it:
 
-* ``velocity`` at N = 1 (every reduced-backend state, every N = 1 scenario):
-  three floats, on which each numpy call costs more than its arithmetic, so it
-  answers the tuple (v_x, v_y, v_z) in Python floats whatever form the state
-  comes in, and ``rk45.solve`` then steps the state as three named floats too;
+* ``block_velocity``: the core, dXi and the pointer basis, for every analytic run
+  at N >= 1, reduced runs included.  ``rk45.solve`` steps (X', Y', Z') at N = 1 as
+  three named floats and calls the core inline, and at N >= 2 holds each stage's
+  pointer block as three coefficients over (Z' at the step's start, p_z dXi,
+  p_z SXi) and calls the core on floats;
+* ``velocity`` at N = 1: the tuple (v_x, v_y, v_z) in Python floats, the products
+  the float stepper forms, for the oracles and checks that read one state (no run
+  steps it);
 * ``velocity`` at any other N: an array, three scalar-times-vector operations
-  over the state (two in single-pointer mode);
-* ``block_velocity``: the core, dXi and the pointer basis, so that
-  ``rk45.solve`` holds each stage's pointer block as three coefficients over
-  (Z' at the step's start, p_z dXi, p_z SXi) and calls the core on floats.
-  Full-analytic runs at N >= 2 step that way.
+  over the state (two in single-pointer mode); runs at N = 0 step it.
 
-A core call takes 1.1 us, and a ``velocity`` call 1.2-1.3 us at N = 1 and 3.4 us
+A core call takes 1.3 us, and a ``velocity`` call 1.4-1.5 us at N = 1 and 3.4 us
 at N = 100 (best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
 
 Numerical care taken here:
@@ -169,7 +169,7 @@ class GuidanceKernel:
                            else np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m))))
         self.pz_basis = np.stack((self.pz_dxi_pad[2:], np.zeros(self.n) if self.pz_sxi_pad is None
                                   else self.pz_sxi_pad[2:]))
-        # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's float path
+        # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's tuple answer
         self.one_z = None
         if self.n == 1:
             self.one_z = (self.dxi.item(0), self.pz_dxi_pad.item(2),
@@ -290,22 +290,22 @@ class GuidanceKernel:
                 py * (xi_y + 2.0 * (ayt / (1.0 + ayt ** 2)) * (y - t)),
                 pz2 * gz, c * half_dw + wcs * (pz2 * t / Dz), 0.5 * c)
 
-    def velocity(self, t: float, state: np.ndarray | tuple) -> np.ndarray | tuple:
+    def velocity(self, t: float, state: np.ndarray) -> np.ndarray | tuple:
         """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N).
 
-        The state is only read.  For N = 1 it may be an array or a tuple of 3
-        floats, and the answer is the tuple (v_x, v_y, v_z) of Python floats,
-        the same products in the same order as the array path, so the same
-        bits.  For any other N it is an array, and the answer a fresh array:
-        the pointer dot and v_z are taken on the whole state, against dXi
-        padded with two zeros, and entries 0 and 1 are then set to v_x and v_y.
-        Both evaluate ``coefficients``.
+        The state is an array, only read.  For N = 1 the answer is the tuple
+        (v_x, v_y, v_z) of Python floats, the same products in the same order as
+        the array path and as the float stepper on ``block_velocity``'s answer,
+        so the same bits; no run steps it, and the oracles and checks read it.
+        For any other N the answer is a fresh array: the pointer dot and v_z are
+        taken on the whole state, against dXi padded with two zeros, and entries
+        0 and 1 are then set to v_x and v_y.  Both evaluate ``coefficients``.
         Raises NodeError if the normalized density is below NODE_EPS.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
         one_z = self.one_z
         if one_z is not None:
-            x, y, z = state if type(state) is tuple else state.tolist()
+            x, y, z = state.tolist()
             dxi, pz_dxi, pz_sxi = one_z
             vx, vy, c1, a, b = self.coefficients(t, x, y, dxi * z)
             vz = c1 * z + a * pz_dxi
@@ -323,8 +323,9 @@ class GuidanceKernel:
         return v
 
     def block_velocity(self, t: float, state: np.ndarray) -> tuple:
-        """The guidance velocity as ``rk45.solve`` steps it with the pointer block held as
-        coefficients: whatever the state, (``coefficients``, dXi, [p_z dXi, p_z SXi]).
+        """The guidance velocity as ``rk45.solve`` steps it at N >= 1, in floats at N = 1 and
+        with the pointer block held as coefficients at N >= 2: whatever the state,
+        (``coefficients``, dXi, [p_z dXi, p_z SXi]).
 
         The slope's pointer block c_1 Z' + a p_z dXi + b p_z SXi stays in the span of
         Z' and the two rows, so each stage state does, and a stage reads the pointer

@@ -254,8 +254,8 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
         y0 = np.append(y0[:2], sigma_hat_of(y0[2:]))
     if backend == "full-numeric":
         rhs = partial(fd_velocity, kern)
-    else:  # N >= 2 steps the pointer block as coefficients, N = 1 in floats (see rk45)
-        rhs = kern.block_velocity if kern.n >= 2 else kern.velocity
+    else:  # N = 1 steps in floats, N >= 2 with the pointer block as coefficients (see rk45)
+        rhs = kern.block_velocity if kern.n else kern.velocity
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.rel_tol / 100, max_step=max_step)
     t, x, y = res.t, res.y[:, 0], res.y[:, 1]

@@ -17,59 +17,54 @@ Two non-standard behaviors are built in for Bohmian trajectories:
 One step controller (step ceiling, node backoff, non-finite halving, PI
 control, step budget, a step that does not advance t, counts and the
 dense-output record) drives one of three forms of the stage arithmetic.
-``solve`` calls ``rhs`` first on the array ``y0``, and the form of that answer
-picks the form of the run (the guidance kernel says which of its states answer
-which form, and why):
+``solve`` calls ``rhs`` first on the array ``y0``, and that answer picks the
+form of the run (the guidance kernel says which of its states answer which
+form).  A block answer is (core, lin, basis) in place of a slope: the state is
+(x, y, Z), the slope's block Z' is c Z + a B1 + b B2 for the two rows of
+``basis``, where (x', y', c, a, b) = core(t, x, y, lin . Z), and only ``core`` is
+called after.
 
-* floats, when ``rhs`` answers a tuple of three floats.  Each stage state, the
+* floats, for a block answer whose Z is one float z.  Each stage state, the
   5th-order solution and the error estimate are the tableau written out over
-  three named floats, with the array path's weights h a_ij.  A stage state is
-  tested by one ``math.isfinite`` of its sum, and component by component only
-  when the sum is not finite.  That is exact: an inf or NaN component makes the
-  sum inf or NaN, and finite components whose sum overflows fall through to the
-  per-component test.  The sums are Python's, left to right, so their bits do not
-  depend on the BLAS build or the CPU.  ``rhs`` receives every later state as a
-  tuple of three floats.
-* blocks, when ``rhs`` answers with (core, lin, basis) instead of a slope: the
-  state is (x, y, Z), and the slope's block Z' is c Z + a B1 + b B2 for the two
-  rows of ``basis``, where (x', y', c, a, b) = core(t, x, y, lin . Z).  So every
-  stage's Z stays in the span of (Z at the step's start, B1, B2), and a stage is
-  five floats (x, y and Z's three coefficients) written out as on the float path,
-  with ``core`` called on floats; ``rhs`` is not called again.  Z itself, the
-  error vector over it and the error norm over all components are formed once
-  per attempt (see ``_BlockStages``).
-* arrays, for any other answer.  One buffer holds the rows (y, k1..k7), and
-  a weight matrix [1 | h A], with [0 | h E] as its last row, is filled once
-  per attempt: each stage state 1*y + sum_j h a_ij k_j, and the error
-  estimate, is one product of a weight row with the leading buffer rows,
-  and a stage is tested by counting ``np.isfinite``.  No view of the buffer
-  or of an array returned by ``rhs`` outlives a step, so ``rhs`` may reuse
-  its output array.
+  three named floats, with the array path's weights h a_ij; each stage calls
+  ``core`` inline and forms z' = c z + a B1, adding b B2 only where B2 is not 0.
+  A stage state is tested by one ``math.isfinite`` of its sum, and component by
+  component only when the sum is not finite: exact, as an inf or NaN component
+  makes the sum inf or NaN, and finite components whose sum overflows fall
+  through.  The sums are Python's, left to right, so their bits do not depend on
+  the BLAS build or the CPU.
+* blocks, for a block answer whose Z is wider: every stage's Z stays in the span
+  of (Z at the step's start, B1, B2), so a stage is five floats (x, y and Z's
+  three coefficients) written out as on the float path.  Z itself, the error
+  vector over it and the error norm over all components are formed once per
+  attempt (``_BlockStages``).
+* arrays, for any other answer, tuples of floats included.  One buffer holds the
+  rows (y, k1..k7), and a weight matrix [1 | h A], with [0 | h E] as its last row,
+  is filled once per attempt: each stage state 1*y + sum_j h a_ij k_j, and the
+  error estimate, is one product of a weight row with the leading buffer rows,
+  and a stage is tested by counting ``np.isfinite``.  No view of the buffer or of
+  an array returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output.
 
-With a trivial ``rhs`` an attempt takes 4 us on floats, 12-13 us in arrays of 3
-or 102 components, and 13 us on blocks at N = 100.  With the guidance kernel at
-N = 100 it takes 24 us on blocks against 40 us in arrays: six calls of the
-scalar core in place of six array slopes (best of 9 and of 15 runs, a 2-CPU
-x86-64 Xeon, Python 3.11, numpy 2.4).
+With the guidance kernel an attempt takes 15 us in a run on floats at N = 1,
+7.5 us of it six core calls, and 24 us on blocks at N = 100 against 40 us in
+arrays (best of 41 and of 15 runs, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
 
 Every form is linear in (y, k) with fixed coefficients, and on blocks c and
 the coefficient of Z are even under a reflection (x, Z) -> (-x, -Z) of a flow
 that is odd in (x, Z), so negation commutes with each form and mirrored starts
 stay mirrored bit for bit.
 
-Dense output uses the standard quartic interpolant for this pair, so
-requested sample times are filled without constraining the step sequence.
-Each accepted step that covers samples is recorded, and all samples are
-evaluated in one pass when the run ends.  The array path records
-(t, h, y, k^T P) and takes one stacked matrix-vector product per recorded
-step, with the powers theta^j taken as Python float powers.  The float
-path records (t, h, y, k1..k7 as one flat tuple of 21 floats: numpy builds its
-array from those 2-4 times faster than from nested tuples) and evaluates every
-sample in one batch.  The block path records (t, h, (x, y), Z, k1..k7 flat over
-five floats), takes x, y and the coefficients in that batch, and then Z with one
-stacked matrix-vector product per recorded step.
-Either way every sample is its own matrix-vector product, so that its bits
-do not depend on which other samples are requested.
+Dense output uses the standard quartic interpolant for this pair, so requested
+sample times are filled without constraining the step sequence.  Each accepted
+step that covers samples is recorded, and all samples are evaluated in one pass
+when the run ends.  The array path records (t, h, y, k^T P) and takes one stacked
+matrix-vector product per recorded step, with the powers theta^j taken as Python
+float powers.  The float path records (t, h, y, k1..k7 as one flat tuple of 21
+floats) and evaluates every sample in one batch.  The block path records (t, h,
+(x, y), Z, k1..k7 flat over five floats), takes x, y and the coefficients in that
+batch, and then Z with one stacked matrix-vector product per recorded step.
+Either way every sample is its own matrix-vector product, so that its bits do not
+depend on which other samples are requested.
 """
 
 from __future__ import annotations
@@ -77,6 +72,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 # C function under np.count_nonzero's Python wrapper and dispatcher: the stage test runs often
@@ -177,99 +173,116 @@ def _increments(ts, t, h, k, lo, hi, width):
 
 
 class _FloatStages:
-    """The stages of one step on three Python floats, written out component by component.
+    """The stages of one step on three Python floats (x, y, z), written out component by
+    component, from a block answer whose block is z (module docstring), with z' formed
+    in the products and order of ``GuidanceKernel.velocity`` at N = 1.  ``attempt``
+    returns a step's error norm, ``record`` what dense output needs of it, and
+    ``accept`` moves to its end.  An attempt adds its core calls to ``n_rhs`` once, the
+    call that raised included."""
 
-    ``attempt`` computes the step's stages and returns its error norm;
-    ``record`` gives what dense output needs of the step; ``accept`` moves to
-    the step's end.  The first slope, ``f0``, is ``solve``'s.  Every later
-    state is tested for finiteness (module docstring), and the call is counted
-    before ``rhs`` sees the state.
-    """
+    __slots__ = ("core", "lin", "b1", "b2", "rtol", "atol", "n_rhs", "f0", "y", "k1", "y_new", "ks")
 
-    __slots__ = ("rhs", "rtol", "atol", "n_rhs", "f0", "y", "k1", "y_new", "ks")
-
-    def __init__(self, rhs, t0: float, y0: np.ndarray, f0: tuple, rtol: float, atol: float):
-        self.rhs, self.rtol, self.atol = rhs, rtol, atol
+    def __init__(self, rhs, t0: float, y0: np.ndarray, first: tuple, rtol: float, atol: float):
+        self.core = first[0]
+        (self.lin,), ((self.b1,), (self.b2,)) = (np.asarray(v, float).tolist() for v in first[1:])
+        self.rtol, self.atol = rtol, atol
         self.n_rhs = 1
-        self.f0 = np.array(f0, dtype=float)
-        self.y, self.k1 = tuple(y0.tolist()), f0
+        self.y = tuple(y0.tolist())
+        self.k1 = self._slope(t0, *self.y)
+        self.f0 = np.array(self.k1)
+
+    def _slope(self, t: float, x: float, y: float, z: float) -> tuple:
+        vx, vy, c, a, b = self.core(t, x, y, self.lin * z)
+        return vx, vy, c * z + a * self.b1 + b * self.b2 if self.b2 else c * z + a * self.b1
 
     def probe(self, t: float, y: np.ndarray) -> np.ndarray:
         z0, z1, z2 = y.tolist()
         if not (math.isfinite(z0) and math.isfinite(z1) and math.isfinite(z2)):
             raise IntegrationAbort("non-finite stage state")
         self.n_rhs += 1
-        return np.array(self.rhs(t, (z0, z1, z2)))
+        return np.array(self._slope(t, z0, z1, z2))
 
     def attempt(self, t: float, h: float) -> float:
         # the array path's weights h a_ij and h e_j; every sum runs left to right
         (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
          b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * c for c in _TABLEAU]
         _, c2, c3, c4, c5, _, _ = _C
-        rhs, fin = self.rhs, math.isfinite
-        (y0, y1, y2), k1 = self.y, self.k1
-        p0, p1, p2 = k1
-        z0, z1, z2 = y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2
-        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        q0, q1, q2 = k2 = rhs(t + c2 * h, (z0, z1, z2))
-        z0, z1, z2 = y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1, y2 + a31 * p2 + a32 * q2
-        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        r0, r1, r2 = k3 = rhs(t + c3 * h, (z0, z1, z2))
-        z0, z1, z2 = (y0 + a41 * p0 + a42 * q0 + a43 * r0, y1 + a41 * p1 + a42 * q1 + a43 * r1,
-                      y2 + a41 * p2 + a42 * q2 + a43 * r2)
-        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        s0, s1, s2 = k4 = rhs(t + c4 * h, (z0, z1, z2))
-        z0, z1, z2 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
-                      y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
-                      y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
-        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        u0, u1, u2 = k5 = rhs(t + c5 * h, (z0, z1, z2))
-        z0, z1, z2 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
-                      y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
-                      y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
-        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        v0, v1, v2 = k6 = rhs(t + h, (z0, z1, z2))
-        z0, z1, z2 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
-                           y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
-                           y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
-        if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        w0, w1, w2 = k7 = rhs(t + h, y7)
-        self.y_new, self.ks = y7, (k1, k2, k3, k4, k5, k6, k7)
-        rtol, atol = self.rtol, self.atol
+        core, lin, B1, B2, fin = self.core, self.lin, self.b1, self.b2, math.isfinite
+        (y0, y1, y2), (p0, p1, p2) = self.y, self.k1
+        n = 0
+        try:
+            z0, z1, z2 = y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2
+            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
+                raise IntegrationAbort("non-finite stage state")
+            n = 1
+            q0, q1, c, a, b = core(t + c2 * h, z0, z1, lin * z2)
+            q2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+            z0, z1, z2 = (y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1,
+                          y2 + a31 * p2 + a32 * q2)
+            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
+                raise IntegrationAbort("non-finite stage state")
+            n = 2
+            r0, r1, c, a, b = core(t + c3 * h, z0, z1, lin * z2)
+            r2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+            z0, z1, z2 = (y0 + a41 * p0 + a42 * q0 + a43 * r0, y1 + a41 * p1 + a42 * q1 + a43 * r1,
+                          y2 + a41 * p2 + a42 * q2 + a43 * r2)
+            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
+                raise IntegrationAbort("non-finite stage state")
+            n = 3
+            s0, s1, c, a, b = core(t + c4 * h, z0, z1, lin * z2)
+            s2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+            z0, z1, z2 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
+                          y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
+                          y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
+            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
+                raise IntegrationAbort("non-finite stage state")
+            n = 4
+            u0, u1, c, a, b = core(t + c5 * h, z0, z1, lin * z2)
+            u2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+            z0, z1, z2 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
+                          y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
+                          y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
+            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
+                raise IntegrationAbort("non-finite stage state")
+            n = 5
+            v0, v1, c, a, b = core(t + h, z0, z1, lin * z2)
+            v2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+            z0, z1, z2 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
+                               y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
+                               y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
+            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
+                raise IntegrationAbort("non-finite stage state")
+            n = 6
+            w0, w1, c, a, b = core(t + h, z0, z1, lin * z2)
+            w2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+        finally:
+            self.n_rhs += n
+        self.y_new = y7
+        self.ks = (p0, p1, p2, q0, q1, q2, r0, r1, r2, s0, s1, s2, u0, u1, u2, v0, v1, v2, w0, w1, w2)
+        rtol, atol = self.rtol, self.atol  # max(|y|, |z|) in one call below
         d0 = ((e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * v0 + e7 * w0)
-              / (max(abs(y0), abs(z0)) * rtol + atol))
+              / (max(y0, -y0, z0, -z0) * rtol + atol))
         d1 = ((e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1)
-              / (max(abs(y1), abs(z1)) * rtol + atol))
+              / (max(y1, -y1, z1, -z1) * rtol + atol))
         d2 = ((e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2)
-              / (max(abs(y2), abs(z2)) * rtol + atol))
+              / (max(y2, -y2, z2, -z2) * rtol + atol))
         return math.sqrt((d0 * d0 + d1 * d1 + d2 * d2) / 3)
 
     def record(self) -> tuple:
-        k1, k2, k3, k4, k5, k6, k7 = self.ks
-        return self.y, (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
+        return self.y, self.ks
 
     @staticmethod
     def dense_output(ts, steps, out) -> None:
         """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi)."""
         if steps:
             t, h, y, k, lo, hi = zip(*steps)
+            # 1.6 times faster than np.array(k)
+            k, y = (np.fromiter(chain.from_iterable(v), float) for v in (k, y))
             step, inc = _increments(ts, t, h, k, lo, hi, 3)
-            out[lo[0]:hi[-1]] = np.array(y)[step] + inc
+            out[lo[0]:hi[-1]] = y.reshape(-1, 3)[step] + inc
 
     def accept(self) -> None:
-        self.y, self.k1 = self.y_new, self.ks[6]  # FSAL
+        self.y, self.k1 = self.y_new, self.ks[18:]  # FSAL
 
 
 class _ArrayStages:
@@ -493,10 +506,9 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
           rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf) -> SolverResult:
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
-    ``rhs`` first receives the array ``y0``.  If it answers a tuple of three
-    floats, every later state comes as one; if it answers (core, lin, basis),
-    only ``core`` is called after; otherwise every later state comes as an
-    array (see the module docstring).  ``rhs`` never sees a non-finite state:
+    ``rhs`` first receives the array ``y0``.  If it answers (core, lin, basis),
+    only ``core`` is called after, on floats; otherwise every later state comes as
+    an array (see the module docstring).  ``rhs`` never sees a non-finite state:
     a non-finite ``y0`` or first slope, or a first slope whose error norm
     overflows, raises ``IntegrationAbort`` at once.  Overflow and invalid
     operations anywhere in the run, ``rhs`` included, are not warned: they
@@ -510,7 +522,8 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     the samples reached (all of them unless the run degenerates at a node, t0 included).
     """
     y0 = np.asarray(y0, dtype=float)
-    ts = np.asarray(sample_times, dtype=float).tolist()
+    samples = np.asarray(sample_times, dtype=float)
+    ts = samples.tolist()
     # Python floats: numpy scalars would make the counts and step sizes numpy scalars too
     t0, t_end, rtol, atol, max_step = map(float, (t0, t_end, rtol, atol, max_step))
     # written so that NaN fails; an infinite horizon would step without end
@@ -518,7 +531,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         raise ValueError(f"t0={t0!r} and t_end={t_end!r} must be finite, with t0 < t_end")
     if ts and not (t0 <= ts[0] and ts[-1] <= t_end + 1e-12):
         raise ValueError("sample times must lie within [t0, t_end]")
-    if not (np.diff(ts) > 0.0).all():  # NaN compares False, so it is refused too
+    if not (np.diff(samples) > 0.0).all():  # NaN compares False, so it is refused too
         raise ValueError("sample times must be strictly ascending")
     # written so that NaN fails: a NaN h never drops below H_FLOOR, and the loop never ends
     if not (0 < rtol < math.inf and 0 < atol < math.inf and 0 < max_step):
@@ -538,9 +551,8 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
     with np.errstate(over="ignore", invalid="ignore"):  # once per run, rhs included
         try:
             first = rhs(t0, y0)
-            tup = type(first) is tuple
-            form = (_BlockStages if tup and first and callable(first[0]) else
-                    _FloatStages if tup and len(first) == 3 else _ArrayStages)
+            block = type(first) is tuple and first and callable(first[0])
+            form = (_ArrayStages if not block else _FloatStages if y0.size == 3 else _BlockStages)
             stages = form(rhs, t0, y0, first, rtol, atol)
         except NodeError:
             return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)

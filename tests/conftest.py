@@ -11,7 +11,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from bohmsim import cli, validate
+from bohmsim import cli, rk45, validate
 from bohmsim.analysis import surreal_fraction_vs_N
 from bohmsim.integrate import IntegratorOptions, Trajectory, run_ensemble
 from bohmsim.model import Configuration, ScenarioParams
@@ -161,44 +161,62 @@ def config(t, x, y, z=()) -> Configuration:
 
 
 class Form:
-    """The system ``f(t, y)`` answering its slope in one form: as a tuple of floats,
-    which ``rk45.solve`` steps in Python floats when there are three; as an array,
-    which it steps in its array buffer; or, as ``BLOCK``, with the block form's
-    (core, lin, basis) for a state (y0, y1, z) of three components, which it steps
-    with z held as coefficients.  The block form's z is its own basis row and lin . z
-    is z, so ``f`` there reads (y0, y1, z) and may answer any slope.  ``seen`` holds
-    (t, type, copy) of every state handed in, as (y0, y1, z) on the block form."""
+    """The system ``f(t, y)`` on (y0, y1, z), answering its slope in one form.  What
+    ``rk45.solve`` steps for each answer:
 
-    BLOCK = "block"
+    * ``tuple``: a tuple of floats, stepped in arrays, as every answer but the block form's;
+    * ``np.ndarray``: an array, stepped in arrays;
+    * ``FLOAT``: the block form's (core, lin, basis) for the one-component block z,
+      stepped in floats;
+    * ``BLOCK``: (core, lin, basis) for the two-component block (z, w), stepped with the
+      block held as coefficients.  ``solve`` starts w at 0, where the slope keeps it, and
+      drops it from the samples.
+
+    On both block answers lin . Z is z and the core's block slope is a B1 with
+    B1 = (1, 0), so ``f`` reads (y0, y1, z) and may answer any slope.  ``seen`` holds
+    (t, kind, copy) of every state handed in, as (y0, y1, z) of kind "core" to a core."""
+
+    FLOAT, BLOCK = "float", "block"
 
     def __init__(self, answer, f):
         self.answer, self.f, self.seen, self.asked = answer, f, [], []
 
     def __call__(self, t, y):
-        if self.answer is self.BLOCK:
+        if self.answer in (self.FLOAT, self.BLOCK):
             self.asked.append(type(y))
-            return self.core, np.ones(1), np.array([[1.0], [0.0]])
+            basis = np.array([[1.0], [0.0]]) if self.answer is self.FLOAT else np.eye(2)
+            return self.core, basis[0], basis
         self.seen.append((t, type(y), np.array(y)))
         v = self.f(t, y)
         return tuple(map(float, v)) if self.answer is tuple else np.array(v, dtype=float)
 
     def core(self, t, x, y, z):
-        # the slope's block is 0 z + a 1 + b 0, with a the slope of z
-        self.seen.append((t, self.BLOCK, np.array([x, y, z])))
+        # the slope's block is 0 Z + a B1 + 0 B2, with a the slope of z
+        self.seen.append((t, "core", np.array([x, y, z])))
         vx, vy, vz = map(float, self.f(t, (x, y, z)))
         return vx, vy, 0.0, vz, 0.0
 
+    def solve(self, t0, y0, *args, **kwargs) -> rk45.SolverResult:
+        """``rk45.solve`` of this system from ``y0``, on (y0, y1, z) whatever the answer."""
+        if self.answer is not self.BLOCK:
+            return rk45.solve(self, t0, y0, *args, **kwargs)
+        res = rk45.solve(self, t0, [*y0, 0.0], *args, **kwargs)
+        assert not res.y[:, 3].any()
+        return replace(res, y=res.y[:, :3])
+
     def reached(self) -> bool:
-        """``solve`` handed over y0 as an array, then every later state in the answer's form."""
-        kinds = [kind for _, kind, _ in self.seen]
-        if self.answer is self.BLOCK:
-            return self.asked == [np.ndarray] and set(kinds) == {self.BLOCK}
-        return kinds[:1] == [np.ndarray] and set(kinds[1:]) == {self.answer}
+        """``solve`` handed over y0 as an array, then every later state in the answer's
+        form: an array after a tuple or an array, (y0, y1, z) to the core after a block."""
+        kinds = {kind for _, kind, _ in self.seen}
+        if self.answer in (self.FLOAT, self.BLOCK):
+            return self.asked == [np.ndarray] and kinds == {"core"}
+        return kinds == {np.ndarray}
 
 
 def every_form(f, dim: int = 3) -> list[Form]:
-    """``f`` answering a tuple, then an array, then, on three components, in block form."""
-    return [Form(tuple, f), Form(np.ndarray, f), *[Form(Form.BLOCK, f)] * (dim == 3)]
+    """``f`` answering a tuple and an array, and, on three components, both block answers."""
+    blocks = [Form(Form.FLOAT, f), Form(Form.BLOCK, f)] if dim == 3 else []
+    return [Form(tuple, f), Form(np.ndarray, f), *blocks]
 
 
 class DeadlineExceeded(Exception):

@@ -145,6 +145,30 @@ class TestSimulate:
             assert code in (0, 2, 3), backend
             assert "Traceback" not in capsys.readouterr().err
 
+    # exit codes on (full-analytic, full-numeric, reduced): a large Xi makes fig4's first
+    # slope overflow (3) and the FD stencil refuse it (2); fig7's two one-particle pointers
+    # give a kernel term that is not finite (2) and have no reduced twin (2)
+    @pytest.mark.parametrize("name, scale, codes", [
+        pytest.param(name, scale, codes, id=f"{name}-{scale:g}")
+        for name, small, large in (("fig4", (0, 0, 0), (3, 2, 3)), ("fig7", (0, 0, 2), (2, 2, 2)))
+        for scale, codes in ((1e-300, small), (1e-200, small), (1e200, large), (1e300, large))])
+    def test_far_pointer_ends_in_seconds(self, tmp_path, capsys, name, scale, codes):
+        # every Xi of the pointer scaled at once: a complete run, a refusal or an abort
+        data = scenario_to_dict(preset(name))
+        data["ensemble"]["count_per_slit"] = 1
+        groups = data["params"]["pointer_groups"]
+        data["params"]["pointer_groups"] = [[count, xi_p * scale, xi_m * scale]
+                                            for count, xi_p, xi_m in groups]
+        for backend, code in zip(("full-analytic", "full-numeric", "reduced"), codes):
+            data["ensemble"]["backend"] = backend
+            path = tmp_path / f"{backend}.json"
+            path.write_text(json.dumps(data))
+            with deadline(5):
+                assert main(["simulate", "--scenario", str(path),
+                             "--out", str(tmp_path / backend)]) == code, backend
+            assert "Traceback" not in capsys.readouterr().err
+            assert (tmp_path / backend).exists() == (code == 0)
+
     def test_horizon_the_kernel_cannot_square_exits_2(self, tmp_path, capsys):
         # t_end = 7.5e-10 but a_x t_end = 5 d'/xi_x = 1.5e161, above 2^511 = 6.7e153
         self.assert_extreme_exits_cleanly(tmp_path, capsys, {"xi_x": 1e-160, "xi_y": 1e-170},

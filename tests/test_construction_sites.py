@@ -25,10 +25,10 @@ sqrt(N_old/N) rescales a common start without forming Sigma_hat'.  Every
 other square root in the package is pinned by (file, function) as well.
 
 Which states are computed in Python floats is decided once, by the right-hand
-side: ``GuidanceKernel.velocity`` answers a tuple at N = 1, ``block_velocity``
-answers the block form's (core, lin, basis), and ``rk45.solve`` picks its stage
-form from that first answer.  So the package holds two ``type(...) is tuple``
-tests: ``solve``'s read of that answer, and the kernel's read of its input.
+side: ``block_velocity`` answers the block form's (core, lin, basis), and
+``rk45.solve`` picks its stage form from that first answer and the block's width.
+So the package holds one ``type(...) is tuple`` test, ``solve``'s read of that
+answer.
 """
 
 import ast
@@ -49,7 +49,7 @@ SQRT_SITES = {
     ("rk45.py", "attempt"),
     ("validate.py", "random_configurations"), ("velocity.py", "y_closed_form"),
 }
-TUPLE_TESTS = [("_kernel.py", "velocity"), ("rk45.py", "solve")]
+TUPLE_TESTS = [("rk45.py", "solve")]
 PACKAGE = Path(bohmsim.__file__).parent
 
 
@@ -139,7 +139,7 @@ def test_sqrt_n_is_taken_only_in_reduced():
         f"take Sigma_hat' and its common start from reduced.py: {found}"
 
 
-def test_the_stage_form_is_read_once_by_solve_and_once_by_the_kernel():
+def test_the_stage_form_is_read_once_by_solve():
     found = package_sites(_tests_for_tuple, skip=())
     assert [site[:2] for site in found] == TUPLE_TESTS, \
         f"let the right-hand side's answer pick the stage form, in rk45.solve alone: {found}"

@@ -246,8 +246,8 @@ class TestEnsembles:
 
 
 class TestNodeHandling:
-    """On every form of the stepper: one system answering a tuple, an array, then the block
-    form's (core, lin, basis)."""
+    """On every form of the stepper: one system answering a tuple and an array, stepped in
+    arrays, then the block form's (core, lin, basis), stepped in floats and as a block."""
 
     def test_degenerate_truncation_flagged(self):
         # synthetic field that hits a node beyond t = 1
@@ -257,8 +257,8 @@ class TestNodeHandling:
             return [1.0, 1.0, 1.0]
 
         for rhs in every_form(f):
-            res = solve(rhs, 0.0, np.zeros(3), 2.0, np.linspace(0.0, 2.0, 21),
-                        rtol=1e-8, atol=1e-10, max_step=0.1)
+            res = rhs.solve(0.0, np.zeros(3), 2.0, np.linspace(0.0, 2.0, 21),
+                            rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()
             assert res.degenerate
             assert res.stats.n_node_backoffs > 0
@@ -270,6 +270,6 @@ class TestNodeHandling:
 
         for rhs in every_form(lambda t, y: [np.nan if t > 0.5 else 1.0] * 3):
             with pytest.raises(IntegrationAbort):
-                solve(rhs, 0.0, np.zeros(3), 1.0, np.array([1.0]),
-                      rtol=1e-8, atol=1e-10, max_step=0.1)
+                rhs.solve(0.0, np.zeros(3), 1.0, np.array([1.0]),
+                          rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()

@@ -175,9 +175,8 @@ def node_states(kern, rng, count):
 
 @pytest.mark.parametrize("name", ONE_POINTER_CASES)
 def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
-    # N = 1 takes Python floats and answers a tuple, for an array state and a tuple
-    # state alike; the reference is the N = 2 array path of the same pointer plus an
-    # inert particle (Xi+- = 0), on v_x, v_y and v_z1.
+    # N = 1 takes Python floats and answers a tuple; the reference is the N = 2 array
+    # path of the same pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1.
     params = ONE_POINTER_CASES[name]
     kern = GuidanceKernel(params)
     inert = GuidanceKernel(replace(params, pointer_groups=(
@@ -202,16 +201,11 @@ def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
             with pytest.raises(NodeError) as ref:
                 inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
             assert ref.value.rho_hat == exc.rho_hat
-            with pytest.raises(NodeError) as as_tuple:
-                kern.velocity(t, (x, y, z))
-            assert as_tuple.value.rho_hat == exc.rho_hat
             regimes["node"] += 1
             continue
         ref = inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
         assert type(v) is tuple and [type(c) for c in v] == [float] * 3
         assert np.array(v).tobytes() == ref[:3].tobytes(), (t, x, y, z)
-        as_tuple = kern.velocity(t, (x, y, z))
-        assert type(as_tuple) is tuple and np.array(as_tuple).tobytes() == np.array(v).tobytes()
         regimes[regime] += 1
     assert all(regimes.values()), regimes
 

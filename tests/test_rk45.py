@@ -1,10 +1,10 @@
 """The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts.
 
-``solve`` steps a state in Python floats when the right-hand side answers a
-tuple of three floats, with its block held as coefficients when it answers the
-block form's (core, lin, basis), and in its array buffer otherwise.  The tests
-of each stepper behaviour run one three-component system in every form
-(``conftest.every_form``) and check that each run reached the form it targets.
+``solve`` steps a state in Python floats when the right-hand side answers the
+block form's (core, lin, basis) for a one-component block, with its block held as
+coefficients when it answers that for a wider block, and in its array buffer
+otherwise.  The tests of each stepper behaviour run one three-component system in
+every form (``conftest.every_form``) and check that each run reached the form it targets.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from bohmsim import integrate, rk45
 from bohmsim._kernel import GuidanceKernel
 from bohmsim.integrate import integrate_trajectory, run_ensemble, sample_initials
 from bohmsim.model import Configuration, NodeError
+from bohmsim.reduced import reduced_params
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset, with_n_particles
 from conftest import Form, every_form, deadline
@@ -44,7 +45,7 @@ class TestDenseOutput:
         for rhs in every_form(_cubic_rhs):
             # steps of up to 0.25, most holding several samples; t0 and t_end included
             samples = np.linspace(0.0, 1.0, 41)
-            res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            res = rhs.solve(0.0, y0, 1.0, samples, max_step=0.25)
             assert rhs.reached()
             assert np.array_equal(res.t, samples)
             assert res.y[0].tolist() == y0
@@ -54,7 +55,7 @@ class TestDenseOutput:
         y0 = [0.0, 0.0, 0.0]
         for rhs in every_form(_cubic_rhs):
             samples = np.array([0.9, 0.95, 0.99, 1.0])
-            res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            res = rhs.solve(0.0, y0, 1.0, samples, max_step=0.25)
             assert rhs.reached()
             assert np.array_equal(res.t, samples)
             assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
@@ -63,7 +64,7 @@ class TestDenseOutput:
         y0 = [0.5, -1.0, 2.0]
         for rhs in every_form(_cubic_rhs):
             samples = [0.0, 0.5, 1.0 + 5e-13]
-            res = solve(rhs, 0.0, y0, 1.0, samples, max_step=0.25)
+            res = rhs.solve(0.0, y0, 1.0, samples, max_step=0.25)
             assert rhs.reached()
             assert res.t.tolist() == samples
             assert not res.degenerate
@@ -97,7 +98,7 @@ class TestSettingsRefused:
         # an infinite horizon lets h grow to inf, which halving never brings below H_FLOOR
         for rhs in every_form(lambda t, y: [-v for v in y], dim=2):
             with deadline(10), pytest.raises(ValueError, match="must be finite"):
-                solve(rhs, t0, [1.0, 2.0], t_end, [])
+                rhs.solve(t0, [1.0, 2.0], t_end, [])
             assert rhs.seen == []
 
 
@@ -108,7 +109,7 @@ class TestNonFiniteStages:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")   # no RuntimeWarning on the way to the abort
                 with pytest.raises(IntegrationAbort):
-                    solve(rhs, 0.0, np.zeros(3), 1.0, [0.0, 1.0], max_step=0.1)
+                    rhs.solve(0.0, np.zeros(3), 1.0, [0.0, 1.0], max_step=0.1)
             assert rhs.reached()
             assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
             # the step was halved down to the floor just short of the bad region
@@ -126,7 +127,7 @@ class TestNonFiniteStages:
             y0 = [math.nan if start == "state" else 0.0] + [0.0] * (dim - 1)
             for rhs in every_form(lambda t, y: [bad] * dim, dim):
                 with deadline(10), pytest.raises(IntegrationAbort):
-                    solve(rhs, 0.0, y0, 1.0, [0.0, 1.0])
+                    rhs.solve(0.0, y0, 1.0, [0.0, 1.0])
                 assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
                 assert len(rhs.seen) == {"state": 0, "slope": 1, "step": 1}[start]
 
@@ -152,7 +153,7 @@ class TestAborts:
         monkeypatch.setattr(rk45, "MAX_STEPS", 5)
         for rhs in every_form(lambda t, y: [-v for v in y]):
             with pytest.raises(IntegrationAbort, match="step budget exceeded"):
-                solve(rhs, 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0], max_step=0.01)
+                rhs.solve(0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0], max_step=0.01)
             assert rhs.reached()
 
     def test_step_that_does_not_advance_t(self):
@@ -160,7 +161,7 @@ class TestAborts:
         t0 = 2.0 ** 60
         for rhs in every_form(lambda t, y: [-v for v in y]):
             with deadline(10), pytest.raises(IntegrationAbort, match="does not advance"):
-                solve(rhs, t0, [1.0, 2.0, 3.0], t0 + 4096.0, [t0], max_step=1.0)
+                rhs.solve(t0, [1.0, 2.0, 3.0], t0 + 4096.0, [t0], max_step=1.0)
             assert rhs.reached()
 
     # 1e300 is finite, but the error it gives overflows: in ``_error_norm``'s dot on arrays
@@ -170,14 +171,14 @@ class TestAborts:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="non-finite error estimate"):
-                    solve(rhs, 0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
+                    rhs.solve(0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
             assert min(t for t, _, _ in rhs.seen[1:]) < 2 * H_FLOOR
 
     def test_rejections_below_the_floor_end_degenerate(self):
         for rhs in every_form(_KickAtStage7(1e10)):
-            res = solve(rhs, 0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
+            res = rhs.solve(0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert res.degenerate
             assert (res.stats.n_steps, res.stats.h_max) == (0, 0.0)
@@ -190,7 +191,7 @@ class TestAborts:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="slope norm overflows"):
-                    solve(rhs, 0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
+                    rhs.solve(0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
             assert len(rhs.seen) == 1
 
     def test_overflowing_probe_state_aborts_unseen(self):
@@ -199,7 +200,7 @@ class TestAborts:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="non-finite stage state"):
-                    solve(rhs, 0.0, [1.79e308, 1.0], 1.0, [0.0, 1.0])
+                    rhs.solve(0.0, [1.79e308, 1.0], 1.0, [0.0, 1.0])
             assert len(rhs.seen) == 1
 
     def test_finite_stage_whose_sum_overflows_is_stepped(self):
@@ -208,7 +209,7 @@ class TestAborts:
         for rhs in every_form(lambda t, y: [0.0, 0.0, 0.0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = solve(rhs, 0.0, [1e308, 1e308, 0.0], 1.0, [0.0, 1.0])
+                res = rhs.solve(0.0, [1e308, 1e308, 0.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert res.t.tolist() == [0.0, 1.0] and not res.degenerate
             assert res.y.tolist() == [[1e308, 1e308, 0.0]] * 2
@@ -216,15 +217,28 @@ class TestAborts:
             assert all(y.tolist() == [1e308, 1e308, 0.0] for _, _, y in rhs.seen)
 
 
+def _one_component_block(core):
+    """The block form's answer for a state (x, y, z) whose block is z alone: lin z is z,
+    and z' is c z + a."""
+    return lambda t, y: (core, np.ones(1), np.array([[1.0], [0.0]]))
+
+
 class TestSolverCounts:
     def test_rhs_evals_match_a_counting_wrapper(self, monkeypatch):
+        # fig4 steps in floats, fig7 with its block as coefficients: both from the kernel's
+        # block answer, where each call of its core is one evaluation
         calls = []
         results = []
 
         def counted_solve(rhs, *args, **kwargs):
             def counting(t, y):
-                calls[-1] += 1
-                return rhs(t, y)
+                core, lin, basis = rhs(t, y)
+
+                def counted_core(*state):
+                    calls[-1] += 1
+                    return core(*state)
+
+                return counted_core, lin, basis
 
             calls.append(0)
             res = solve(counting, *args, **kwargs)
@@ -232,11 +246,47 @@ class TestSolverCounts:
             return res
 
         monkeypatch.setattr(integrate, "solve", counted_solve)
-        sc = preset("fig4")
-        run_ensemble(sc.ensemble, sc.params, sc.integrator)
-        assert len(results) == 18
-        assert [r.stats.n_rhs_evals for r in results] == calls
-        assert any(r.stats.n_rejected for r in results)
+        for name in ("fig4", "fig7"):
+            sc = preset(name)
+            results.clear()
+            calls.clear()
+            run_ensemble(sc.ensemble, sc.params, sc.integrator)
+            assert len(results) == 2 * sc.ensemble.count_per_slit
+            assert [r.stats.n_rhs_evals for r in results] == calls
+            assert any(r.stats.n_rejected for r in results)
+
+    # call 1 is the first slope, call 2 the starting-step probe, calls 3-8 the first
+    # attempt's stages 2-7, and call 40 one of a later attempt
+    @pytest.mark.parametrize("at", [1, 2, 3, 4, 5, 6, 7, 8, 40])
+    def test_core_call_that_raises_is_counted(self, at):
+        # the float form counts its calls once per attempt, the one that raised included
+        calls = []
+
+        def core(t, x, y, z):
+            calls.append((x, y, z))
+            if len(calls) == at:
+                raise NodeError(0.0)
+            return -x, -y, -1.0, 0.0, 0.0
+
+        res = solve(_one_component_block(core), 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0])
+        assert res.stats.n_rhs_evals == len(calls) and len(calls) >= at
+        assert res.degenerate == (at == 1)
+        assert res.stats.n_node_backoffs == (at > 2)
+
+    @pytest.mark.parametrize("at", [3, 4, 7])
+    def test_non_finite_stage_is_counted(self, at):
+        # the slope of call ``at`` (stages 2, 3 and 6 of the first attempt) makes the next
+        # stage state infinite: the attempt ends before that state reaches the core
+        calls = []
+
+        def core(t, x, y, z):
+            calls.append((x, y, z))
+            return (math.inf if len(calls) == at else -x), -y, -1.0, 0.0, 0.0
+
+        res = solve(_one_component_block(core), 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0])
+        assert res.stats.n_rhs_evals == len(calls) > at
+        assert all(map(math.isfinite, itertools.chain(*calls)))
+        assert not res.degenerate and np.isfinite(res.y).all()
 
     def test_fig3_steps_at_the_cap(self):
         sc = preset("fig3")
@@ -249,8 +299,8 @@ class TestSolverCounts:
     def test_stats_hold_python_numbers_for_numpy_scalar_settings(self):
         # numpy scalars in, Python numbers out: the manifest writer's json.dumps takes them
         for rhs in every_form(_cubic_rhs):
-            res = solve(rhs, np.float64(0.0), [0.5, -1.0, 2.0], np.float64(1.0), [0.0, 1.0],
-                        rtol=np.float64(1e-8), atol=np.float32(1e-10), max_step=np.float64(0.5))
+            res = rhs.solve(np.float64(0.0), [0.5, -1.0, 2.0], np.float64(1.0), [0.0, 1.0],
+                            rtol=np.float64(1e-8), atol=np.float32(1e-10), max_step=np.float64(0.5))
             stats = asdict(res.stats)
             assert stats["n_capped"] > 0
             assert [type(v) for v in stats.values()] == [int] * 5 + [float] * 2, rhs.answer
@@ -286,7 +336,7 @@ class TestStageBuffer:
     def test_exponential_at_every_sample(self):
         grid = np.linspace(0.0, 1.0, 101)
         for rhs in every_form(lambda t, y: y):
-            res = solve(rhs, 0.0, [1.0, 1.0, 1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
+            res = rhs.solve(0.0, [1.0, 1.0, 1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
             assert rhs.reached()
             assert np.array_equal(res.t, grid)
             assert np.max(np.abs(res.y - np.exp(grid)[:, None])) <= 1e-9, rhs.answer
@@ -324,25 +374,32 @@ class TestTwoPaths:
     """The float, the array and the block form are one stepper: same steps, same samples."""
 
     def test_tuple_and_array_answers_agree(self):
+        # the tuple answer steps in arrays, bit for bit as the array answer; the float form
+        # agrees with both, and the block form, on four components, with the array path there
         grid = np.linspace(0.0, 20.0, 97)
-        forms = every_form(_pendulum_and_follower)
-        a, *others = (solve(rhs, 0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6)
-                      for rhs in forms[1:] + forms[:1])
+        tup, arr, flt, blk = forms = every_form(_pendulum_and_follower)
+        a, u, f = (rhs.solve(0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6)
+                   for rhs in (arr, tup, flt))
+        a4 = solve(lambda t, y: (*_pendulum_and_follower(t, y), 0.0), 0.0, (2.5, 0.0, 0.3, 0.0),
+                   20.0, grid, rtol=1e-6)
+        b = blk.solve(0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6)
         assert all(rhs.reached() for rhs in forms)
-        assert a.stats.n_rejected > 0
-        for f in others:
-            assert (f.stats.n_steps, f.stats.n_rejected, f.stats.n_rhs_evals) == \
-                   (a.stats.n_steps, a.stats.n_rejected, a.stats.n_rhs_evals)
-            assert np.array_equal(f.t, a.t)
+        assert u.stats == a.stats and u.y.tobytes() == a.y.tobytes()
+        for ref, other in ((a, f), (a4, b)):
+            assert ref.stats.n_rejected > 0
+            assert (other.stats.n_steps, other.stats.n_rejected, other.stats.n_rhs_evals) == \
+                   (ref.stats.n_steps, ref.stats.n_rejected, ref.stats.n_rhs_evals)
+            assert np.array_equal(other.t, ref.t)
             # the stage sums round differently, and the controller carries that into h;
             # the follower grows to |u| = 448, so the bound is relative beyond |y| = 1
-            assert np.max(np.abs(f.y - a.y) / np.maximum(1.0, np.abs(a.y))) <= 1e-10
+            ref_y = ref.y[:, :3]
+            assert np.max(np.abs(other.y - ref_y) / np.maximum(1.0, np.abs(ref_y))) <= 1e-10
 
     def test_narrow_and_duplicated_system_agree(self):
-        # the narrow system answers a tuple (float path), its tiled copy an array
+        # the narrow system in floats (a one-component block), its tiled copy in arrays
         y0 = (2.5, 0.0, 0.3)
         grid = np.linspace(0.0, 20.0, 97)
-        narrow = solve(_pendulum_and_follower, 0.0, y0, 20.0, grid, rtol=1e-6)
+        narrow = Form(Form.FLOAT, _pendulum_and_follower).solve(0.0, y0, 20.0, grid, rtol=1e-6)
         wide = solve(lambda t, y: np.tile(_pendulum_and_follower(t, y[:3]), 2),
                      0.0, y0 + y0, 20.0, grid, rtol=1e-6)
         n, w = narrow.stats, wide.stats
@@ -366,15 +423,32 @@ class TestTwoPaths:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_tuple_answer_of_other_width_steps_in_arrays(self, dim):
-        # only a tuple of three floats is stepped in floats
+        # a tuple of floats steps in arrays at any width (``every_form`` checks three)
         rhs = Form(tuple, lambda t, y: [-v for v in y])
         res = solve(rhs, 0.0, [1.0] * dim, 1.0, [0.0, 1.0])
         assert {kind for _, kind, _ in rhs.seen} == {np.ndarray}
         assert np.max(np.abs(res.y[-1] - math.exp(-1.0))) <= 1e-8
 
+    @pytest.mark.parametrize("answer, form", [(tuple, "_ArrayStages"), (np.ndarray, "_ArrayStages"),
+                                              (Form.FLOAT, "_FloatStages"),
+                                              (Form.BLOCK, "_BlockStages")],
+                             ids=["tuple", "array", "float", "block"])
+    def test_the_first_answer_picks_the_form(self, answer, form, monkeypatch):
+        picked = []
+        for name in ("_FloatStages", "_ArrayStages", "_BlockStages"):
+            cls = getattr(rk45, name)
+            monkeypatch.setattr(rk45, name,
+                                lambda *args, name=name, cls=cls: picked.append(name) or cls(*args))
+        rhs = Form(answer, _cubic_rhs)
+        rhs.solve(0.0, [0.5, -1.0, 2.0], 1.0, [0.0, 1.0])
+        assert rhs.reached() and picked == [form]
+
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
-    def test_mirrored_launches_stay_mirrored_bit_for_bit(self, name):
-        # negation commutes with the stage sums, and the N = 1 kernel is odd in (X', Z')
+    def test_mirrored_launches_stay_mirrored_bit_for_bit(self, name, monkeypatch):
+        # negation commutes with the float form's stage sums, and the N = 1 kernel is odd in
+        # (X', Z'); no other form may run
+        monkeypatch.setattr(rk45, "_ArrayStages", None)
+        monkeypatch.setattr(rk45, "_BlockStages", None)
         sc = preset(name)
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
         k = sc.ensemble.count_per_slit
@@ -382,6 +456,54 @@ class TestTwoPaths:
             assert up.stats == lo.stats
             assert np.array_equal(up.x, -lo.x)
             assert np.array_equal(up.z, -lo.z)
+
+
+# N = 1 runs: fig2 (Xi = 0, so lin z = 0), fig4, the reduced twin of fig4 at N = 1000, and
+# a one-particle pointer that is not rigid, the one case whose slope takes b p_z SXi
+FLOAT_CASES = {"fig2": preset("fig2").params, "fig4": preset("fig4").params,
+               "fig4-twin-n1000": reduced_params(preset("fig4").params.with_rigid_pointer(1000)),
+               "fig4-nonrigid": replace(preset("fig4").params, pointer_groups=((1, 3.0, 1.0),))}
+
+
+class TestFloatForm:
+    """Runs at N = 1, the reduced backend's among them, step (X', Y', Z') in floats from the
+    kernel's block answer (``GuidanceKernel.block_velocity``)."""
+
+    @pytest.mark.parametrize("name", FLOAT_CASES)
+    def test_slopes_are_the_kernel_velocity_bit_for_bit(self, name, monkeypatch):
+        params = FLOAT_CASES[name]
+        kern = GuidanceKernel(params)
+        core, lin, basis = kern.block_velocity(0.0, None)
+        (dxi,) = lin.tolist()
+        seen, slopes = [], []
+
+        def traced(t, x, y, z):
+            # handed lin = 1, the core still sees the product dXi z the float form forms
+            seen.append((t, x, y, z))
+            return core(t, x, y, dxi * z)
+
+        class Recorded(rk45._FloatStages):
+            def attempt(self, t, h):
+                first = len(seen)
+                err = super().attempt(t, h)
+                if self.core is traced:
+                    # stage 1 at the step's start, then stages 2-7 as the core saw them
+                    states = [(t, *self.y), *seen[first:]]
+                    slopes.extend(zip(states, (self.ks[i:i + 3] for i in range(0, 21, 3)),
+                                      strict=True))
+                return err
+
+        monkeypatch.setattr(rk45, "_FloatStages", Recorded)
+        t_end, samples, max_step = integrate.time_grid(params)
+        d = params.d_prime
+        for y0 in ([d, 0.0, 0.0], [d + 0.25, 0.0, 0.4], [-d - 0.25, 0.0, -0.4]):
+            runs = [solve(rhs, 0.0, y0, t_end, samples, rtol=1e-8, atol=1e-10, max_step=max_step)
+                    for rhs in (kern.block_velocity, lambda t, y: (traced, np.ones(1), basis))]
+            assert runs[0].stats == runs[1].stats and runs[0].y.tobytes() == runs[1].y.tobytes()
+        assert len(slopes) > 1000
+        for (t, x, y, z), slope in slopes:
+            v = kern.velocity(t, np.array([x, y, z]))
+            assert np.array(v).tobytes() == np.array(slope).tobytes(), (name, t, x, y, z)
 
 
 def _seeded_fig4(n: int, seed: int):
@@ -451,8 +573,9 @@ class TestStrideIndependence:
         t_end, _, max_step = integrate.time_grid(sc.params)
         rtol = sc.integrator.rel_tol
         kern = GuidanceKernel(sc.params)
-        # an N >= 2 kernel in arrays and in block form
-        routes = [kern.velocity] + [kern.block_velocity] * (kern.n >= 2)
+        # as the backend steps it, in floats at N = 1 and in block form at N >= 2, where
+        # ``velocity`` also steps in arrays
+        routes = [kern.velocity] * (kern.n >= 2) + [kern.block_velocity]
         for init, rhs in itertools.product(sample_initials(sc.ensemble, sc.params), routes):
             runs = {div: solve(rhs, 0.0, init.state(), t_end,
                                np.arange(div + 1) * (t_end / div),
