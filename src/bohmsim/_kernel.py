@@ -62,8 +62,9 @@ Every velocity answer is built on it:
 * ``velocity`` at N = 1: the tuple (v_x, v_y, v_z) in Python floats, the products
   the float stepper forms, for the oracles and checks that read one state (no run
   steps it);
-* ``velocity`` at any other N: an array, three scalar-times-vector operations
-  over the state (two in single-pointer mode); runs at N = 0 step it.
+* ``velocity`` at any other N: an array, the core at dXi . Z' and v_z from the rows
+  ``block_velocity`` hands the stepper (p_z SXi only where it is not all zeros), so
+  it is the stepper's first slope bit for bit; runs at N = 0 step it.
 
 A core call takes 1.3 us, and a ``velocity`` call 1.4-1.5 us at N = 1 and 3.4 us
 at N = 100 (best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
@@ -138,7 +139,7 @@ class GuidanceKernel:
         "n", "xi_x", "xi_y", "d", "beta",
         "px", "py", "pz", "ax", "ay", "az",
         "xi_pm", "gam_pm", "gam_p", "gam_m",
-        "dxi", "dxi_pad", "pz_dxi_pad", "pz_sxi_pad", "pz_basis", "dgam2", "one_z", "consts",
+        "dxi", "pz_basis", "pz_sxi", "dgam2", "one_z", "consts",
     )
     _SIGNS = np.array([[1.0], [-1.0]])  # (+1, -1) down the branch axis of a stacked block
 
@@ -153,27 +154,20 @@ class GuidanceKernel:
         self.consts = (self.ax, self.ay, self.az, self.d, self.beta, self.pz, self.px, self.py,
                        self.xi_y, self.dgam2, 2.0 * self.pz, 2.0 * self.xi_x)
         # the one place the groups become per-particle arrays: Xi^+/- and gamma^+/- as
-        # (2, 1, N), which broadcasts against 1 or M rows; dXi and the p_z products
-        # padded to the state layout (X', Y', Z'), where two leading zeros drop X' and Y'
+        # (2, 1, N), which broadcasts against 1 or M rows, dXi and the pointer basis
         groups = params.pointer_groups
         pairs = np.array([(p, m) for _, p, m in groups], float).reshape(-1, 2)
         self.xi_pm = np.repeat(pairs, [count for count, _, _ in groups], axis=0).T.copy()[:, None]
         xi_p, xi_m = self.xi_pm[:, 0]
         self.gam_pm = self.pz * self.xi_pm
         self.gam_p, self.gam_m = self.gam_pm[:, 0]
-        self.dxi_pad = np.concatenate(([0.0, 0.0], xi_p - xi_m))
-        self.dxi = self.dxi_pad[2:]
-        self.pz_dxi_pad = self.pz * self.dxi_pad
-        # p_z SXi vanishes exactly for a rigid pointer (Xi^- = -Xi^+), as dG does
-        self.pz_sxi_pad = (None if params.single_pointer_xi is not None
-                           else np.concatenate(([0.0, 0.0], self.pz * (xi_p + xi_m))))
-        self.pz_basis = np.stack((self.pz_dxi_pad[2:], np.zeros(self.n) if self.pz_sxi_pad is None
-                                  else self.pz_sxi_pad[2:]))
-        # N = 1: (dXi, p_z dXi, p_z SXi or None) as Python floats, for velocity's tuple answer
-        self.one_z = None
-        if self.n == 1:
-            self.one_z = (self.dxi.item(0), self.pz_dxi_pad.item(2),
-                                None if self.pz_sxi_pad is None else self.pz_sxi_pad.item(2))
+        self.dxi = xi_p - xi_m
+        # p_z SXi vanishes exactly for a rigid pointer (Xi^- = -Xi^+), as dG does, and is
+        # then left out of velocity's sums (None)
+        self.pz_basis = np.stack((self.pz * self.dxi, self.pz * (xi_p + xi_m)))
+        self.pz_sxi = self.pz_basis[1] if self.pz_basis[1].any() else None
+        # N = 1: (dXi, p_z dXi, p_z SXi) as Python floats, for velocity's tuple answer
+        self.one_z = (self.dxi.item(0), *self.pz_basis[:, 0].tolist()) if self.n == 1 else None
 
     # -- packet geometry -------------------------------------------------
 
@@ -293,13 +287,12 @@ class GuidanceKernel:
     def velocity(self, t: float, state: np.ndarray) -> np.ndarray | tuple:
         """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N).
 
-        The state is an array, only read.  For N = 1 the answer is the tuple
-        (v_x, v_y, v_z) of Python floats, the same products in the same order as
-        the array path and as the float stepper on ``block_velocity``'s answer,
-        so the same bits; no run steps it, and the oracles and checks read it.
-        For any other N the answer is a fresh array: the pointer dot and v_z are
-        taken on the whole state, against dXi padded with two zeros, and entries
-        0 and 1 are then set to v_x and v_y.  Both evaluate ``coefficients``.
+        The state is an array, only read.  Both answers evaluate ``coefficients`` at
+        zd = dXi . Z' and form v_z from the rows of ``pz_basis``, adding b p_z SXi only
+        where p_z SXi is not all zeros: the products, in the order, of the stepper's
+        slope on ``block_velocity``'s answer, so the same bits at every N.  For N = 1
+        the answer is the tuple (v_x, v_y, v_z) of Python floats; no run steps it, and
+        the oracles and checks read it.  For any other N it is a fresh array.
         Raises NodeError if the normalized density is below NODE_EPS.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
@@ -309,17 +302,17 @@ class GuidanceKernel:
             dxi, pz_dxi, pz_sxi = one_z
             vx, vy, c1, a, b = self.coefficients(t, x, y, dxi * z)
             vz = c1 * z + a * pz_dxi
-            if pz_sxi is not None:
+            if pz_sxi:
                 vz += b * pz_sxi
             return vx, vy, vz
+        z = state[2:]
         vx, vy, c1, a, b = self.coefficients(t, state.item(0), state.item(1),
-                                             float(state.dot(self.dxi_pad)))
+                                             float(z.dot(self.dxi)))
         v = c1 * state
-        v += a * self.pz_dxi_pad
-        if self.pz_sxi_pad is not None:
-            v += b * self.pz_sxi_pad
-        v[0] = vx
-        v[1] = vy
+        v[2:] += a * self.pz_basis[0]
+        if self.pz_sxi is not None:
+            v[2:] += b * self.pz_sxi
+        v[:2] = vx, vy
         return v
 
     def block_velocity(self, t: float, state: np.ndarray) -> tuple:

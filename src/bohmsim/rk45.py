@@ -16,13 +16,17 @@ Two non-standard behaviors are built in for Bohmian trajectories:
 
 One step controller (step ceiling, node backoff, non-finite halving, PI
 control, step budget, a step that does not advance t, counts and the
-dense-output record) drives one of three forms of the stage arithmetic.
-``solve`` calls ``rhs`` first on the array ``y0``, and that answer picks the
-form of the run (the guidance kernel says which of its states answer which
-form).  A block answer is (core, lin, basis) in place of a slope: the state is
-(x, y, Z), the slope's block Z' is c Z + a B1 + b B2 for the two rows of
-``basis``, where (x', y', c, a, b) = core(t, x, y, lin . Z), and only ``core`` is
-called after.
+dense-output record) drives one of three forms of the stage arithmetic, which
+differ only in ``attempt``, ``record`` and ``accept``.  ``solve`` calls ``rhs``
+first on the array ``y0``, and that answer picks the form of the run (the
+guidance kernel says which of its states answer which form).  A block answer is
+(core, lin, basis) in place of a slope: the state is (x, y, Z), the slope's block
+Z' is c Z + a B1 + b B2 for the two rows of ``basis``, where (x', y', c, a, b) =
+core(t, x, y, lin . Z), and only ``core`` is called after.  One function,
+``_block_slope``, states that slope as an array, adding b B2 only where B2 is not
+all zeros; it gives both block forms their first slope and answers the one
+starting-step probe that ``solve`` builds for every form (from ``rhs`` itself on
+an array answer).
 
 * floats, for a block answer whose Z is one float z.  Each stage state, the
   5th-order solution and the error estimate are the tableau written out over
@@ -57,14 +61,12 @@ stay mirrored bit for bit.
 Dense output uses the standard quartic interpolant for this pair, so requested
 sample times are filled without constraining the step sequence.  Each accepted
 step that covers samples is recorded, and all samples are evaluated in one pass
-when the run ends.  The array path records (t, h, y, k^T P) and takes one stacked
-matrix-vector product per recorded step, with the powers theta^j taken as Python
-float powers.  The float path records (t, h, y, k1..k7 as one flat tuple of 21
-floats) and evaluates every sample in one batch.  The block path records (t, h,
-(x, y), Z, k1..k7 flat over five floats), takes x, y and the coefficients in that
-batch, and then Z with one stacked matrix-vector product per recorded step.
-Either way every sample is its own matrix-vector product, so that its bits do not
-depend on which other samples are requested.
+when the run ends.  The float and array paths record (t, h, y, k1..k7 as one flat
+list) and share one dense output, which evaluates every sample in one batch.  The
+block path records (t, h, (x, y), Z, k1..k7 flat over five floats), takes x, y and
+the coefficients in that batch, and then Z with one stacked matrix-vector product
+per recorded step.  Either way every sample is its own matrix-vector product, so
+that its bits do not depend on which other samples are requested.
 """
 
 from __future__ import annotations
@@ -140,19 +142,26 @@ class SolverResult:
     degenerate: bool = False      # truncated at a node
 
 
-def _error_norm(err, abs_y0, abs_y1, rtol, atol, r):
-    # RMS of err / (atol + rtol * max(|y0|, |y1|)), computed in the scratch buffer r
+def _error_norm(err, abs_y0, abs_y1, rtol, atol, r) -> float:
+    # the sum of squares of err / (atol + rtol * max(|y0|, |y1|)), computed in the scratch
+    # buffer r; the caller takes the RMS over all its components
     np.multiply(np.maximum(abs_y0, abs_y1, out=r), rtol, out=r)
     np.divide(err, np.add(r, atol, out=r), out=r)
-    return math.sqrt(float(r.dot(r)) / r.size)
+    return float(r.dot(r))
 
 
-def _dense_output(ts, steps, out) -> None:
-    """Fill out[lo:hi] from each recorded step (t, h, y, q = k^T P, lo, hi)."""
-    for t, h, y, q, lo, hi in steps:
-        thetas = [(s - t) / h for s in ts[lo:hi]]
-        tp = np.array([(th, th**2, th**3, th**4) for th in thetas])
-        out[lo:hi] = y + h * (q @ tp[:, :, None])[:, :, 0]
+def _block_slope(answer: tuple, t: float, y: np.ndarray, raw: tuple | None = None) -> np.ndarray:
+    """The slope at the array state y = (x, y, Z) from a block answer (core, lin, basis):
+    (v_x, v_y, c Z + a B1 + b B2) as one array, with (v_x, v_y, c, a, b) = ``raw`` if given,
+    else core(t, x, y, lin . Z).  b B2 is added only where B2 has a nonzero entry, as on
+    the float path, so the bits are those of ``GuidanceKernel.velocity``."""
+    core, lin, (b1, b2) = answer
+    z = y[2:]
+    vx, vy, c, a, b = raw or core(t, y.item(0), y.item(1), float(z.dot(lin)))
+    vz = c * z + a * b1
+    if _count_nonzero(b2):
+        vz += b * b2
+    return np.concatenate(((vx, vy), vz))
 
 
 def _increments(ts, t, h, k, lo, hi, width):
@@ -161,7 +170,7 @@ def _increments(ts, t, h, k, lo, hi, width):
 
     Each sample is still its own matrix-vector product, and theta's powers are
     products of theta taken element by element.  Stacked, the per-sample copies
-    of k^T P take 4 * width floats a sample: small on a narrow state.
+    of k^T P take 4 * width floats a sample: 16 MB for 513 samples at width 1002.
     """
     step = np.repeat(np.arange(len(t)), np.subtract(hi, lo))
     h = np.array(h)[step]
@@ -170,6 +179,17 @@ def _increments(ts, t, h, k, lo, hi, width):
     tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
     q = (np.array(k).reshape(-1, 7, width).transpose(0, 2, 1) @ _P)[step]
     return step, h[:, None] * (q @ tp[:, :, None])[:, :, 0]
+
+
+def _flat_dense_output(ts, steps, out) -> None:
+    """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi)."""
+    if steps:
+        t, h, y, k, lo, hi = zip(*steps)
+        # 1.6 times faster than np.array(k)
+        k, y = (np.fromiter(chain.from_iterable(v), float) for v in (k, y))
+        width = out.shape[1]
+        step, inc = _increments(ts, t, h, k, lo, hi, width)
+        out[lo[0]:hi[-1]] = y.reshape(-1, width)[step] + inc
 
 
 class _FloatStages:
@@ -188,19 +208,8 @@ class _FloatStages:
         self.rtol, self.atol = rtol, atol
         self.n_rhs = 1
         self.y = tuple(y0.tolist())
-        self.k1 = self._slope(t0, *self.y)
-        self.f0 = np.array(self.k1)
-
-    def _slope(self, t: float, x: float, y: float, z: float) -> tuple:
-        vx, vy, c, a, b = self.core(t, x, y, self.lin * z)
-        return vx, vy, c * z + a * self.b1 + b * self.b2 if self.b2 else c * z + a * self.b1
-
-    def probe(self, t: float, y: np.ndarray) -> np.ndarray:
-        z0, z1, z2 = y.tolist()
-        if not (math.isfinite(z0) and math.isfinite(z1) and math.isfinite(z2)):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        return np.array(self._slope(t, z0, z1, z2))
+        self.f0 = _block_slope(first, t0, y0)
+        self.k1 = tuple(self.f0.tolist())
 
     def attempt(self, t: float, h: float) -> float:
         # the array path's weights h a_ij and h e_j; every sum runs left to right
@@ -271,15 +280,7 @@ class _FloatStages:
     def record(self) -> tuple:
         return self.y, self.ks
 
-    @staticmethod
-    def dense_output(ts, steps, out) -> None:
-        """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi)."""
-        if steps:
-            t, h, y, k, lo, hi = zip(*steps)
-            # 1.6 times faster than np.array(k)
-            k, y = (np.fromiter(chain.from_iterable(v), float) for v in (k, y))
-            step, inc = _increments(ts, t, h, k, lo, hi, 3)
-            out[lo[0]:hi[-1]] = y.reshape(-1, 3)[step] + inc
+    dense_output = staticmethod(_flat_dense_output)
 
     def accept(self) -> None:
         self.y, self.k1 = self.y_new, self.ks[18:]  # FSAL
@@ -308,12 +309,6 @@ class _ArrayStages:
         self.k[0] = f0
         self.y, self.abs_y = y0, np.abs(y0)
 
-    def probe(self, t: float, y: np.ndarray) -> np.ndarray:
-        if _count_nonzero(np.isfinite(y)) != y.size:
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        return self.rhs(t, y)
-
     def attempt(self, t: float, h: float) -> float:
         np.multiply(_AE, h, out=self.scaled)
         k, rhs, dim = self.k, self.rhs, self.scratch.size
@@ -325,13 +320,13 @@ class _ArrayStages:
             k[i] = rhs(t + c * h, yi)
         # yi is now stage 7's state, the 5th-order solution
         self.y_new, self.abs_y_new = yi, np.abs(yi)
-        return _error_norm(self.err_row.dot(k), self.abs_y, self.abs_y_new,
-                           self.rtol, self.atol, self.scratch)
+        return math.sqrt(_error_norm(self.err_row.dot(k), self.abs_y, self.abs_y_new,
+                                     self.rtol, self.atol, self.scratch) / dim)
 
     def record(self) -> tuple:
-        return self.y, self.k.T.dot(_P)
+        return self.y.tolist(), self.k.ravel().tolist()
 
-    dense_output = staticmethod(_dense_output)
+    dense_output = staticmethod(_flat_dense_output)
 
     def accept(self) -> None:
         self.y, self.abs_y = self.y_new, self.abs_y_new
@@ -373,7 +368,7 @@ class _BlockStages:
         self.zeta = float(z0.dot(lin))
         self.xy, self.z, self.abs_z = tuple(y0[:2].tolist()), z0, np.abs(z0)
         self.k1 = self._slope(t0, *self.xy, 0.0, 0.0, 0.0)
-        self.f0 = self._full(z0, self.raw)
+        self.f0 = _block_slope(first, t0, y0, self.raw)
 
     def _slope(self, t: float, x: float, y: float, g: float, d: float, e: float) -> tuple:
         zeta = self.zeta
@@ -385,18 +380,6 @@ class _BlockStages:
         vx, vy, c, a, b = self.raw = self.core(t, x, y, zeta)
         self.zeta_new = zeta
         return vx, vy, c + c * g, c * d + a, c * e + b
-
-    def _full(self, z: np.ndarray, raw: tuple) -> np.ndarray:
-        """The slope as one array at a state with block z, from the core's answer there."""
-        vx, vy, c, a, b = raw
-        return np.concatenate(((vx, vy), c * z + a * self.rows[1] + b * self.rows[2]))
-
-    def probe(self, t: float, y: np.ndarray) -> np.ndarray:
-        if _count_nonzero(np.isfinite(y)) != y.size:
-            raise IntegrationAbort("non-finite stage state")
-        z = y[2:]
-        self.n_rhs += 1
-        return self._full(z, self.core(t, y.item(0), y.item(1), float(z.dot(self.lin))))
 
     def attempt(self, t: float, h: float) -> float:
         # the float path's weights h a_ij and h e_j; every sum runs left to right
@@ -446,9 +429,8 @@ class _BlockStages:
         rtol, atol, r = self.rtol, self.atol, self.scratch
         dx = ex / (max(abs(x0), abs(x7)) * rtol + atol)
         dy = ey / (max(abs(y0), abs(y7)) * rtol + atol)
-        np.multiply(np.maximum(self.abs_z, self.abs_z_new, out=r), rtol, out=r)
-        np.divide(err_z, np.add(r, atol, out=r), out=r)
-        return math.sqrt((dx * dx + dy * dy + float(r.dot(r))) / (r.size + 2))
+        return math.sqrt((dx * dx + dy * dy + _error_norm(err_z, self.abs_z, self.abs_z_new,
+                                                         rtol, atol, r)) / (r.size + 2))
 
     def record(self) -> tuple:
         k1, k2, k3, k4, k5, k6, k7 = self.ks
@@ -476,10 +458,10 @@ class _BlockStages:
         self.rows[0] = self.z
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(probe, t0, y0, f0, t_end, rtol, atol, max_step):
     # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow aborts
     # unwarned under ``solve``'s errstate: of a slope norm here, of the probe state in
-    # the stage test of ``rhs``.
+    # the stage test of ``probe``.
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
@@ -489,7 +471,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     if d1 == math.inf:
         raise IntegrationAbort(f"slope norm overflows at t0={t0!r}")
     try:
-        f1 = rhs(t0 + h0, y1)
+        f1 = probe(t0 + h0, y1)
     except NodeError:
         return min(h0, max_step)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -560,7 +542,15 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         f0 = stages.f0
         if not np.isfinite(f0).all():
             raise IntegrationAbort(f"non-finite slope at t0={t0!r}")
-        h = min(max(_initial_step(stages.probe, t0, y0, f0, t_end, rtol, atol, max_step),
+
+        def probe(t: float, y: np.ndarray) -> np.ndarray:
+            # the starting-step probe of every form, on an array state
+            if _count_nonzero(np.isfinite(y)) != y.size:
+                raise IntegrationAbort("non-finite stage state")
+            stages.n_rhs += 1
+            return _block_slope(first, t, y) if block else rhs(t, y)
+
+        h = min(max(_initial_step(probe, t0, y0, f0, t_end, rtol, atol, max_step),
                     H_FLOOR), max_step)
         t = t0
         fac_old = 1e-4

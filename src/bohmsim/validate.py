@@ -16,9 +16,7 @@ Each suite fixes its inputs and tolerance in its own body, runs its
 presets' own ``integrator`` settings, and states its tolerance in its
 reading.  `run_validation` executes any subset and reports one pass/fail
 per suite.  Each must run alone under ``--only``, so mirror-symmetry integrates
-fig4's ensemble itself rather than share y-oracle's run.  The one hook is
-``analytic_fn`` of the equivalence suite: it takes a velocity route, so tests
-can inject a broken one and confirm that the suite detects it.
+fig4's ensemble itself rather than share y-oracle's run.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ def random_configurations(params: ScenarioParams, count: int,
     return out
 
 
-def check_backend_equivalence(analytic_fn: Callable = GuidanceKernel.velocity) -> tuple[bool, str]:
+def check_backend_equivalence() -> tuple[bool, str]:
     """Closed form against finite differences on 1000 random non-node configurations
     each of fig2, fig3 and fig4, to 1e-6 relative.
 
@@ -86,8 +84,6 @@ def check_backend_equivalence(analytic_fn: Callable = GuidanceKernel.velocity) -
     ``random_configurations`` keeps only draws with a normalized density of
     at least 1e-6, far above the node floor, so a NodeError from either
     route is a failure, not a skip; so is a velocity that is not finite.
-    ``analytic_fn`` stands in for the closed form, so a test can inject a
-    broken route.
     """
     tol = 1e-6
     rng = np.random.default_rng(20260808)
@@ -100,7 +96,7 @@ def check_backend_equivalence(analytic_fn: Callable = GuidanceKernel.velocity) -
         for cfg in random_configurations(params, 1000, rng):
             state = cfg.state()
             try:
-                va = np.asarray(analytic_fn(kern, cfg.t_prime, state))
+                va = np.asarray(kern.velocity(cfg.t_prime, state))
                 vn = fd_velocity(kern, cfg.t_prime, state)
             except NodeError:
                 node_errors += 1

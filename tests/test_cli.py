@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bohmsim import cli, runio
+from bohmsim._kernel import GuidanceKernel
 from bohmsim.cli import main
 from bohmsim.integrate import integrate_trajectory, run_ensemble
 from bohmsim.model import Configuration, fast_pointer_E
@@ -619,14 +620,17 @@ class TestValidate:
     def test_unknown_suite_exit_2(self):
         assert main(["validate", "--only", "vibes"]) == 2
 
-    def test_injected_sign_error_detected(self):
+    def test_injected_sign_error_detected(self, monkeypatch):
         # backend-equivalence must notice a corrupted analytic route
+        velocity = GuidanceKernel.velocity
+
         def flipped(kern, t, state):
-            v = np.array(kern.velocity(t, state))
+            v = np.array(velocity(kern, t, state))
             v[2:] *= -1.0  # the pointer moves the wrong way
             return v
 
-        ok, detail = check_backend_equivalence(analytic_fn=flipped)
+        monkeypatch.setattr(GuidanceKernel, "velocity", flipped)
+        ok, detail = check_backend_equivalence()
         assert not ok
         assert "over 3000 configurations, 0 raised NodeError" in detail
 

@@ -45,8 +45,7 @@ SQRT_SITES = {
     ("reduced.py", "sigma_hat_of"), ("reduced.py", "common_start"),
     ("reduced.py", "reduced_params"), ("scenario.py", "with_n_particles"),
     # square roots of something other than N
-    ("_kernel.py", "spreading_factor"), ("rk45.py", "_error_norm"), ("rk45.py", "_initial_step"),
-    ("rk45.py", "attempt"),
+    ("_kernel.py", "spreading_factor"), ("rk45.py", "_initial_step"), ("rk45.py", "attempt"),
     ("validate.py", "random_configurations"), ("velocity.py", "y_closed_form"),
 }
 TUPLE_TESTS = [("rk45.py", "solve")]

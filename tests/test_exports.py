@@ -84,7 +84,7 @@ KNOBS = {
     "model.ScenarioParams.with_rigid_pointer(xi)",
     "rk45.solve(rtol)", "rk45.solve(atol)", "rk45.solve(max_step)",
     "runio.write_run(timing)",
-    "validate.check_backend_equivalence(analytic_fn)", "validate.run_validation(only)",
+    "validate.run_validation(only)",
 }
 
 
@@ -110,7 +110,7 @@ def defaulted_parameters() -> set[str]:
 
 
 def test_defaulted_parameters_are_pinned():
-    assert len(KNOBS) == 12
+    assert len(KNOBS) == 11
     assert defaulted_parameters() == KNOBS
 
 

@@ -120,8 +120,9 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
 
 @pytest.mark.parametrize("name,n", [("fig4", 1), ("fig7", 2), ("fig8", 2), ("fig4", 100)])
 def test_velocity_is_the_scalar_core_bit_for_bit(name, n):
-    # v = (v_x, v_y, c_1 Z' + a p_z dXi + b p_z SXi) from ``coefficients`` at zd = dXi . Z':
-    # a tuple at N = 1, an array at N >= 2, and the rows ``block_velocity`` hands the stepper
+    # v = (v_x, v_y, c_1 Z' + a p_z dXi + b p_z SXi) from ``coefficients`` at zd = dXi . Z',
+    # the block answer's own dot: a tuple at N = 1, an array at N >= 2, and the rows
+    # ``block_velocity`` hands the stepper
     params = preset_params(name, n)
     kern = GuidanceKernel(params)
     core, dxi, (b1, b2) = kern.block_velocity(0.0, None)
@@ -129,7 +130,7 @@ def test_velocity_is_the_scalar_core_bit_for_bit(name, n):
     for cfg in random_configurations(params, 100, np.random.default_rng(17)):
         t, state = cfg.t_prime, cfg.state()
         z = state[2:]
-        zd = dxi.item(0) * z.item(0) if n == 1 else float(state.dot(np.append([0.0, 0.0], dxi)))
+        zd = float(z.dot(dxi))
         vx, vy, c1, a, b = kern.coefficients(t, cfg.x, cfg.y, zd)
         v = kern.velocity(t, state)
         assert type(v) is (tuple if n == 1 else np.ndarray)

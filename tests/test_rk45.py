@@ -23,6 +23,7 @@ from bohmsim.model import Configuration, NodeError
 from bohmsim.reduced import reduced_params
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset, with_n_particles
+from bohmsim.validate import random_configurations
 from conftest import Form, every_form, deadline
 
 # y' = cubic(t) per component; the quartic interpolant reproduces y exactly
@@ -556,6 +557,57 @@ class TestBlockForm:
             assert np.array_equal(up.x, -lo.x)
             assert np.array_equal(up.y, lo.y)
             assert np.array_equal(up.z, -lo.z)
+
+
+# the first slope and the starting-step probe of both block forms: N = 1 on fig2 (Xi = 0,
+# so B1 = 0), fig4 and a one-particle pointer (10, 0), whose B2 is not 0; N >= 2 on fig7,
+# fig8 and a seeded draw of fig4 at N = 100
+_FIG4 = preset("fig4")
+FIRST_SLOPE_CASES = {
+    "fig2": preset("fig2"), "fig4": _FIG4,
+    "fig4-(10,0)": replace(_FIG4, params=replace(_FIG4.params, pointer_groups=((1, 10.0, 0.0),))),
+    "fig7": preset("fig7"), "fig8": preset("fig8"), "fig4-n100-seed3": _seeded_fig4(100, 3)}
+
+
+class _Probed(Exception):
+    """Raised once the starting step is chosen: the rest of the run is not looked at."""
+
+
+@pytest.mark.parametrize("name", FIRST_SLOPE_CASES)
+def test_first_slope_and_probe_are_the_kernel_velocity_bit_for_bit(name, monkeypatch):
+    # the starts: the preset's launches, random configurations, and states on signed zeros,
+    # where only the order and the terms of each sum fix the sign of a zero slope entry
+    sc = FIRST_SLOPE_CASES[name]
+    kern = GuidanceKernel(sc.params)
+    initial_step, seen = rk45._initial_step, []
+
+    def wrapped(probe, t0, y0, f0, *args):
+        def recorded(t, y):
+            slope = probe(t, y)
+            seen.append((t, y.copy(), slope))
+            return slope
+
+        seen.append((t0, y0.copy(), f0))
+        initial_step(recorded, t0, y0, f0, *args)
+        raise _Probed
+
+    monkeypatch.setattr(rk45, "_initial_step", wrapped)
+    t_end, _, max_step = integrate.time_grid(sc.params)
+    rtol = sc.integrator.rel_tol
+    starts = [(0.0, init.state()) for init in sample_initials(sc.ensemble, sc.params)]
+    starts += [(c.t_prime, c.state())
+               for c in random_configurations(sc.params, 20, np.random.default_rng(41))]
+    starts += [(t, np.array([x, y, *[z] * kern.n])) for t, x, y, z in itertools.product(
+        (0.0, 0.7), (0.0, -0.0, 2.5, -2.5), (0.0, -0.0), (0.0, -0.0))]
+    for t0, y0 in starts:
+        seen.clear()
+        with pytest.raises(_Probed):
+            solve(kern.block_velocity, t0, y0, t_end, [], rtol=rtol, atol=rtol / 100,
+                  max_step=max_step)
+        assert len(seen) == 2  # the first slope, then the probe's
+        for t, state, slope in seen:
+            assert type(slope) is np.ndarray
+            assert np.array(kern.velocity(t, state)).tobytes() == slope.tobytes(), (name, t, state)
 
 
 class TestStrideIndependence:
