@@ -19,17 +19,19 @@ There is one stencil: the centre, then each coordinate moved by +/-h and
 +/-h/2, with h = ``FD_H`` = 1e-5; Richardson extrapolation combines the
 central differences at h and h/2 to O(h^4).  A fixed h resolves a phase
 only up to a wavenumber: ``check_fd_resolves`` refuses parameters whose
-fastest one, k, gives k h >= ``FD_MAX_KH``.  The stencil is built as rows of
-configurations and evaluated a block of rows per batched
-``GuidanceKernel.branch_eval`` call, which stacks the two branches; a
-block holds at most ``FD_BLOCK_BYTES`` of coordinates, so memory stays
-bounded at any N.  Every row is still a full branch evaluation: nothing is
-updated incrementally from the centre, and no gradient of the analytic
-route is reused.
+fastest one, k, gives k h >= ``FD_MAX_KH``.  The stencil's rows go to
+``GuidanceKernel.branch_eval`` a block of whole coordinates per call, at most
+``FD_BLOCK_BYTES`` of them, so memory stays bounded at any N; per block, Psi is
+one complex exp and the current one weighted dot over each coordinate's four
+rows.  Every row is still a full branch evaluation: nothing is updated
+incrementally from the centre, and no gradient of the analytic route is
+reused.  A call takes 22 us at N = 1 and 35 us at N = 16 (best of 15, a 2-CPU
+x86-64 Xeon, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +43,9 @@ from .model import NODE_EPS, Configuration, NodeError, ScenarioParams
 __all__ = ["VelocityVector", "velocity_analytic", "velocity_numeric", "fd_velocity", "y_closed_form"]
 
 # Bytes of stencil coordinates per batched ``branch_eval`` call: the whole stencil up
-# to N = 88, 32 rows a call at N = 1000; the stacked temporaries, (2, rows, N), are twice
-# that.  In fresh processes (fig4, median of 15 calls), 256 and 128 KiB blocks both read
-# 29 ms at N = 1000, and 184 against 261 ms at N = 3000, where 128 KiB holds one coordinate.
+# to N = 88, 32 rows a call at N = 1000; the stacked residuals, (2, rows, N + 2), are twice
+# that.  In fresh processes (fig4, median of 15 calls, 4 processes each), 256 KiB blocks
+# read 15 ms at N = 1000 and 150 ms at N = 3000, 128 KiB blocks 19 and 190 ms.
 FD_BLOCK_BYTES = 256 * 1024
 
 FD_H = 1e-5
@@ -55,6 +57,8 @@ FD_H = 1e-5
 #                            xi_y  4.8e-10  9.4e-8  4.8e-7  2.0e-3
 FD_MAX_KH = 0.03
 _FD_STEPS = np.array((FD_H, -FD_H, FD_H / 2.0, -FD_H / 2.0))  # per coordinate, in row order
+# Richardson's O(h^4) dPsi = (8 [Psi(+h/2) - Psi(-h/2)] - [Psi(+h) - Psi(-h)]) / 6h
+_RICHARDSON = np.array((-1.0, 1.0, 8.0, -8.0)) / (6.0 * FD_H)
 
 
 @dataclass(frozen=True)
@@ -106,40 +110,40 @@ def fd_velocity(kern: GuidanceKernel, t: float, state: np.ndarray) -> np.ndarray
     Raises NodeError if the normalized density at the centre is below
     ``NODE_EPS``.
     """
-    width = _FD_STEPS.size
     dims = kern.n + 2
-    # stencil row 0 is the centre; row 1 + width*k + j has coordinate k moved by steps[j]
-    branches = np.empty((4, 1 + width * dims))
-    per_block = max(1, FD_BLOCK_BYTES // (8 * width * dims))
-    # flattened, block row 1 + width*k + j, column lo + k is entry dims + k*span + lo + j*dims:
-    # a strided view of the rows read as (nc, span), which may run into the spare last row
-    span = width * dims + 1
-    rows = np.empty((2 + width * min(per_block, dims), dims))
+    per_block = max(1, FD_BLOCK_BYTES // (32 * dims))  # 4 rows of dims floats a coordinate
+    steps = _stencil_steps(min(per_block, dims))
+    stencil = np.empty((len(steps), dims))
+    v = np.empty(dims)
     for lo in range(0, dims, per_block):
-        nc = min(per_block, dims - lo)  # coordinates lo .. lo + nc - 1
-        rows[:] = state
-        diagonal = rows.reshape(-1)[dims:dims + nc * span].reshape(nc, span)
-        diagonal[:, lo:lo + width * dims:dims] += _FD_STEPS
-        start = 0 if lo == 0 else 1  # the centre row goes with the first block only
-        block = rows[start:1 + width * nc]
-        branches[:, start + width * lo:1 + width * (lo + nc)] = kern.branch_eval(
-            t, block[:, 0], block[:, 1], block[:, 2:])
-
-    scale = max(branches.item(0, 0), branches.item(1, 0))
-    psi = np.add(*np.exp((branches[:2] - scale) + 1j * branches[2:]))  # Psi_1 + Psi_2
-    psi_c = complex(psi[0])
-    rho_hat = abs(psi_c) ** 2
-    if rho_hat < NODE_EPS:
-        raise NodeError(rho_hat)
-
-    moved = psi[1:].reshape(dims, width)
-    diff = moved[:, 0::2] - moved[:, 1::2]  # Psi(+h) - Psi(-h), Psi(+h/2) - Psi(-h/2)
-    dpsi = diff[:, 0] / (2.0 * FD_H)
-    dpsi = (4.0 * (diff[:, 1] / FD_H) - dpsi) / 3.0  # Richardson: O(h^4)
-    v = (psi_c.conjugate() * dpsi).imag / rho_hat  # the probability current per coordinate
-    v[0], v[1] = v[0] * kern.px, v[1] * kern.py
-    v[2:] *= kern.pz
+        hi = min(lo + per_block, dims)
+        start, end = (0 if lo == 0 else 1), 1 + 4 * (hi - lo)  # centre row: first block only
+        rows = stencil[start:end]
+        rows[:] = state.reshape(dims)  # a state of another length must not broadcast
+        rows[:, lo:hi] += steps[start:end, :hi - lo]
+        b = kern.branch_eval(t, rows)
+        if start == 0:
+            scale = max(b.item(0, 0), b.item(1, 0))
+        psi = np.add(*np.exp((b[:2] - scale) + 1j * b[2:]))  # Psi_1 + Psi_2
+        if start == 0:
+            psi_c = complex(psi[0])
+            rho_hat = abs(psi_c) ** 2
+            if rho_hat < NODE_EPS:
+                raise NodeError(rho_hat)
+            # np.vecdot conjugates these: Im(conj(Psi) dPsi) / |Psi|^2 is the current
+            weights = _RICHARDSON * (psi_c / rho_hat)
+            psi = psi[1:]
+        dpsi = np.vecdot(weights, psi.reshape(hi - lo, 4))
+        np.multiply(dpsi.imag, kern.prefactors[lo:hi], out=v[lo:hi])
     return v
+
+
+@functools.lru_cache(maxsize=4)
+def _stencil_steps(per_block: int) -> np.ndarray:
+    """Read-only (1 + 4 per_block, per_block): row 1 + 4k + j moves k by ``_FD_STEPS[j]``."""
+    steps = np.vstack((np.zeros(per_block), np.kron(np.eye(per_block), _FD_STEPS[:, None])))
+    steps.flags.writeable = False  # every caller shares the cached array
+    return steps
 
 
 def check_fd_resolves(params: ScenarioParams) -> None:
@@ -167,6 +171,6 @@ def velocity_numeric(config: Configuration, params: ScenarioParams) -> VelocityV
 def y_closed_form(t_prime, y0_prime: float, xi_y: float):
     """Y'(t') = t' + Y'_0 sqrt(1 + 4 t'^2 / xi_y^2), the decoupled longitudinal motion;
     t' may be an array."""
-    if xi_y <= 0:
-        raise ValueError("xi_y must be > 0")
+    if not 0 < xi_y < math.inf:
+        raise ValueError(f"xi_y must be positive and finite, got {xi_y!r}")
     return t_prime + y0_prime * np.sqrt(1.0 + 4.0 * t_prime * t_prime / (xi_y * xi_y))

@@ -52,7 +52,7 @@ def test_closed_form_matches_branch_difference(name, n):
     rng = np.random.default_rng(1000 + 10 * n + len(name))
     for cfg in random_configurations(params, 60, rng):
         z = cfg.state()[2:]
-        lr1, lr2, s1, s2 = kern.branch_eval(cfg.t_prime, cfg.x, cfg.y, z)
+        lr1, lr2, s1, s2 = kern.branch_eval(cfg.t_prime, cfg.state())
         log_omega, delta_s, _ = kern.contrast(cfg.t_prime, cfg.x, z)
         assert abs(log_omega - (lr1 - lr2)) <= 1e-13 * max(1.0, abs(lr1), abs(lr2))
         assert abs(delta_s - (s1 - s2)) <= 1e-13 * max(1.0, abs(s1), abs(s2))
@@ -252,27 +252,24 @@ def batch_params(name, n):
 
 
 def batch_rows(params, seed):
-    """Five times and 40 random configurations as (x, y, z) rows."""
+    """Five times and 40 random configurations as state rows (X', Y', Z'_1..Z'_N)."""
     cfgs = random_configurations(params, 40, np.random.default_rng(seed))
-    x = np.array([c.x for c in cfgs])
-    y = np.array([c.y for c in cfgs])
-    z = np.array([c.z for c in cfgs]).reshape(len(cfgs), params.n_particles)
-    return [c.t_prime for c in cfgs[:5]], x, y, z
+    return [c.t_prime for c in cfgs[:5]], np.array([c.state() for c in cfgs])
 
 
 @pytest.mark.parametrize("name,n", BATCH_CASES)
 def test_batched_branch_eval_rows_equal_scalar_calls(name, n):
     params = batch_params(name, n)
     kern = GuidanceKernel(params)
-    times, x, y, z = batch_rows(params, 21)
-    # contiguous arrays, and the strided column views the FD stencil passes
-    stacked = np.column_stack((x, y, z))
-    for bx, by, bz in ((x, y, z), (stacked[:, 0], stacked[:, 1], stacked[:, 2:])):
+    times, states = batch_rows(params, 21)
+    # contiguous rows, and rows spaced apart in a larger array
+    spaced = np.repeat(states, 2, axis=0)[::2]
+    for rows in (states, spaced):
         for t in times:
-            batch = kern.branch_eval(t, bx, by, bz)
-            assert all(v.shape == (x.size,) for v in batch)
-            for i in range(x.size):
-                one = kern.branch_eval(t, float(x[i]), float(y[i]), z[i])
+            batch = kern.branch_eval(t, rows)
+            assert all(v.shape == (len(states),) for v in batch)
+            for i, state in enumerate(states):
+                one = kern.branch_eval(t, state)
                 assert [v[i] for v in batch] == list(one)
 
 
@@ -282,13 +279,14 @@ def test_branch_eval_mirror_swaps_the_branches_exactly(name, n):
     params = batch_params(name, n)
     assert params.single_pointer_xi is not None or n == 0
     kern = GuidanceKernel(params)
-    times, x, y, z = batch_rows(params, 22)
+    times, states = batch_rows(params, 22)
+    mirrored = states * np.array([-1.0, 1.0] + [-1.0] * params.n_particles)
     for t in times:
-        lr1, lr2, s1, s2 = kern.branch_eval(t, x, y, z)
-        m1, m2, ms1, ms2 = kern.branch_eval(t, -x, y, -z)
+        lr1, lr2, s1, s2 = kern.branch_eval(t, states)
+        m1, m2, ms1, ms2 = kern.branch_eval(t, mirrored)
         assert np.array_equal(m1, lr2) and np.array_equal(m2, lr1)
         assert np.array_equal(ms1, s2) and np.array_equal(ms2, s1)
-        for i in range(x.size):
-            a1, a2, p1, p2 = kern.branch_eval(t, float(x[i]), float(y[i]), z[i])
-            b1, b2, q1, q2 = kern.branch_eval(t, -float(x[i]), float(y[i]), -z[i])
+        for state, mirror in zip(states, mirrored):
+            a1, a2, p1, p2 = kern.branch_eval(t, state)
+            b1, b2, q1, q2 = kern.branch_eval(t, mirror)
             assert (b1, b2, q1, q2) == (a2, a1, p2, p1)

@@ -60,9 +60,9 @@ def count_branch_evals(monkeypatch) -> list:
     calls = []
     batched = GuidanceKernel.branch_eval
 
-    def counted(self, t, x, y, z):
-        calls.append(np.shape(x))
-        return batched(self, t, x, y, z)
+    def counted(self, t, states):
+        calls.append(np.shape(states)[:-1])
+        return batched(self, t, states)
 
     monkeypatch.setattr(GuidanceKernel, "branch_eval", counted)
     return calls
@@ -109,6 +109,47 @@ class TestStencilBlocks:
             assert len(rows) > 1 and sum(rows) == 1 + 4 * 1002
             # bounded blocks: whole coordinates (4 rows each) within FD_BLOCK_BYTES
             assert 4 * 1002 * 8 <= (max(rows) - 1) * 1002 * 8 <= velocity.FD_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_fd_never_calls_the_analytic_algebra(self, monkeypatch, n):
+        params = fig4_n_particles(n)
+        kern = GuidanceKernel(params)
+        args = [(kern, c.t_prime, c.state())
+                for c in random_configurations(params, 5, np.random.default_rng(9))]
+        before = [fd_velocity(*a).tobytes() for a in args]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the finite-difference route used the analytic algebra")
+
+        for name in ("coefficients", "contrast", "velocity", "block_velocity"):
+            monkeypatch.setattr(GuidanceKernel, name, refuse)
+        assert [fd_velocity(*a).tobytes() for a in args] == before
+
+    def test_a_state_of_another_length_is_refused(self):
+        # a one-element state would otherwise broadcast into every stencil coordinate
+        kern = GuidanceKernel(fig4_n_particles(1))
+        for state in ([0.5], [0.5, 0.2], [0.5, 0.2, 0.1, 0.0]):
+            with pytest.raises(ValueError):
+                fd_velocity(kern, 0.7, np.array(state))
+
+    @pytest.mark.parametrize("n, rows", [(0, [9]), (88, [1 + 4 * 90]), (89, [1 + 4 * 90, 4])])
+    def test_block_boundary(self, monkeypatch, n, rows):
+        # the default blocks hold 90 coordinates: N = 88 is one call, and at N = 89 the
+        # last coordinate goes alone to a second call, without the centre row
+        params = fig4_n_particles(n)
+        kern = GuidanceKernel(params)
+        cfgs = random_configurations(params, 3, np.random.default_rng(10 + n))
+        calls = count_branch_evals(monkeypatch)
+        whole = []
+        for cfg in cfgs:
+            state = cfg.state()
+            calls.clear()
+            fd = fd_velocity(kern, cfg.t_prime, state)
+            assert [shape[0] for shape in calls] == rows
+            assert rel_dev_raw(kern, cfg.t_prime, state, fd) <= 1e-6
+            whole.append(fd.tolist())
+        monkeypatch.setattr(velocity, "FD_BLOCK_BYTES", 1)  # one coordinate per block
+        assert [fd_velocity(kern, c.t_prime, c.state()).tolist() for c in cfgs] == whole
 
 
 class TestWrapperKernel:
@@ -209,6 +250,12 @@ class TestLongitudinalChannel:
         assert y_closed_form(5.0, 1.0, 10.0) == pytest.approx(5.0 + math.sqrt(2.0), rel=1e-15)
         with pytest.raises(ValueError):
             y_closed_form(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("xi_y", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_y_closed_form_refuses_a_width_that_is_not_positive_and_finite(self, xi_y):
+        # NaN and infinities are no width: they would give NaN or t' + Y'_0
+        with pytest.raises(ValueError, match="positive and finite"):
+            y_closed_form(1.0, 0.5, xi_y)
 
 
 class TestTwoSlitReduction:
