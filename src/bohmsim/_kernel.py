@@ -56,9 +56,9 @@ Every velocity answer is built on it:
 
 * ``block_velocity``: the core, dXi and the pointer basis, for every analytic run
   at N >= 1, reduced runs included.  ``rk45.solve`` steps (X', Y', Z') at N = 1 as
-  three named floats and calls the core inline, and at N >= 2 holds each stage's
-  pointer block as three coefficients over (Z' at the step's start, p_z dXi,
-  p_z SXi) and calls the core on floats;
+  three named floats and calls the core inline; at N >= 2 it steps X', Y' and Z''s
+  three coefficients over (Z'(0), p_z dXi, p_z SXi) as five floats for the whole
+  run, calls the core inline too, and forms Z' at the samples alone;
 * ``velocity`` at N = 1: the tuple (v_x, v_y, v_z) in Python floats, the products
   the float stepper forms, for the oracles and checks that read one state (no run
   steps it);
@@ -312,12 +312,12 @@ class GuidanceKernel:
         return v
 
     def block_velocity(self, t: float, state: np.ndarray) -> tuple:
-        """The guidance velocity as ``rk45.solve`` steps it at N >= 1, in floats at N = 1 and
-        with the pointer block held as coefficients at N >= 2: whatever the state,
-        (``coefficients``, dXi, [p_z dXi, p_z SXi]).
+        """The guidance velocity as ``rk45.solve`` steps it at N >= 1, on three floats at N = 1
+        and on five at N >= 2: whatever the state, (``coefficients``, dXi, [p_z dXi, p_z SXi]).
 
-        The slope's pointer block c_1 Z' + a p_z dXi + b p_z SXi stays in the span of
-        Z' and the two rows, so each stage state does, and a stage reads the pointer
-        only through dXi . Z'.  For a rigid pointer the second row is zeros.
+        The slope's pointer block c_1 Z' + a p_z dXi + b p_z SXi keeps Z' in the span of
+        Z'(0) and the two rows for the whole run, so the stepper holds Z' as three
+        coefficients over them, and a stage reads the pointer only through dXi . Z'.  For
+        a rigid pointer the second row is zeros.
         """
         return self.coefficients, self.dxi, self.pz_basis

@@ -2,9 +2,9 @@
 
 The full backends integrate N+2 coupled equations, so their cost grows
 with N: on full-numeric through every slope's finite-difference stencil, on
-full-analytic at N >= 2 only through the O(N) work once per attempt (the new
-state, the error vector and its norm) and once per run (dense output and the
-diagnostics), since each stage's pointer block is three coefficients there.
+full-analytic at N >= 2 only through the O(N) work once per run (set-up, Z' at
+the samples and the diagnostics), since the pointer block is stepped as three
+coefficients over the whole run and an attempt does no N-vector work.
 The reduced backend always integrates 3 (X', Y', Sigma_hat'), so its core
 cost must not depend on N.  That is the headline check reported here.  Pointer reconstruction is O(N) per output sample and is timed
 separately on a thinned sample grid (and skipped above

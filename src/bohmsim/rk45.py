@@ -18,30 +18,25 @@ One step controller (step ceiling, node backoff, non-finite halving, PI
 control, step budget, a step that does not advance t, counts and the
 dense-output record) drives one of three forms of the stage arithmetic, which
 differ only in ``attempt``, ``record`` and ``accept``.  ``solve`` calls ``rhs``
-first on the array ``y0``, and that answer picks the form of the run (the
-guidance kernel says which of its states answer which form).  A block answer is
-(core, lin, basis) in place of a slope: the state is (x, y, Z), the slope's block
-Z' is c Z + a B1 + b B2 for the two rows of ``basis``, where (x', y', c, a, b) =
-core(t, x, y, lin . Z), and only ``core`` is called after.  One function,
-``_block_slope``, states that slope as an array, adding b B2 only where B2 is not
-all zeros; it gives both block forms their first slope and answers the one
-starting-step probe that ``solve`` builds for every form (from ``rhs`` itself on
-an array answer).
+first on the array ``y0``, and that answer picks the form of the run.  A block
+answer is (core, lin, basis) in place of a slope: the state is (x, y, Z), the
+slope's block Z' is c Z + a B1 + b B2 for the two rows of ``basis``, where
+(x', y', c, a, b) = core(t, x, y, lin . Z), and only ``core`` is called after.
+``_block_slope`` states that slope as an array, adding b B2 only where B2 is not
+all zeros: the first slope of both block forms, and the answer to the one
+starting-step probe that ``solve`` builds for every form.
 
-* floats, for a block answer whose Z is one float z.  Each stage state, the
-  5th-order solution and the error estimate are the tableau written out over
+* floats, for a block answer whose Z is one float z: the tableau written out over
   three named floats, with the array path's weights h a_ij; each stage calls
   ``core`` inline and forms z' = c z + a B1, adding b B2 only where B2 is not 0.
-  A stage state is tested by one ``math.isfinite`` of its sum, and component by
-  component only when the sum is not finite: exact, as an inf or NaN component
-  makes the sum inf or NaN, and finite components whose sum overflows fall
-  through.  The sums are Python's, left to right, so their bits do not depend on
-  the BLAS build or the CPU.
-* blocks, for a block answer whose Z is wider: every stage's Z stays in the span
-  of (Z at the step's start, B1, B2), so a stage is five floats (x, y and Z's
-  three coefficients) written out as on the float path.  Z itself, the error
-  vector over it and the error norm over all components are formed once per
-  attempt (``_BlockStages``).
+  A stage state is tested by one ``math.isfinite`` of its sum, and part by part
+  only when that is not finite, so finite parts whose sum overflows are stepped.
+  The sums are Python's, left to right, so their bits do not depend on the BLAS
+  build or the CPU.
+* blocks, for a block answer whose Z is wider: Z stays alpha Z0 + beta B1 +
+  gamma B2 over the whole run, with Z0 the start's Z, so the state is five floats
+  (x, y, alpha, beta, gamma) written out as on the float path, and an attempt does
+  no work over Z (``_BlockStages``).
 * arrays, for any other answer, tuples of floats included.  One buffer holds the
   rows (y, k1..k7), and a weight matrix [1 | h A], with [0 | h E] as its last row,
   is filled once per attempt: each stage state 1*y + sum_j h a_ij k_j, and the
@@ -49,24 +44,26 @@ an array answer).
   and a stage is tested by counting ``np.isfinite``.  No view of the buffer or of
   an array returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output.
 
-With the guidance kernel an attempt takes 15 us in a run on floats at N = 1,
-7.5 us of it six core calls, and 24 us on blocks at N = 100 against 40 us in
+Every form takes the error norm as the RMS over (x, y, Sigma_hat'), Sigma_hat' =
+(1/sqrt(N)) sum_n Z_n (``reduced.sigma_hat_of``) being the one-particle twin's coordinate
+and what the analysis reads; a state of up to three components is its own.  Over all
+N + 2 components, x would weigh 1/(N + 2).  The starting step still reads them all.
+
+With the guidance kernel an attempt takes 13 us in a run on floats at N = 1,
+7.5 us of it six core calls, and 18 us on blocks at N = 100 against 80 us in
 arrays (best of 41 and of 15 runs, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
 
-Every form is linear in (y, k) with fixed coefficients, and on blocks c and
-the coefficient of Z are even under a reflection (x, Z) -> (-x, -Z) of a flow
-that is odd in (x, Z), so negation commutes with each form and mirrored starts
-stay mirrored bit for bit.
+Every form is linear in (y, k) with fixed coefficients.  Under a reflection (x, Z) ->
+(-x, -Z) of a flow odd in (x, Z), alpha, gamma and the norm's terms are even and beta
+odd, so negation commutes with each form and mirrored starts stay mirrored bit for bit.
 
 Dense output uses the standard quartic interpolant for this pair, so requested
 sample times are filled without constraining the step sequence.  Each accepted
-step that covers samples is recorded, and all samples are evaluated in one pass
-when the run ends.  The float and array paths record (t, h, y, k1..k7 as one flat
-list) and share one dense output, which evaluates every sample in one batch.  The
-block path records (t, h, (x, y), Z, k1..k7 flat over five floats), takes x, y and
-the coefficients in that batch, and then Z with one stacked matrix-vector product
-per recorded step.  Either way every sample is its own matrix-vector product, so
-that its bits do not depend on which other samples are requested.
+step that covers samples is recorded (t, h, y, k1..k7 as one flat list), and all
+samples are evaluated in one batch when the run ends.  On blocks y is the five
+floats, and Z at a sample is (alpha, beta, gamma) times (Z0, B1, B2).  Every
+sample is its own matrix-vector product, so that its bits do not depend on which
+other samples are requested.
 """
 
 from __future__ import annotations
@@ -81,6 +78,7 @@ import numpy as np
 from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from .model import NodeError
+from .reduced import sigma_hat_of
 
 __all__ = ["IntegrationAbort", "SolverStats", "SolverResult", "solve"]
 
@@ -142,12 +140,15 @@ class SolverResult:
     degenerate: bool = False      # truncated at a node
 
 
-def _error_norm(err, abs_y0, abs_y1, rtol, atol, r) -> float:
-    # the sum of squares of err / (atol + rtol * max(|y0|, |y1|)), computed in the scratch
-    # buffer r; the caller takes the RMS over all its components
-    np.multiply(np.maximum(abs_y0, abs_y1, out=r), rtol, out=r)
-    np.divide(err, np.add(r, atol, out=r), out=r)
-    return float(r.dot(r))
+def _twin(v: np.ndarray) -> np.ndarray:
+    """(x, y, Sigma_hat') of an array state or error; up to three components, ``v`` itself."""
+    return v if v.size <= 3 else np.append(v[:2], sigma_hat_of(v[2:]))
+
+
+def _test_parts(*parts: float) -> None:
+    # a stage state whose sum is not finite is stepped only if each part is finite
+    if not all(map(math.isfinite, parts)):
+        raise IntegrationAbort("non-finite stage state")
 
 
 def _block_slope(answer: tuple, t: float, y: np.ndarray, raw: tuple | None = None) -> np.ndarray:
@@ -164,32 +165,23 @@ def _block_slope(answer: tuple, t: float, y: np.ndarray, raw: tuple | None = Non
     return np.concatenate(((vx, vy), vz))
 
 
-def _increments(ts, t, h, k, lo, hi, width):
-    """(step, inc) for the samples ts[lo[0]:hi[-1]] of steps recorded as (t, h, k1..k7 flat over
-    ``width`` components, lo, hi): each sample's step and its h sum_j k_j b_j(theta).
-
-    Each sample is still its own matrix-vector product, and theta's powers are
-    products of theta taken element by element.  Stacked, the per-sample copies
-    of k^T P take 4 * width floats a sample: 16 MB for 513 samples at width 1002.
-    """
-    step = np.repeat(np.arange(len(t)), np.subtract(hi, lo))
-    h = np.array(h)[step]
-    th = (np.array(ts[lo[0]:hi[-1]]) - np.array(t)[step]) / h
-    th2 = th * th
-    tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
-    q = (np.array(k).reshape(-1, 7, width).transpose(0, 2, 1) @ _P)[step]
-    return step, h[:, None] * (q @ tp[:, :, None])[:, :, 0]
-
-
 def _flat_dense_output(ts, steps, out) -> None:
-    """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi)."""
+    """Every sample at once from the steps recorded as (t, h, y, k1..k7 flat, lo, hi): y at
+    the step's start plus h sum_j k_j b_j(theta), with theta's powers taken element by
+    element.  Stacked, the per-sample copies of k^T P take 4 * width floats a sample: 16 MB
+    for 513 samples at width 1002."""
     if steps:
         t, h, y, k, lo, hi = zip(*steps)
         # 1.6 times faster than np.array(k)
         k, y = (np.fromiter(chain.from_iterable(v), float) for v in (k, y))
         width = out.shape[1]
-        step, inc = _increments(ts, t, h, k, lo, hi, width)
-        out[lo[0]:hi[-1]] = y.reshape(-1, width)[step] + inc
+        step = np.repeat(np.arange(len(t)), np.subtract(hi, lo))
+        h = np.array(h)[step]
+        th = (np.array(ts[lo[0]:hi[-1]]) - np.array(t)[step]) / h
+        th2 = th * th
+        tp = np.stack((th, th2, th2 * th, th2 * th2), axis=1)
+        q = (k.reshape(-1, 7, width).transpose(0, 2, 1) @ _P)[step]
+        out[lo[0]:hi[-1]] = y.reshape(-1, width)[step] + h[:, None] * (q @ tp[:, :, None])[:, :, 0]
 
 
 class _FloatStages:
@@ -221,46 +213,46 @@ class _FloatStages:
         n = 0
         try:
             z0, z1, z2 = y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2
-            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-                raise IntegrationAbort("non-finite stage state")
+            if not fin(z0 + z1 + z2):
+                _test_parts(z0, z1, z2)
             n = 1
             q0, q1, c, a, b = core(t + c2 * h, z0, z1, lin * z2)
             q2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
             z0, z1, z2 = (y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1,
                           y2 + a31 * p2 + a32 * q2)
-            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-                raise IntegrationAbort("non-finite stage state")
+            if not fin(z0 + z1 + z2):
+                _test_parts(z0, z1, z2)
             n = 2
             r0, r1, c, a, b = core(t + c3 * h, z0, z1, lin * z2)
             r2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
             z0, z1, z2 = (y0 + a41 * p0 + a42 * q0 + a43 * r0, y1 + a41 * p1 + a42 * q1 + a43 * r1,
                           y2 + a41 * p2 + a42 * q2 + a43 * r2)
-            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-                raise IntegrationAbort("non-finite stage state")
+            if not fin(z0 + z1 + z2):
+                _test_parts(z0, z1, z2)
             n = 3
             s0, s1, c, a, b = core(t + c4 * h, z0, z1, lin * z2)
             s2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
             z0, z1, z2 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
                           y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
                           y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
-            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-                raise IntegrationAbort("non-finite stage state")
+            if not fin(z0 + z1 + z2):
+                _test_parts(z0, z1, z2)
             n = 4
             u0, u1, c, a, b = core(t + c5 * h, z0, z1, lin * z2)
             u2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
             z0, z1, z2 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
                           y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
                           y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
-            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-                raise IntegrationAbort("non-finite stage state")
+            if not fin(z0 + z1 + z2):
+                _test_parts(z0, z1, z2)
             n = 5
             v0, v1, c, a, b = core(t + h, z0, z1, lin * z2)
             v2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
             z0, z1, z2 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
                                y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
                                y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
-            if not fin(z0 + z1 + z2) and not (fin(z0) and fin(z1) and fin(z2)):
-                raise IntegrationAbort("non-finite stage state")
+            if not fin(z0 + z1 + z2):
+                _test_parts(z0, z1, z2)
             n = 6
             w0, w1, c, a, b = core(t + h, z0, z1, lin * z2)
             w2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
@@ -304,24 +296,26 @@ class _ArrayStages:
         self.scaled = weights[:, 1:]
         self.stages = [(i, _C[i], weights[i - 1, :i + 1], self.buf[:i + 1]) for i in range(1, 7)]
         self.err_row = weights[6, 1:]
-        self.scratch = np.empty(dim)
+        self.scratch = np.empty(min(dim, 3))
         self.buf[0] = y0
         self.k[0] = f0
-        self.y, self.abs_y = y0, np.abs(y0)
+        self.y, self.abs_y = y0, np.abs(_twin(y0))
 
     def attempt(self, t: float, h: float) -> float:
         np.multiply(_AE, h, out=self.scaled)
-        k, rhs, dim = self.k, self.rhs, self.scratch.size
+        k, rhs, dim = self.k, self.rhs, self.y.size
         for i, c, w, rows in self.stages:
             yi = w.dot(rows)
             if _count_nonzero(np.isfinite(yi)) != dim:
                 raise IntegrationAbort("non-finite stage state")
             self.n_rhs += 1
             k[i] = rhs(t + c * h, yi)
-        # yi is now stage 7's state, the 5th-order solution
-        self.y_new, self.abs_y_new = yi, np.abs(yi)
-        return math.sqrt(_error_norm(self.err_row.dot(k), self.abs_y, self.abs_y_new,
-                                     self.rtol, self.atol, self.scratch) / dim)
+        # yi is now stage 7's state, the 5th-order solution; the RMS of the error over
+        # atol + rtol max(|y|, |yi|) is taken in the scratch buffer r
+        self.y_new, self.abs_y_new, r = yi, np.abs(_twin(yi)), self.scratch
+        np.multiply(np.maximum(self.abs_y, self.abs_y_new, out=r), self.rtol, out=r)
+        np.divide(_twin(self.err_row.dot(k)), np.add(r, self.atol, out=r), out=r)
+        return math.sqrt(float(r.dot(r)) / r.size)
 
     def record(self) -> tuple:
         return self.y.tolist(), self.k.ravel().tolist()
@@ -335,127 +329,133 @@ class _ArrayStages:
 
 
 class _BlockStages:
-    """The stages of one step with the state's block held as coefficients; the interface
-    of _FloatStages.
+    """The stages of one step on five floats (x, y, alpha, beta, gamma) over the rows (Z0, B1,
+    B2), written out as on the float path; the interface of _FloatStages.  The slope's block
+    c Z + a B1 + b B2 is (c alpha, c beta + a, c gamma + b) over the rows, from (1, 0, 0).
+    A stage reads Z through lin . Z, the sum of the three coefficients times lin . (Z0, B1,
+    B2), and is tested like a float-path stage, lin . Z included; at the 5th-order solution
+    the test adds the bound sum |coefficient| max|row| on |Z|, so that a Z that would
+    overflow aborts.  Sigma_hat' is the coefficients times the rows' Sigma_hat' values."""
 
-    The state is (x, y, Z), and ``rhs`` answered the array y0 with (core, lin, basis):
-    at a state whose Z is Z0 + g Z0 + d B1 + e B2, for the rows B1, B2 of ``basis``,
-    core(t, x, y, lin . Z) gives (v_x, v_y, c, a, b), and the slope's block is
-    c Z + a B1 + b B2, which is (c + c g, c d + a, c e + b) over the same three
-    vectors.  So each stage state is the five floats (x, y, g, d, e) over the step's
-    start Z0, written as the float path's sums with zero start coefficients, and
-    lin . Z is lin . Z0 + (g lin . Z0 + d lin . B1 + e lin . B2).  A stage is tested
-    like a float-path stage, lin . Z included.  Z itself is formed once per attempt,
-    at the 5th-order solution, with the error vector, as one product of the two
-    coefficient rows with (Z0, B1, B2); it is tested for finiteness, as a stage state
-    is.  The error norm is the array path's, over all components.  At the step's end
-    the coefficients restart at zero over the new Z0: FSAL gives the next first slope
-    as stage 7's (v_x, v_y, c, a, b), and lin . Z0 is carried over from that stage.
-    """
-
-    __slots__ = ("core", "rtol", "atol", "n_rhs", "f0", "lin", "lb", "rows", "scratch", "xy", "zeta",
-                 "z", "abs_z", "k1", "raw", "xy_new", "zeta_new", "z_new", "abs_z_new", "ks")
+    __slots__ = ("core", "lins", "sigmas", "bounds", "rows", "rtol", "atol", "n_rhs", "f0", "y",
+                 "s", "k1", "y_new", "s_new", "ks")
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, first: tuple, rtol: float, atol: float):
         core, lin, basis = first
-        lin = np.asarray(lin, dtype=float)
-        self.core, self.lin, self.rtol, self.atol = core, lin, rtol, atol
-        self.n_rhs = 0
-        z0 = y0[2:].copy()
-        self.rows = np.stack((z0, *basis))          # (Z0, B1, B2); row 0 follows the state
-        self.lb = self.rows[1:].dot(lin).tolist()    # lin . B1, lin . B2
-        self.scratch = np.empty(z0.size)
-        self.zeta = float(z0.dot(lin))
-        self.xy, self.z, self.abs_z = tuple(y0[:2].tolist()), z0, np.abs(z0)
-        self.k1 = self._slope(t0, *self.xy, 0.0, 0.0, 0.0)
-        self.f0 = _block_slope(first, t0, y0, self.raw)
-
-    def _slope(self, t: float, x: float, y: float, g: float, d: float, e: float) -> tuple:
-        zeta = self.zeta
-        zeta += g * zeta + d * self.lb[0] + e * self.lb[1]
-        fin = math.isfinite
-        if not fin(x + y + g + d + e + zeta) and not all(map(fin, (x, y, g, d, e, zeta))):
-            raise IntegrationAbort("non-finite stage state")
-        self.n_rhs += 1
-        vx, vy, c, a, b = self.raw = self.core(t, x, y, zeta)
-        self.zeta_new = zeta
-        return vx, vy, c + c * g, c * d + a, c * e + b
+        self.core, self.rtol, self.atol = core, rtol, atol
+        self.n_rhs = 1
+        self.rows = np.stack((y0[2:], *basis))      # (Z0, B1, B2), for the whole run
+        # lin . Z0 as ``_block_slope`` forms it, so that the first slope is its bits
+        self.lins = tuple(float(row.dot(lin)) for row in (y0[2:], *basis))
+        self.sigmas = tuple(sigma_hat_of(self.rows).tolist())
+        self.bounds = tuple(np.abs(self.rows).max(axis=1).tolist())
+        self.y, self.s = (*y0[:2].tolist(), 1.0, 0.0, 0.0), self.sigmas[0]
+        self.k1 = core(t0, *self.y[:2], self.lins[0])
+        self.f0 = _block_slope(first, t0, y0, self.k1)
 
     def attempt(self, t: float, h: float) -> float:
-        # the float path's weights h a_ij and h e_j; every sum runs left to right
+        # the float path's weights and sums over five floats
         (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
          b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * c for c in _TABLEAU]
         _, c2, c3, c4, c5, _, _ = _C
-        slope = self._slope
-        x0, y0 = self.xy
-        p0, p1, p2, p3, p4 = k1 = self.k1
-        q0, q1, q2, q3, q4 = k2 = slope(t + c2 * h, x0 + a21 * p0, y0 + a21 * p1,
-                                        a21 * p2, a21 * p3, a21 * p4)
-        r0, r1, r2, r3, r4 = k3 = slope(t + c3 * h, x0 + a31 * p0 + a32 * q0, y0 + a31 * p1 + a32 * q1,
-                                        a31 * p2 + a32 * q2, a31 * p3 + a32 * q3, a31 * p4 + a32 * q4)
-        s0, s1, s2, s3, s4 = k4 = slope(t + c4 * h, x0 + a41 * p0 + a42 * q0 + a43 * r0,
-                                        y0 + a41 * p1 + a42 * q1 + a43 * r1,
-                                        a41 * p2 + a42 * q2 + a43 * r2, a41 * p3 + a42 * q3 + a43 * r3,
-                                        a41 * p4 + a42 * q4 + a43 * r4)
-        u0, u1, u2, u3, u4 = k5 = slope(t + c5 * h, x0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
-                                        y0 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
-                                        a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2,
-                                        a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3,
-                                        a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4)
-        v0, v1, v2, v3, v4 = k6 = slope(t + h,
-                                        x0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
-                                        y0 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
-                                        a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2,
-                                        a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3,
-                                        a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * u4)
-        s7 = (x0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
-              y0 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
-              b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2,
-              b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3,
-              b1 * p4 + b3 * r4 + b4 * s4 + b5 * u4 + b6 * v4)
-        w0, w1, w2, w3, w4 = k7 = slope(t + h, *s7)
-        x7, y7, *inc = s7
-        ex = e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * v0 + e7 * w0
-        ey = e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1
-        err = (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2,
-               e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3,
-               e1 * p4 + e3 * r4 + e4 * s4 + e5 * u4 + e6 * v4 + e7 * w4)
-        dz, err_z = np.array((inc, err)).dot(self.rows)
-        z_new = self.z + dz
-        if _count_nonzero(np.isfinite(z_new)) != z_new.size:
-            raise IntegrationAbort("non-finite stage state")
-        self.xy_new, self.z_new, self.abs_z_new = (x7, y7), z_new, np.abs(z_new)
-        self.ks = (k1, k2, k3, k4, k5, k6, k7)
-        rtol, atol, r = self.rtol, self.atol, self.scratch
-        dx = ex / (max(abs(x0), abs(x7)) * rtol + atol)
-        dy = ey / (max(abs(y0), abs(y7)) * rtol + atol)
-        return math.sqrt((dx * dx + dy * dy + _error_norm(err_z, self.abs_z, self.abs_z_new,
-                                                         rtol, atol, r)) / (r.size + 2))
+        core, fin, (l0, l1, l2), (m0, m1, m2) = self.core, math.isfinite, self.lins, self.bounds
+        (y0, y1, y2, y3, y4), (p0, p1, p2, p3, p4) = self.y, self.k1
+        n = 0
+        try:
+            z0, z1, z2, z3, z4 = (y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2, y3 + a21 * p3,
+                                  y4 + a21 * p4)
+            zd = z2 * l0 + z3 * l1 + z4 * l2
+            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
+                _test_parts(z0, z1, z2, z3, z4, zd)
+            n = 1
+            q0, q1, c, a, b = core(t + c2 * h, z0, z1, zd)
+            q2, q3, q4 = c * z2, c * z3 + a, c * z4 + b
+            z0, z1, z2, z3, z4 = (y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1,
+                                  y2 + a31 * p2 + a32 * q2, y3 + a31 * p3 + a32 * q3,
+                                  y4 + a31 * p4 + a32 * q4)
+            zd = z2 * l0 + z3 * l1 + z4 * l2
+            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
+                _test_parts(z0, z1, z2, z3, z4, zd)
+            n = 2
+            r0, r1, c, a, b = core(t + c3 * h, z0, z1, zd)
+            r2, r3, r4 = c * z2, c * z3 + a, c * z4 + b
+            z0, z1, z2, z3, z4 = (y0 + a41 * p0 + a42 * q0 + a43 * r0,
+                                  y1 + a41 * p1 + a42 * q1 + a43 * r1,
+                                  y2 + a41 * p2 + a42 * q2 + a43 * r2,
+                                  y3 + a41 * p3 + a42 * q3 + a43 * r3,
+                                  y4 + a41 * p4 + a42 * q4 + a43 * r4)
+            zd = z2 * l0 + z3 * l1 + z4 * l2
+            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
+                _test_parts(z0, z1, z2, z3, z4, zd)
+            n = 3
+            s0, s1, c, a, b = core(t + c4 * h, z0, z1, zd)
+            s2, s3, s4 = c * z2, c * z3 + a, c * z4 + b
+            z0, z1, z2, z3, z4 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
+                                  y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
+                                  y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2,
+                                  y3 + a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3,
+                                  y4 + a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4)
+            zd = z2 * l0 + z3 * l1 + z4 * l2
+            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
+                _test_parts(z0, z1, z2, z3, z4, zd)
+            n = 4
+            u0, u1, c, a, b = core(t + c5 * h, z0, z1, zd)
+            u2, u3, u4 = c * z2, c * z3 + a, c * z4 + b
+            z0, z1, z2, z3, z4 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
+                                  y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
+                                  y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2,
+                                  y3 + a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3,
+                                  y4 + a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * u4)
+            zd = z2 * l0 + z3 * l1 + z4 * l2
+            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
+                _test_parts(z0, z1, z2, z3, z4, zd)
+            n = 5
+            v0, v1, c, a, b = core(t + h, z0, z1, zd)
+            v2, v3, v4 = c * z2, c * z3 + a, c * z4 + b
+            z0, z1, z2, z3, z4 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
+                                       y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
+                                       y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2,
+                                       y3 + b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3,
+                                       y4 + b1 * p4 + b3 * r4 + b4 * s4 + b5 * u4 + b6 * v4)
+            zd = z2 * l0 + z3 * l1 + z4 * l2
+            zb = abs(z2) * m0 + abs(z3) * m1 + abs(z4) * m2   # |Z| <= zb
+            if not fin(z0 + z1 + z2 + z3 + z4 + zd + zb):
+                _test_parts(z0, z1, z2, z3, z4, zd, zb)
+            n = 6
+            w0, w1, c, a, b = core(t + h, z0, z1, zd)
+            w2, w3, w4 = c * z2, c * z3 + a, c * z4 + b
+        finally:
+            self.n_rhs += n
+        self.y_new = y7
+        self.ks = (p0, p1, p2, p3, p4, q0, q1, q2, q3, q4, r0, r1, r2, r3, r4, s0, s1, s2, s3, s4,
+                   u0, u1, u2, u3, u4, v0, v1, v2, v3, v4, w0, w1, w2, w3, w4)
+        rtol, atol, (sg0, sg1, sg2), s = self.rtol, self.atol, self.sigmas, self.s
+        s7 = self.s_new = z2 * sg0 + z3 * sg1 + z4 * sg2
+        d0 = ((e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * v0 + e7 * w0)
+              / (max(y0, -y0, z0, -z0) * rtol + atol))
+        d1 = ((e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1)
+              / (max(y1, -y1, z1, -z1) * rtol + atol))
+        d2 = (((e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2) * sg0
+               + (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3) * sg1
+               + (e1 * p4 + e3 * r4 + e4 * s4 + e5 * u4 + e6 * v4 + e7 * w4) * sg2)
+              / (max(s, -s, s7, -s7) * rtol + atol))
+        return math.sqrt((d0 * d0 + d1 * d1 + d2 * d2) / 3)
 
     def record(self) -> tuple:
-        k1, k2, k3, k4, k5, k6, k7 = self.ks
-        return self.xy, self.z, (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
+        return self.y, self.ks
 
     def dense_output(self, ts, steps, out) -> None:
-        """Every sample from the steps recorded as (t, h, (x, y), Z0, k1..k7 flat over
-        (x, y, g, d, e), lo, hi).  Z at a sample is (1 + g, d, e) times the rows
-        (Z0, B1, B2) of its step: one stacked product per step, written into ``out``."""
+        """The five floats at every sample as on the float path, then Z as (alpha, beta, gamma)
+        times the rows (Z0, B1, B2): one stacked product, a matrix-vector product a sample."""
         if steps:
-            t, h, u, z, k, lo, hi = zip(*steps)
-            step, inc = _increments(ts, t, h, k, lo, hi, 5)
-            first = lo[0]
-            out[first:hi[-1], :2] = np.array(u)[step] + inc[:, :2]
-            coef = inc[:, None, 2:]
-            coef[:, :, 0] += 1.0
-            rows, out_z = self.rows.copy(), out[first:, None, 2:]
-            for z0, a, b in zip(z, lo, hi):
-                rows[0] = z0
-                np.matmul(coef[a - first:b - first], rows, out=out_z[a - first:b - first])
+            lo, hi = steps[0][-2], steps[-1][-1]
+            five = np.empty((hi, 5))
+            _flat_dense_output(ts, steps, five)
+            out[lo:hi, :2] = five[lo:, :2]
+            np.matmul(five[lo:, None, 2:], self.rows, out=out[lo:hi, None, 2:])
 
     def accept(self) -> None:
-        self.xy, self.zeta, self.k1 = self.xy_new, self.zeta_new, self.raw  # FSAL
-        self.z, self.abs_z = self.z_new, self.abs_z_new
-        self.rows[0] = self.z
+        self.y, self.s, self.k1 = self.y_new, self.s_new, self.ks[30:]  # FSAL
 
 
 def _initial_step(probe, t0, y0, f0, t_end, rtol, atol, max_step):

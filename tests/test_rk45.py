@@ -10,6 +10,8 @@ every form (``conftest.every_form``) and check that each run reached the form it
 import itertools
 import json
 import math
+import runpy
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -20,11 +22,11 @@ from bohmsim import integrate, rk45
 from bohmsim._kernel import GuidanceKernel
 from bohmsim.integrate import integrate_trajectory, run_ensemble, sample_initials
 from bohmsim.model import Configuration, NodeError
-from bohmsim.reduced import reduced_params
+from bohmsim.reduced import reduced_params, sigma_hat_of
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import random_configurations
-from conftest import Form, every_form, deadline
+from conftest import ROOT, Form, every_form, deadline
 
 # y' = cubic(t) per component; the quartic interpolant reproduces y exactly
 _COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0], [-0.4, 1.5, 0.2, -1.3]])
@@ -165,7 +167,7 @@ class TestAborts:
                 rhs.solve(t0, [1.0, 2.0, 3.0], t0 + 4096.0, [t0], max_step=1.0)
             assert rhs.reached()
 
-    # 1e300 is finite, but the error it gives overflows: in ``_error_norm``'s dot on arrays
+    # 1e300 is finite, but the error it gives overflows: in the array path's dot
     @pytest.mark.parametrize("kick", [math.nan, math.inf, -math.inf, 1e300])
     def test_non_finite_error_estimate_aborts_at_floor(self, kick):
         for rhs in every_form(_KickAtStage7(kick)):
@@ -203,6 +205,28 @@ class TestAborts:
                 with pytest.raises(IntegrationAbort, match="non-finite stage state"):
                     rhs.solve(0.0, [1.79e308, 1.0], 1.0, [0.0, 1.0])
             assert len(rhs.seen) == 1
+
+    def test_block_whose_pointer_overflows_aborts_at_floor(self):
+        # Z' = Z, so Z = e^t Z0 overflows at t = log(1.8e308 / 1e308) = 0.59, while its one
+        # coefficient e^t, lin . Z = 0.5 e^t and Sigma_hat' stay finite past t = 0.9: the
+        # block form never forms Z in a step, yet aborts there unwarned, as the array path does
+        seen = []
+
+        def core(t, x, y, zd):
+            seen.append((t, zd))
+            return 0.0, 0.0, 1.0, 0.0, 0.0
+
+        answers = {"block": lambda t, y: (core, np.array([0.0, 1.0]), np.zeros((2, 2))),
+                   "array": lambda t, y: seen.append((t, y[3])) or np.array([0.0, 0.0, *y[2:]])}
+        for form, answer in answers.items():
+            seen.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationAbort, match="non-finite stage state"):
+                    solve(answer, 0.0, [0.0, 0.0, 1e308, 0.5], 1.0, [0.0, 0.5, 1.0])
+            # the last attempts are at the floor, where e^t 1e308 reaches the largest float
+            assert abs(seen[-1][0] - math.log(np.finfo(float).max / 1e308)) < 1e-6, form
+            assert all(math.isfinite(zd) for _, zd in seen), form
 
     def test_finite_stage_whose_sum_overflows_is_stepped(self):
         # the float path tests a stage's sum first; 1e308 + 1e308 overflows, yet each
@@ -396,18 +420,33 @@ class TestTwoPaths:
             ref_y = ref.y[:, :3]
             assert np.max(np.abs(other.y - ref_y) / np.maximum(1.0, np.abs(ref_y))) <= 1e-10
 
-    def test_narrow_and_duplicated_system_agree(self):
-        # the narrow system in floats (a one-component block), its tiled copy in arrays
+    def test_narrow_and_duplicated_system_agree(self, monkeypatch):
+        # the narrow system in floats (a one-component block), and in arrays with the follower
+        # u duplicated as four halves: their Sigma_hat' = (sum of the halves)/2 is u, and the
+        # error norm reads (x, y, Sigma_hat'), so both take the same steps.  The starting
+        # step reads every component, so both runs start from the narrow run's
+        initial_step, first = rk45._initial_step, []
+
+        def shared_initial_step(*args):
+            first.append(initial_step(*args))   # the probe is still made and counted
+            return first[0]
+
+        monkeypatch.setattr(rk45, "_initial_step", shared_initial_step)
+
+        def wide_rhs(t, y):
+            v = _pendulum_and_follower(t, (y[0], y[1], 2.0 * y[2]))
+            return np.array([v[0], v[1], *[v[2] / 2.0] * 4])
+
         y0 = (2.5, 0.0, 0.3)
         grid = np.linspace(0.0, 20.0, 97)
         narrow = Form(Form.FLOAT, _pendulum_and_follower).solve(0.0, y0, 20.0, grid, rtol=1e-6)
-        wide = solve(lambda t, y: np.tile(_pendulum_and_follower(t, y[:3]), 2),
-                     0.0, y0 + y0, 20.0, grid, rtol=1e-6)
+        wide = solve(wide_rhs, 0.0, (2.5, 0.0, *[0.15] * 4), 20.0, grid, rtol=1e-6)
         n, w = narrow.stats, wide.stats
         assert n.n_rejected > 0
         assert (n.n_steps, n.n_rejected, n.n_rhs_evals) == (w.n_steps, w.n_rejected, w.n_rhs_evals)
         assert np.array_equal(narrow.t, wide.t)
-        assert np.max(np.abs(wide.y - np.tile(narrow.y, 2))) <= 1e-10
+        halves = np.concatenate((narrow.y[:, :2], np.repeat(narrow.y[:, 2:] / 2.0, 4, axis=1)), axis=1)
+        assert np.max(np.abs(wide.y - halves)) <= 1e-10
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_array_answer_steps_in_arrays_at_any_width(self, dim):
@@ -545,10 +584,49 @@ class TestBlockForm:
             traj = integrate_trajectory(init, sc.params, sc.integrator)
             assert np.array_equal(traj.x, b.y[:, 0]) and np.array_equal(traj.z, b.y[:, 2:])
 
+    def test_an_attempt_does_no_array_work(self, monkeypatch):
+        # Z is formed at the samples alone: no attempt reads the rows (Z0, B1, B2) or calls
+        # numpy, and the state it steps is five Python floats, so its cost does not grow with N
+        numpy_calls, busy = [], []
+        rows_slot = rk45._BlockStages.rows
+
+        def watch(frame, event, fn):
+            # Python functions by their module, C functions and methods by theirs or their owner's
+            if event == "call" and frame.f_globals.get("__name__", "").startswith("numpy"):
+                numpy_calls.append(frame.f_code.co_name)
+            elif event == "c_call" and (getattr(fn, "__module__", None) or type(
+                    getattr(fn, "__self__", None)).__module__).startswith("numpy"):
+                numpy_calls.append(fn)
+
+        def read_rows(stages):
+            assert not busy, "an attempt read the pointer rows"
+            return rows_slot.__get__(stages)
+
+        class Watched(rk45._BlockStages):
+            __slots__ = ()
+            rows = property(read_rows, rows_slot.__set__)
+
+            def attempt(self, t, h):
+                busy.append(t)
+                sys.setprofile(watch)
+                try:
+                    return super().attempt(t, h)
+                finally:
+                    sys.setprofile(None)
+                    busy.clear()
+                    assert all(type(v) is float for v in (*self.y, *self.k1, self.s)), t
+
+        monkeypatch.setattr(rk45, "_BlockStages", Watched)
+        sc = _seeded_fig4(100, 3)
+        for init in sample_initials(sc.ensemble, sc.params):
+            traj = integrate_trajectory(init, sc.params, sc.integrator)
+            assert traj.stats.n_steps > 100 and traj.z.shape[1] == 100
+        assert numpy_calls == []
+
     @pytest.mark.parametrize("n", [3, 100])
     def test_mirrored_launches_stay_mirrored_bit_for_bit(self, n):
         # (X', Z') -> (-X', -Z') on a rigid pointer: the core's v_x and a are odd, c_1
-        # and b even, so every coefficient d is odd and g, e even
+        # and b even, so Z's coefficient beta of p_z dXi is odd and alpha, gamma even
         sc = _seeded_fig4(n, 5)
         for init in sample_initials(sc.ensemble, sc.params):
             mirror = Configuration(0.0, -init.x, init.y, tuple(-np.array(init.z)))
@@ -557,6 +635,40 @@ class TestBlockForm:
             assert np.array_equal(up.x, -lo.x)
             assert np.array_equal(up.y, lo.y)
             assert np.array_equal(up.z, -lo.z)
+
+
+class TestErrorNorm:
+    """The error norm reads (X', Y', Sigma_hat') in every form, so X' and the twin's coordinate
+    count as much at N = 100 as at N = 1, and the global error of what the paper reads holds."""
+
+    def test_hard_wide_pointer_launch_within_the_backend_contract(self):
+        # fig4 at N = 100 under the benchmark's fixed pointer (draw 19 of seed 7, Sigma_hat'(0)
+        # = -1.0019, near a node): full-analytic at the preset tolerance against a reduced run
+        # at rel_tol 1e-12 keeps the full vs reduced contract on both slit-centre launches
+        sc = with_n_particles(preset("fig4"), 100)
+        pointer_draws = runpy.run_path(str(ROOT / "perfbench" / "inputs.py"))["pointer_draws"]
+        z0 = tuple(pointer_draws(7, 100, 27)[19])
+        assert round(float(sigma_hat_of(np.array(z0))), 4) == -1.0019
+        fine = replace(sc.integrator, rel_tol=1e-12)
+        d = sc.params.d_prime
+        for init in (Configuration(0.0, x0, 0.0, z0) for x0 in (d, -d)):
+            full = integrate_trajectory(init, sc.params, sc.integrator)
+            ref = integrate_trajectory(init, sc.params, fine, "reduced")
+            assert np.array_equal(full.t, ref.t)
+            assert np.max(np.abs(full.x - ref.x)) <= 1e-5
+            assert np.max(np.abs(full.sigma_hat - ref.sigma_hat)) <= 1e-5
+
+    @pytest.mark.parametrize("name", ["fig7", "fig8"])
+    def test_pointer_direction_the_norm_does_not_read(self, name):
+        # fig7 and fig8's p_z dXi sums to 0, so Sigma_hat' does not see the coefficient of
+        # p_z dXi: each Z'_n of both launches still holds to a rel_tol 1e-12 run
+        sc = preset(name)
+        kern = GuidanceKernel(sc.params)
+        assert sigma_hat_of(kern.pz_basis[0]) == 0.0
+        fine = replace(sc.integrator, rel_tol=1e-12)
+        for init in sample_initials(sc.ensemble, sc.params):
+            run, ref = (integrate_trajectory(init, sc.params, opts) for opts in (sc.integrator, fine))
+            assert np.max(np.abs(run.z - ref.z)) <= 1e-7
 
 
 # the first slope and the starting-step probe of both block forms: N = 1 on fig2 (Xi = 0,
