@@ -9,7 +9,7 @@ Every formula below is derived from the product-of-Gaussians branch
 with residuals u_+/- = X' -/+ (d' - beta t'), w = Y' - t',
 q_n^{+/-} = Z'_n - gamma_n^{+/-} t', packet speeds
 beta = xi_x/(r^2 xi_y), gamma_n = p_z Xi_n with p_z = mu R^2/(r^2 xi_y),
-and spreading denominators D = 1 + (a t')^2 where ax = 2/(r^2 xi_y),
+and spreading denominators D = 1 + (a t')(a t') where ax = 2/(r^2 xi_y),
 ay = 2/xi_y, az = 2 p_z.  Write g = a t'/D for the phase-curvature factors.
 
 ``branch_eval`` evaluates both branches for one state or M as rows, each coordinate
@@ -46,28 +46,27 @@ half_dw = (w1 - w2)/2 and wcs = wc sin(delta_S):
     v_y = P_y [xi_y + 2 g_y w]
     v_z = p_z [(c/2) SXi + a dXi + 2 g_z Z']
 
-with SXi = Xi^+ + Xi^-, c = 1 - 2 g_z p_z t' and
-a = c half_dw + wcs 2 p_z t'/Dz.  So v_z = c_1 Z' + a p_z dXi + b p_z SXi, with
-c_1 = 2 p_z g_z and b = c/2: the scalars (c_1, a, b) depend only on t', X', Y'
-and dXi . Z', and the pointer block stays in the span of Z' and the pointer
-basis p_z dXi, p_z SXi, two fixed vectors (p_z SXi = 0 in single-pointer mode).
-``coefficients`` is that scalar core: (v_x, v_y, c_1, a, b) from four floats.
-Every velocity answer is built on it:
+with SXi = Xi^+ + Xi^-, c = 1 - 2 g_z p_z t' = 1/D_z and
+a = c half_dw + wcs g_z.  So v_z = c_1 Z' + a p_z dXi + b p_z SXi, with
+c_1 = 2 p_z g_z = a_z^2 t'/D_z and b = 1/(2 D_z): c_1 and b depend on t' alone, and
+a and v_x only on t', X' and dXi . Z'.  alpha = sqrt(D_z) solves alpha' = c_1 alpha, and
+t'/2 solves (t'/2)' = c_1 t'/2 + b, so a run from Z'(0) keeps
+Z' = alpha Z'(0) + beta p_z dXi + (t'/2) p_z SXi with beta' = c_1 beta + a, beta(0) = 0:
+the flow that couples to X' is the pair (X', beta), and Y' is ``velocity.y_closed_form``
+(p_z SXi = 0 in single-pointer mode).  ``coefficients`` is the scalar core:
+(v_x, c_1, a, b, alpha) from t', X' and dXi . Z' = alpha u + w.  Every velocity answer
+is built on it:
 
-* ``block_velocity``: the core, dXi and the pointer basis, for every analytic run
-  at N >= 1, reduced runs included.  ``rk45.solve`` steps (X', Y', Z') at N = 1 as
-  three named floats and calls the core inline; at N >= 2 it steps X', Y' and Z''s
-  three coefficients over (Z'(0), p_z dXi, p_z SXi) as five floats for the whole
-  run, calls the core inline too, and forms Z' at the samples alone;
-* ``velocity`` at N = 1: the tuple (v_x, v_y, v_z) in Python floats, the products
-  the float stepper forms, for the oracles and checks that read one state (no run
-  steps it);
-* ``velocity`` at any other N: an array, the core at dXi . Z' and v_z from the rows
-  ``block_velocity`` hands the stepper (p_z SXi only where it is not all zeros), so
-  it is the stepper's first slope bit for bit; runs at N = 0 step it.
+* ``rk45``'s pair form steps (X', beta) for every analytic run, reduced runs and N = 0
+  included, calling the core once a stage with u = dXi . Z'(0) and
+  w = beta dXi . p_z dXi + (t'/2) dXi . p_z SXi; ``integrate_trajectory`` forms Y' and Z'
+  at the samples;
+* ``velocity``: the array (v_x, v_y, v_z) at a state, the core at u = 0 and
+  w = dXi . Z' (in Python floats at N = 1), for the oracles, the checks and the
+  N + 2 dimensional comparison; no analytic run steps it.
 
-A core call takes 1.3 us, and a ``velocity`` call 1.4-1.5 us at N = 1 and 3.4 us
-at N = 100 (best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
+A core call takes 0.7-1.1 us, and a ``velocity`` call 1.9 us at N = 1 and 4.1 us at N = 100
+(best of 9, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
 
 Numerical care taken here:
 
@@ -80,7 +79,7 @@ Numerical care taken here:
   tolerance): half_dw = +/-1/2, wcs = 0, and no trig is evaluated;
 * in single-pointer mode (Xi^- = -Xi^+, so dG = 0 and SXi = 0) every
   term above is odd in (X', Z'), so reflecting (X', Z') -> (-X', -Z')
-  negates v_x, a and v_z bit for bit and leaves c_1 and b as they are.
+  negates v_x, a and v_z bit for bit and leaves c_1, b and alpha as they are.
   Ensemble mirror symmetry in the tests relies on this.
 """
 
@@ -149,9 +148,9 @@ class GuidanceKernel:
         self.d = params.d_prime
         found, self.dgam2 = _checked(params)
         self.px, self.py, self.pz, self.beta, self.ax, self.ay, self.az = found
-        # velocity's scalars, with the two products its expressions form first
-        self.consts = (self.ax, self.ay, self.az, self.d, self.beta, self.pz, self.px, self.py,
-                       self.xi_y, self.dgam2, 2.0 * self.pz, 2.0 * self.xi_x)
+        # the core's scalars, with the two products its expressions form first
+        self.consts = (self.ax, self.az, self.d, self.beta, self.px, self.dgam2,
+                       2.0 * self.pz, 2.0 * self.xi_x)
         # the one place the groups become per-particle arrays: branch_eval's rows c_w(0), v_w
         # and k_w as (2, 1, N + 2) down the branches (+/-), a_w and P_w as (N + 2,).  The lower
         # X' centre -d' + beta t' is -(d' - beta t') to the bit, so mirrors swap exactly
@@ -171,22 +170,19 @@ class GuidanceKernel:
         # then left out of velocity's sums (None)
         self.pz_basis = np.stack((self.pz * self.dxi, self.pz * (xi_p + xi_m)))
         self.pz_sxi = self.pz_basis[1] if self.pz_basis[1].any() else None
-        # N = 1: (dXi, p_z dXi, p_z SXi) as Python floats, for velocity's tuple answer
+        # N = 1: (dXi, p_z dXi, p_z SXi) as Python floats, for velocity's float path
         self.one_z = (self.dxi.item(0), *self.pz_basis[:, 0].tolist()) if self.n == 1 else None
 
     # -- packet geometry -------------------------------------------------
 
     def denominators(self, t: float) -> tuple[float, float, float]:
         """Spreading denominators (Dx, Dy, Dz) at time t'."""
-        return (
-            1.0 + (self.ax * t) ** 2,
-            1.0 + (self.ay * t) ** 2,
-            1.0 + (self.az * t) ** 2,
-        )
+        return tuple(1.0 + (a * t) * (a * t) for a in (self.ax, self.ay, self.az))
 
     def spreading_factor(self, t) -> float | np.ndarray:
         """Pointer packet width growth sqrt(Dz); vectorizes over t."""
-        return np.sqrt(1.0 + (self.az * t) ** 2)
+        azt = self.az * t
+        return np.sqrt(1.0 + azt * azt)
 
     # -- branch evaluation -----------------------------------------------
 
@@ -219,10 +215,11 @@ class GuidanceKernel:
         at once (t, x of shape (M,), z of shape (M, N)).
         """
         zd = z @ self.dxi
-        Dx = 1.0 + (self.ax * t) ** 2
-        Dz = 1.0 + (self.az * t) ** 2
-        gx = self.ax * t / Dx
-        gz = self.az * t / Dz
+        axt, azt = self.ax * t, self.az * t
+        Dx = 1.0 + axt * axt
+        Dz = 1.0 + azt * azt
+        gx = axt / Dx
+        gz = azt / Dz
         xc = x * (self.d - self.beta * t)
         z_num = (2.0 * self.pz) * t * zd - (t * t) * self.dgam2
         z_part = z_num / Dz
@@ -231,20 +228,24 @@ class GuidanceKernel:
 
     # -- guidance velocity -----------------------------------------------
 
-    def coefficients(self, t: float, x: float, y: float, zd: float) -> tuple:
-        """(v_x, v_y, c_1, a, b) at t', X', Y' and zd = dXi . Z', all Python floats.
+    def coefficients(self, t: float, x: float, u: float, w: float) -> tuple:
+        """(v_x, c_1, a, b, alpha) at t', X' and dXi . Z' = alpha u + w, all Python floats,
+        with alpha = sqrt(D_z).
 
         The guidance velocity's pointer block is then v_z = c_1 Z' + a p_z dXi
-        + b p_z SXi (module docstring), with c_1 = 2 p_z g_z and b = c/2.  The
-        closed form of ``contrast`` is written out again on the scalars of
-        ``consts``, whose 2 p_z and 2 xi_x are the products its expressions
-        form first, so the bits hold.
+        + b p_z SXi (module docstring), with c_1 = a_z^2 t'/D_z and b = 1/(2 D_z).
+        A state Z' gives u = 0 and w = dXi . Z'; a pair state does not form Z'
+        (``rk45``).  The closed form of ``contrast`` is written out again on the
+        scalars of ``consts``, whose 2 p_z and 2 xi_x are the products its
+        expressions form first, so the bits hold.
         Raises NodeError if the normalized density is below NODE_EPS.
         """
-        ax, ay, az, dp, beta, pz, px, py, xi_y, dgam2, pz2, xi_x2 = self.consts
+        ax, az, dp, beta, px, dgam2, pz2, xi_x2 = self.consts
         axt, azt = ax * t, az * t
-        Dx = 1.0 + axt ** 2
-        Dz = 1.0 + azt ** 2
+        Dx = 1.0 + axt * axt
+        Dz = 1.0 + azt * azt
+        alpha = math.sqrt(Dz)
+        zd = alpha * u + w
         gx = axt / Dx
         gz = azt / Dz
         cx = dp - beta * t
@@ -274,50 +275,35 @@ class GuidanceKernel:
             half_dw = 0.5 * (w1 - w2)
             wcs = el / rho_hat * math.sin(d)
 
-        c = 1.0 - 2.0 * gz * pz * t
-        ayt = ay * t
+        c = 1.0 / Dz   # 1 - 2 g_z p_z t'
         return (px * (2.0 * gx * x - half_dw * (xi_x2 + 4.0 * gx * cx) + wcs * (4.0 * cx / Dx)),
-                py * (xi_y + 2.0 * (ayt / (1.0 + ayt ** 2)) * (y - t)),
-                pz2 * gz, c * half_dw + wcs * (pz2 * t / Dz), 0.5 * c)
+                pz2 * gz, c * half_dw + wcs * gz, 0.5 * c, alpha)
 
-    def velocity(self, t: float, state: np.ndarray) -> np.ndarray | tuple:
-        """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N).
+    def velocity(self, t: float, state: np.ndarray) -> np.ndarray:
+        """dy/dt' of the Bohmian flow at the state (X', Y', Z'_1..Z'_N), a fresh array.
 
-        The state is an array, only read.  Both answers evaluate ``coefficients`` at
-        zd = dXi . Z' and form v_z from the rows of ``pz_basis``, adding b p_z SXi only
-        where p_z SXi is not all zeros: the products, in the order, of the stepper's
-        slope on ``block_velocity``'s answer, so the same bits at every N.  For N = 1
-        the answer is the tuple (v_x, v_y, v_z) of Python floats; no run steps it, and
-        the oracles and checks read it.  For any other N it is a fresh array.
+        The state is only read.  ``coefficients`` at dXi . Z' gives v_x and v_z, formed
+        from the rows of ``pz_basis``, adding b p_z SXi only where p_z SXi is not all
+        zeros; v_y = P_y [xi_y + 2 g_y (Y' - t')] is formed here, for the oracles and
+        checks that read it: no analytic run steps Y'.  One pointer coordinate is
+        worked in Python floats, the same products, as numpy's per-call cost is most
+        of the work there.
         Raises NodeError if the normalized density is below NODE_EPS.
         """
         t = float(t)  # numpy scalars would slow every scalar operation below
-        one_z = self.one_z
-        if one_z is not None:
-            x, y, z = state.tolist()
-            dxi, pz_dxi, pz_sxi = one_z
-            vx, vy, c1, a, b = self.coefficients(t, x, y, dxi * z)
+        ayt = self.ay * t
+        vy = self.py * (self.xi_y + 2.0 * (ayt / (1.0 + ayt * ayt)) * (state.item(1) - t))
+        if self.one_z is not None:
+            x, _, z = state.tolist()
+            dxi, pz_dxi, pz_sxi = self.one_z
+            vx, c1, a, b, _ = self.coefficients(t, x, 0.0, dxi * z)
             vz = c1 * z + a * pz_dxi
-            if pz_sxi:
-                vz += b * pz_sxi
-            return vx, vy, vz
-        z = state[2:]
-        vx, vy, c1, a, b = self.coefficients(t, state.item(0), state.item(1),
-                                             float(z.dot(self.dxi)))
+            return np.array((vx, vy, vz + b * pz_sxi if pz_sxi else vz))
+        vx, c1, a, b, _ = self.coefficients(t, state.item(0), 0.0,
+                                            float(state[2:].dot(self.dxi)))
         v = c1 * state
         v[2:] += a * self.pz_basis[0]
         if self.pz_sxi is not None:
             v[2:] += b * self.pz_sxi
         v[:2] = vx, vy
         return v
-
-    def block_velocity(self, t: float, state: np.ndarray) -> tuple:
-        """The guidance velocity as ``rk45.solve`` steps it at N >= 1, on three floats at N = 1
-        and on five at N >= 2: whatever the state, (``coefficients``, dXi, [p_z dXi, p_z SXi]).
-
-        The slope's pointer block c_1 Z' + a p_z dXi + b p_z SXi keeps Z' in the span of
-        Z'(0) and the two rows for the whole run, so the stepper holds Z' as three
-        coefficients over them, and a stage reads the pointer only through dXi . Z'.  For
-        a rigid pointer the second row is zeros.
-        """
-        return self.coefficients, self.dxi, self.pz_basis

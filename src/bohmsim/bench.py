@@ -1,12 +1,11 @@
 """Wall-clock comparison of the trajectory backends vs pointer size N.
 
-The full backends integrate N+2 coupled equations, so their cost grows
-with N: on full-numeric through every slope's finite-difference stencil, on
-full-analytic at N >= 2 only through the O(N) work once per run (set-up, Z' at
-the samples and the diagnostics), since the pointer block is stepped as three
-coefficients over the whole run and an attempt does no N-vector work.
-The reduced backend always integrates 3 (X', Y', Sigma_hat'), so its core
-cost must not depend on N.  That is the headline check reported here.  Pointer reconstruction is O(N) per output sample and is timed
+Full-numeric integrates N+2 coupled equations, so its cost grows with N
+through every slope's finite-difference stencil.  Both analytic backends step
+the pair (X', beta) of ``rk45``'s pair form: full-analytic's cost grows with N
+only through the O(N) work once per run (set-up, Z' at the samples and the
+diagnostics), and the reduced backend, whose pointer is Sigma_hat' alone, must
+not depend on N.  That is the headline check reported here.  Pointer reconstruction is O(N) per output sample and is timed
 separately on a thinned sample grid (and skipped above
 ``MAX_RECONSTRUCT_N``, where the arrays alone would dominate).
 

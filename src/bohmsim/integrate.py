@@ -7,8 +7,11 @@ One uniform ODE system per backend:
     reduced       : (X', Y', Sigma_hat') at effective velocity Xi sqrt(N),
                     pointer trajectories reconstructed analytically on read
 
-Y' is integrated alongside the rest even though it has a closed form; the
-closed form serves as an oracle in the tests instead of being wired in.
+Full-numeric integrates all N + 2 coordinates.  The analytic backends step only
+what the flow couples, (X', beta) in ``rk45``'s pair form: v_x reads the pointer
+through dXi . Z' alone, and Z' = sqrt(D_z) Z'(0) + beta p_z dXi + (t'/2) p_z SXi.
+Y' (``velocity.y_closed_form``) and Z' are formed at the samples, so full-numeric
+is the one path on which the Y' closed form is still an oracle.
 One tolerance drives the stepper: ``IntegratorOptions.rel_tol``, with the
 absolute tolerance rel_tol / 100.  ``time_grid`` derives the rest from the
 parameters alone: the horizon ``HORIZON_CROSSINGS`` t'_cross, steps of at most
@@ -32,7 +35,7 @@ from ._kernel import GuidanceKernel, scales
 from .model import Configuration, ScenarioParams
 from .reduced import reconstruct_pointers, reduced_params, sigma_hat_of
 from .rk45 import SolverStats, solve
-from .velocity import check_fd_resolves, fd_velocity
+from .velocity import check_fd_resolves, fd_velocity, y_closed_form
 
 __all__ = [
     "BACKENDS",
@@ -254,14 +257,21 @@ def integrate_trajectory(init: Configuration, params: ScenarioParams,
         y0 = np.append(y0[:2], sigma_hat_of(y0[2:]))
     if backend == "full-numeric":
         rhs = partial(fd_velocity, kern)
-    else:  # N = 1 steps in floats, N >= 2 with the pointer block as coefficients (see rk45)
-        rhs = kern.block_velocity if kern.n else kern.velocity
+    else:  # the pair form: (X', beta) alone is stepped (see rk45)
+        answer = kern.coefficients, kern.dxi, kern.pz_basis
+        rhs = lambda t, y: answer
     res = solve(rhs, 0.0, y0, t_end, samples,
                 rtol=opts.rel_tol, atol=opts.rel_tol / 100, max_step=max_step)
-    t, x, y = res.t, res.y[:, 0], res.y[:, 1]
-    log_omega, delta_s, _ = kern.contrast(t, x, res.y[:, 2:])
-    z = None if reduced else res.y[:, 2:]   # a reduced z is rebuilt on each read
-    sigma_hat = res.y[:, 2] if reduced else sigma_hat_of(z)
+    t, x = res.t, res.y[:, 0]
+    if backend == "full-numeric":
+        y, z = res.y[:, 1], res.y[:, 2:]
+    else:  # Z' = sqrt(D_z) Z'(0) + beta p_z dXi + (t'/2) p_z SXi, each sample its own product
+        y = y_closed_form(t, init.y, params.xi_y)
+        coef = np.stack((kern.spreading_factor(t), res.y[:, 1], 0.5 * t), axis=1)
+        z = (coef[:, None] @ np.stack((y0[2:], *kern.pz_basis)))[:, 0]
+    log_omega, delta_s, _ = kern.contrast(t, x, z)
+    sigma_hat = z[:, 0] if reduced else sigma_hat_of(z)
+    z = None if reduced else z   # a reduced z is rebuilt on each read
 
     return Trajectory(params=params, backend=backend, initial=init,
                       t=t, x=x, y=y, z=z, sigma_hat=sigma_hat,

@@ -7,8 +7,10 @@ effective packet velocity Xi_hat = Xi sqrt(N).  Both maps live here alone:
 ``sigma_hat_of`` (Z' to Sigma_hat', shared to the bit by the engine and
 ``bohmsim plot``) and ``common_start`` (Sigma_hat' to the Z'_n of N equal
 starts).  ``reduced_params`` states the parameter substitution, which
-``integrate_trajectory`` applies by running the N = 1 ``GuidanceKernel`` on
-(X', Y', Sigma_hat'): no formula is re-derived, so the backends cannot drift.
+``integrate_trajectory`` applies by running the N = 1 ``GuidanceKernel`` from
+(X', Y', Sigma_hat'): no formula is re-derived, so the backends cannot drift.  Both
+step the same pair (X', beta) in ``rk45``'s pair form, the reduced run with Sigma_hat'
+as its one pointer coordinate, so they agree to round-off.
 
 Individual pointer trajectories follow analytically: every dZ'_n/dt' is
 alpha(t') Z'_n + beta_n-independent terms, with alpha the logarithmic

@@ -16,27 +16,25 @@ Two non-standard behaviors are built in for Bohmian trajectories:
 
 One step controller (step ceiling, node backoff, non-finite halving, PI
 control, step budget, a step that does not advance t, counts and the
-dense-output record) drives one of three forms of the stage arithmetic, which
-differ only in ``attempt``, ``record`` and ``accept``.  ``solve`` calls ``rhs``
-first on the array ``y0``, and that answer picks the form of the run.  A block
-answer is (core, lin, basis) in place of a slope: the state is (x, y, Z), the
-slope's block Z' is c Z + a B1 + b B2 for the two rows of ``basis``, where
-(x', y', c, a, b) = core(t, x, y, lin . Z), and only ``core`` is called after.
-``_block_slope`` states that slope as an array, adding b B2 only where B2 is not
-all zeros: the first slope of both block forms, and the answer to the one
-starting-step probe that ``solve`` builds for every form.
+dense-output record) drives one of two forms of the stage arithmetic, which
+differ only in ``attempt``, ``record``, ``accept`` and ``slope``.  ``solve``
+calls ``rhs`` first on the array ``y0`` = (x, y, Z), and that answer picks the
+form of the run:
 
-* floats, for a block answer whose Z is one float z: the tableau written out over
-  three named floats, with the array path's weights h a_ij; each stage calls
-  ``core`` inline and forms z' = c z + a B1, adding b B2 only where B2 is not 0.
-  A stage state is tested by one ``math.isfinite`` of its sum, and part by part
-  only when that is not finite, so finite parts whose sum overflows are stepped.
-  The sums are Python's, left to right, so their bits do not depend on the BLAS
-  build or the CPU.
-* blocks, for a block answer whose Z is wider: Z stays alpha Z0 + beta B1 +
-  gamma B2 over the whole run, with Z0 the start's Z, so the state is five floats
-  (x, y, alpha, beta, gamma) written out as on the float path, and an attempt does
-  no work over Z (``_BlockStages``).
+* pairs, for a pair answer (core, lin, basis) in place of a slope, as the guidance
+  kernel's (``GuidanceKernel.coefficients``, alpha = sqrt(D_z)).  The slope of Z is
+  c Z + a B1 + b B2 for the rows (B1, B2) of ``basis``, with (v_x, c, a, b, alpha) =
+  core(t, x, u, w) at lin . Z = alpha u + w, alpha' = c alpha and (t/2)' = c t/2 + b.
+  So Z = alpha K + beta B1 + (t/2) B2 for the whole run, with beta' = c beta + a and K
+  fixed by Z at t0, and only (x, beta) is stepped, as two Python floats with the array
+  path's weights h a_ij; y, which no slope reads, is not, and the samples hold (x,
+  beta).  A stage calls ``core`` once, at u = lin . K and w = beta lin . B1 + (t/2)
+  lin . B2, and its state is tested by one ``math.isfinite`` of its sum, w included,
+  and part by part only when that is not finite, so finite parts whose sum overflows
+  are stepped; at the 5th-order solution the test adds the bound alpha max|K| +
+  |beta| max|B1| + (t/2) max|B2| on |Z|, so that a Z that would overflow aborts.  The
+  sums are Python's, left to right, so their bits do not depend on the BLAS build
+  or the CPU, and an attempt does no numpy work (``_PairStages``).
 * arrays, for any other answer, tuples of floats included.  One buffer holds the
   rows (y, k1..k7), and a weight matrix [1 | h A], with [0 | h E] as its last row,
   is filled once per attempt: each stage state 1*y + sum_j h a_ij k_j, and the
@@ -44,26 +42,26 @@ starting-step probe that ``solve`` builds for every form.
   and a stage is tested by counting ``np.isfinite``.  No view of the buffer or of
   an array returned by ``rhs`` outlives a step, so ``rhs`` may reuse its output.
 
-Every form takes the error norm as the RMS over (x, y, Sigma_hat'), Sigma_hat' =
-(1/sqrt(N)) sum_n Z_n (``reduced.sigma_hat_of``) being the one-particle twin's coordinate
-and what the analysis reads; a state of up to three components is its own.  Over all
-N + 2 components, x would weigh 1/(N + 2).  The starting step still reads them all.
+Both forms take the error norm as the RMS over (x, Sigma_hat'), Sigma_hat' =
+(1/sqrt(N)) sum_n Z_n (``reduced.sigma_hat_of``, 0 at N = 0) being the one-particle
+twin's coordinate and what the analysis reads.  On pairs Sigma_hat' is alpha
+Sigma_hat'(K) + beta Sigma_hat'(B1) + (t/2) Sigma_hat'(B2), and its error
+Sigma_hat'(B1) times beta's.  The starting step reads the stepped state, so a pair
+run's set-up also checks the error norm of Sigma_hat''s first slope, c Sigma_hat' +
+a Sigma_hat'(B1) + b Sigma_hat'(B2), as the array form's does for every component.
 
-With the guidance kernel an attempt takes 13 us in a run on floats at N = 1,
-7.5 us of it six core calls, and 18 us on blocks at N = 100 against 80 us in
-arrays (best of 41 and of 15 runs, a 2-CPU x86-64 Xeon, Python 3.11, numpy 2.4).
+With the guidance kernel a solve takes 12 us an attempt on pairs at N = 1 and 100,
+against 80 us in arrays at N = 100 (fig4, best of 41 solves, a 2-CPU x86-64 Xeon,
+Python 3.11, numpy 2.4).
 
-Every form is linear in (y, k) with fixed coefficients.  Under a reflection (x, Z) ->
-(-x, -Z) of a flow odd in (x, Z), alpha, gamma and the norm's terms are even and beta
-odd, so negation commutes with each form and mirrored starts stay mirrored bit for bit.
+Both forms are linear in (y, k) with fixed coefficients.  Under a reflection (x, Z) ->
+(-x, -Z) of a flow odd in (x, Z) with B2 = 0, beta is odd and the norm's terms even,
+so negation commutes with each form and mirrored starts stay mirrored bit for bit.
 
 Dense output uses the standard quartic interpolant for this pair, so requested
 sample times are filled without constraining the step sequence.  Each accepted
 step that covers samples is recorded (t, h, y, k1..k7 as one flat list), and all
-samples are evaluated in one batch when the run ends.  On blocks y is the five
-floats, and Z at a sample is (alpha, beta, gamma) times (Z0, B1, B2).  Every
-sample is its own matrix-vector product, so that its bits do not depend on which
-other samples are requested.
+samples are evaluated in one batch when the run ends.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ _AE = np.array([
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
     [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
 ])
-# the nonzero entries of _AE as Python floats, row by row, for the float path
+# the nonzero entries of _AE as Python floats, row by row, for the pair form
 _TABLEAU = tuple(a for row in _AE.tolist() for a in row if a)
 # quartic dense-output coefficients for this pair (Shampine)
 _P = np.array([
@@ -135,34 +133,20 @@ class SolverStats:
 @dataclass
 class SolverResult:
     t: np.ndarray                 # sample times actually reached
-    y: np.ndarray                 # (n_samples, dim) states at those times
+    y: np.ndarray                 # (n_samples, dim) stepped states at those times
     stats: SolverStats = field(default_factory=SolverStats)
     degenerate: bool = False      # truncated at a node
 
 
-def _twin(v: np.ndarray) -> np.ndarray:
-    """(x, y, Sigma_hat') of an array state or error; up to three components, ``v`` itself."""
-    return v if v.size <= 3 else np.append(v[:2], sigma_hat_of(v[2:]))
+def _normed(v: np.ndarray) -> np.ndarray:
+    """(x, Sigma_hat') of an array state or error (x, y, Z): what the error norm reads."""
+    return np.array((v[0], sigma_hat_of(v[2:])))
 
 
 def _test_parts(*parts: float) -> None:
     # a stage state whose sum is not finite is stepped only if each part is finite
     if not all(map(math.isfinite, parts)):
         raise IntegrationAbort("non-finite stage state")
-
-
-def _block_slope(answer: tuple, t: float, y: np.ndarray, raw: tuple | None = None) -> np.ndarray:
-    """The slope at the array state y = (x, y, Z) from a block answer (core, lin, basis):
-    (v_x, v_y, c Z + a B1 + b B2) as one array, with (v_x, v_y, c, a, b) = ``raw`` if given,
-    else core(t, x, y, lin . Z).  b B2 is added only where B2 has a nonzero entry, as on
-    the float path, so the bits are those of ``GuidanceKernel.velocity``."""
-    core, lin, (b1, b2) = answer
-    z = y[2:]
-    vx, vy, c, a, b = raw or core(t, y.item(0), y.item(1), float(z.dot(lin)))
-    vz = c * z + a * b1
-    if _count_nonzero(b2):
-        vz += b * b2
-    return np.concatenate(((vx, vy), vz))
 
 
 def _flat_dense_output(ts, steps, out) -> None:
@@ -184,102 +168,131 @@ def _flat_dense_output(ts, steps, out) -> None:
         out[lo[0]:hi[-1]] = y.reshape(-1, width)[step] + h[:, None] * (q @ tp[:, :, None])[:, :, 0]
 
 
-class _FloatStages:
-    """The stages of one step on three Python floats (x, y, z), written out component by
-    component, from a block answer whose block is z (module docstring), with z' formed
-    in the products and order of ``GuidanceKernel.velocity`` at N = 1.  ``attempt``
-    returns a step's error norm, ``record`` what dense output needs of it, and
-    ``accept`` moves to its end.  An attempt adds its core calls to ``n_rhs`` once, the
-    call that raised included."""
+class _PairStages:
+    """The stages of one step on the two Python floats (x, beta) of a pair answer (module
+    docstring): ``attempt`` returns a step's error norm, ``record`` what dense output
+    needs of it, ``accept`` moves to its end and ``slope`` answers the starting-step
+    probe.  An attempt adds its core calls to ``n_rhs`` once, the call that raised included."""
 
-    __slots__ = ("core", "lin", "b1", "b2", "rtol", "atol", "n_rhs", "f0", "y", "k1", "y_new", "ks")
+    __slots__ = ("core", "lins", "sigmas", "bounds", "rtol", "atol", "n_rhs", "f0", "y", "s",
+                 "k1", "y_new", "s_new", "ks")
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, first: tuple, rtol: float, atol: float):
-        self.core = first[0]
-        (self.lin,), ((self.b1,), (self.b2,)) = (np.asarray(v, float).tolist() for v in first[1:])
-        self.rtol, self.atol = rtol, atol
+        core, lin, basis = first
+        self.core, self.rtol, self.atol = core, rtol, atol
         self.n_rhs = 1
-        self.y = tuple(y0.tolist())
-        self.f0 = _block_slope(first, t0, y0)
-        self.k1 = tuple(self.f0.tolist())
+        # lin . row, Sigma_hat'(row) and max|row| of the rows (Z(t0), B1, B2), once per run
+        rows = np.stack((y0[2:], *basis))
+        lins = [float(row.dot(lin)) for row in rows]
+        sigmas = sigma_hat_of(rows).tolist()
+        if not all(map(math.isfinite, lins + sigmas)):
+            raise IntegrationAbort("non-finite pointer product at the start")
+        (l0, l1, l2), (s0, s1, s2) = lins, sigmas
+        m0, m1, m2 = np.abs(rows).max(1, initial=0.0).tolist()
+        x0 = y0.item(0)
+        vx, c, a, b, alpha = core(t0, x0, 0.0, l0)
+        # beta(t0) = 0, so K = (Z(t0) - (t0/2) B2) / alpha(t0), and Z(t0) is K at t0 = 0
+        g = 0.5 * t0
+        self.lins = ((l0 - g * l2) / alpha, l1, 0.5 * l2)
+        self.sigmas = ((s0 - g * s2) / alpha, s1, 0.5 * s2)
+        self.bounds = ((m0 + g * m2) / alpha, m1, 0.5 * m2)
+        self.y, self.s, self.k1 = (x0, 0.0), s0, (vx, a)
+        self.f0 = np.array(self.k1)
+        # the stepped slope leaves the pointer's out: Sigma_hat' moves as Z does, at c Sigma_hat'
+        # + a Sigma_hat'(B1) + b Sigma_hat'(B2), and its error norm must not overflow either
+        ds = (c * s0 + a * s1 + b * s2) / (abs(s0) * rtol + atol)
+        if not ds * ds < math.inf:
+            raise IntegrationAbort(f"slope norm overflows at t0={t0!r}")
+
+    def slope(self, t: float, y: np.ndarray) -> np.ndarray:
+        """The slope at the array state y = (x, beta), from one core call as in a stage."""
+        x, beta = y.tolist()
+        l0, l1, hl2 = self.lins
+        vx, c, a, _, _ = self.core(t, x, l0, beta * l1 + t * hl2)
+        return np.array((vx, c * beta + a))
 
     def attempt(self, t: float, h: float) -> float:
         # the array path's weights h a_ij and h e_j; every sum runs left to right
         (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
          b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * c for c in _TABLEAU]
         _, c2, c3, c4, c5, _, _ = _C
-        core, lin, B1, B2, fin = self.core, self.lin, self.b1, self.b2, math.isfinite
-        (y0, y1, y2), (p0, p1, p2) = self.y, self.k1
+        core, fin, (l0, l1, hl2) = self.core, math.isfinite, self.lins
+        (y0, y1), (p0, p1) = self.y, self.k1
         n = 0
         try:
-            z0, z1, z2 = y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2
-            if not fin(z0 + z1 + z2):
-                _test_parts(z0, z1, z2)
+            ts = t + c2 * h
+            z0, z1 = y0 + a21 * p0, y1 + a21 * p1
+            zw = z1 * l1 + ts * hl2
+            if not fin(z0 + z1 + zw):
+                _test_parts(z0, z1, zw)
             n = 1
-            q0, q1, c, a, b = core(t + c2 * h, z0, z1, lin * z2)
-            q2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
-            z0, z1, z2 = (y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1,
-                          y2 + a31 * p2 + a32 * q2)
-            if not fin(z0 + z1 + z2):
-                _test_parts(z0, z1, z2)
+            q0, c, a, _, _ = core(ts, z0, l0, zw)
+            q1 = c * z1 + a
+            ts = t + c3 * h
+            z0, z1 = y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1
+            zw = z1 * l1 + ts * hl2
+            if not fin(z0 + z1 + zw):
+                _test_parts(z0, z1, zw)
             n = 2
-            r0, r1, c, a, b = core(t + c3 * h, z0, z1, lin * z2)
-            r2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
-            z0, z1, z2 = (y0 + a41 * p0 + a42 * q0 + a43 * r0, y1 + a41 * p1 + a42 * q1 + a43 * r1,
-                          y2 + a41 * p2 + a42 * q2 + a43 * r2)
-            if not fin(z0 + z1 + z2):
-                _test_parts(z0, z1, z2)
+            r0, c, a, _, _ = core(ts, z0, l0, zw)
+            r1 = c * z1 + a
+            ts = t + c4 * h
+            z0, z1 = (y0 + a41 * p0 + a42 * q0 + a43 * r0, y1 + a41 * p1 + a42 * q1 + a43 * r1)
+            zw = z1 * l1 + ts * hl2
+            if not fin(z0 + z1 + zw):
+                _test_parts(z0, z1, zw)
             n = 3
-            s0, s1, c, a, b = core(t + c4 * h, z0, z1, lin * z2)
-            s2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
-            z0, z1, z2 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
-                          y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
-                          y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
-            if not fin(z0 + z1 + z2):
-                _test_parts(z0, z1, z2)
+            s0, c, a, _, _ = core(ts, z0, l0, zw)
+            s1 = c * z1 + a
+            ts = t + c5 * h
+            z0, z1 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
+                      y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1)
+            zw = z1 * l1 + ts * hl2
+            if not fin(z0 + z1 + zw):
+                _test_parts(z0, z1, zw)
             n = 4
-            u0, u1, c, a, b = core(t + c5 * h, z0, z1, lin * z2)
-            u2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
-            z0, z1, z2 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
-                          y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
-                          y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
-            if not fin(z0 + z1 + z2):
-                _test_parts(z0, z1, z2)
+            u0, c, a, _, _ = core(ts, z0, l0, zw)
+            u1 = c * z1 + a
+            ts = t + h
+            z0, z1 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
+                      y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1)
+            zw = z1 * l1 + ts * hl2
+            if not fin(z0 + z1 + zw):
+                _test_parts(z0, z1, zw)
             n = 5
-            v0, v1, c, a, b = core(t + h, z0, z1, lin * z2)
-            v2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
-            z0, z1, z2 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
-                               y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
-                               y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
-            if not fin(z0 + z1 + z2):
-                _test_parts(z0, z1, z2)
+            v0, c, a, _, alpha = core(ts, z0, l0, zw)   # alpha at t + h, where y7 lies
+            v1 = c * z1 + a
+            z0, z1 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
+                           y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1)
+            zw = z1 * l1 + ts * hl2
+            (m0, m1, hm2), (g0, g1, hg2) = self.bounds, self.sigmas
+            zb = alpha * m0 + abs(z1) * m1 + ts * hm2   # |Z| <= zb
+            s7 = alpha * g0 + z1 * g1 + ts * hg2        # Sigma_hat'
+            if not fin(z0 + z1 + zw + zb + s7):
+                _test_parts(z0, z1, zw, zb, s7)
             n = 6
-            w0, w1, c, a, b = core(t + h, z0, z1, lin * z2)
-            w2 = c * z2 + a * B1 + b * B2 if B2 else c * z2 + a * B1
+            w0, c, a, _, _ = core(ts, z0, l0, zw)
+            w1 = c * z1 + a
         finally:
             self.n_rhs += n
-        self.y_new = y7
-        self.ks = (p0, p1, p2, q0, q1, q2, r0, r1, r2, s0, s1, s2, u0, u1, u2, v0, v1, v2, w0, w1, w2)
-        rtol, atol = self.rtol, self.atol  # max(|y|, |z|) in one call below
+        self.y_new, self.s_new = y7, s7
+        self.ks = (p0, p1, q0, q1, r0, r1, s0, s1, u0, u1, v0, v1, w0, w1)
+        rtol, atol, s = self.rtol, self.atol, self.s  # max(|y|, |z|) in one call below
         d0 = ((e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * v0 + e7 * w0)
               / (max(y0, -y0, z0, -z0) * rtol + atol))
-        d1 = ((e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1)
-              / (max(y1, -y1, z1, -z1) * rtol + atol))
-        d2 = ((e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2)
-              / (max(y2, -y2, z2, -z2) * rtol + atol))
-        return math.sqrt((d0 * d0 + d1 * d1 + d2 * d2) / 3)
+        d1 = ((e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1) * g1
+              / (max(s, -s, s7, -s7) * rtol + atol))
+        return math.sqrt((d0 * d0 + d1 * d1) / 2)
 
     def record(self) -> tuple:
         return self.y, self.ks
 
-    dense_output = staticmethod(_flat_dense_output)
-
     def accept(self) -> None:
-        self.y, self.k1 = self.y_new, self.ks[18:]  # FSAL
+        self.y, self.s, self.k1 = self.y_new, self.s_new, self.ks[12:]  # FSAL
 
 
 class _ArrayStages:
-    """The stages of one step in the weight-matrix buffer; the interface of _FloatStages."""
+    """The stages of one step in the weight-matrix buffer; the interface of _PairStages."""
 
     __slots__ = ("rhs", "rtol", "atol", "n_rhs", "f0", "y", "abs_y", "y_new", "abs_y_new",
                  "buf", "k", "scaled", "stages", "err_row", "scratch")
@@ -296,10 +309,13 @@ class _ArrayStages:
         self.scaled = weights[:, 1:]
         self.stages = [(i, _C[i], weights[i - 1, :i + 1], self.buf[:i + 1]) for i in range(1, 7)]
         self.err_row = weights[6, 1:]
-        self.scratch = np.empty(min(dim, 3))
+        self.scratch = np.empty(2)
         self.buf[0] = y0
         self.k[0] = f0
-        self.y, self.abs_y = y0, np.abs(_twin(y0))
+        self.y, self.abs_y = y0, np.abs(_normed(y0))
+
+    def slope(self, t: float, y: np.ndarray):
+        return self.rhs(t, y)
 
     def attempt(self, t: float, h: float) -> float:
         np.multiply(_AE, h, out=self.scaled)
@@ -312,15 +328,13 @@ class _ArrayStages:
             k[i] = rhs(t + c * h, yi)
         # yi is now stage 7's state, the 5th-order solution; the RMS of the error over
         # atol + rtol max(|y|, |yi|) is taken in the scratch buffer r
-        self.y_new, self.abs_y_new, r = yi, np.abs(_twin(yi)), self.scratch
+        self.y_new, self.abs_y_new, r = yi, np.abs(_normed(yi)), self.scratch
         np.multiply(np.maximum(self.abs_y, self.abs_y_new, out=r), self.rtol, out=r)
-        np.divide(_twin(self.err_row.dot(k)), np.add(r, self.atol, out=r), out=r)
-        return math.sqrt(float(r.dot(r)) / r.size)
+        np.divide(_normed(self.err_row.dot(k)), np.add(r, self.atol, out=r), out=r)
+        return math.sqrt(float(r.dot(r)) / 2)
 
     def record(self) -> tuple:
         return self.y.tolist(), self.k.ravel().tolist()
-
-    dense_output = staticmethod(_flat_dense_output)
 
     def accept(self) -> None:
         self.y, self.abs_y = self.y_new, self.abs_y_new
@@ -328,140 +342,10 @@ class _ArrayStages:
         self.k[0] = self.k[6]  # FSAL; retries only overwrite rows 1-6
 
 
-class _BlockStages:
-    """The stages of one step on five floats (x, y, alpha, beta, gamma) over the rows (Z0, B1,
-    B2), written out as on the float path; the interface of _FloatStages.  The slope's block
-    c Z + a B1 + b B2 is (c alpha, c beta + a, c gamma + b) over the rows, from (1, 0, 0).
-    A stage reads Z through lin . Z, the sum of the three coefficients times lin . (Z0, B1,
-    B2), and is tested like a float-path stage, lin . Z included; at the 5th-order solution
-    the test adds the bound sum |coefficient| max|row| on |Z|, so that a Z that would
-    overflow aborts.  Sigma_hat' is the coefficients times the rows' Sigma_hat' values."""
-
-    __slots__ = ("core", "lins", "sigmas", "bounds", "rows", "rtol", "atol", "n_rhs", "f0", "y",
-                 "s", "k1", "y_new", "s_new", "ks")
-
-    def __init__(self, rhs, t0: float, y0: np.ndarray, first: tuple, rtol: float, atol: float):
-        core, lin, basis = first
-        self.core, self.rtol, self.atol = core, rtol, atol
-        self.n_rhs = 1
-        self.rows = np.stack((y0[2:], *basis))      # (Z0, B1, B2), for the whole run
-        # lin . Z0 as ``_block_slope`` forms it, so that the first slope is its bits
-        self.lins = tuple(float(row.dot(lin)) for row in (y0[2:], *basis))
-        self.sigmas = tuple(sigma_hat_of(self.rows).tolist())
-        self.bounds = tuple(np.abs(self.rows).max(axis=1).tolist())
-        self.y, self.s = (*y0[:2].tolist(), 1.0, 0.0, 0.0), self.sigmas[0]
-        self.k1 = core(t0, *self.y[:2], self.lins[0])
-        self.f0 = _block_slope(first, t0, y0, self.k1)
-
-    def attempt(self, t: float, h: float) -> float:
-        # the float path's weights and sums over five floats
-        (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
-         b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * c for c in _TABLEAU]
-        _, c2, c3, c4, c5, _, _ = _C
-        core, fin, (l0, l1, l2), (m0, m1, m2) = self.core, math.isfinite, self.lins, self.bounds
-        (y0, y1, y2, y3, y4), (p0, p1, p2, p3, p4) = self.y, self.k1
-        n = 0
-        try:
-            z0, z1, z2, z3, z4 = (y0 + a21 * p0, y1 + a21 * p1, y2 + a21 * p2, y3 + a21 * p3,
-                                  y4 + a21 * p4)
-            zd = z2 * l0 + z3 * l1 + z4 * l2
-            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
-                _test_parts(z0, z1, z2, z3, z4, zd)
-            n = 1
-            q0, q1, c, a, b = core(t + c2 * h, z0, z1, zd)
-            q2, q3, q4 = c * z2, c * z3 + a, c * z4 + b
-            z0, z1, z2, z3, z4 = (y0 + a31 * p0 + a32 * q0, y1 + a31 * p1 + a32 * q1,
-                                  y2 + a31 * p2 + a32 * q2, y3 + a31 * p3 + a32 * q3,
-                                  y4 + a31 * p4 + a32 * q4)
-            zd = z2 * l0 + z3 * l1 + z4 * l2
-            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
-                _test_parts(z0, z1, z2, z3, z4, zd)
-            n = 2
-            r0, r1, c, a, b = core(t + c3 * h, z0, z1, zd)
-            r2, r3, r4 = c * z2, c * z3 + a, c * z4 + b
-            z0, z1, z2, z3, z4 = (y0 + a41 * p0 + a42 * q0 + a43 * r0,
-                                  y1 + a41 * p1 + a42 * q1 + a43 * r1,
-                                  y2 + a41 * p2 + a42 * q2 + a43 * r2,
-                                  y3 + a41 * p3 + a42 * q3 + a43 * r3,
-                                  y4 + a41 * p4 + a42 * q4 + a43 * r4)
-            zd = z2 * l0 + z3 * l1 + z4 * l2
-            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
-                _test_parts(z0, z1, z2, z3, z4, zd)
-            n = 3
-            s0, s1, c, a, b = core(t + c4 * h, z0, z1, zd)
-            s2, s3, s4 = c * z2, c * z3 + a, c * z4 + b
-            z0, z1, z2, z3, z4 = (y0 + a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0,
-                                  y1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
-                                  y2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2,
-                                  y3 + a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3,
-                                  y4 + a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4)
-            zd = z2 * l0 + z3 * l1 + z4 * l2
-            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
-                _test_parts(z0, z1, z2, z3, z4, zd)
-            n = 4
-            u0, u1, c, a, b = core(t + c5 * h, z0, z1, zd)
-            u2, u3, u4 = c * z2, c * z3 + a, c * z4 + b
-            z0, z1, z2, z3, z4 = (y0 + a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0,
-                                  y1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1,
-                                  y2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2,
-                                  y3 + a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3,
-                                  y4 + a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * u4)
-            zd = z2 * l0 + z3 * l1 + z4 * l2
-            if not fin(z0 + z1 + z2 + z3 + z4 + zd):
-                _test_parts(z0, z1, z2, z3, z4, zd)
-            n = 5
-            v0, v1, c, a, b = core(t + h, z0, z1, zd)
-            v2, v3, v4 = c * z2, c * z3 + a, c * z4 + b
-            z0, z1, z2, z3, z4 = y7 = (y0 + b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * v0,
-                                       y1 + b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1,
-                                       y2 + b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2,
-                                       y3 + b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3,
-                                       y4 + b1 * p4 + b3 * r4 + b4 * s4 + b5 * u4 + b6 * v4)
-            zd = z2 * l0 + z3 * l1 + z4 * l2
-            zb = abs(z2) * m0 + abs(z3) * m1 + abs(z4) * m2   # |Z| <= zb
-            if not fin(z0 + z1 + z2 + z3 + z4 + zd + zb):
-                _test_parts(z0, z1, z2, z3, z4, zd, zb)
-            n = 6
-            w0, w1, c, a, b = core(t + h, z0, z1, zd)
-            w2, w3, w4 = c * z2, c * z3 + a, c * z4 + b
-        finally:
-            self.n_rhs += n
-        self.y_new = y7
-        self.ks = (p0, p1, p2, p3, p4, q0, q1, q2, q3, q4, r0, r1, r2, r3, r4, s0, s1, s2, s3, s4,
-                   u0, u1, u2, u3, u4, v0, v1, v2, v3, v4, w0, w1, w2, w3, w4)
-        rtol, atol, (sg0, sg1, sg2), s = self.rtol, self.atol, self.sigmas, self.s
-        s7 = self.s_new = z2 * sg0 + z3 * sg1 + z4 * sg2
-        d0 = ((e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * v0 + e7 * w0)
-              / (max(y0, -y0, z0, -z0) * rtol + atol))
-        d1 = ((e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1)
-              / (max(y1, -y1, z1, -z1) * rtol + atol))
-        d2 = (((e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2) * sg0
-               + (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3) * sg1
-               + (e1 * p4 + e3 * r4 + e4 * s4 + e5 * u4 + e6 * v4 + e7 * w4) * sg2)
-              / (max(s, -s, s7, -s7) * rtol + atol))
-        return math.sqrt((d0 * d0 + d1 * d1 + d2 * d2) / 3)
-
-    def record(self) -> tuple:
-        return self.y, self.ks
-
-    def dense_output(self, ts, steps, out) -> None:
-        """The five floats at every sample as on the float path, then Z as (alpha, beta, gamma)
-        times the rows (Z0, B1, B2): one stacked product, a matrix-vector product a sample."""
-        if steps:
-            lo, hi = steps[0][-2], steps[-1][-1]
-            five = np.empty((hi, 5))
-            _flat_dense_output(ts, steps, five)
-            out[lo:hi, :2] = five[lo:, :2]
-            np.matmul(five[lo:, None, 2:], self.rows, out=out[lo:hi, None, 2:])
-
-    def accept(self) -> None:
-        self.y, self.s, self.k1 = self.y_new, self.s_new, self.ks[30:]  # FSAL
-
-
 def _initial_step(probe, t0, y0, f0, t_end, rtol, atol, max_step):
-    # Hairer's starting-step heuristic, clipped to the step ceiling.  Overflow aborts
-    # unwarned under ``solve``'s errstate: of a slope norm here, of the probe state in
-    # the stage test of ``probe``.
+    # Hairer's starting-step heuristic on the stepped state, clipped to the step ceiling.
+    # Overflow aborts unwarned under ``solve``'s errstate: of a slope norm here, of the
+    # probe state in the stage test of ``probe``.
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
@@ -488,15 +372,16 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
           rtol: float = 1e-8, atol: float = 1e-10, max_step: float = np.inf) -> SolverResult:
     """Integrate y' = rhs(t, y) over [t0, t_end], sampling at sample_times.
 
-    ``rhs`` first receives the array ``y0``.  If it answers (core, lin, basis),
-    only ``core`` is called after, on floats; otherwise every later state comes as
-    an array (see the module docstring).  ``rhs`` never sees a non-finite state:
-    a non-finite ``y0`` or first slope, or a first slope whose error norm
-    overflows, raises ``IntegrationAbort`` at once.  Overflow and invalid
-    operations anywhere in the run, ``rhs`` included, are not warned: they
-    give non-finite values, which meet these tests.  An accepted step too small
-    to move t raises ``IntegrationAbort`` too.  ``t0`` and ``t_end`` must be
-    finite, with t0 < t_end; they, the tolerances and ``max_step`` are taken
+    ``rhs`` first receives the array ``y0`` = (x, y, Z).  If it answers a pair
+    answer (core, lin, basis), only ``core`` is called after, on floats, and the
+    samples hold (x, beta); otherwise every later state comes as an array, and the
+    samples hold the state (see the module docstring).  ``rhs`` never sees a
+    non-finite state: a non-finite ``y0``, pointer product of a pair answer or first
+    slope, or a first slope whose error norm overflows, raises ``IntegrationAbort``
+    at once.  Overflow and invalid operations anywhere in the run, ``rhs`` included,
+    are not warned: they give non-finite values, which meet these tests.  An accepted
+    step too small to move t raises ``IntegrationAbort`` too.  ``t0`` and ``t_end``
+    must be finite, with t0 < t_end; they, the tolerances and ``max_step`` are taken
     as Python floats.
     ``sample_times`` must be strictly ascending within [t0, t_end] (the last
     may exceed t_end by 1e-12 and is then served from the last step); the
@@ -523,34 +408,33 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         raise IntegrationAbort("non-finite initial state")
 
     n_out = len(ts)
-    out = np.empty((n_out, y0.size))
     dense: list[tuple] = []       # accepted steps that cover samples
-    si = 0                        # next sample to serve
-    if ts and ts[0] == t0:
-        out[0] = y0
-        si = 1
+    si = int(bool(ts) and ts[0] == t0)   # next sample to serve: t0 is the start's
 
     with np.errstate(over="ignore", invalid="ignore"):  # once per run, rhs included
+        pair = False
         try:
             first = rhs(t0, y0)
-            block = type(first) is tuple and first and callable(first[0])
-            form = (_ArrayStages if not block else _FloatStages if y0.size == 3 else _BlockStages)
-            stages = form(rhs, t0, y0, first, rtol, atol)
+            pair = type(first) is tuple and first and callable(first[0])
+            stages = (_PairStages if pair else _ArrayStages)(rhs, t0, y0, first, rtol, atol)
         except NodeError:
-            return SolverResult(np.array(ts[:si]), out[:si], SolverStats(n_rhs_evals=1), True)
+            start = np.array([(y0.item(0), 0.0) if pair else y0])
+            return SolverResult(np.array(ts[:si]), start[:si], SolverStats(n_rhs_evals=1), True)
         attempt, record, accept = stages.attempt, stages.record, stages.accept
-        f0 = stages.f0
+        y_start, f0 = np.array(stages.y), stages.f0
         if not np.isfinite(f0).all():
             raise IntegrationAbort(f"non-finite slope at t0={t0!r}")
+        out = np.empty((n_out, y_start.size))
+        out[:si] = y_start
 
         def probe(t: float, y: np.ndarray) -> np.ndarray:
-            # the starting-step probe of every form, on an array state
+            # the starting-step probe of both forms, on an array state
             if _count_nonzero(np.isfinite(y)) != y.size:
                 raise IntegrationAbort("non-finite stage state")
             stages.n_rhs += 1
-            return _block_slope(first, t, y) if block else rhs(t, y)
+            return stages.slope(t, y)
 
-        h = min(max(_initial_step(probe, t0, y0, f0, t_end, rtol, atol, max_step),
+        h = min(max(_initial_step(probe, t0, y_start, f0, t_end, rtol, atol, max_step),
                     H_FLOOR), max_step)
         t = t0
         fac_old = 1e-4
@@ -559,7 +443,7 @@ def solve(rhs, t0: float, y0, t_end: float, sample_times,
         h_min, h_max = math.inf, 0.0
 
         def finish(degenerate: bool) -> SolverResult:
-            stages.dense_output(ts, dense, out)
+            _flat_dense_output(ts, dense, out)
             stats = SolverStats(n_steps, n_rejected, n_backoffs, stages.n_rhs, n_capped,
                                 h_min if n_steps else 0.0, h_max)
             return SolverResult(np.array(ts[:si]), out[:si], stats, degenerate)

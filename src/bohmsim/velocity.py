@@ -7,13 +7,12 @@ applies the raw current formula Im(Psi* dPsi)/|Psi|^2 with central finite
 differences, which makes it an independent cross-check of every term in
 the analytic route.  These two wrappers have one use left, the benchmark's
 ``velocity-oracle`` workload and ``perfbench/test_checks.py``.  The decoupled
-longitudinal motion has the closed form ``y_closed_form``, an integration oracle.
+longitudinal motion has the closed form ``y_closed_form``: the analytic backends'
+Y', and the oracle of full-numeric's integrated Y'.
 
 Both routes, ``GuidanceKernel.velocity`` and ``fd_velocity``, keep one
 contract: ``route(kern, t, state)`` returns dy/dt' of the state (X', Y',
-Z'_1..Z'_N) as a fresh array, or from the kernel at N = 1 as a tuple of
-floats, or raises NodeError below ``model.NODE_EPS``.  Callers that need an
-array coerce the answer.
+Z'_1..Z'_N) as a fresh array, or raises NodeError below ``model.NODE_EPS``.
 
 There is one stencil: the centre, then each coordinate moved by +/-h and
 +/-h/2, with h = ``FD_H`` = 1e-5; Richardson extrapolation combines the
@@ -92,7 +91,7 @@ def _at_config(route, config: Configuration, params: ScenarioParams) -> Velocity
     if held is not params:
         kern = GuidanceKernel(params)
         _last_kernel = params, kern
-    vx, vy, *vz = np.asarray(route(kern, config.t_prime, config.state())).tolist()
+    vx, vy, *vz = route(kern, config.t_prime, config.state()).tolist()
     return VelocityVector(vx, vy, tuple(vz))
 
 

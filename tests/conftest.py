@@ -161,62 +161,66 @@ def config(t, x, y, z=()) -> Configuration:
 
 
 class Form:
-    """The system ``f(t, y)`` on (y0, y1, z), answering its slope in one form.  What
-    ``rk45.solve`` steps for each answer:
+    """The system ``f(t, y)``, answering its slope in one form.  What ``rk45.solve`` steps
+    for each answer:
 
-    * ``tuple``: a tuple of floats, stepped in arrays, as every answer but the block form's;
+    * ``tuple``: a tuple of floats, stepped in arrays, as every answer but the pair form's;
     * ``np.ndarray``: an array, stepped in arrays;
-    * ``FLOAT``: the block form's (core, lin, basis) for the one-component block z,
-      stepped in floats;
-    * ``BLOCK``: (core, lin, basis) for the two-component block (z, w), stepped with the
-      block held as coefficients.  ``solve`` starts w at 0, where the slope keeps it, and
-      drops it from the samples.
+    * ``PAIR``: the pair form's (core, lin, basis) for a two-component system (x, z),
+      stepped in floats as (x, beta).  lin = 1, B1 = 1 and B2 = 0, and the core answers
+      alpha = 1 and c = 0: so z is z(t0) + beta, and a is the slope of z.  ``solve``
+      hands ``rk45.solve`` the state (x, 0, z) and maps its samples back to (x, z).
 
-    On both block answers lin . Z is z and the core's block slope is a B1 with
-    B1 = (1, 0), so ``f`` reads (y0, y1, z) and may answer any slope.  ``seen`` holds
-    (t, kind, copy) of every state handed in, as (y0, y1, z) of kind "core" to a core."""
+    ``seen`` holds (t, kind, copy) of every state handed in, as (x, z) of kind "core" to a
+    core."""
 
-    FLOAT, BLOCK = "float", "block"
+    PAIR = "pair"
 
     def __init__(self, answer, f):
         self.answer, self.f, self.seen, self.asked = answer, f, [], []
 
     def __call__(self, t, y):
-        if self.answer in (self.FLOAT, self.BLOCK):
+        if self.answer is self.PAIR:
             self.asked.append(type(y))
-            basis = np.array([[1.0], [0.0]]) if self.answer is self.FLOAT else np.eye(2)
-            return self.core, basis[0], basis
+            return self.core, np.ones(1), np.array([[1.0], [0.0]])
         self.seen.append((t, type(y), np.array(y)))
         v = self.f(t, y)
         return tuple(map(float, v)) if self.answer is tuple else np.array(v, dtype=float)
 
-    def core(self, t, x, y, z):
-        # the slope's block is 0 Z + a B1 + 0 B2, with a the slope of z
-        self.seen.append((t, "core", np.array([x, y, z])))
-        vx, vy, vz = map(float, self.f(t, (x, y, z)))
-        return vx, vy, 0.0, vz, 0.0
+    def core(self, t, x, u, w):
+        # lin . Z = 1 u + w is z; the slope of Z is 0 Z + a B1 + 0 B2, with a the slope of z
+        z = u + w
+        self.seen.append((t, "core", np.array([x, z])))
+        vx, vz = map(float, self.f(t, (x, z)))
+        return vx, 0.0, vz, 0.0, 1.0
 
     def solve(self, t0, y0, *args, **kwargs) -> rk45.SolverResult:
-        """``rk45.solve`` of this system from ``y0``, on (y0, y1, z) whatever the answer."""
-        if self.answer is not self.BLOCK:
+        """``rk45.solve`` of this system from ``y0``, on (x, z) whatever the answer."""
+        if self.answer is not self.PAIR:
             return rk45.solve(self, t0, y0, *args, **kwargs)
-        res = rk45.solve(self, t0, [*y0, 0.0], *args, **kwargs)
-        assert not res.y[:, 3].any()
-        return replace(res, y=res.y[:, :3])
+        x0, z0 = y0
+        res = rk45.solve(self, t0, [x0, 0.0, z0], *args, **kwargs)
+        return replace(res, y=res.y + [0.0, z0])
 
     def reached(self) -> bool:
         """``solve`` handed over y0 as an array, then every later state in the answer's
-        form: an array after a tuple or an array, (y0, y1, z) to the core after a block."""
+        form: an array after a tuple or an array, (x, z) to the core after a pair answer."""
         kinds = {kind for _, kind, _ in self.seen}
-        if self.answer in (self.FLOAT, self.BLOCK):
+        if self.answer is self.PAIR:
             return self.asked == [np.ndarray] and kinds == {"core"}
         return kinds == {np.ndarray}
 
 
-def every_form(f, dim: int = 3) -> list[Form]:
-    """``f`` answering a tuple and an array, and, on three components, both block answers."""
-    blocks = [Form(Form.FLOAT, f), Form(Form.BLOCK, f)] if dim == 3 else []
-    return [Form(tuple, f), Form(np.ndarray, f), *blocks]
+def every_form(f, dim: int = 2) -> list[Form]:
+    """``f`` answering a tuple and an array, and, on two components, the pair answer."""
+    return [Form(tuple, f), Form(np.ndarray, f), *[Form(Form.PAIR, f)] * (dim == 2)]
+
+
+def pair_rhs(kern):
+    """The right-hand side that ``integrate_trajectory`` steps for an analytic backend:
+    the kernel's pair answer, whatever the state."""
+    answer = kern.coefficients, kern.dxi, kern.pz_basis
+    return lambda t, y: answer
 
 
 class DeadlineExceeded(Exception):

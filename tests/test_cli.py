@@ -279,7 +279,7 @@ class TestSimulate:
         assert err.startswith(f"error: Unable to allocate {size}")
         assert not out.exists()
 
-    # the reduced twin steps three floats at any N, but a launch still carries the N starts
+    # the reduced twin steps two floats at any N, but a launch still carries the N starts
     @pytest.mark.parametrize("n, backend", [*((n, ()) for n in OVERSIZED_N),
                                             (10**23, ("--backend", "reduced"))],
                              ids=[*map(str, OVERSIZED_N), f"reduced-{10**23}"])

@@ -12,8 +12,8 @@ The node floor ``NODE_EPS`` is declared in model.py and tested by the two
 velocity routes alone, the closed form and ``fd_velocity``: they are the only
 places that raise ``NodeError``, and every caller, the stepper included, gets
 the floor through them.  The closed form raises it in
-``GuidanceKernel.coefficients``, the scalar core under ``velocity`` and
-``block_velocity``.
+``GuidanceKernel.coefficients``, the scalar core under ``velocity`` and the
+stepper's pair form.
 
 The command line's exit-code policy lives in ``cli.main`` alone: the commands
 raise, and only ``main`` names the configuration and integration exit codes.
@@ -25,10 +25,9 @@ sqrt(N_old/N) rescales a common start without forming Sigma_hat'.  Every
 other square root in the package is pinned by (file, function) as well.
 
 Which states are computed in Python floats is decided once, by the right-hand
-side: ``block_velocity`` answers the block form's (core, lin, basis), and
-``rk45.solve`` picks its stage form from that first answer and the block's width.
-So the package holds one ``type(...) is tuple`` test, ``solve``'s read of that
-answer.
+side: an analytic run's answers the pair form's (core, lin, basis), and
+``rk45.solve`` picks its stage form from that first answer.  So the package holds
+one ``type(...) is tuple`` test, ``solve``'s read of that answer.
 """
 
 import ast
@@ -45,7 +44,8 @@ SQRT_SITES = {
     ("reduced.py", "sigma_hat_of"), ("reduced.py", "common_start"),
     ("reduced.py", "reduced_params"), ("scenario.py", "with_n_particles"),
     # square roots of something other than N
-    ("_kernel.py", "spreading_factor"), ("rk45.py", "_initial_step"), ("rk45.py", "attempt"),
+    ("_kernel.py", "spreading_factor"), ("_kernel.py", "coefficients"),
+    ("rk45.py", "_initial_step"), ("rk45.py", "attempt"),
     ("validate.py", "random_configurations"), ("velocity.py", "y_closed_form"),
 }
 TUPLE_TESTS = [("rk45.py", "solve")]

@@ -103,14 +103,14 @@ class TestSingleTrajectories:
         assert np.min(traj.x) > 0.0
 
     def test_pointerless_slit_centre_launch(self):
-        # N = 0, the bare two-slit: its kernel answers arrays, so (X', Y') is stepped
-        # in the array buffer
+        # N = 0, the bare two-slit: the pair form steps (X', beta), and its norm reads
+        # Sigma_hat' = 0 beside X'
         sc = preset("fig2")
         params = replace(sc.params, pointer_groups=())
         init = Configuration(0.0, params.d_prime, 0.0, ())
         traj = integrate_trajectory(init, params, sc.integrator)
         assert traj.stats.n_steps == 175
-        assert traj.x[-1] == 4.5000000050287445
+        assert traj.x[-1] == 4.500000002764847
 
     def test_fast_pointer_crosses_straight(self, fig3_params):
         for off in (-0.8, 0.0, 0.8):
@@ -119,10 +119,13 @@ class TestSingleTrajectories:
             assert traj.x[-1] * traj.x[0] < 0.0
 
     def test_y_channel_oracle(self, fig4_params):
+        # full-numeric integrates Y'; the analytic backends form it from the closed form
         init = Configuration(0.0, 2.5, 0.3, (0.1,))
-        traj = integrate_trajectory(init, fig4_params)
+        traj = integrate_trajectory(init, fig4_params, backend="full-numeric")
         exact = np.array([y_closed_form(t, 0.3, fig4_params.xi_y) for t in traj.t])
         assert np.max(np.abs(traj.y - exact)) <= 1e-8
+        analytic = integrate_trajectory(init, fig4_params)
+        assert np.array_equal(analytic.y, y_closed_form(analytic.t, 0.3, fig4_params.xi_y))
 
     def test_requires_t0(self, fig4_params):
         with pytest.raises(ValueError):
@@ -247,17 +250,17 @@ class TestEnsembles:
 
 class TestNodeHandling:
     """On every form of the stepper: one system answering a tuple and an array, stepped in
-    arrays, then the block form's (core, lin, basis), stepped in floats and as a block."""
+    arrays, then the pair form's (core, lin, basis), stepped in floats."""
 
     def test_degenerate_truncation_flagged(self):
         # synthetic field that hits a node beyond t = 1
         def f(t, y):
             if t > 1.0:
                 raise NodeError(0.0)
-            return [1.0, 1.0, 1.0]
+            return [1.0, 1.0]
 
         for rhs in every_form(f):
-            res = rhs.solve(0.0, np.zeros(3), 2.0, np.linspace(0.0, 2.0, 21),
+            res = rhs.solve(0.0, np.zeros(2), 2.0, np.linspace(0.0, 2.0, 21),
                             rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()
             assert res.degenerate
@@ -268,8 +271,8 @@ class TestNodeHandling:
     def test_nonfinite_aborts(self):
         from bohmsim.rk45 import IntegrationAbort
 
-        for rhs in every_form(lambda t, y: [np.nan if t > 0.5 else 1.0] * 3):
+        for rhs in every_form(lambda t, y: [np.nan if t > 0.5 else 1.0] * 2):
             with pytest.raises(IntegrationAbort):
-                rhs.solve(0.0, np.zeros(3), 1.0, np.array([1.0]),
+                rhs.solve(0.0, np.zeros(2), 1.0, np.array([1.0]),
                           rtol=1e-8, atol=1e-10, max_step=0.1)
             assert rhs.reached()

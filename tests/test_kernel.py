@@ -6,13 +6,14 @@ closed forms of log Omega and delta S instead.  These tests hold the two
 routes together and pin the properties the integrator relies on.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bohmsim._kernel import DOMINANT_LOG_CUTOFF, GuidanceKernel, scales
-from bohmsim.integrate import integrate_trajectory
+from bohmsim.integrate import integrate_trajectory, time_grid
 from bohmsim.model import NodeError, ScenarioParams
 from bohmsim.reduced import reduced_params
 from bohmsim.scenario import preset, with_n_particles
@@ -120,26 +121,49 @@ def test_velocity_mirror_symmetry_is_bit_exact(name, n):
 
 @pytest.mark.parametrize("name,n", [("fig4", 1), ("fig7", 2), ("fig8", 2), ("fig4", 100)])
 def test_velocity_is_the_scalar_core_bit_for_bit(name, n):
-    # v = (v_x, v_y, c_1 Z' + a p_z dXi + b p_z SXi) from ``coefficients`` at zd = dXi . Z',
-    # the block answer's own dot: a tuple at N = 1, an array at N >= 2, and the rows
-    # ``block_velocity`` hands the stepper
+    # v = (v_x, v_y, c_1 Z' + a p_z dXi + b p_z SXi), with v_x, c_1, a and b from
+    # ``coefficients`` at u = 0 and w = dXi . Z', and v_y = P_y [xi_y + 2 g_y (Y' - t')]
     params = preset_params(name, n)
     kern = GuidanceKernel(params)
-    core, dxi, (b1, b2) = kern.block_velocity(0.0, None)
-    assert core == kern.coefficients and np.array_equal(dxi, kern.dxi)
+    b1, b2 = kern.pz_basis
     for cfg in random_configurations(params, 100, np.random.default_rng(17)):
         t, state = cfg.t_prime, cfg.state()
         z = state[2:]
-        zd = float(z.dot(dxi))
-        vx, vy, c1, a, b = kern.coefficients(t, cfg.x, cfg.y, zd)
+        vx, c1, a, b, _ = kern.coefficients(t, cfg.x, 0.0, float(z.dot(kern.dxi)))
+        ayt = kern.ay * t
+        vy = kern.py * (kern.xi_y + 2.0 * (ayt / (1.0 + ayt * ayt)) * (cfg.y - t))
         v = kern.velocity(t, state)
-        assert type(v) is (tuple if n == 1 else np.ndarray)
+        assert type(v) is np.ndarray
         vz = c1 * z + a * b1
         if params.single_pointer_xi is None:
             vz += b * b2
         else:
             assert not b2.any()
-        assert np.array((vx, vy, *vz)).tobytes() == np.array(v).tobytes()
+        assert np.array((vx, vy, *vz)).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("name,n", [("fig4", 1), ("fig7", 2), ("fig4", 100)])
+def test_core_scalars_are_closed_forms_of_t(name, n):
+    # c_1 = a_z^2 t'/D_z and b = 1/(2 D_z), whatever X' and the pointer: so alpha = sqrt(D_z)
+    # solves alpha' = c_1 alpha and gamma = t'/2 solves gamma' = c_1 gamma + b, and the pair
+    # form steps beta alone.  The core answers that alpha, and reads dXi . Z' as alpha u + w
+    params = preset_params(name, n)
+    kern = GuidanceKernel(params)
+    rng = np.random.default_rng(29)
+    horizon = time_grid(params)[0]
+    for t, x, u, w in zip(rng.uniform(0.0, horizon, 200), rng.normal(0.0, 3.0, 200),
+                          rng.normal(0.0, 2.0, 200), rng.normal(0.0, 2.0, 200)):
+        t, x, u, w = float(t), float(x), float(u), float(w)
+        dz = kern.denominators(t)[2]
+        try:
+            vx, c1, a, b, alpha = kern.coefficients(t, x, u, w)
+        except NodeError:
+            continue
+        assert c1 == pytest.approx(kern.az * kern.az * t / dz, rel=1e-14, abs=1e-300)
+        assert b == pytest.approx(0.5 / dz, rel=1e-15)
+        assert alpha == math.sqrt(dz)
+        ref = kern.coefficients(t, x, 0.0, alpha * u + w)
+        assert np.array((vx, c1, a, b, alpha)).tobytes() == np.array(ref).tobytes()
 
 
 # one-coordinate kernels: the reduced twins of fig2, fig3, fig4 and of fig4 at N = 1000
@@ -176,8 +200,8 @@ def node_states(kern, rng, count):
 
 @pytest.mark.parametrize("name", ONE_POINTER_CASES)
 def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
-    # N = 1 takes Python floats and answers a tuple; the reference is the N = 2 array
-    # path of the same pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1.
+    # N = 1 works in Python floats; the reference is the N = 2 array path of the same
+    # pointer plus an inert particle (Xi+- = 0), on v_x, v_y and v_z1.
     params = ONE_POINTER_CASES[name]
     kern = GuidanceKernel(params)
     inert = GuidanceKernel(replace(params, pointer_groups=(
@@ -205,8 +229,7 @@ def test_one_coordinate_velocity_is_the_array_path_bit_for_bit(name):
             regimes["node"] += 1
             continue
         ref = inert.velocity(t, np.array([x, y, z, float(rng.normal())]))
-        assert type(v) is tuple and [type(c) for c in v] == [float] * 3
-        assert np.array(v).tobytes() == ref[:3].tobytes(), (t, x, y, z)
+        assert v.tobytes() == ref[:3].tobytes(), (t, x, y, z)
         regimes[regime] += 1
     assert all(regimes.values()), regimes
 
@@ -220,23 +243,17 @@ STATE_ROUTES = [pytest.param(name, n, route, other, id=f"{name}-{n}{suffix}")
 
 @pytest.mark.parametrize("name,n,route,other", STATE_ROUTES)
 def test_state_velocity_matches_finite_differences(name, n, route, other):
-    # dy/dt' over the whole state, with the caller's state left alone: a tuple of
-    # floats from the closed form at N = 1, and a fresh array everywhere else
+    # dy/dt' over the whole state as a fresh array, with the caller's state left alone
     params = fig4_n_particles(n) if name == "fig4" else preset_params(name, n)
     kern = GuidanceKernel(params)
-    floats = route is GuidanceKernel.velocity and n == 1
     for cfg in random_configurations(params, 20, np.random.default_rng(5)):
         state = cfg.state()
         before = state.tobytes()
         v = route(kern, cfg.t_prime, state)
         assert state.tobytes() == before
-        if floats:
-            assert type(v) is tuple and [type(c) for c in v] == [float] * state.size
-            v = np.array(v)
-        else:
-            assert v.shape == state.shape
-            assert not np.shares_memory(v, state)
-            assert not np.shares_memory(v, route(kern, cfg.t_prime, state))
+        assert v.shape == state.shape
+        assert not np.shares_memory(v, state)
+        assert not np.shares_memory(v, route(kern, cfg.t_prime, state))
         fd = other(kern, cfg.t_prime, state)
         assert np.max(np.abs(v - fd) / np.maximum(1.0, np.abs(v))) <= 1e-6
 

